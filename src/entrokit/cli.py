@@ -19,13 +19,11 @@ import click
 
 from . import io as eio
 from .deformed_log import DeformParams
-from .distributions import Distribution, JointDistribution2, JointDistribution3
+from .distributions import Distribution
 from .divergence import divergence, kl_divergence, mutual_divergence, tsallis_divergence
 from .entropy import (
     conditional_entropy,
-    conditional_entropy3,
     entropy,
-    joint_entropy,
     mutual_entropy,
     shannon_entropy,
     tsallis_entropy,
@@ -67,9 +65,7 @@ def _load_distribution(source: str, fmt: str | None, normalize: bool) -> Distrib
     return eio.distribution_from_csv(text, normalize=normalize)
 
 
-def _load_joint(
-    source: str, fmt: str | None, normalize: bool
-) -> JointDistribution2 | JointDistribution3:
+def _load_joint(source: str, fmt: str | None, normalize: bool) -> Distribution:
     text, hint = _read_source(source)
     if _resolve_format(fmt, hint, text) == "json":
         try:
@@ -149,7 +145,7 @@ def joint_cmd(k, r, relaxed, normalize, fmt, output, source):
     """Entropy of a joint distribution (2 or 3 variables)."""
     params = _params(k, r, relaxed)
     j = _load_joint(source, fmt, normalize)
-    _emit({"value": joint_entropy(j, params).value}, fmt or "json", output)
+    _emit({"value": entropy(j, params).value}, fmt or "json", output)
 
 
 @cli.command("conditional")
@@ -163,12 +159,9 @@ def conditional_cmd(k, r, relaxed, normalize, fmt, output, source, direction, mo
     """Conditional entropy of a joint distribution."""
     params = _params(k, r, relaxed)
     j = _load_joint(source, fmt, normalize)
-    if isinstance(j, JointDistribution3):
-        if mode is None:
-            raise click.UsageError("--mode is required for a 3-variable joint")
-        value = conditional_entropy3(j, params, mode).value
-    else:
-        value = conditional_entropy(j, params, direction).value
+    if j.ndim == 3 and mode is None:
+        raise click.UsageError("--mode is required for a 3-variable joint")
+    value = conditional_entropy(j, params, mode if j.ndim == 3 else direction).value
     _emit({"value": value}, fmt or "json", output)
 
 
@@ -181,8 +174,6 @@ def mutual_cmd(k, r, relaxed, normalize, fmt, output, source, via):
     """Mutual entropy S(X) + S(Y) - S(X,Y), or the divergence form."""
     params = _params(k, r, relaxed)
     j = _load_joint(source, fmt, normalize)
-    if not isinstance(j, JointDistribution2):
-        raise ValidationError("mutual requires a 2-variable joint")
     if via == "divergence":
         value = mutual_divergence(j, params).value
     else:

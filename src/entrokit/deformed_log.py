@@ -23,6 +23,7 @@ import numpy as np
 from .errors import DomainError, LegacyRegionWarning, ParamError
 
 __all__ = [
+    "K_MIN",
     "DeformParams",
     "ln_kr",
     "ln_q",
@@ -30,14 +31,21 @@ __all__ = [
     "legacy_u",
 ]
 
+# Smallest accepted |k|: the largest p below 1 has |ln p| = 2^-53, and
+# 2k ln p must stay a normal float. Below this the expm1 closed forms
+# lose precision in the subnormals and return wrong values (k = 5e-324
+# gives entropy 1.0 on a distribution whose Shannon entropy is 1.0397).
+K_MIN = 2.0**-970
+
 
 @dataclass(frozen=True)
 class DeformParams:
     """Deformation parameter pair (k, r).
 
     Strict mode (default) enforces 0 < k <= 1/2 and r > 0. Relaxed mode
-    is an explicit opt-in that only requires k != 0, so legacy comparisons
+    is an explicit opt-in that drops both bounds, so legacy comparisons
     and out-of-domain reductions (e.g. k = r = (1-q)/2 with q > 1) can run.
+    Both modes require finite real numbers and |k| >= K_MIN.
     """
 
     k: float
@@ -46,12 +54,13 @@ class DeformParams:
 
     def __post_init__(self):
         k, r = self.k, self.r
-        if not (np.isfinite(k) and np.isfinite(r)):
+        try:
+            finite = np.isfinite(k) and np.isfinite(r)
+        except TypeError:
+            raise ParamError(f"k and r must be real numbers, got k={k!r}, r={r!r}") from None
+        if not finite:
             raise ParamError(f"k and r must be finite, got k={k}, r={r}")
-        if self.relaxed:
-            if k == 0:
-                raise ParamError("k = 0 is undefined even in relaxed mode")
-        else:
+        if not self.relaxed:
             if not (0 < k <= 0.5):
                 raise ParamError(
                     f"strict mode requires 0 < k <= 1/2, got k={k} "
@@ -62,6 +71,8 @@ class DeformParams:
                     f"strict mode requires r > 0, got r={r} "
                     "(pass relaxed=True to override)"
                 )
+        if abs(k) < K_MIN:
+            raise ParamError(f"|k| must be at least K_MIN = {K_MIN!r}, got k={k!r}")
 
     @property
     def in_legacy_region(self) -> bool:

@@ -1,14 +1,17 @@
-"""Finite probability distributions, joint tensors, stochastic channels,
+"""Finite probability distributions of any rank, stochastic channels,
 mixtures, and seeded random generation.
 
-All values are immutable after construction (backing arrays are marked
-read-only) and re-validate their invariants on construction. Sums are
-checked to an absolute tolerance of 1e-9 so data can round-trip through
-decimal text formats.
+A Distribution is one validated probability array: a vector on the
+simplex is the 1-axis case, and a joint of variables X, Y, Z, ... is the
+array indexed (x, y, z, ...). All values are immutable after construction
+(backing arrays are marked read-only) and re-validate their invariants on
+construction. Sums are checked to an absolute tolerance of 1e-9 so data
+can round-trip through decimal text formats.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,29 +21,34 @@ from .errors import DimensionError, ParamError, ValidationError
 __all__ = [
     "SUM_TOL",
     "Distribution",
-    "JointDistribution2",
-    "JointDistribution3",
     "Channel",
     "make_distribution",
     "make_joint2",
     "make_joint3",
     "make_channel",
-    "flatten",
-    "marginals",
     "product",
     "apply_channel",
     "mix",
     "sample_distribution",
-    "sample_joint2",
-    "sample_joint3",
     "sample_channel",
 ]
 
 SUM_TOL = 1e-9
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=float)
+def _as_float_array(data, what: str) -> np.ndarray:
+    try:
+        a = np.asarray(data)
+        out = a.astype(float, copy=False)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{what} must be numeric") from None
+    if a.dtype == bool:
+        raise ValidationError(f"{what} must be numeric, not boolean")
+    return out
+
+
+def _freeze(a, what: str) -> np.ndarray:
+    a = np.array(_as_float_array(a, what), ndmin=1)
     a.setflags(write=False)
     return a
 
@@ -56,14 +64,13 @@ def _check_nonneg(a: np.ndarray, what: str) -> None:
 
 @dataclass(frozen=True)
 class Distribution:
-    """Probability vector on the finite simplex."""
+    """Probability array of any rank >= 1: a vector on the simplex, or a
+    joint distribution indexed (x, y, z, ...)."""
 
     p: np.ndarray
 
     def __post_init__(self):
-        p = _freeze(np.atleast_1d(self.p))
-        if p.ndim != 1:
-            raise ValidationError("distribution must be a 1-d vector")
+        p = _freeze(self.p, "probability")
         _check_nonneg(p, "probability")
         total = float(p.sum())
         if abs(total - 1.0) > SUM_TOL:
@@ -72,68 +79,28 @@ class Distribution:
 
     @property
     def n(self) -> int:
-        return self.p.shape[0]
-
-
-@dataclass(frozen=True)
-class JointDistribution2:
-    """Joint probability matrix indexed (x, y)."""
-
-    m: np.ndarray
-
-    def __post_init__(self):
-        m = _freeze(self.m)
-        if m.ndim != 2:
-            raise ValidationError("joint distribution must be a 2-d matrix")
-        _check_nonneg(m, "joint probability")
-        total = float(m.sum())
-        if abs(total - 1.0) > SUM_TOL:
-            raise ValidationError(f"joint probabilities sum to {total!r}, expected 1")
-        object.__setattr__(self, "m", m)
+        """Number of cells; the support size of a vector."""
+        return self.p.size
 
     @property
-    def shape(self) -> tuple[int, int]:
-        return self.m.shape
+    def ndim(self) -> int:
+        return self.p.ndim
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self.p.shape
+
+    def marginal(self, *axes: int) -> Distribution:
+        """Marginal over the given axes (0=x, 1=y, 2=z, ...), in the order given."""
+        kept = sorted(axes)
+        if not axes or len(set(axes)) != len(axes) or kept[0] < 0 or kept[-1] >= self.ndim:
+            raise ParamError(f"axes must be distinct and in [0, {self.ndim}), got {axes}")
+        m = self.p.sum(axis=tuple(a for a in range(self.ndim) if a not in kept))
+        return Distribution(m.transpose([kept.index(a) for a in axes]))
 
     def marginal_x(self) -> Distribution:
-        return Distribution(self.m.sum(axis=1))
-
-    def marginal_y(self) -> Distribution:
-        return Distribution(self.m.sum(axis=0))
-
-
-@dataclass(frozen=True)
-class JointDistribution3:
-    """Joint probability tensor indexed (x, y, z)."""
-
-    t: np.ndarray
-
-    def __post_init__(self):
-        t = _freeze(self.t)
-        if t.ndim != 3:
-            raise ValidationError("triple joint distribution must be a 3-d tensor")
-        _check_nonneg(t, "joint probability")
-        total = float(t.sum())
-        if abs(total - 1.0) > SUM_TOL:
-            raise ValidationError(f"joint probabilities sum to {total!r}, expected 1")
-        object.__setattr__(self, "t", t)
-
-    @property
-    def shape(self) -> tuple[int, int, int]:
-        return self.t.shape
-
-    def pair(self, drop_axis: int) -> JointDistribution2:
-        """Marginal pair joint obtained by summing out one axis (0=x, 1=y, 2=z)."""
-        if drop_axis not in (0, 1, 2):
-            raise ParamError("drop_axis must be 0, 1 or 2")
-        return JointDistribution2(self.t.sum(axis=drop_axis))
-
-    def marginal(self, axis: int) -> Distribution:
-        """Single-variable marginal along one axis (0=x, 1=y, 2=z)."""
-        if axis not in (0, 1, 2):
-            raise ParamError("axis must be 0, 1 or 2")
-        keep = [a for a in (0, 1, 2) if a != axis]
-        return Distribution(self.t.sum(axis=tuple(keep)))
+        """The marginal over axis 0, i.e. marginal(0)."""
+        return self.marginal(0)
 
 
 @dataclass(frozen=True)
@@ -146,7 +113,7 @@ class Channel:
     w: np.ndarray
 
     def __post_init__(self):
-        w = _freeze(self.w)
+        w = _freeze(self.w, "transition probability")
         if w.ndim != 2:
             raise ValidationError("channel must be a 2-d matrix")
         _check_nonneg(w, "transition probability")
@@ -163,47 +130,36 @@ class Channel:
         return self.w.shape
 
 
-def _as_float_array(data, what: str) -> np.ndarray:
-    try:
-        return np.asarray(data, dtype=float)
-    except (TypeError, ValueError):
-        raise ValidationError(f"{what} must be numeric") from None
-
-
-def _normalized(a: np.ndarray, normalize: bool, what: str) -> np.ndarray:
-    _check_nonneg(a, what)
+def _make(data, normalize: bool, ndim: int, what: str) -> Distribution:
+    a = _as_float_array(data, what)
+    if a.ndim != ndim:
+        raise ValidationError(f"{what}s must be a {ndim}-d array, got {a.ndim}-d")
     if normalize:
+        _check_nonneg(a, what)
         total = a.sum()
         if total <= 0:
-            raise ValidationError(f"cannot normalize an all-zero {what} vector")
-        return a / total
-    return a
+            raise ValidationError(f"cannot normalize all-zero {what}s")
+        a = a / total
+    return Distribution(a)
 
 
 def make_distribution(weights, normalize: bool = False) -> Distribution:
-    """Build a Distribution from non-negative weights.
+    """Build a probability vector from non-negative weights.
 
     With normalize=True the weights are divided by their sum; otherwise
     they must already sum to 1 within 1e-9.
     """
-    a = _as_float_array(weights, "weight")
-    if a.ndim != 1:
-        raise ValidationError("weights must be a 1-d vector")
-    return Distribution(_normalized(a, normalize, "weight"))
+    return _make(weights, normalize, 1, "weight")
 
 
-def make_joint2(matrix, normalize: bool = False) -> JointDistribution2:
-    a = _as_float_array(matrix, "joint weight")
-    if a.ndim != 2:
-        raise ValidationError("joint weights must be a 2-d matrix")
-    return JointDistribution2(_normalized(a, normalize, "joint weight"))
+def make_joint2(matrix, normalize: bool = False) -> Distribution:
+    """Build a joint of two variables from a weight matrix indexed (x, y)."""
+    return _make(matrix, normalize, 2, "joint weight")
 
 
-def make_joint3(tensor, normalize: bool = False) -> JointDistribution3:
-    a = _as_float_array(tensor, "joint weight")
-    if a.ndim != 3:
-        raise ValidationError("triple joint weights must be a 3-d tensor")
-    return JointDistribution3(_normalized(a, normalize, "joint weight"))
+def make_joint3(tensor, normalize: bool = False) -> Distribution:
+    """Build a joint of three variables from a weight tensor indexed (x, y, z)."""
+    return _make(tensor, normalize, 3, "joint weight")
 
 
 def make_channel(matrix, normalize: bool = False) -> Channel:
@@ -220,34 +176,24 @@ def make_channel(matrix, normalize: bool = False) -> Channel:
     return Channel(a)
 
 
-def flatten(j: JointDistribution2 | JointDistribution3) -> Distribution:
-    """View a joint as a plain distribution over its cells (row-major)."""
-    arr = j.m if isinstance(j, JointDistribution2) else j.t
-    return Distribution(arr.ravel())
-
-
-def marginals(j: JointDistribution2) -> tuple[Distribution, Distribution]:
-    """Row-sum marginal over x and column-sum marginal over y."""
-    return j.marginal_x(), j.marginal_y()
-
-
-def product(p: Distribution, q: Distribution) -> JointDistribution2:
-    """Independent joint with entries p_x * q_y."""
-    return JointDistribution2(np.outer(p.p, q.p))
+def product(p: Distribution, q: Distribution) -> Distribution:
+    """Independent joint with entries p_x * q_y: the outer product, whose
+    axes are those of p followed by those of q."""
+    return Distribution(np.multiply.outer(p.p, q.p))
 
 
 def apply_channel(w: Channel, p: Distribution) -> Distribution:
     """Push a distribution through a channel: out_j = sum_i w_{j,i} p_i."""
     m, n = w.shape
-    if n != p.n:
-        raise DimensionError(f"channel expects {n} inputs, distribution has {p.n}")
+    if p.shape != (n,):
+        raise DimensionError(f"channel expects {n} inputs, distribution has shape {p.shape}")
     return Distribution(w.w @ p.p)
 
 
 def mix(p1: Distribution, p2: Distribution, lam: float) -> Distribution:
     """Convex combination (1 - lam) * p1 + lam * p2."""
-    if p1.n != p2.n:
-        raise DimensionError(f"size mismatch: {p1.n} vs {p2.n}")
+    if p1.shape != p2.shape:
+        raise DimensionError(f"shape mismatch: {p1.shape} vs {p2.shape}")
     if not (0.0 <= lam <= 1.0):
         raise ParamError(f"lambda must lie in [0, 1], got {lam}")
     return Distribution((1.0 - lam) * p1.p + lam * p2.p)
@@ -256,37 +202,28 @@ def mix(p1: Distribution, p2: Distribution, lam: float) -> Distribution:
 def _rng(seed) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
-    seed = int(seed)
+    try:
+        seed = operator.index(seed)
+    except TypeError:
+        raise ParamError(f"seed must be an integer, got {seed!r}") from None
     if not (0 <= seed < 2**64):
         raise ParamError("seed must be a 64-bit unsigned integer")
     return np.random.default_rng(seed)
 
 
-def _simplex_point(rng: np.random.Generator, size: int) -> np.ndarray:
+def _simplex_point(rng: np.random.Generator, shape) -> np.ndarray:
     # normalized i.i.d. exponentials = flat Dirichlet = uniform on the simplex
-    e = rng.exponential(size=size)
+    e = rng.exponential(size=shape)
     return e / e.sum()
 
 
-def sample_distribution(n: int, seed) -> Distribution:
-    """Uniform random point on the n-simplex, deterministic for a fixed seed."""
-    if n < 1:
-        raise ParamError("support size must be >= 1")
-    return Distribution(_simplex_point(_rng(seed), n))
-
-
-def sample_joint2(n_x: int, n_y: int, seed) -> JointDistribution2:
-    if n_x < 1 or n_y < 1:
+def sample_distribution(shape, seed) -> Distribution:
+    """Uniform random point on the simplex of the given shape (an int for a
+    vector, a tuple for a joint), deterministic for a fixed seed."""
+    dims = tuple(shape) if np.iterable(shape) else (shape,)
+    if min(dims, default=0) < 1:
         raise ParamError("support sizes must be >= 1")
-    flat = _simplex_point(_rng(seed), n_x * n_y)
-    return JointDistribution2(flat.reshape(n_x, n_y))
-
-
-def sample_joint3(n_x: int, n_y: int, n_z: int, seed) -> JointDistribution3:
-    if min(n_x, n_y, n_z) < 1:
-        raise ParamError("support sizes must be >= 1")
-    flat = _simplex_point(_rng(seed), n_x * n_y * n_z)
-    return JointDistribution3(flat.reshape(n_x, n_y, n_z))
+    return Distribution(_simplex_point(_rng(seed), dims))
 
 
 def sample_channel(m: int, n: int, seed) -> Channel:

@@ -3,9 +3,10 @@
 The divergence of P from Q is sum_x p (p/q)^{r-k} ln_{k,r}(p/q), whose
 per-term closed form (p - p^{1-2k} q^{2k}) / (2k) is the canonical
 evaluator: it is r-free, finite and exact at p = 0 without limit-taking,
-and zero exactly when p = q termwise. Final reductions use math.fsum so
-the value is independent of coordinate order (permutation symmetry holds
-bit-exactly).
+and zero exactly when p = q termwise. P and Q may be of any rank, as long
+as their shapes agree; the sum runs over cells. Final reductions use
+math.fsum so the value is independent of coordinate order (permutation
+symmetry holds bit-exactly).
 
 p > 0 with q = 0 is rejected loudly rather than returned as infinity,
 because downstream arithmetic (pseudo-additivity, convexity sweeps) would
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .deformed_log import DeformParams, ln_kr, ln_q
-from .distributions import Distribution, JointDistribution2
+from .distributions import Distribution, product
 from .errors import AbsoluteContinuityError, DimensionError, DomainError, ParamError
 
 __all__ = [
@@ -31,7 +32,6 @@ __all__ = [
     "log_sum_gap",
     "kl_divergence",
     "tsallis_divergence",
-    "reference_divergence",
     "mutual_divergence",
 ]
 
@@ -58,27 +58,34 @@ def _positive_terms(p: np.ndarray, q: np.ndarray, k: float) -> np.ndarray:
     return -p * np.expm1(2.0 * k * (np.log(q) - np.log(p))) / (2.0 * k)
 
 
+def _check_pair(p: Distribution, q: Distribution) -> np.ndarray:
+    """Require equal shapes and support(P) within support(Q); returns the
+    mask of p > 0."""
+    if p.shape != q.shape:
+        raise DimensionError(f"shape mismatch: {p.shape} vs {q.shape}")
+    p_pos = p.p > 0
+    bad = p_pos & (q.p == 0)
+    if np.any(bad):
+        i = np.unravel_index(int(np.argmax(bad)), bad.shape)
+        at = ", ".join(map(str, i))
+        raise AbsoluteContinuityError(
+            f"p[{at}] = {p.p[i]!r} > 0 but q[{at}] = 0; divergence is infinite"
+        )
+    return p_pos
+
+
 def divergence(
     p: Distribution, q: Distribution, params: DeformParams
 ) -> DivergenceValue:
     """Relative entropy of P from Q; requires support(P) within support(Q)."""
-    if p.n != q.n:
-        raise DimensionError(f"size mismatch: {p.n} vs {q.n}")
+    p_pos = _check_pair(p, q)
     pv, qv = p.p, q.p
     k = params.k
-
-    p_pos = pv > 0
-    q_pos = qv > 0
-    if np.any(p_pos & ~q_pos):
-        i = int(np.argmax(p_pos & ~q_pos))
-        raise AbsoluteContinuityError(
-            f"p[{i}] = {pv[i]!r} > 0 but q[{i}] = 0; divergence is infinite"
-        )
 
     terms = _positive_terms(pv[p_pos], qv[p_pos], k).tolist()
     # p = 0 < q: the closed form's p^{1-2k} factor kills the term for
     # k < 1/2 and leaves -q at the k = 1/2 boundary
-    tail = ~p_pos & q_pos
+    tail = ~p_pos & (qv > 0)
     if np.any(tail):
         if k == 0.5:
             terms.extend((-qv[tail]).tolist())
@@ -86,7 +93,7 @@ def divergence(
             raise DomainError(
                 "divergence diverges for zero p-entries when k > 1/2"
             )
-    flag = "full" if bool(np.all(p_pos & q_pos)) else "extended"
+    flag = "full" if bool(np.all(p_pos)) else "extended"
     return DivergenceValue(math.fsum(terms), params, flag)
 
 
@@ -101,12 +108,8 @@ def divergence_literal(
     """
     if form not in ("pq", "qp"):
         raise ParamError(f'form must be "pq" or "qp", got {form!r}')
-    if p.n != q.n:
-        raise DimensionError(f"size mismatch: {p.n} vs {q.n}")
+    live = _check_pair(p, q)
     k, r = params.k, params.r
-    live = (p.p > 0) & (q.p > 0)
-    if np.any((p.p > 0) & (q.p == 0)):
-        raise AbsoluteContinuityError("p > 0 where q = 0; divergence is infinite")
     pv, qv = p.p[live], q.p[live]
     if pv.size == 0:
         return 0.0
@@ -148,17 +151,9 @@ def log_sum_gap(a, b, params: DeformParams) -> tuple[float, float]:
     return lhs, rhs
 
 
-def _check_pair(p: Distribution, q: Distribution) -> None:
-    if p.n != q.n:
-        raise DimensionError(f"size mismatch: {p.n} vs {q.n}")
-    if np.any((p.p > 0) & (q.p == 0)):
-        raise AbsoluteContinuityError("p > 0 where q = 0; divergence is infinite")
-
-
 def kl_divergence(p: Distribution, q: Distribution) -> float:
     """Kullback-Leibler divergence sum p ln(p/q) in nats."""
-    _check_pair(p, q)
-    live = p.p > 0
+    live = _check_pair(p, q)
     pv, qv = p.p[live], q.p[live]
     return math.fsum((pv * (np.log(pv) - np.log(qv))).tolist())
 
@@ -167,30 +162,14 @@ def tsallis_divergence(p: Distribution, q: Distribution, q_param: float) -> floa
     """Standard one-parameter relative entropy -sum p ln_q(q_x/p_x)."""
     if q_param == 1:
         raise ParamError("q = 1 is the KL limit; use kl_divergence")
-    _check_pair(p, q)
-    live = p.p > 0
+    live = _check_pair(p, q)
     pv, qv = p.p[live], q.p[live]
     terms = -pv * ln_q(qv / pv, q_param)
     return math.fsum(np.atleast_1d(terms).tolist())
 
 
-def reference_divergence(
-    p: Distribution, q: Distribution, family: str, q_param: float | None = None
-) -> float:
-    """Dispatch to a reference divergence: family "kl" or "tsallis" (with q)."""
-    if family == "kl":
-        return kl_divergence(p, q)
-    if family == "tsallis":
-        if q_param is None:
-            raise ParamError("tsallis reference divergence requires q_param")
-        return tsallis_divergence(p, q, q_param)
-    raise ParamError(f'family must be "kl" or "tsallis", got {family!r}')
-
-
-def mutual_divergence(j: JointDistribution2, params: DeformParams) -> DivergenceValue:
-    """Divergence of the joint from the product of its marginals."""
-    px = j.m.sum(axis=1)
-    py = j.m.sum(axis=0)
-    joint = Distribution(j.m.ravel())
-    prod = Distribution(np.outer(px, py).ravel())
-    return divergence(joint, prod, params)
+def mutual_divergence(j: Distribution, params: DeformParams) -> DivergenceValue:
+    """Divergence of a 2-axis joint from the product of its marginals."""
+    if j.ndim != 2:
+        raise DimensionError(f"mutual divergence needs a 2-axis joint, got {j.ndim} axes")
+    return divergence(j, product(j.marginal(0), j.marginal(1)), params)

@@ -5,7 +5,8 @@ zero-probability terms contributing 0. Each term collapses algebraically
 to p (1 - p^{2k}) / (2k), which is the canonical evaluator here: it is
 exact at p = 0, non-negative on [0, 1], and makes the r-cancellation
 explicit. The literal as-written evaluator is kept alongside as a
-cross-check.
+cross-check. A joint is a Distribution of rank > 1, so its entropy is
+the entropy of its cells.
 
 Conditional entropies weight per-slice entropies by the conditioning
 probability raised to 2k + 1; this is the weighting that makes the chain
@@ -14,29 +15,27 @@ rule S(X,Y) = S(X) + S(Y|X) hold identically.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .deformed_log import DeformParams, ln_kr
-from .distributions import Distribution, JointDistribution2, JointDistribution3
-from .errors import ParamError
+from .distributions import Distribution
+from .errors import DimensionError, ParamError
 
 __all__ = [
     "EntropyValue",
     "entropy",
     "entropy_literal",
-    "joint_entropy",
     "conditional_entropy",
-    "conditional_entropy3",
     "mutual_entropy",
     "shannon_entropy",
     "tsallis_entropy",
-    "reference_entropy",
 ]
 
-DIRECTIONS = ("Y_given_X", "X_given_Y")
-MODES3 = ("XY_given_Z", "Y_given_XZ", "X_given_Z", "Y_given_Z")
+# conditional_entropy specs name axes 0, 1, 2 by these letters
+AXIS_LETTERS = "XYZ"
 
 
 @dataclass(frozen=True)
@@ -50,17 +49,27 @@ class EntropyValue:
         return self.value
 
 
+def _entropy_terms(p: np.ndarray, k: float) -> np.ndarray:
+    """p (1 - p^{2k}) / (2k) elementwise, for p > 0."""
+    return -p * np.expm1(2.0 * k * np.log(p)) / (2.0 * k)
+
+
 def _entropy_sum(arr: np.ndarray, k: float) -> float:
     """sum of p (1 - p^{2k}) / (2k) over positive entries of any shape."""
     p = arr[arr > 0]
     if p.size == 0:
         return 0.0
-    return float(np.sum(-p * np.expm1(2.0 * k * np.log(p)) / (2.0 * k)))
+    return float(np.sum(_entropy_terms(p, k)))
 
 
 def entropy(p: Distribution, params: DeformParams) -> EntropyValue:
-    """Entropy -sum p^{r+k+1} ln_{k,r}(p); 0 exactly on degenerate inputs."""
+    """Entropy -sum p^{r+k+1} ln_{k,r}(p) over the cells of a distribution
+    of any rank; 0 exactly on degenerate inputs."""
     return EntropyValue(_entropy_sum(p.p, params.k), params)
+
+
+# the entropy of a joint is the entropy of its cells
+joint_entropy = entropy
 
 
 def entropy_literal(p: Distribution, params: DeformParams) -> float:
@@ -73,14 +82,6 @@ def entropy_literal(p: Distribution, params: DeformParams) -> float:
     return float(-np.sum(np.power(pos, r + k + 1.0) * ln_kr(pos, params)))
 
 
-def joint_entropy(
-    j: JointDistribution2 | JointDistribution3, params: DeformParams
-) -> EntropyValue:
-    """Entropy of the joint, i.e. of the flattened cell distribution."""
-    arr = j.m if isinstance(j, JointDistribution2) else j.t
-    return EntropyValue(_entropy_sum(arr, params.k), params)
-
-
 def _conditional_sum(mat: np.ndarray, k: float) -> float:
     """Weighted conditional entropy for a matrix with conditioning variable
     on the rows: sum_rows p(row)^{2k+1} S(col | row). Zero-probability rows
@@ -90,51 +91,57 @@ def _conditional_sum(mat: np.ndarray, k: float) -> float:
     if not np.any(live):
         return 0.0
     cond = mat[live] / prow[live, None]
-    c = np.where(cond > 0, cond, 1.0)
-    inner = np.sum(-cond * np.expm1(2.0 * k * np.log(c)) / (2.0 * k), axis=1)
+    # zero cells evaluate at 1, where the term is exactly 0
+    inner = np.sum(_entropy_terms(np.where(cond > 0, cond, 1.0), k), axis=1)
     return float(np.sum(np.power(prow[live], 2.0 * k + 1.0) * inner))
 
 
+def _spec_axes(spec: str, ndim: int) -> tuple[list[int], list[int]]:
+    """The (of, given) axes of a "<of>_given_<given>" spec."""
+    of, sep, given = spec.partition("_given_")
+    axes = [AXIS_LETTERS[:ndim].find(c) for c in of + given]
+    if not (sep and of and given) or -1 in axes or len(set(axes)) != len(axes):
+        raise ParamError(
+            f"spec must be <of>_given_<given> over distinct axis letters "
+            f"{AXIS_LETTERS[:ndim]!r}, got {spec!r}"
+        )
+    return axes[: len(of)], axes[len(of) :]
+
+
 def conditional_entropy(
-    j: JointDistribution2, params: DeformParams, direction: str = "Y_given_X"
+    j: Distribution, params: DeformParams, spec: str = "Y_given_X"
 ) -> EntropyValue:
-    """Conditional entropy S(Y|X) (or the transposed S(X|Y))."""
-    if direction not in DIRECTIONS:
-        raise ParamError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
-    mat = j.m if direction == "Y_given_X" else j.m.T
-    return EntropyValue(_conditional_sum(mat, params.k), params)
+    """Conditional entropy S(of | given) of a joint.
 
-
-def conditional_entropy3(
-    j: JointDistribution3, params: DeformParams, mode: str
-) -> EntropyValue:
-    """Conditional entropies over three variables.
-
-    XY_given_Z weights each z-slice of the (x, y) conditional by p(z)^{2k+1};
-    Y_given_XZ conditions on the (x, z) pair; X_given_Z and Y_given_Z first
-    marginalize out the unused variable.
+    spec is "<of>_given_<given>" over the axis letters X, Y, Z (axes 0, 1,
+    2), e.g. "Y_given_X", "XY_given_Z" or "Y_given_XZ". Axes named in
+    neither part are summed out first; each cell of the given axes then
+    weights the entropy of the of axes conditioned on it by its
+    probability raised to 2k + 1.
     """
-    if mode not in MODES3:
-        raise ParamError(f"mode must be one of {MODES3}, got {mode!r}")
-    t = j.t
-    nx, ny, nz = t.shape
-    if mode == "XY_given_Z":
-        mat = np.moveaxis(t, 2, 0).reshape(nz, nx * ny)
-    elif mode == "Y_given_XZ":
-        mat = np.transpose(t, (0, 2, 1)).reshape(nx * nz, ny)
-    elif mode == "X_given_Z":
-        mat = t.sum(axis=1).T  # rows z, cols x
-    else:  # Y_given_Z
-        mat = t.sum(axis=0).T  # rows z, cols y
+    of, given = _spec_axes(spec, j.ndim)
+    kept = sorted(of + given)
+    t = j.p
+    if len(kept) < t.ndim:
+        t = t.sum(axis=tuple(a for a in range(t.ndim) if a not in kept))
+    t = t.transpose([kept.index(a) for a in given + of])
+    mat = t.reshape(math.prod(t.shape[: len(given)]), -1)
     return EntropyValue(_conditional_sum(mat, params.k), params)
 
 
-def mutual_entropy(j: JointDistribution2, params: DeformParams) -> float:
-    """S(X) + S(Y) - S(X,Y); equals S(Y) - S(Y|X) by the chain rule."""
+# the three-variable name of the same function
+conditional_entropy3 = conditional_entropy
+
+
+def mutual_entropy(j: Distribution, params: DeformParams) -> float:
+    """S(X) + S(Y) - S(X,Y) of a 2-axis joint; equals S(Y) - S(Y|X) by the
+    chain rule."""
+    if j.ndim != 2:
+        raise DimensionError(f"mutual entropy needs a 2-axis joint, got {j.ndim} axes")
     k = params.k
-    sx = _entropy_sum(j.m.sum(axis=1), k)
-    sy = _entropy_sum(j.m.sum(axis=0), k)
-    sxy = _entropy_sum(j.m, k)
+    sx = _entropy_sum(j.p.sum(axis=1), k)
+    sy = _entropy_sum(j.p.sum(axis=0), k)
+    sxy = _entropy_sum(j.p, k)
     return sx + sy - sxy
 
 
@@ -153,14 +160,3 @@ def tsallis_entropy(p: Distribution, q: float) -> float:
         return 0.0
     lp = np.log(pos)
     return float(-np.sum(np.exp(q * lp) * np.expm1((1.0 - q) * lp) / (1.0 - q)))
-
-
-def reference_entropy(p: Distribution, family: str, q: float | None = None) -> float:
-    """Dispatch to a reference entropy: family "shannon" or "tsallis" (with q)."""
-    if family == "shannon":
-        return shannon_entropy(p)
-    if family == "tsallis":
-        if q is None:
-            raise ParamError("tsallis reference entropy requires q")
-        return tsallis_entropy(p, q)
-    raise ParamError(f'family must be "shannon" or "tsallis", got {family!r}')

@@ -1,11 +1,11 @@
 """JSON and CSV readers/writers for probability data.
 
 JSON object shapes: {"p": [...]} for a distribution, {"m": [[...], ...]}
-for a joint matrix, {"t": [[[...], ...], ...]} for a triple joint,
-{"w": [[...], ...]} for a channel (rows = outputs). CSV holds one row per
-vector; matrices are row-major with a leading "# rows=<n_x> cols=<n_y>"
-header. Numbers are written with shortest round-trip precision so
-emitted files re-read to identical values.
+for a joint of two variables, {"t": [[[...], ...], ...]} for a joint of
+three, {"w": [[...], ...]} for a channel (rows = outputs). CSV holds one
+row per vector; matrices are row-major with a leading
+"# rows=<n_x> cols=<n_y>" header. Numbers are written with shortest
+round-trip precision so emitted files re-read to identical values.
 """
 
 from __future__ import annotations
@@ -17,8 +17,6 @@ import numpy as np
 from .distributions import (
     Channel,
     Distribution,
-    JointDistribution2,
-    JointDistribution3,
     make_channel,
     make_distribution,
     make_joint2,
@@ -48,12 +46,12 @@ def distribution_to_json(d: Distribution) -> str:
     return json.dumps({"p": d.p.tolist()})
 
 
-def joint2_to_json(j: JointDistribution2) -> str:
-    return json.dumps({"m": j.m.tolist()})
+def joint2_to_json(j: Distribution) -> str:
+    return json.dumps({"m": j.p.tolist()})
 
 
-def joint3_to_json(j: JointDistribution3) -> str:
-    return json.dumps({"t": j.t.tolist()})
+def joint3_to_json(j: Distribution) -> str:
+    return json.dumps({"t": j.p.tolist()})
 
 
 def channel_to_json(c: Channel) -> str:
@@ -74,11 +72,11 @@ def distribution_from_json(text: str, normalize: bool = False) -> Distribution:
     return make_distribution(_json_field(text, "p"), normalize=normalize)
 
 
-def joint2_from_json(text: str, normalize: bool = False) -> JointDistribution2:
+def joint2_from_json(text: str, normalize: bool = False) -> Distribution:
     return make_joint2(_json_field(text, "m"), normalize=normalize)
 
 
-def joint3_from_json(text: str, normalize: bool = False) -> JointDistribution3:
+def joint3_from_json(text: str, normalize: bool = False) -> Distribution:
     return make_joint3(_json_field(text, "t"), normalize=normalize)
 
 
@@ -101,8 +99,8 @@ def _matrix_to_csv(a: np.ndarray) -> str:
     return "\n".join(lines) + "\n"
 
 
-def joint2_to_csv(j: JointDistribution2) -> str:
-    return _matrix_to_csv(j.m)
+def joint2_to_csv(j: Distribution) -> str:
+    return _matrix_to_csv(j.p)
 
 
 def channel_to_csv(c: Channel) -> str:
@@ -153,7 +151,7 @@ def _matrix_from_csv(text: str) -> np.ndarray:
     return a
 
 
-def joint2_from_csv(text: str, normalize: bool = False) -> JointDistribution2:
+def joint2_from_csv(text: str, normalize: bool = False) -> Distribution:
     return make_joint2(_matrix_from_csv(text), normalize=normalize)
 
 

@@ -28,16 +28,11 @@ from .deformed_log import DeformParams, legacy_Ln, legacy_u, ln_kr
 from .distributions import (
     Channel,
     Distribution,
-    JointDistribution2,
-    JointDistribution3,
     apply_channel,
-    flatten,
     mix,
     product,
     sample_channel,
     sample_distribution,
-    sample_joint2,
-    sample_joint3,
 )
 from .divergence import (
     divergence,
@@ -47,10 +42,8 @@ from .divergence import (
 )
 from .entropy import (
     conditional_entropy,
-    conditional_entropy3,
     entropy,
     entropy_literal,
-    joint_entropy,
     mutual_entropy,
     shannon_entropy,
 )
@@ -241,15 +234,14 @@ def _draw_interior_dist(rng, n: int) -> Distribution:
     return Distribution(0.5 * base.p + 0.5 / n)
 
 
-def _draw_joint2(rng, cfg, cap: int | None = None) -> JointDistribution2:
+def _draw_joint2(rng, cfg, cap: int | None = None) -> Distribution:
     nx = _draw_size(rng, cfg, cap)
     ny = _draw_size(rng, cfg, cap)
-    return sample_joint2(nx, ny, rng)
+    return sample_distribution((nx, ny), rng)
 
 
-def _draw_joint3(rng, cfg, cap: int = 8) -> JointDistribution3:
-    dims = [_draw_size(rng, cfg, cap) for _ in range(3)]
-    return sample_joint3(dims[0], dims[1], dims[2], rng)
+def _draw_joint3(rng, cfg, cap: int = 8) -> Distribution:
+    return sample_distribution(tuple(_draw_size(rng, cfg, cap) for _ in range(3)), rng)
 
 
 def _identity_outcome(lhs, rhs, digest: str) -> Outcome:
@@ -406,9 +398,9 @@ def _check_log_sum(rng, trial, cfg) -> Outcome:
 def _check_chain_rule(rng, trial, cfg) -> Outcome:
     params = _draw_params(rng, cfg)
     j = _draw_joint2(rng, cfg)
-    lhs = joint_entropy(j, params).value
+    lhs = entropy(j, params).value
     rhs = (
-        entropy(j.marginal_x(), params).value
+        entropy(j.marginal(0), params).value
         + conditional_entropy(j, params, "Y_given_X").value
     )
     return _identity_outcome(lhs, rhs, f"shape={j.shape};{_pdig(params)}")
@@ -429,7 +421,7 @@ def _product_or_random_joint(rng, trial, cfg, degenerate_axis=None):
 def _check_conditional_reduces(rng, trial, cfg) -> Outcome:
     params = _draw_params(rng, cfg)
     j = _product_or_random_joint(rng, trial, cfg, degenerate_axis="x")
-    lhs = entropy(j.marginal_y(), params).value
+    lhs = entropy(j.marginal(1), params).value
     rhs = conditional_entropy(j, params, "Y_given_X").value
     return Outcome(lhs, rhs, lhs - rhs, f"shape={j.shape};{_pdig(params)}")
 
@@ -437,8 +429,8 @@ def _check_conditional_reduces(rng, trial, cfg) -> Outcome:
 def _check_joint_monotonicity(rng, trial, cfg) -> Outcome:
     params = _draw_params(rng, cfg)
     j = _product_or_random_joint(rng, trial, cfg, degenerate_axis="y")
-    lhs = joint_entropy(j, params).value
-    rhs = entropy(j.marginal_x(), params).value
+    lhs = entropy(j, params).value
+    rhs = entropy(j.marginal(0), params).value
     return Outcome(lhs, rhs, lhs - rhs, f"shape={j.shape};{_pdig(params)}")
 
 
@@ -458,7 +450,7 @@ def _check_entropy_pseudo_additivity(rng, trial, cfg) -> Outcome:
     p = _draw_dist(rng, _draw_size(rng, cfg))
     q = _draw_dist(rng, _draw_size(rng, cfg))
     j = product(p, q)
-    lhs = joint_entropy(j, params).value
+    lhs = entropy(j, params).value
     sx, sy = entropy(p, params).value, entropy(q, params).value
     rhs = sx + sy - 2.0 * params.k * sx * sy
     return _identity_outcome(lhs, rhs, f"shape={j.shape};{_pdig(params)}")
@@ -473,33 +465,33 @@ def _check_subadditivity(rng, trial, cfg) -> Outcome:
     else:
         j = _draw_joint2(rng, cfg)
     lhs = (
-        entropy(j.marginal_x(), params).value + entropy(j.marginal_y(), params).value
+        entropy(j.marginal(0), params).value + entropy(j.marginal(1), params).value
     )
-    rhs = joint_entropy(j, params).value
+    rhs = entropy(j, params).value
     return Outcome(lhs, rhs, lhs - rhs, f"shape={j.shape};{_pdig(params)}")
 
 
-def _draw_joint3_maybe_degenerate_x(rng, trial, cfg) -> JointDistribution3:
+def _draw_joint3_maybe_degenerate_x(rng, trial, cfg) -> Distribution:
     if trial == 0:
         j2 = _draw_joint2(rng, cfg, cap=8)
-        return JointDistribution3(j2.m[np.newaxis, :, :])
+        return Distribution(j2.p[np.newaxis])
     return _draw_joint3(rng, cfg)
 
 
 def _check_conditional_comparison(rng, trial, cfg) -> Outcome:
     params = _draw_params(rng, cfg)
     j = _draw_joint3_maybe_degenerate_x(rng, trial, cfg)
-    lhs = conditional_entropy3(j, params, "Y_given_Z").value
-    rhs = conditional_entropy3(j, params, "Y_given_XZ").value
+    lhs = conditional_entropy(j, params, "Y_given_Z").value
+    rhs = conditional_entropy(j, params, "Y_given_XZ").value
     return Outcome(lhs, rhs, lhs - rhs, f"shape={j.shape};{_pdig(params)}")
 
 
 def _check_strong_subadditivity(rng, trial, cfg) -> Outcome:
     params = _draw_params(rng, cfg)
     j = _draw_joint3_maybe_degenerate_x(rng, trial, cfg)
-    sxz = joint_entropy(j.pair(drop_axis=1), params).value
-    syz = joint_entropy(j.pair(drop_axis=0), params).value
-    sxyz = joint_entropy(j, params).value
+    sxz = entropy(j.marginal(0, 2), params).value
+    syz = entropy(j.marginal(1, 2), params).value
+    sxyz = entropy(j, params).value
     sz = entropy(j.marginal(2), params).value
     return Outcome(
         sxz + syz, sxyz + sz, sxz + syz - (sxyz + sz), f"shape={j.shape};{_pdig(params)}"
@@ -509,9 +501,9 @@ def _check_strong_subadditivity(rng, trial, cfg) -> Outcome:
 def _check_corollary_3_7(rng, trial, cfg) -> Outcome:
     params = _draw_params(rng, cfg)
     j = _draw_joint3(rng, cfg)
-    lhs = joint_entropy(j, params).value
+    lhs = entropy(j, params).value
     rhs = (
-        conditional_entropy3(j, params, "XY_given_Z").value
+        conditional_entropy(j, params, "XY_given_Z").value
         + entropy(j.marginal(2), params).value
     )
     return _identity_outcome(lhs, rhs, f"shape={j.shape};{_pdig(params)}")
@@ -520,10 +512,10 @@ def _check_corollary_3_7(rng, trial, cfg) -> Outcome:
 def _check_corollary_3_8(rng, trial, cfg) -> Outcome:
     params = _draw_params(rng, cfg)
     j = _draw_joint3(rng, cfg)
-    lhs = conditional_entropy3(j, params, "XY_given_Z").value
+    lhs = conditional_entropy(j, params, "XY_given_Z").value
     rhs = (
-        conditional_entropy3(j, params, "X_given_Z").value
-        + conditional_entropy3(j, params, "Y_given_XZ").value
+        conditional_entropy(j, params, "X_given_Z").value
+        + conditional_entropy(j, params, "Y_given_XZ").value
     )
     return _identity_outcome(lhs, rhs, f"shape={j.shape};{_pdig(params)}")
 
@@ -531,8 +523,8 @@ def _check_corollary_3_8(rng, trial, cfg) -> Outcome:
 def _check_conditional_joint_monotonicity(rng, trial, cfg) -> Outcome:
     params = _draw_params(rng, cfg)
     j = _draw_joint3(rng, cfg)
-    lhs = conditional_entropy3(j, params, "XY_given_Z").value
-    rhs = conditional_entropy3(j, params, "X_given_Z").value
+    lhs = conditional_entropy(j, params, "XY_given_Z").value
+    rhs = conditional_entropy(j, params, "X_given_Z").value
     return Outcome(lhs, rhs, lhs - rhs, f"shape={j.shape};{_pdig(params)}")
 
 
@@ -541,7 +533,7 @@ def _check_mutual_consistency(rng, trial, cfg) -> Outcome:
     j = _draw_joint2(rng, cfg)
     lhs = mutual_entropy(j, params)
     rhs = (
-        entropy(j.marginal_y(), params).value
+        entropy(j.marginal(1), params).value
         - conditional_entropy(j, params, "Y_given_X").value
     )
     return _identity_outcome(lhs, rhs, f"shape={j.shape};{_pdig(params)}")
@@ -629,9 +621,7 @@ def _check_divergence_pseudo_additivity(rng, trial, cfg) -> Outcome:
     params = _draw_params(rng, cfg)
     p1, q1 = _draw_pair(rng, cfg)
     p2, q2 = _draw_pair(rng, cfg)
-    lhs = divergence(
-        flatten(product(p1, p2)), flatten(product(q1, q2)), params
-    ).value
+    lhs = divergence(product(p1, p2), product(q1, q2), params).value
     d1 = divergence(p1, q1, params).value
     d2 = divergence(p2, q2, params).value
     rhs = d1 + d2 - 2.0 * params.k * d1 * d2
@@ -783,22 +773,32 @@ def _check_metric_positive_definite(rng, trial, cfg) -> Outcome:
 
 
 def _check_taylor_expansion(rng, trial, cfg) -> Outcome:
+    # Per coordinate f(a) = (a - a^{1-2k} p^{2k}) / (2k) has f(p) = 0, f' = 1,
+    # f'' = (1-2k)/p, f^(3) = -(1-4k^2)/p^2, f^(4) = 2(1-4k^2)(1+k)/p^3 and
+    # |f^(5)| <= (1-4k^2)(2k+2)(2k+3) min(p,a)^{-2k-4} p^{2k} between p and a.
+    # So what D(a||p) leaves after its cubic expansion must match the quartic
+    # term to within the fifth-order Lagrange bound: slack = 1 - error/bound.
     params = _draw_params(rng, cfg)
+    k = params.k
     n = _draw_size(rng, cfg, floor=2)
     p = _draw_interior_dist(rng, n)
     v = rng.normal(size=n)
     v -= v.mean()
-    norm = float(np.linalg.norm(v))
-    errors = []
-    for delta in (1e-2, 1e-3, 1e-4):
-        dp = v * (delta / norm)
-        shifted = Distribution(p.p + dp)
-        ratio = 2.0 * divergence(shifted, p, params).value / quadratic_form(
-            p, dp, params
-        )
-        errors.append(abs(ratio - 1.0))
-    slack = min(errors[0] - errors[1], errors[1] - errors[2])
-    return Outcome(errors[0], errors[2], slack, f"n={n};{_pdig(params)}")
+    a = p.p + v * (1e-2 / float(np.linalg.norm(v)))
+    dp = a - p.p
+    c = 1.0 - 4.0 * k * k
+    rest = (
+        divergence(Distribution(a), p, params).value
+        - float(np.sum(dp))
+        - 0.5 * quadratic_form(p, dp, params)
+        + c / 6.0 * float(np.sum(dp**3 / p.p**2))
+    )
+    quartic = c * (1.0 + k) / 12.0 * float(np.sum(dp**4 / p.p**3))
+    bound = c * (2.0 * k + 2.0) * (2.0 * k + 3.0) / 120.0 * float(
+        np.sum(np.abs(dp) ** 5 * np.minimum(p.p, a) ** (-2.0 * k - 4.0) * p.p ** (2.0 * k))
+    )
+    err = abs(rest - quartic)
+    return Outcome(bound, err, 1.0 - err / bound, f"n={n};delta=1e-2;{_pdig(params)}")
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from entrokit import io as eio
-from entrokit import sample_joint2
+from entrokit import sample_distribution
 from entrokit.cli import main
 
 UNIFORM4 = '{"p":[0.25,0.25,0.25,0.25]}'
@@ -116,7 +116,7 @@ class TestJointAndConditional:
         assert code == 0
 
     def test_conditional_csv_joint(self, capsys, tmp_path):
-        j = sample_joint2(3, 4, seed=2)
+        j = sample_distribution((3, 4), seed=2)
         path = tmp_path / "joint.csv"
         path.write_text(eio.joint2_to_csv(j))
         code, out, _ = run(
@@ -350,6 +350,21 @@ class TestUsageAndErrors:
         assert code == 2
         assert out == ""
 
+    def test_boolean_entries(self, capsys):
+        code, out, _ = run(
+            capsys, "entropy", "--k", "0.25", "--r", "1",
+            "--input", '{"p": [true, false]}',
+        )
+        assert code == 2
+        assert out == ""
+
+    def test_subnormal_k(self, capsys):
+        code, out, _ = run(
+            capsys, "entropy", "--k", "5e-324", "--r", "1", "--input", HALF
+        )
+        assert code == 2
+        assert out == ""
+
     def test_jagged_matrix(self, capsys):
         code, out, _ = run(
             capsys, "joint", "--k", "0.25", "--r", "1",
@@ -378,11 +393,11 @@ class TestUsageAndErrors:
 class TestRoundTrip:
     def test_emitted_csv_is_re_readable(self, capsys, tmp_path):
         # values emitted by the io writers re-read to identical objects
-        j = sample_joint2(4, 3, seed=77)
+        j = sample_distribution((4, 3), seed=77)
         path = tmp_path / "j.csv"
         path.write_text(eio.joint2_to_csv(j))
         again = eio.joint2_from_csv(path.read_text())
-        np.testing.assert_array_equal(j.m, again.m)
+        np.testing.assert_array_equal(j.p, again.p)
         code, out1, _ = run(
             capsys, "joint", "--k", "0.3", "--r", "1", "--input", str(path)
         )

@@ -22,6 +22,7 @@ from entrokit import (
     ln_kr,
     ln_q,
 )
+from entrokit.deformed_log import K_MIN
 
 positive_x = st.floats(min_value=0.05, max_value=20.0)
 params_list = [
@@ -54,6 +55,20 @@ class TestDeformParams:
     def test_non_finite_rejected(self):
         with pytest.raises(ParamError):
             DeformParams(float("nan"), 1.0, relaxed=True)
+
+    @pytest.mark.parametrize("k,r", [("0.2", 1), (0.2, "1"), (None, 1)])
+    def test_non_numeric_rejected(self, k, r):
+        with pytest.raises(ParamError):
+            DeformParams(k, r)
+
+    @pytest.mark.parametrize("relaxed", [False, True])
+    def test_k_below_floor_rejected(self, relaxed):
+        for k in (5e-324, K_MIN / 2):
+            with pytest.raises(ParamError):
+                DeformParams(k, 1.0, relaxed=relaxed)
+        with pytest.raises(ParamError):
+            DeformParams(-5e-324, 1.0, relaxed=True)
+        DeformParams(K_MIN, 1.0, relaxed=relaxed)
 
     @pytest.mark.parametrize("k,r,inside", [
         (0.4, -0.2, True),    # |k| < 1/2 branch: -0.4 <= -0.2 <= 0.4

@@ -6,23 +6,18 @@ import pytest
 from entrokit import (
     Channel,
     DimensionError,
-    JointDistribution2,
-    JointDistribution3,
+    Distribution,
     ParamError,
     ValidationError,
     apply_channel,
-    flatten,
     make_channel,
     make_distribution,
     make_joint2,
     make_joint3,
-    marginals,
     mix,
     product,
     sample_channel,
     sample_distribution,
-    sample_joint2,
-    sample_joint3,
 )
 from entrokit import io as eio
 
@@ -63,6 +58,12 @@ class TestMakeDistribution:
         with pytest.raises(ValueError):
             d.p[0] = 0.5
 
+    def test_boolean_rejected(self):
+        with pytest.raises(ValidationError):
+            make_distribution([True, False])
+        with pytest.raises(ValidationError):
+            Distribution(np.array([True, False]))
+
 
 class TestJointTypes:
     def test_joint2_validation(self):
@@ -70,12 +71,12 @@ class TestJointTypes:
         with pytest.raises(ValidationError):
             make_joint2([[0.6, 0.25], [0.25, 0.25]])
         with pytest.raises(ValidationError):
-            JointDistribution2(np.array([0.5, 0.5]))
+            make_joint2([0.5, 0.5])
 
     def test_joint3_validation(self):
         make_joint3(np.full((2, 2, 2), 0.125))
         with pytest.raises(ValidationError):
-            JointDistribution3(np.full((2, 2), 0.25))
+            make_joint3(np.full((2, 2), 0.25))
 
     def test_channel_column_sums(self):
         make_channel([[0.9, 0.2], [0.1, 0.8]])
@@ -86,43 +87,59 @@ class TestJointTypes:
         c = make_channel([[3.0, 1.0], [1.0, 1.0]], normalize=True)
         np.testing.assert_allclose(c.w.sum(axis=0), 1.0, atol=1e-15)
 
-    def test_flatten_matches_cells(self):
-        j = make_joint2([[0.5, 0.25], [0.0, 0.25]])
-        np.testing.assert_array_equal(flatten(j).p, [0.5, 0.25, 0.0, 0.25])
-
 
 class TestMarginalsAndProduct:
     def test_uniform_joint(self):
         j = make_joint2(np.full((2, 2), 0.25))
-        mx, my = marginals(j)
+        mx, my = j.marginal(0), j.marginal(1)
         np.testing.assert_allclose(mx.p, [0.5, 0.5], atol=1e-15)
         np.testing.assert_allclose(my.p, [0.5, 0.5], atol=1e-15)
 
     def test_row_sums_by_hand(self):
         j = make_joint2([[0.5, 0.25], [0.0, 0.25]])
-        mx, my = marginals(j)
+        mx, my = j.marginal(0), j.marginal(1)
         np.testing.assert_allclose(mx.p, [0.75, 0.25], atol=1e-15)
         np.testing.assert_allclose(my.p, [0.5, 0.5], atol=1e-15)
 
     def test_product_examples(self):
         j = product(make_distribution([1.0, 0.0]), make_distribution([0.3, 0.7]))
-        np.testing.assert_array_equal(j.m, [[0.3, 0.7], [0.0, 0.0]])
+        np.testing.assert_array_equal(j.p, [[0.3, 0.7], [0.0, 0.0]])
         j2 = product(make_distribution([0.6, 0.4]), make_distribution([0.5, 0.5]))
-        np.testing.assert_allclose(j2.m, [[0.3, 0.3], [0.2, 0.2]], atol=1e-15)
+        np.testing.assert_allclose(j2.p, [[0.3, 0.3], [0.2, 0.2]], atol=1e-15)
 
     def test_marginals_of_product_recover_factors(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
             p = sample_distribution(int(rng.integers(1, 9)), rng)
             q = sample_distribution(int(rng.integers(1, 9)), rng)
-            mx, my = marginals(product(p, q))
+            j = product(p, q)
+            mx, my = j.marginal(0), j.marginal(1)
             np.testing.assert_allclose(mx.p, p.p, atol=1e-15)
             np.testing.assert_allclose(my.p, q.p, atol=1e-15)
 
     def test_joint3_pair_and_marginal(self):
-        t = sample_joint3(3, 4, 2, seed=5)
-        np.testing.assert_allclose(t.pair(1).m, t.t.sum(axis=1), atol=0)
-        np.testing.assert_allclose(t.marginal(2).p, t.t.sum(axis=(0, 1)), atol=0)
+        t = sample_distribution((3, 4, 2), seed=5)
+        np.testing.assert_allclose(t.marginal(0, 2).p, t.p.sum(axis=1), atol=0)
+        np.testing.assert_allclose(t.marginal(2).p, t.p.sum(axis=(0, 1)), atol=0)
+
+    def test_marginal_axis_order(self):
+        t = sample_distribution((3, 4, 2), seed=5)
+        np.testing.assert_array_equal(t.marginal(2, 0).p, t.marginal(0, 2).p.T)
+        np.testing.assert_array_equal(t.marginal(0, 1, 2).p, t.p)
+        np.testing.assert_array_equal(t.marginal_x().p, t.marginal(0).p)
+
+    @pytest.mark.parametrize("axes", [(), (3,), (-1,), (0, 0)])
+    def test_marginal_bad_axes(self, axes):
+        with pytest.raises(ParamError):
+            sample_distribution((3, 4, 2), seed=5).marginal(*axes)
+
+    def test_product_of_any_ranks(self):
+        p = sample_distribution((2, 3), seed=1)
+        q = sample_distribution(4, seed=2)
+        j = product(p, q)
+        assert j.shape == (2, 3, 4)
+        np.testing.assert_array_equal(j.marginal(0, 1).p, j.p.sum(axis=2))
+        np.testing.assert_allclose(j.marginal(0, 1).p, p.p, atol=1e-15)
 
 
 class TestChannels:
@@ -185,9 +202,16 @@ class TestSampling:
         a = sample_distribution(5, seed=42)
         b = sample_distribution(5, seed=42)
         np.testing.assert_array_equal(a.p, b.p)
-        ja = sample_joint2(3, 4, seed=42)
-        jb = sample_joint2(3, 4, seed=42)
-        np.testing.assert_array_equal(ja.m, jb.m)
+        ja = sample_distribution((3, 4), seed=42)
+        jb = sample_distribution((3, 4), seed=42)
+        np.testing.assert_array_equal(ja.p, jb.p)
+
+    def test_joint_draws_the_flat_stream(self):
+        # a joint of shape s takes the same exponentials as a vector of s's size
+        for shape in ((3, 4), (2, 3, 4)):
+            j = sample_distribution(shape, seed=42)
+            flat = sample_distribution(int(np.prod(shape)), seed=42)
+            np.testing.assert_array_equal(j.p.ravel(), flat.p)
 
     def test_channel_columns(self):
         w = sample_channel(3, 4, seed=7)
@@ -200,11 +224,16 @@ class TestSampling:
         with pytest.raises(ParamError):
             sample_channel(0, 3, seed=1)
         with pytest.raises(ParamError):
-            sample_joint3(2, 0, 2, seed=1)
+            sample_distribution((2, 0, 2), seed=1)
+
+    @pytest.mark.parametrize("seed", [1.7, 2.0, "3", None])
+    def test_non_integral_seed_rejected(self, seed):
+        with pytest.raises(ParamError):
+            sample_distribution(3, seed)
 
     def test_joint3_valid(self):
-        t = sample_joint3(4, 3, 5, seed=13)
-        assert abs(t.t.sum() - 1.0) <= 1e-12
+        t = sample_distribution((4, 3, 5), seed=13)
+        assert abs(t.p.sum() - 1.0) <= 1e-12
 
 
 class TestConditionalConsistency:
@@ -213,7 +242,7 @@ class TestConditionalConsistency:
         rng = np.random.default_rng(23)
         for _ in range(25):
             dims = tuple(int(rng.integers(1, 7)) for _ in range(3))
-            t = sample_joint3(*dims, rng).t
+            t = sample_distribution(dims, rng).p
             pz = t.sum(axis=(0, 1))
             pxz = t.sum(axis=1)
             for z in range(dims[2]):
@@ -234,14 +263,14 @@ class TestSerialization:
         np.testing.assert_array_equal(d.p, again.p)
 
     def test_joint2_json_roundtrip(self):
-        j = sample_joint2(3, 5, seed=4)
+        j = sample_distribution((3, 5), seed=4)
         again = eio.joint2_from_json(eio.joint2_to_json(j))
-        np.testing.assert_array_equal(j.m, again.m)
+        np.testing.assert_array_equal(j.p, again.p)
 
     def test_joint3_json_roundtrip(self):
-        t = sample_joint3(2, 3, 4, seed=4)
+        t = sample_distribution((2, 3, 4), seed=4)
         again = eio.joint3_from_json(eio.joint3_to_json(t))
-        np.testing.assert_array_equal(t.t, again.t)
+        np.testing.assert_array_equal(t.p, again.p)
 
     def test_channel_json_roundtrip(self):
         c = sample_channel(4, 3, seed=4)
@@ -254,11 +283,11 @@ class TestSerialization:
         np.testing.assert_array_equal(d.p, again.p)
 
     def test_joint2_csv_roundtrip_with_header(self):
-        j = sample_joint2(3, 5, seed=8)
+        j = sample_distribution((3, 5), seed=8)
         text = eio.joint2_to_csv(j)
         assert text.splitlines()[0] == "# rows=3 cols=5"
         again = eio.joint2_from_csv(text)
-        np.testing.assert_array_equal(j.m, again.m)
+        np.testing.assert_array_equal(j.p, again.p)
 
     def test_channel_csv_roundtrip(self):
         c = sample_channel(2, 4, seed=8)

@@ -16,7 +16,6 @@ from entrokit import (
     apply_channel,
     divergence,
     divergence_literal,
-    flatten,
     kl_divergence,
     log_sum_gap,
     make_channel,
@@ -25,7 +24,6 @@ from entrokit import (
     mix,
     mutual_divergence,
     product,
-    reference_divergence,
     sample_channel,
     sample_distribution,
     tsallis_divergence,
@@ -90,12 +88,37 @@ class TestDivergenceValues:
     def test_absolute_continuity_error(self):
         p = make_distribution([0.5, 0.5])
         q = make_distribution([1.0, 0.0])
-        with pytest.raises(AbsoluteContinuityError):
+        with pytest.raises(AbsoluteContinuityError, match=r"q\[1\] = 0"):
             divergence(p, q, PARAMS)
+        jp = make_joint2([[0.5, 0.0], [0.25, 0.25]])
+        jq = make_joint2([[0.5, 0.5], [0.0, 0.0]])
+        for check in (
+            lambda: divergence(jp, jq, PARAMS),
+            lambda: divergence_literal(jp, jq, PARAMS),
+            lambda: kl_divergence(jp, jq),
+            lambda: tsallis_divergence(jp, jq, 0.5),
+        ):
+            with pytest.raises(AbsoluteContinuityError, match=r"q\[1, 0\] = 0"):
+                check()
 
     def test_dimension_error(self):
         with pytest.raises(DimensionError):
             divergence(make_distribution([1.0]), make_distribution([0.5, 0.5]), PARAMS)
+        with pytest.raises(DimensionError):
+            divergence(
+                make_joint2([[0.5, 0.5]]), make_distribution([0.5, 0.5]), PARAMS
+            )
+
+    def test_joint_pair_equals_cell_pair(self):
+        rng = np.random.default_rng(20)
+        for _ in range(20):
+            shape = tuple(int(s) for s in rng.integers(1, 5, size=3))
+            p = sample_distribution(shape, rng)
+            q = sample_distribution(shape, rng)
+            cells = divergence(
+                make_distribution(p.p.ravel()), make_distribution(q.p.ravel()), PARAMS
+            )
+            assert divergence(p, q, PARAMS) == cells
 
     def test_boundary_k_half_degenerates(self):
         params = DeformParams(0.5, 1.0)
@@ -163,9 +186,7 @@ class TestSymmetriesAndStructure:
             params = DeformParams(k, 1.0)
             d1 = divergence(p1, q1, params).value
             d2 = divergence(p2, q2, params).value
-            d12 = divergence(
-                flatten(product(p1, p2)), flatten(product(q1, q2)), params
-            ).value
+            d12 = divergence(product(p1, p2), product(q1, q2), params).value
             assert d12 == pytest.approx(d1 + d2 - 2 * k * d1 * d2, rel=1e-12, abs=1e-12)
 
     def test_joint_convexity(self):
@@ -314,17 +335,9 @@ class TestReferenceDivergences:
             ref = kl_divergence(p, q)
             assert abs(divergence(p, q, params).value - ref) <= 1e-3 * (1 + ref)
 
-    def test_dispatch(self):
+    def test_tsallis_rejects_q_one(self):
         p = make_distribution([0.5, 0.5])
         q = make_distribution([0.25, 0.75])
-        assert reference_divergence(p, q, "kl") == kl_divergence(p, q)
-        assert reference_divergence(p, q, "tsallis", q_param=0.5) == (
-            tsallis_divergence(p, q, 0.5)
-        )
-        with pytest.raises(ParamError):
-            reference_divergence(p, q, "tsallis")
-        with pytest.raises(ParamError):
-            reference_divergence(p, q, "hellinger")
         with pytest.raises(ParamError):
             tsallis_divergence(p, q, 1.0)
 
@@ -341,10 +354,8 @@ class TestMutualDivergence:
         )
 
     def test_nonnegative_on_random_joints(self):
-        from entrokit import sample_joint2
-
         rng = np.random.default_rng(19)
         for _ in range(100):
-            j = sample_joint2(int(rng.integers(1, 9)), int(rng.integers(1, 9)), rng)
+            j = sample_distribution((int(rng.integers(1, 9)), int(rng.integers(1, 9))), rng)
             k = float(rng.uniform(0.05, 0.45))
             assert mutual_divergence(j, DeformParams(k, 1.0)).value >= -1e-12

@@ -16,19 +16,18 @@ from entrokit import (
     conditional_entropy3,
     entropy,
     entropy_literal,
-    flatten,
     joint_entropy,
     make_distribution,
     make_joint2,
+    make_joint3,
     mutual_entropy,
     product,
-    reference_entropy,
     sample_distribution,
-    sample_joint2,
-    sample_joint3,
     shannon_entropy,
     tsallis_entropy,
 )
+
+from entrokit.deformed_log import K_MIN
 
 PARAMS = DeformParams(0.3, 0.8)
 
@@ -136,12 +135,14 @@ class TestJointEntropy:
     def test_equals_flattened_entropy(self):
         rng = np.random.default_rng(41)
         for _ in range(20):
-            j = sample_joint2(int(rng.integers(1, 9)), int(rng.integers(1, 9)), rng)
-            assert joint_entropy(j, PARAMS).value == entropy(flatten(j), PARAMS).value
+            j = sample_distribution((int(rng.integers(1, 9)), int(rng.integers(1, 9))), rng)
+            cells = make_distribution(j.p.ravel())
+            assert joint_entropy(j, PARAMS).value == entropy(cells, PARAMS).value
 
     def test_joint3(self):
-        t = sample_joint3(3, 2, 4, seed=6)
-        assert joint_entropy(t, PARAMS).value == entropy(flatten(t), PARAMS).value
+        t = sample_distribution((3, 2, 4), seed=6)
+        cells = make_distribution(t.p.ravel())
+        assert joint_entropy(t, PARAMS).value == entropy(cells, PARAMS).value
 
 
 class TestConditionalEntropy:
@@ -157,20 +158,20 @@ class TestConditionalEntropy:
     def test_against_brute_force(self):
         rng = np.random.default_rng(51)
         for _ in range(30):
-            j = sample_joint2(int(rng.integers(1, 9)), int(rng.integers(1, 9)), rng)
+            j = sample_distribution((int(rng.integers(1, 9)), int(rng.integers(1, 9))), rng)
             k = float(rng.uniform(0.05, 0.5))
             r = float(rng.uniform(0.1, 2.0))
             val = conditional_entropy(j, DeformParams(k, r), "Y_given_X").value
-            assert val == pytest.approx(brute_conditional(j.m, k, r), rel=1e-11, abs=1e-13)
+            assert val == pytest.approx(brute_conditional(j.p, k, r), rel=1e-11, abs=1e-13)
             val_t = conditional_entropy(j, DeformParams(k, r), "X_given_Y").value
             assert val_t == pytest.approx(
-                brute_conditional(j.m.T, k, r), rel=1e-11, abs=1e-13
+                brute_conditional(j.p.T, k, r), rel=1e-11, abs=1e-13
             )
 
     def test_chain_rule(self):
         rng = np.random.default_rng(52)
         for _ in range(50):
-            j = sample_joint2(int(rng.integers(1, 17)), int(rng.integers(1, 17)), rng)
+            j = sample_distribution((int(rng.integers(1, 17)), int(rng.integers(1, 17))), rng)
             params = DeformParams(
                 float(rng.uniform(0.05, 0.5)), float(rng.uniform(0.1, 2.0))
             )
@@ -184,9 +185,9 @@ class TestConditionalEntropy:
     def test_conditioning_reduces_entropy(self):
         rng = np.random.default_rng(53)
         for _ in range(100):
-            j = sample_joint2(int(rng.integers(1, 9)), int(rng.integers(1, 9)), rng)
+            j = sample_distribution((int(rng.integers(1, 9)), int(rng.integers(1, 9))), rng)
             params = DeformParams(float(rng.uniform(0.05, 0.5)), 1.0)
-            sy = entropy(j.marginal_y(), params).value
+            sy = entropy(j.marginal(1), params).value
             assert conditional_entropy(j, params, "Y_given_X").value <= sy + 1e-12
 
     def test_independence_rule(self):
@@ -201,7 +202,7 @@ class TestConditionalEntropy:
             assert lhs == pytest.approx(sy - 2 * k * sx * sy, rel=1e-12, abs=1e-12)
 
     def test_bad_direction(self):
-        j = sample_joint2(2, 2, seed=1)
+        j = sample_distribution((2, 2), seed=1)
         with pytest.raises(ParamError):
             conditional_entropy(j, PARAMS, "Z_given_X")
 
@@ -229,8 +230,6 @@ class TestConditionalEntropy3:
     def test_fully_degenerate(self):
         t = np.zeros((2, 2, 2))
         t[0, 0, 0] = 1.0
-        from entrokit import make_joint3
-
         j = make_joint3(t)
         for mode in ("XY_given_Z", "Y_given_XZ", "X_given_Z", "Y_given_Z"):
             assert conditional_entropy3(j, PARAMS, mode).value == 0.0
@@ -239,7 +238,7 @@ class TestConditionalEntropy3:
         rng = np.random.default_rng(61)
         for _ in range(30):
             dims = tuple(int(rng.integers(1, 7)) for _ in range(3))
-            t = sample_joint3(*dims, rng)
+            t = sample_distribution(dims, rng)
             params = DeformParams(
                 float(rng.uniform(0.05, 0.5)), float(rng.uniform(0.1, 2.0))
             )
@@ -252,17 +251,32 @@ class TestConditionalEntropy3:
             assert sxy_z == pytest.approx(sx_z + sy_xz, rel=1e-12, abs=1e-12)
 
     def test_pair_conditionals_reduce_to_two_variable_form(self):
-        t = sample_joint3(3, 4, 2, seed=62)
+        t = sample_distribution((3, 4, 2), seed=62)
         # X|Z on the (x, z) pair joint with conditioning on the second axis
-        pair_xz = t.pair(drop_axis=1)
+        pair_xz = t.marginal(0, 2)
         assert conditional_entropy3(t, PARAMS, "X_given_Z").value == pytest.approx(
             conditional_entropy(pair_xz, PARAMS, "X_given_Y").value, rel=1e-14
         )
 
-    def test_bad_mode(self):
-        t = sample_joint3(2, 2, 2, seed=1)
+    def test_z_given_xy_brute_force(self):
+        # rows are the (x, y) cells in row-major order, columns are z
+        rng = np.random.default_rng(63)
+        for _ in range(20):
+            dims = tuple(int(rng.integers(1, 6)) for _ in range(3))
+            t = sample_distribution(dims, rng)
+            k = float(rng.uniform(0.05, 0.5))
+            r = float(rng.uniform(0.1, 2.0))
+            val = conditional_entropy(t, DeformParams(k, r), "Z_given_XY").value
+            expected = brute_conditional(t.p.reshape(dims[0] * dims[1], dims[2]), k, r)
+            assert val == pytest.approx(expected, rel=1e-11, abs=1e-13)
+
+    @pytest.mark.parametrize(
+        "spec", ["X_given_X", "XY_given_Y", "_given_X", "W_given_X", "X_given_", "XZ"]
+    )
+    def test_malformed_specs_rejected(self, spec):
+        t = sample_distribution((2, 2, 2), seed=1)
         with pytest.raises(ParamError):
-            conditional_entropy3(t, PARAMS, "Z_given_XY")
+            conditional_entropy(t, PARAMS, spec)
 
 
 class TestMutualEntropy:
@@ -285,11 +299,11 @@ class TestMutualEntropy:
     def test_equals_entropy_drop(self):
         rng = np.random.default_rng(71)
         for _ in range(30):
-            j = sample_joint2(int(rng.integers(1, 9)), int(rng.integers(1, 9)), rng)
+            j = sample_distribution((int(rng.integers(1, 9)), int(rng.integers(1, 9))), rng)
             params = DeformParams(float(rng.uniform(0.05, 0.5)), 1.0)
             lhs = mutual_entropy(j, params)
             rhs = (
-                entropy(j.marginal_y(), params).value
+                entropy(j.marginal(1), params).value
                 - conditional_entropy(j, params, "Y_given_X").value
             )
             assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
@@ -310,16 +324,16 @@ class TestAdditivityRules:
     def test_subadditivity(self):
         rng = np.random.default_rng(82)
         for _ in range(100):
-            j = sample_joint2(int(rng.integers(1, 9)), int(rng.integers(1, 9)), rng)
+            j = sample_distribution((int(rng.integers(1, 9)), int(rng.integers(1, 9))), rng)
             params = DeformParams(float(rng.uniform(0.05, 0.5)), 1.0)
             sx = entropy(j.marginal_x(), params).value
-            sy = entropy(j.marginal_y(), params).value
+            sy = entropy(j.marginal(1), params).value
             assert joint_entropy(j, params).value <= sx + sy + 1e-12
 
     def test_joint_dominates_marginal(self):
         rng = np.random.default_rng(84)
         for _ in range(100):
-            j = sample_joint2(int(rng.integers(1, 9)), int(rng.integers(1, 9)), rng)
+            j = sample_distribution((int(rng.integers(1, 9)), int(rng.integers(1, 9))), rng)
             params = DeformParams(float(rng.uniform(0.05, 0.5)), 1.0)
             sx = entropy(j.marginal_x(), params).value
             assert joint_entropy(j, params).value >= sx - 1e-12
@@ -328,10 +342,10 @@ class TestAdditivityRules:
         rng = np.random.default_rng(83)
         for _ in range(60):
             dims = tuple(int(rng.integers(1, 6)) for _ in range(3))
-            t = sample_joint3(*dims, rng)
+            t = sample_distribution(dims, rng)
             params = DeformParams(float(rng.uniform(0.05, 0.5)), 1.0)
-            sxz = joint_entropy(t.pair(1), params).value
-            syz = joint_entropy(t.pair(0), params).value
+            sxz = joint_entropy(t.marginal(0, 2), params).value
+            syz = joint_entropy(t.marginal(1, 2), params).value
             sxyz = joint_entropy(t, params).value
             sz = entropy(t.marginal(2), params).value
             assert sxyz + sz <= sxz + syz + 1e-12
@@ -366,13 +380,13 @@ class TestReferenceEntropies:
             ref = shannon_entropy(d)
             assert abs(entropy(d, params).value - ref) <= 1e-3 * (1 + ref)
 
-    def test_dispatch(self):
+    def test_shannon_limit_at_k_floor(self):
+        # the smallest accepted k still reproduces Shannon to rounding
+        d = make_distribution([0.2, 0.3, 0.5])
+        value = entropy(d, DeformParams(K_MIN, 1.0)).value
+        assert value == pytest.approx(shannon_entropy(d), rel=1e-14)
+
+    def test_tsallis_rejects_q_one(self):
         d = make_distribution([0.5, 0.5])
-        assert reference_entropy(d, "shannon") == shannon_entropy(d)
-        assert reference_entropy(d, "tsallis", q=2.0) == tsallis_entropy(d, 2.0)
-        with pytest.raises(ParamError):
-            reference_entropy(d, "tsallis")
-        with pytest.raises(ParamError):
-            reference_entropy(d, "renyi")
         with pytest.raises(ParamError):
             tsallis_entropy(d, 1.0)

@@ -111,6 +111,12 @@ class TestEngine:
         assert isinstance(a, CheckResult)
         assert a.instance_digest.startswith("seed=")
 
+    def test_taylor_expansion_default_sweep_green(self):
+        # the shipped `entrokit verify --trials 1000` sweep at seed 0
+        cfg = SweepConfig(seed=0, trials=1000, properties=("taylor_expansion",))
+        (prop,) = run_suite(cfg).properties
+        assert prop.fails == 0
+
     def test_trial_zero_equality_cases(self):
         cfg = SweepConfig(seed=21, trials=1)
         assert run_single(cfg, "divergence_nonnegativity", 0).slack == 0.0
