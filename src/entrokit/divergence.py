@@ -135,7 +135,7 @@ def divergence_sum(a, b, params: DeformParams) -> float:
         np.all(np.isfinite(av)) and np.all(np.isfinite(bv))
     ):
         raise DomainError("entries must be finite and > 0")
-    return math.fsum(_positive_terms(av, bv, params.k).tolist())
+    return math.fsum(_positive_terms(av, bv, params.k).ravel().tolist())
 
 
 def log_sum_gap(a, b, params: DeformParams) -> tuple[float, float]:
@@ -145,8 +145,11 @@ def log_sum_gap(a, b, params: DeformParams) -> tuple[float, float]:
     term built from the totals; the inequality asserts lhs >= rhs.
     """
     lhs = divergence_sum(a, b, params)
-    total_a = math.fsum(np.asarray(a, dtype=float).tolist())
-    total_b = math.fsum(np.asarray(b, dtype=float).tolist())
+    av = np.asarray(a, dtype=float).ravel()
+    bv = np.asarray(b, dtype=float).ravel()
+    if av.size == 0:
+        raise DomainError("weights must be non-empty")
+    total_a, total_b = math.fsum(av.tolist()), math.fsum(bv.tolist())
     rhs = float(_positive_terms(np.asarray([total_a]), np.asarray([total_b]), params.k)[0])
     return lhs, rhs
 

@@ -5,7 +5,9 @@ divergence, and geometry modules is registered here as a named property.
 A sweep runs each selected property over randomized instances, where the
 instance of trial t is derived from hash(master seed, property name, t),
 so a counterexample is addressable and re-creatable by (property, trial)
-alone and the aggregated report is independent of execution order.
+alone and the aggregated report is independent of execution order. Each
+property is one check `fn(rng, trial) -> Outcome` registered, in run
+order, by the `@_property(name, anchor, kind, tol=None)` decorator.
 
 Identities record slack = (lhs - rhs) / max(1, |lhs|, |rhs|) and pass when
 |slack| <= tol (default 1e-12). Inequalities record slack = lhs - rhs and
@@ -18,8 +20,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-import warnings
-from dataclasses import dataclass
+import operator
+from dataclasses import asdict, dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -75,6 +77,11 @@ INEQUALITY_TOL = 1e-9
 SCALAR_BATCH = 128
 MAX_RECORDED_FAILURES = 10
 
+# Every sweep instance draws its support sizes, k and r from these ranges.
+SIZE_RANGE = (1, 16)
+K_RANGE = (0.05, 0.45)
+R_RANGE = (0.1, 2.0)
+
 
 @dataclass(frozen=True)
 class SweepConfig:
@@ -82,26 +89,21 @@ class SweepConfig:
 
     seed: int = 0
     trials: int = 100
-    size_range: tuple[int, int] = (1, 16)
-    k_range: tuple[float, float] = (0.05, 0.45)
-    r_range: tuple[float, float] = (0.1, 2.0)
     tol: float | None = None
     properties: tuple[str, ...] | None = None
 
     def __post_init__(self):
+        for field in ("seed", "trials"):
+            try:
+                object.__setattr__(self, field, operator.index(getattr(self, field)))
+            except TypeError:
+                raise ConfigError(
+                    f"{field} must be an integer, got {getattr(self, field)!r}"
+                ) from None
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
-        if not (0 <= int(self.seed) < 2**64):
+        if not (0 <= self.seed < 2**64):
             raise ConfigError("seed must be a 64-bit unsigned integer")
-        lo, hi = self.size_range
-        if not (1 <= lo <= hi):
-            raise ConfigError(f"invalid size_range {self.size_range}")
-        klo, khi = self.k_range
-        if not (0 < klo <= khi <= 0.5):
-            raise ConfigError(f"k_range must lie inside (0, 0.5], got {self.k_range}")
-        rlo, rhi = self.r_range
-        if not (0 < rlo <= rhi):
-            raise ConfigError(f"r_range must lie inside (0, inf), got {self.r_range}")
         if self.tol is not None and not self.tol > 0:
             raise ConfigError(f"tol must be > 0, got {self.tol}")
         if self.properties is not None:
@@ -144,9 +146,9 @@ class VerificationReport:
             "config": {
                 "seed": self.config.seed,
                 "trials": self.config.trials,
-                "size_range": list(self.config.size_range),
-                "k_range": list(self.config.k_range),
-                "r_range": list(self.config.r_range),
+                "size_range": list(SIZE_RANGE),
+                "k_range": list(K_RANGE),
+                "r_range": list(R_RANGE),
                 "tol": self.config.tol,
                 "properties": [p.name for p in self.properties],
             },
@@ -158,18 +160,7 @@ class VerificationReport:
                     "pass": p.passes,
                     "fail": p.fails,
                     "worst_slack": p.worst_slack,
-                    "failures": [
-                        {
-                            "property": f.property,
-                            "trial_index": f.trial_index,
-                            "passed": f.passed,
-                            "lhs": f.lhs,
-                            "rhs": f.rhs,
-                            "slack": f.slack,
-                            "instance_digest": f.instance_digest,
-                        }
-                        for f in p.failures
-                    ],
+                    "failures": [asdict(f) for f in p.failures],
                 }
                 for p in self.properties
             ],
@@ -191,8 +182,22 @@ class PropertySpec:
     name: str
     anchor: str
     kind: str  # "identity" | "inequality"
-    fn: Callable[[np.random.Generator, int, SweepConfig], Outcome]
+    fn: Callable[[np.random.Generator, int], Outcome]
     tol: float | None = None  # per-property override of the kind default
+
+
+# Filled in definition order by @_property; that order is the run order.
+_SPECS: list[PropertySpec] = []
+
+
+def _property(name: str, anchor: str, kind: str, tol: float | None = None):
+    """Register the decorated check `fn(rng, trial) -> Outcome` as a property."""
+
+    def register(fn):
+        _SPECS.append(PropertySpec(name, anchor, kind, fn, tol))
+        return fn
+
+    return register
 
 
 # ---------------------------------------------------------------------------
@@ -203,29 +208,19 @@ def _child_seed(master: int, name: str, trial: int) -> int:
     return int.from_bytes(h.digest(), "big")
 
 
-def _draw_params(rng, cfg: SweepConfig) -> DeformParams:
-    k = float(rng.uniform(*cfg.k_range))
-    r = float(rng.uniform(*cfg.r_range))
+def _draw_params(rng) -> DeformParams:
+    k = float(rng.uniform(*K_RANGE))
+    r = float(rng.uniform(*R_RANGE))
     return DeformParams(k, r)
 
 
-def _draw_size(rng, cfg: SweepConfig, cap: int | None = None, floor: int = 1) -> int:
-    # floor > 1 for properties that need at least two coordinates, even if
-    # the configured range is narrower
-    lo, hi = cfg.size_range
-    if cap is not None:
-        hi = min(hi, cap)
-    lo = max(floor, min(lo, hi))
-    hi = max(hi, lo)
-    return int(rng.integers(lo, hi + 1))
+def _draw_size(rng, cap: int = SIZE_RANGE[1], floor: int = SIZE_RANGE[0]) -> int:
+    # floor = 2 for properties that need at least two coordinates
+    return int(rng.integers(floor, cap + 1))
 
 
 def _draw_scalars(rng, count: int, lo: float = 0.05, hi: float = 20.0) -> np.ndarray:
     return np.exp(rng.uniform(np.log(lo), np.log(hi), size=count))
-
-
-def _draw_dist(rng, n: int) -> Distribution:
-    return sample_distribution(n, rng)
 
 
 def _draw_interior_dist(rng, n: int) -> Distribution:
@@ -234,14 +229,14 @@ def _draw_interior_dist(rng, n: int) -> Distribution:
     return Distribution(0.5 * base.p + 0.5 / n)
 
 
-def _draw_joint2(rng, cfg, cap: int | None = None) -> Distribution:
-    nx = _draw_size(rng, cfg, cap)
-    ny = _draw_size(rng, cfg, cap)
+def _draw_joint2(rng, cap: int = SIZE_RANGE[1]) -> Distribution:
+    nx = _draw_size(rng, cap)
+    ny = _draw_size(rng, cap)
     return sample_distribution((nx, ny), rng)
 
 
-def _draw_joint3(rng, cfg, cap: int = 8) -> Distribution:
-    return sample_distribution(tuple(_draw_size(rng, cfg, cap) for _ in range(3)), rng)
+def _draw_joint3(rng, cap: int = 8) -> Distribution:
+    return sample_distribution(tuple(_draw_size(rng, cap) for _ in range(3)), rng)
 
 
 def _identity_outcome(lhs, rhs, digest: str) -> Outcome:
@@ -277,8 +272,9 @@ def _weighted(x, params):
     return np.power(x, params.r + params.k) * ln_kr(x, params)
 
 
-def _check_product_rule_1(rng, trial, cfg) -> Outcome:
-    params = _draw_params(rng, cfg)
+@_property("product_rule_1", "Lemma 2.4", "identity")
+def _check_product_rule_1(rng, trial) -> Outcome:
+    params = _draw_params(rng)
     x = _draw_scalars(rng, SCALAR_BATCH)
     y = _draw_scalars(rng, SCALAR_BATCH)
     lhs = _weighted(x * y, params)
@@ -287,8 +283,9 @@ def _check_product_rule_1(rng, trial, cfg) -> Outcome:
     return _identity_outcome(lhs, rhs, f"batch={SCALAR_BATCH};{_pdig(params)}")
 
 
-def _check_product_rule_2(rng, trial, cfg) -> Outcome:
-    params = _draw_params(rng, cfg)
+@_property("product_rule_2", "Lemma 2.5", "identity")
+def _check_product_rule_2(rng, trial) -> Outcome:
+    params = _draw_params(rng)
     k, r = params.k, params.r
     x = _draw_scalars(rng, SCALAR_BATCH)
     y = _draw_scalars(rng, SCALAR_BATCH)
@@ -299,16 +296,18 @@ def _check_product_rule_2(rng, trial, cfg) -> Outcome:
     return _identity_outcome(lhs, rhs, f"batch={SCALAR_BATCH};{_pdig(params)}")
 
 
-def _check_inversion(rng, trial, cfg) -> Outcome:
-    params = _draw_params(rng, cfg)
+@_property("inversion", "Corollary 2.6", "identity")
+def _check_inversion(rng, trial) -> Outcome:
+    params = _draw_params(rng)
     x = _draw_scalars(rng, SCALAR_BATCH)
     lhs = ln_kr(1.0 / x, params)
     rhs = -np.power(x, 2.0 * params.r) * ln_kr(x, params)
     return _identity_outcome(lhs, rhs, f"batch={SCALAR_BATCH};{_pdig(params)}")
 
 
-def _check_quotient(rng, trial, cfg) -> Outcome:
-    params = _draw_params(rng, cfg)
+@_property("quotient", "Corollary (quotient rule)", "identity")
+def _check_quotient(rng, trial) -> Outcome:
+    params = _draw_params(rng)
     k, r = params.k, params.r
     x = _draw_scalars(rng, SCALAR_BATCH)
     y = _draw_scalars(rng, SCALAR_BATCH)
@@ -319,8 +318,9 @@ def _check_quotient(rng, trial, cfg) -> Outcome:
     return _identity_outcome(lhs, rhs, f"batch={SCALAR_BATCH};{_pdig(params)}")
 
 
-def _check_power_rule(rng, trial, cfg) -> Outcome:
-    params = _draw_params(rng, cfg)
+@_property("power_rule", "Lemma (power rule)", "identity")
+def _check_power_rule(rng, trial) -> Outcome:
+    params = _draw_params(rng)
     a = float(rng.uniform(0.1, min(0.5 / params.k, 4.0)))
     scaled = DeformParams(a * params.k, a * params.r)
     x = _draw_scalars(rng, SCALAR_BATCH, lo=0.2, hi=5.0)
@@ -333,16 +333,18 @@ def _second_differences(f: np.ndarray) -> np.ndarray:
     return f[2:] - 2.0 * f[1:-1] + f[:-2]
 
 
-def _check_convexity_weighted_neg(rng, trial, cfg) -> Outcome:
-    params = _draw_params(rng, cfg)
+@_property("convexity_weighted_neg", "Lemma 2.7", "inequality")
+def _check_convexity_weighted_neg(rng, trial) -> Outcome:
+    params = _draw_params(rng)
     grid = np.linspace(1e-3, 1.0, 201)
     f = -_weighted(grid, params)
     sec = _second_differences(f)
     return _inequality_outcome(sec, 0.0, f"grid=201;{_pdig(params)}")
 
 
-def _check_convexity_logsum_weight(rng, trial, cfg) -> Outcome:
-    params = _draw_params(rng, cfg)
+@_property("convexity_logsum_weight", "Lemma 2.8", "inequality")
+def _check_convexity_logsum_weight(rng, trial) -> Outcome:
+    params = _draw_params(rng)
     hi = float(rng.uniform(1.5, 4.0))
     grid = np.linspace(1e-3, hi, 201)
     f = np.power(grid, params.r - params.k + 1.0) * ln_kr(grid, params)
@@ -350,7 +352,8 @@ def _check_convexity_logsum_weight(rng, trial, cfg) -> Outcome:
     return _inequality_outcome(sec, 0.0, f"grid=201;hi={hi!r};{_pdig(params)}")
 
 
-def _check_legacy_shape(rng, trial, cfg) -> Outcome:
+@_property("legacy_shape", "Theorem 2.1", "inequality")
+def _check_legacy_shape(rng, trial) -> Outcome:
     k = float(rng.uniform(0.1, 1.0))
     r = float(rng.uniform(-0.9, -0.05))
     params = DeformParams(k, r, relaxed=True)
@@ -368,36 +371,37 @@ def _legacy_region_r(rng, k: float) -> float:
     return float(rng.uniform(-bound, bound))
 
 
-def _check_legacy_product_rule(rng, trial, cfg) -> Outcome:
+@_property("legacy_product_rule", "Eq. (10)", "identity")
+def _check_legacy_product_rule(rng, trial) -> Outcome:
     k = float(rng.uniform(0.05, 0.95))
     params = DeformParams(k, _legacy_region_r(rng, k), relaxed=True)
     x = _draw_scalars(rng, SCALAR_BATCH, lo=0.05, hi=5.0)
     y = _draw_scalars(rng, SCALAR_BATCH, lo=0.05, hi=5.0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        lhs = legacy_Ln(x * y, params)
-        rhs = legacy_u(x, params) * legacy_Ln(y, params) + legacy_Ln(
-            x, params
-        ) * legacy_u(y, params)
+    lhs = legacy_Ln(x * y, params)
+    rhs = legacy_u(x, params) * legacy_Ln(y, params) + legacy_Ln(
+        x, params
+    ) * legacy_u(y, params)
     return _identity_outcome(lhs, rhs, f"batch={SCALAR_BATCH};{_pdig(params)}")
 
 
-def _check_log_sum(rng, trial, cfg) -> Outcome:
-    params = _draw_params(rng, cfg)
-    n = _draw_size(rng, cfg)
+@_property("log_sum_inequality", "Theorem 2.9", "inequality")
+def _check_log_sum(rng, trial) -> Outcome:
+    params = _draw_params(rng)
+    n = _draw_size(rng)
     a = _draw_scalars(rng, n)
     b = a.copy() if trial == 0 else _draw_scalars(rng, n)
     lhs, rhs = log_sum_gap(a, b, params)
-    return Outcome(lhs, rhs, lhs - rhs, f"n={n};equal={trial == 0};{_pdig(params)}")
+    return _inequality_outcome(lhs, rhs, f"n={n};equal={trial == 0};{_pdig(params)}")
 
 
 # ---------------------------------------------------------------------------
 # entropy properties
 
 
-def _check_chain_rule(rng, trial, cfg) -> Outcome:
-    params = _draw_params(rng, cfg)
-    j = _draw_joint2(rng, cfg)
+@_property("chain_rule", "Theorem 3.6", "identity")
+def _check_chain_rule(rng, trial) -> Outcome:
+    params = _draw_params(rng)
+    j = _draw_joint2(rng)
     lhs = entropy(j, params).value
     rhs = (
         entropy(j.marginal(0), params).value
@@ -406,38 +410,37 @@ def _check_chain_rule(rng, trial, cfg) -> Outcome:
     return _identity_outcome(lhs, rhs, f"shape={j.shape};{_pdig(params)}")
 
 
-def _product_or_random_joint(rng, trial, cfg, degenerate_axis=None):
-    if trial == 0 and degenerate_axis == "x":
-        p = Distribution(np.ones(1))
-        q = _draw_dist(rng, _draw_size(rng, cfg))
-        return product(p, q)
-    if trial == 0 and degenerate_axis == "y":
-        p = _draw_dist(rng, _draw_size(rng, cfg))
-        q = Distribution(np.ones(1))
-        return product(p, q)
-    return _draw_joint2(rng, cfg)
+def _product_or_random_joint(rng, trial, degenerate_axis: int):
+    # trial 0: the given axis has a single outcome, an equality case
+    if trial > 0:
+        return _draw_joint2(rng)
+    point, other = Distribution(np.ones(1)), sample_distribution(_draw_size(rng), rng)
+    return product(point, other) if degenerate_axis == 0 else product(other, point)
 
 
-def _check_conditional_reduces(rng, trial, cfg) -> Outcome:
-    params = _draw_params(rng, cfg)
-    j = _product_or_random_joint(rng, trial, cfg, degenerate_axis="x")
+@_property("conditional_reduces_entropy", "Lemma 3.5", "inequality")
+def _check_conditional_reduces(rng, trial) -> Outcome:
+    params = _draw_params(rng)
+    j = _product_or_random_joint(rng, trial, degenerate_axis=0)
     lhs = entropy(j.marginal(1), params).value
     rhs = conditional_entropy(j, params, "Y_given_X").value
-    return Outcome(lhs, rhs, lhs - rhs, f"shape={j.shape};{_pdig(params)}")
+    return _inequality_outcome(lhs, rhs, f"shape={j.shape};{_pdig(params)}")
 
 
-def _check_joint_monotonicity(rng, trial, cfg) -> Outcome:
-    params = _draw_params(rng, cfg)
-    j = _product_or_random_joint(rng, trial, cfg, degenerate_axis="y")
+@_property("joint_monotonicity", "Theorem 3.6 (consequence)", "inequality")
+def _check_joint_monotonicity(rng, trial) -> Outcome:
+    params = _draw_params(rng)
+    j = _product_or_random_joint(rng, trial, degenerate_axis=1)
     lhs = entropy(j, params).value
     rhs = entropy(j.marginal(0), params).value
-    return Outcome(lhs, rhs, lhs - rhs, f"shape={j.shape};{_pdig(params)}")
+    return _inequality_outcome(lhs, rhs, f"shape={j.shape};{_pdig(params)}")
 
 
-def _check_independence_rule(rng, trial, cfg) -> Outcome:
-    params = _draw_params(rng, cfg)
-    p = _draw_dist(rng, _draw_size(rng, cfg))
-    q = _draw_dist(rng, _draw_size(rng, cfg))
+@_property("independence_rule", "Lemma 3.4", "identity")
+def _check_independence_rule(rng, trial) -> Outcome:
+    params = _draw_params(rng)
+    p = sample_distribution(_draw_size(rng), rng)
+    q = sample_distribution(_draw_size(rng), rng)
     j = product(p, q)
     lhs = conditional_entropy(j, params, "Y_given_X").value
     sx, sy = entropy(p, params).value, entropy(q, params).value
@@ -445,10 +448,11 @@ def _check_independence_rule(rng, trial, cfg) -> Outcome:
     return _identity_outcome(lhs, rhs, f"shape={j.shape};{_pdig(params)}")
 
 
-def _check_entropy_pseudo_additivity(rng, trial, cfg) -> Outcome:
-    params = _draw_params(rng, cfg)
-    p = _draw_dist(rng, _draw_size(rng, cfg))
-    q = _draw_dist(rng, _draw_size(rng, cfg))
+@_property("entropy_pseudo_additivity", "Eq. (29)", "identity")
+def _check_entropy_pseudo_additivity(rng, trial) -> Outcome:
+    params = _draw_params(rng)
+    p = sample_distribution(_draw_size(rng), rng)
+    q = sample_distribution(_draw_size(rng), rng)
     j = product(p, q)
     lhs = entropy(j, params).value
     sx, sy = entropy(p, params).value, entropy(q, params).value
@@ -456,51 +460,52 @@ def _check_entropy_pseudo_additivity(rng, trial, cfg) -> Outcome:
     return _identity_outcome(lhs, rhs, f"shape={j.shape};{_pdig(params)}")
 
 
-def _check_subadditivity(rng, trial, cfg) -> Outcome:
-    params = _draw_params(rng, cfg)
+@_property("subadditivity", "Theorem 3.9", "inequality")
+def _check_subadditivity(rng, trial) -> Outcome:
+    params = _draw_params(rng)
     if trial == 0:
-        j = product(
-            _draw_dist(rng, _draw_size(rng, cfg)), _draw_dist(rng, _draw_size(rng, cfg))
-        )
+        p = sample_distribution(_draw_size(rng), rng)
+        j = product(p, sample_distribution(_draw_size(rng), rng))
     else:
-        j = _draw_joint2(rng, cfg)
+        j = _draw_joint2(rng)
     lhs = (
         entropy(j.marginal(0), params).value + entropy(j.marginal(1), params).value
     )
     rhs = entropy(j, params).value
-    return Outcome(lhs, rhs, lhs - rhs, f"shape={j.shape};{_pdig(params)}")
+    return _inequality_outcome(lhs, rhs, f"shape={j.shape};{_pdig(params)}")
 
 
-def _draw_joint3_maybe_degenerate_x(rng, trial, cfg) -> Distribution:
+def _draw_joint3_maybe_degenerate_x(rng, trial) -> Distribution:
     if trial == 0:
-        j2 = _draw_joint2(rng, cfg, cap=8)
+        j2 = _draw_joint2(rng, cap=8)
         return Distribution(j2.p[np.newaxis])
-    return _draw_joint3(rng, cfg)
+    return _draw_joint3(rng)
 
 
-def _check_conditional_comparison(rng, trial, cfg) -> Outcome:
-    params = _draw_params(rng, cfg)
-    j = _draw_joint3_maybe_degenerate_x(rng, trial, cfg)
+@_property("conditional_comparison", "Lemma 3.10", "inequality")
+def _check_conditional_comparison(rng, trial) -> Outcome:
+    params = _draw_params(rng)
+    j = _draw_joint3_maybe_degenerate_x(rng, trial)
     lhs = conditional_entropy(j, params, "Y_given_Z").value
     rhs = conditional_entropy(j, params, "Y_given_XZ").value
-    return Outcome(lhs, rhs, lhs - rhs, f"shape={j.shape};{_pdig(params)}")
+    return _inequality_outcome(lhs, rhs, f"shape={j.shape};{_pdig(params)}")
 
 
-def _check_strong_subadditivity(rng, trial, cfg) -> Outcome:
-    params = _draw_params(rng, cfg)
-    j = _draw_joint3_maybe_degenerate_x(rng, trial, cfg)
+@_property("strong_subadditivity", "Theorem 3.11", "inequality")
+def _check_strong_subadditivity(rng, trial) -> Outcome:
+    params = _draw_params(rng)
+    j = _draw_joint3_maybe_degenerate_x(rng, trial)
     sxz = entropy(j.marginal(0, 2), params).value
     syz = entropy(j.marginal(1, 2), params).value
     sxyz = entropy(j, params).value
     sz = entropy(j.marginal(2), params).value
-    return Outcome(
-        sxz + syz, sxyz + sz, sxz + syz - (sxyz + sz), f"shape={j.shape};{_pdig(params)}"
-    )
+    return _inequality_outcome(sxz + syz, sxyz + sz, f"shape={j.shape};{_pdig(params)}")
 
 
-def _check_corollary_3_7(rng, trial, cfg) -> Outcome:
-    params = _draw_params(rng, cfg)
-    j = _draw_joint3(rng, cfg)
+@_property("corollary_3_7", "Corollary 3.7", "identity")
+def _check_corollary_3_7(rng, trial) -> Outcome:
+    params = _draw_params(rng)
+    j = _draw_joint3(rng)
     lhs = entropy(j, params).value
     rhs = (
         conditional_entropy(j, params, "XY_given_Z").value
@@ -509,9 +514,10 @@ def _check_corollary_3_7(rng, trial, cfg) -> Outcome:
     return _identity_outcome(lhs, rhs, f"shape={j.shape};{_pdig(params)}")
 
 
-def _check_corollary_3_8(rng, trial, cfg) -> Outcome:
-    params = _draw_params(rng, cfg)
-    j = _draw_joint3(rng, cfg)
+@_property("corollary_3_8", "Corollary 3.8", "identity")
+def _check_corollary_3_8(rng, trial) -> Outcome:
+    params = _draw_params(rng)
+    j = _draw_joint3(rng)
     lhs = conditional_entropy(j, params, "XY_given_Z").value
     rhs = (
         conditional_entropy(j, params, "X_given_Z").value
@@ -520,17 +526,21 @@ def _check_corollary_3_8(rng, trial, cfg) -> Outcome:
     return _identity_outcome(lhs, rhs, f"shape={j.shape};{_pdig(params)}")
 
 
-def _check_conditional_joint_monotonicity(rng, trial, cfg) -> Outcome:
-    params = _draw_params(rng, cfg)
-    j = _draw_joint3(rng, cfg)
+@_property(
+    "conditional_joint_monotonicity", "Corollary 3.8 (consequence)", "inequality"
+)
+def _check_conditional_joint_monotonicity(rng, trial) -> Outcome:
+    params = _draw_params(rng)
+    j = _draw_joint3(rng)
     lhs = conditional_entropy(j, params, "XY_given_Z").value
     rhs = conditional_entropy(j, params, "X_given_Z").value
-    return Outcome(lhs, rhs, lhs - rhs, f"shape={j.shape};{_pdig(params)}")
+    return _inequality_outcome(lhs, rhs, f"shape={j.shape};{_pdig(params)}")
 
 
-def _check_mutual_consistency(rng, trial, cfg) -> Outcome:
-    params = _draw_params(rng, cfg)
-    j = _draw_joint2(rng, cfg)
+@_property("mutual_entropy_consistency", "Theorem 3.6 (mutual form)", "identity")
+def _check_mutual_consistency(rng, trial) -> Outcome:
+    params = _draw_params(rng)
+    j = _draw_joint2(rng)
     lhs = mutual_entropy(j, params)
     rhs = (
         entropy(j.marginal(1), params).value
@@ -539,47 +549,51 @@ def _check_mutual_consistency(rng, trial, cfg) -> Outcome:
     return _identity_outcome(lhs, rhs, f"shape={j.shape};{_pdig(params)}")
 
 
-def _check_entropy_r_independence(rng, trial, cfg) -> Outcome:
-    k = float(rng.uniform(*cfg.k_range))
-    r1 = float(rng.uniform(*cfg.r_range))
-    r2 = float(rng.uniform(*cfg.r_range))
-    p = _draw_dist(rng, _draw_size(rng, cfg))
+@_property("entropy_r_independence", "observed r-cancellation", "identity")
+def _check_entropy_r_independence(rng, trial) -> Outcome:
+    k = float(rng.uniform(*K_RANGE))
+    r1 = float(rng.uniform(*R_RANGE))
+    r2 = float(rng.uniform(*R_RANGE))
+    p = sample_distribution(_draw_size(rng), rng)
     lit1 = entropy_literal(p, DeformParams(k, r1))
     lit2 = entropy_literal(p, DeformParams(k, r2))
     return _identity_outcome(lit1, lit2, f"n={p.n};k={k!r};r1={r1!r};r2={r2!r}")
 
 
-def _check_shannon_limit(rng, trial, cfg) -> Outcome:
+@_property("shannon_limit", "Shannon limit", "inequality")
+def _check_shannon_limit(rng, trial) -> Outcome:
     params = DeformParams(1e-4, 1e-4)
-    p = _draw_dist(rng, _draw_size(rng, cfg))
+    p = sample_distribution(_draw_size(rng), rng)
     ref = shannon_entropy(p)
     err = abs(entropy(p, params).value - ref)
     budget = 1e-3 * (1.0 + ref)
-    return Outcome(budget, err, budget - err, f"n={p.n};k=r=1e-4")
+    return _inequality_outcome(budget, err, f"n={p.n};k=r=1e-4")
 
 
 # ---------------------------------------------------------------------------
 # divergence properties
 
 
-def _draw_pair(rng, cfg) -> tuple[Distribution, Distribution]:
-    n = _draw_size(rng, cfg)
-    return _draw_dist(rng, n), _draw_dist(rng, n)
+def _draw_pair(rng) -> tuple[Distribution, Distribution]:
+    n = _draw_size(rng)
+    return sample_distribution(n, rng), sample_distribution(n, rng)
 
 
-def _check_divergence_nonneg(rng, trial, cfg) -> Outcome:
-    params = _draw_params(rng, cfg)
-    p, q = _draw_pair(rng, cfg)
+@_property("divergence_nonnegativity", "Lemma 4.2", "inequality")
+def _check_divergence_nonneg(rng, trial) -> Outcome:
+    params = _draw_params(rng)
+    p, q = _draw_pair(rng)
     if trial == 0:
         q = p
     val = divergence(p, q, params).value
-    return Outcome(val, 0.0, val, f"n={p.n};equal={trial == 0};{_pdig(params)}")
+    return _inequality_outcome(val, 0.0, f"n={p.n};equal={trial == 0};{_pdig(params)}")
 
 
-def _check_indiscernibles(rng, trial, cfg) -> Outcome:
+@_property("identity_of_indiscernibles", "Lemma 4.2 (equality case)", "inequality")
+def _check_indiscernibles(rng, trial) -> Outcome:
     # near-coincident pairs: if D <= 1e-12 the points must agree to 1e-4
-    params = _draw_params(rng, cfg)
-    n = max(2, _draw_size(rng, cfg))
+    params = _draw_params(rng)
+    n = max(2, _draw_size(rng))
     p = _draw_interior_dist(rng, n)
     scale = 10.0 ** rng.uniform(-9.0, -3.0)
     noise = rng.normal(size=n)
@@ -595,9 +609,10 @@ def _check_indiscernibles(rng, trial, cfg) -> Outcome:
     return Outcome(d, maxdiff, slack, f"n={n};scale={scale!r};{_pdig(params)}")
 
 
-def _check_permutation_symmetry(rng, trial, cfg) -> Outcome:
-    params = _draw_params(rng, cfg)
-    p, q = _draw_pair(rng, cfg)
+@_property("permutation_symmetry", "Lemma 4.3", "identity")
+def _check_permutation_symmetry(rng, trial) -> Outcome:
+    params = _draw_params(rng)
+    p, q = _draw_pair(rng)
     perm = rng.permutation(p.n)
     lhs = divergence(p, q, params).value
     rhs = divergence(
@@ -606,9 +621,10 @@ def _check_permutation_symmetry(rng, trial, cfg) -> Outcome:
     return _identity_outcome(lhs, rhs, f"n={p.n};{_pdig(params)}")
 
 
-def _check_zero_extension(rng, trial, cfg) -> Outcome:
-    params = _draw_params(rng, cfg)
-    p, q = _draw_pair(rng, cfg)
+@_property("zero_extension", "Lemma 4.4", "identity")
+def _check_zero_extension(rng, trial) -> Outcome:
+    params = _draw_params(rng)
+    p, q = _draw_pair(rng)
     pad = int(rng.integers(1, 4))
     pe = Distribution(np.concatenate([p.p, np.zeros(pad)]))
     qe = Distribution(np.concatenate([q.p, np.zeros(pad)]))
@@ -617,10 +633,11 @@ def _check_zero_extension(rng, trial, cfg) -> Outcome:
     return _identity_outcome(lhs, rhs, f"n={p.n};pad={pad};{_pdig(params)}")
 
 
-def _check_divergence_pseudo_additivity(rng, trial, cfg) -> Outcome:
-    params = _draw_params(rng, cfg)
-    p1, q1 = _draw_pair(rng, cfg)
-    p2, q2 = _draw_pair(rng, cfg)
+@_property("divergence_pseudo_additivity", "Theorem 4.5", "identity")
+def _check_divergence_pseudo_additivity(rng, trial) -> Outcome:
+    params = _draw_params(rng)
+    p1, q1 = _draw_pair(rng)
+    p2, q2 = _draw_pair(rng)
     lhs = divergence(product(p1, p2), product(q1, q2), params).value
     d1 = divergence(p1, q1, params).value
     d2 = divergence(p2, q2, params).value
@@ -628,14 +645,15 @@ def _check_divergence_pseudo_additivity(rng, trial, cfg) -> Outcome:
     return _identity_outcome(lhs, rhs, f"n1={p1.n};n2={p2.n};{_pdig(params)}")
 
 
-def _check_joint_convexity(rng, trial, cfg) -> Outcome:
-    params = _draw_params(rng, cfg)
-    n = _draw_size(rng, cfg)
-    p1, q1 = _draw_dist(rng, n), _draw_dist(rng, n)
+@_property("joint_convexity", "Theorem 4.6", "inequality")
+def _check_joint_convexity(rng, trial) -> Outcome:
+    params = _draw_params(rng)
+    n = _draw_size(rng)
+    p1, q1 = sample_distribution(n, rng), sample_distribution(n, rng)
     if trial == 0:
         p2, q2 = p1, q1
     else:
-        p2, q2 = _draw_dist(rng, n), _draw_dist(rng, n)
+        p2, q2 = sample_distribution(n, rng), sample_distribution(n, rng)
     d1 = divergence(p1, q1, params).value
     d2 = divergence(p2, q2, params).value
     lam_grid = np.linspace(0.0, 1.0, 11)
@@ -656,9 +674,10 @@ def _partition_channel(rng, m: int, n: int) -> Channel:
     return Channel(w)
 
 
-def _check_information_monotonicity(rng, trial, cfg) -> Outcome:
-    params = _draw_params(rng, cfg)
-    p, q = _draw_pair(rng, cfg)
+@_property("information_monotonicity", "Theorem 4.7", "inequality")
+def _check_information_monotonicity(rng, trial) -> Outcome:
+    params = _draw_params(rng)
+    p, q = _draw_pair(rng)
     n = p.n
     if trial == 0:
         w = Channel(np.eye(n))
@@ -673,45 +692,52 @@ def _check_information_monotonicity(rng, trial, cfg) -> Outcome:
         kind = "partition"
     lhs = divergence(p, q, params).value
     rhs = divergence(apply_channel(w, p), apply_channel(w, q), params).value
-    return Outcome(
-        lhs, rhs, lhs - rhs, f"n={n};channel={kind};m={w.shape[0]};{_pdig(params)}"
+    return _inequality_outcome(
+        lhs, rhs, f"n={n};channel={kind};m={w.shape[0]};{_pdig(params)}"
     )
 
 
-def _check_divergence_r_independence(rng, trial, cfg) -> Outcome:
-    k = float(rng.uniform(*cfg.k_range))
-    r1 = float(rng.uniform(*cfg.r_range))
-    r2 = float(rng.uniform(*cfg.r_range))
-    p, q = _draw_pair(rng, cfg)
+@_property("divergence_r_independence", "observed r-cancellation", "identity")
+def _check_divergence_r_independence(rng, trial) -> Outcome:
+    k = float(rng.uniform(*K_RANGE))
+    r1 = float(rng.uniform(*R_RANGE))
+    r2 = float(rng.uniform(*R_RANGE))
+    p, q = _draw_pair(rng)
     lit1 = divergence_literal(p, q, DeformParams(k, r1))
     lit2 = divergence_literal(p, q, DeformParams(k, r2))
     return _identity_outcome(lit1, lit2, f"n={p.n};k={k!r};r1={r1!r};r2={r2!r}")
 
 
-def _check_definitional_equivalence(rng, trial, cfg) -> Outcome:
-    params = _draw_params(rng, cfg)
-    p, q = _draw_pair(rng, cfg)
+@_property("definitional_equivalence", "Definition 4.1", "identity")
+def _check_definitional_equivalence(rng, trial) -> Outcome:
+    params = _draw_params(rng)
+    p, q = _draw_pair(rng)
     lhs = divergence_literal(p, q, params, form="pq")
     rhs = divergence_literal(p, q, params, form="qp")
     return _identity_outcome(lhs, rhs, f"n={p.n};{_pdig(params)}")
 
 
-def _check_kl_limit(rng, trial, cfg) -> Outcome:
+@_property("kl_limit", "KL limit", "inequality")
+def _check_kl_limit(rng, trial) -> Outcome:
     params = DeformParams(1e-4, 1e-4)
-    p, q = _draw_pair(rng, cfg)
+    p, q = _draw_pair(rng)
     ref = kl_divergence(p, q)
     err = abs(divergence(p, q, params).value - ref)
     budget = 1e-3 * (1.0 + ref)
-    return Outcome(budget, err, budget - err, f"n={p.n};k=r=1e-4")
+    return _inequality_outcome(budget, err, f"n={p.n};k=r=1e-4")
 
 
 # ---------------------------------------------------------------------------
 # geometry properties
 
 
-def _check_hessian_separability(rng, trial, cfg) -> Outcome:
-    params = _draw_params(rng, cfg)
-    n = _draw_size(rng, cfg, cap=6, floor=2)
+@_property(
+    "hessian_separability", "induced metric (off-diagonal vanishing)", "identity",
+    tol=1e-8,
+)
+def _check_hessian_separability(rng, trial) -> Outcome:
+    params = _draw_params(rng)
+    n = _draw_size(rng, cap=6, floor=2)
     p = _draw_interior_dist(rng, n)
     h = fd_hessian(p, params, step=1e-4)
     off = h[~np.eye(n, dtype=bool)]
@@ -719,9 +745,12 @@ def _check_hessian_separability(rng, trial, cfg) -> Outcome:
     return Outcome(float(off[i]), 0.0, float(off[i]), f"n={n};step=1e-4;{_pdig(params)}")
 
 
-def _check_metric_oracle_agreement(rng, trial, cfg) -> Outcome:
-    params = _draw_params(rng, cfg)
-    n = _draw_size(rng, cfg, cap=6, floor=2)
+@_property(
+    "metric_oracle_agreement", "induced metric (diagonal oracle)", "identity", tol=1e-5
+)
+def _check_metric_oracle_agreement(rng, trial) -> Outcome:
+    params = _draw_params(rng)
+    n = _draw_size(rng, cap=6, floor=2)
     p = _draw_interior_dist(rng, n)
     fd = np.diag(fd_hessian(p, params, step=1e-4))
     g = fisher_metric(p, params, "derived").g
@@ -730,9 +759,10 @@ def _check_metric_oracle_agreement(rng, trial, cfg) -> Outcome:
     return Outcome(float(fd[i]), float(g[i]), float(rel[i]), f"n={n};{_pdig(params)}")
 
 
-def _check_metric_hessian_structure(rng, trial, cfg) -> Outcome:
-    params = _draw_params(rng, cfg)
-    n = _draw_size(rng, cfg, floor=2)
+@_property("metric_hessian_structure", "Theorem 5.1", "identity")
+def _check_metric_hessian_structure(rng, trial) -> Outcome:
+    params = _draw_params(rng)
+    n = _draw_size(rng, floor=2)
     p = _draw_interior_dist(rng, n)
     lhs, rhs = [], []
     for conv in ("derived", "paper"):
@@ -743,8 +773,9 @@ def _check_metric_hessian_structure(rng, trial, cfg) -> Outcome:
     return _identity_outcome(lhs, rhs, f"n={n};{_pdig(params)}")
 
 
-def _check_potential_curvature(rng, trial, cfg) -> Outcome:
-    params = _draw_params(rng, cfg)
+@_property("potential_curvature", "Theorem 5.1", "identity", tol=1e-6)
+def _check_potential_curvature(rng, trial) -> Outcome:
+    params = _draw_params(rng)
     u = float(rng.uniform(0.2, 2.0))
     c1 = float(rng.uniform(-1.0, 1.0))
     c2 = float(rng.uniform(-1.0, 1.0))
@@ -764,23 +795,27 @@ def _check_potential_curvature(rng, trial, cfg) -> Outcome:
     return _identity_outcome(lhs, rhs, f"u={u!r};c1={c1!r};c2={c2!r};{_pdig(params)}")
 
 
-def _check_metric_positive_definite(rng, trial, cfg) -> Outcome:
-    params = _draw_params(rng, cfg)
-    n = _draw_size(rng, cfg, floor=2)
+@_property(
+    "metric_positive_definite", "induced metric (positive definiteness)", "inequality"
+)
+def _check_metric_positive_definite(rng, trial) -> Outcome:
+    params = _draw_params(rng)
+    n = _draw_size(rng, floor=2)
     p = Distribution(np.full(n, 1.0 / n)) if trial == 0 else _draw_interior_dist(rng, n)
     g = fisher_metric(p, params, "derived").g
     return _inequality_outcome(g, 0.0, f"n={n};{_pdig(params)}")
 
 
-def _check_taylor_expansion(rng, trial, cfg) -> Outcome:
+@_property("taylor_expansion", "induced metric (quadratic expansion)", "inequality")
+def _check_taylor_expansion(rng, trial) -> Outcome:
     # Per coordinate f(a) = (a - a^{1-2k} p^{2k}) / (2k) has f(p) = 0, f' = 1,
     # f'' = (1-2k)/p, f^(3) = -(1-4k^2)/p^2, f^(4) = 2(1-4k^2)(1+k)/p^3 and
     # |f^(5)| <= (1-4k^2)(2k+2)(2k+3) min(p,a)^{-2k-4} p^{2k} between p and a.
     # So what D(a||p) leaves after its cubic expansion must match the quartic
     # term to within the fifth-order Lagrange bound: slack = 1 - error/bound.
-    params = _draw_params(rng, cfg)
+    params = _draw_params(rng)
     k = params.k
-    n = _draw_size(rng, cfg, floor=2)
+    n = _draw_size(rng, floor=2)
     p = _draw_interior_dist(rng, n)
     v = rng.normal(size=n)
     v -= v.mean()
@@ -804,169 +839,12 @@ def _check_taylor_expansion(rng, trial, cfg) -> Outcome:
 # ---------------------------------------------------------------------------
 # registry
 
-_SPECS = [
-    # deformed_log
-    PropertySpec("product_rule_1", "Lemma 2.4", "identity", _check_product_rule_1),
-    PropertySpec("product_rule_2", "Lemma 2.5", "identity", _check_product_rule_2),
-    PropertySpec("inversion", "Corollary 2.6", "identity", _check_inversion),
-    PropertySpec("quotient", "Corollary (quotient rule)", "identity", _check_quotient),
-    PropertySpec("power_rule", "Lemma (power rule)", "identity", _check_power_rule),
-    PropertySpec(
-        "convexity_weighted_neg", "Lemma 2.7", "inequality", _check_convexity_weighted_neg
-    ),
-    PropertySpec(
-        "convexity_logsum_weight",
-        "Lemma 2.8",
-        "inequality",
-        _check_convexity_logsum_weight,
-    ),
-    PropertySpec("legacy_shape", "Theorem 2.1", "inequality", _check_legacy_shape),
-    PropertySpec(
-        "legacy_product_rule", "Eq. (10)", "identity", _check_legacy_product_rule
-    ),
-    PropertySpec("log_sum_inequality", "Theorem 2.9", "inequality", _check_log_sum),
-    # entropy
-    PropertySpec("chain_rule", "Theorem 3.6", "identity", _check_chain_rule),
-    PropertySpec(
-        "conditional_reduces_entropy", "Lemma 3.5", "inequality", _check_conditional_reduces
-    ),
-    PropertySpec(
-        "joint_monotonicity",
-        "Theorem 3.6 (consequence)",
-        "inequality",
-        _check_joint_monotonicity,
-    ),
-    PropertySpec("independence_rule", "Lemma 3.4", "identity", _check_independence_rule),
-    PropertySpec(
-        "entropy_pseudo_additivity",
-        "Eq. (29)",
-        "identity",
-        _check_entropy_pseudo_additivity,
-    ),
-    PropertySpec("subadditivity", "Theorem 3.9", "inequality", _check_subadditivity),
-    PropertySpec(
-        "conditional_comparison", "Lemma 3.10", "inequality", _check_conditional_comparison
-    ),
-    PropertySpec(
-        "strong_subadditivity", "Theorem 3.11", "inequality", _check_strong_subadditivity
-    ),
-    PropertySpec("corollary_3_7", "Corollary 3.7", "identity", _check_corollary_3_7),
-    PropertySpec("corollary_3_8", "Corollary 3.8", "identity", _check_corollary_3_8),
-    PropertySpec(
-        "conditional_joint_monotonicity",
-        "Corollary 3.8 (consequence)",
-        "inequality",
-        _check_conditional_joint_monotonicity,
-    ),
-    PropertySpec(
-        "mutual_entropy_consistency",
-        "Theorem 3.6 (mutual form)",
-        "identity",
-        _check_mutual_consistency,
-    ),
-    PropertySpec(
-        "entropy_r_independence",
-        "observed r-cancellation",
-        "identity",
-        _check_entropy_r_independence,
-    ),
-    PropertySpec("shannon_limit", "Shannon limit", "inequality", _check_shannon_limit),
-    # divergence
-    PropertySpec(
-        "divergence_nonnegativity", "Lemma 4.2", "inequality", _check_divergence_nonneg
-    ),
-    PropertySpec(
-        "identity_of_indiscernibles",
-        "Lemma 4.2 (equality case)",
-        "inequality",
-        _check_indiscernibles,
-    ),
-    PropertySpec(
-        "permutation_symmetry", "Lemma 4.3", "identity", _check_permutation_symmetry
-    ),
-    PropertySpec("zero_extension", "Lemma 4.4", "identity", _check_zero_extension),
-    PropertySpec(
-        "divergence_pseudo_additivity",
-        "Theorem 4.5",
-        "identity",
-        _check_divergence_pseudo_additivity,
-    ),
-    PropertySpec("joint_convexity", "Theorem 4.6", "inequality", _check_joint_convexity),
-    PropertySpec(
-        "information_monotonicity",
-        "Theorem 4.7",
-        "inequality",
-        _check_information_monotonicity,
-    ),
-    PropertySpec(
-        "divergence_r_independence",
-        "observed r-cancellation",
-        "identity",
-        _check_divergence_r_independence,
-    ),
-    PropertySpec(
-        "definitional_equivalence",
-        "Definition 4.1",
-        "identity",
-        _check_definitional_equivalence,
-    ),
-    PropertySpec("kl_limit", "KL limit", "inequality", _check_kl_limit),
-    # geometry
-    PropertySpec(
-        "hessian_separability",
-        "induced metric (off-diagonal vanishing)",
-        "identity",
-        _check_hessian_separability,
-        tol=1e-8,
-    ),
-    PropertySpec(
-        "metric_oracle_agreement",
-        "induced metric (diagonal oracle)",
-        "identity",
-        _check_metric_oracle_agreement,
-        tol=1e-5,
-    ),
-    PropertySpec(
-        "metric_hessian_structure",
-        "Theorem 5.1",
-        "identity",
-        _check_metric_hessian_structure,
-    ),
-    PropertySpec(
-        "potential_curvature",
-        "Theorem 5.1",
-        "identity",
-        _check_potential_curvature,
-        tol=1e-6,
-    ),
-    PropertySpec(
-        "metric_positive_definite",
-        "induced metric (positive definiteness)",
-        "inequality",
-        _check_metric_positive_definite,
-    ),
-    PropertySpec(
-        "taylor_expansion",
-        "induced metric (quadratic expansion)",
-        "inequality",
-        _check_taylor_expansion,
-    ),
-]
-
 _REGISTRY: dict[str, PropertySpec] = {s.name: s for s in _SPECS}
 
 
 def list_properties() -> list[tuple[str, str, str]]:
     """All registered properties as (name, anchor, kind) in run order."""
     return [(s.name, s.anchor, s.kind) for s in _SPECS]
-
-
-def _effective_tol(spec: PropertySpec, config: SweepConfig) -> float:
-    if config.tol is not None:
-        return config.tol
-    if spec.tol is not None:
-        return spec.tol
-    return IDENTITY_TOL if spec.kind == "identity" else INEQUALITY_TOL
 
 
 def run_single(config: SweepConfig, name: str, trial: int) -> CheckResult:
@@ -976,8 +854,11 @@ def run_single(config: SweepConfig, name: str, trial: int) -> CheckResult:
         raise ConfigError(f"unknown property {name!r}")
     seed = _child_seed(config.seed, name, trial)
     rng = np.random.default_rng(seed)
-    out = spec.fn(rng, trial, config)
-    tol = _effective_tol(spec, config)
+    out = spec.fn(rng, trial)
+    # a config tolerance overrides the property's, which overrides its kind's
+    tol = config.tol or spec.tol or (
+        IDENTITY_TOL if spec.kind == "identity" else INEQUALITY_TOL
+    )
     if spec.kind == "identity":
         passed = abs(out.slack) <= tol
     else:
@@ -1015,15 +896,12 @@ def _aggregate(spec: PropertySpec, results: list[CheckResult]) -> PropertyReport
 
 def run_suite(config: SweepConfig) -> VerificationReport:
     """Run every selected property over `trials` seeded instances."""
-    if config.properties is None:
-        selected = [s.name for s in _SPECS]
-    else:
-        unknown = [n for n in config.properties if n not in _REGISTRY]
-        if unknown:
-            raise ConfigError(f"unknown properties: {', '.join(unknown)}")
-        selected = [s.name for s in _SPECS if s.name in set(config.properties)]
+    wanted = _REGISTRY.keys() if config.properties is None else set(config.properties)
+    unknown = [n for n in config.properties or () if n not in _REGISTRY]
+    if unknown:
+        raise ConfigError(f"unknown properties: {', '.join(unknown)}")
     reports = []
-    for name in selected:
-        results = [run_single(config, name, t) for t in range(config.trials)]
-        reports.append(_aggregate(_REGISTRY[name], results))
+    for spec in (s for s in _SPECS if s.name in wanted):
+        results = [run_single(config, spec.name, t) for t in range(config.trials)]
+        reports.append(_aggregate(spec, results))
     return VerificationReport(config=config, properties=tuple(reports))

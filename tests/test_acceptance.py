@@ -79,8 +79,7 @@ def test_criterion_1_identity_suite():
     # distribution identities run 1000 instances with support sizes 1-16
     t0 = time.time()
     report = run_suite(
-        SweepConfig(seed=20260809, trials=1000, size_range=(1, 16),
-                    properties=IDENTITY_PROPERTIES)
+        SweepConfig(seed=20260809, trials=1000, properties=IDENTITY_PROPERTIES)
     )
     elapsed = time.time() - t0
     worst = max(abs(p.worst_slack) for p in report.properties)
@@ -98,8 +97,7 @@ def test_criterion_1_identity_suite():
 def test_criterion_2_inequality_suite():
     t0 = time.time()
     report = run_suite(
-        SweepConfig(seed=20260809, trials=10_000, size_range=(1, 16),
-                    properties=INEQUALITY_PROPERTIES)
+        SweepConfig(seed=20260809, trials=10_000, properties=INEQUALITY_PROPERTIES)
     )
     elapsed = time.time() - t0
     violations = sum(p.fails for p in report.properties)

@@ -295,6 +295,16 @@ class TestLogSum:
             log_sum_gap([1.0], [1.0, 2.0], PARAMS)
         with pytest.raises(DomainError):
             log_sum_gap([1.0, 0.0], [1.0, 1.0], PARAMS)
+        with pytest.raises(DomainError):
+            log_sum_gap([], [], PARAMS)
+
+    def test_two_axis_weights_match_their_ravel(self):
+        a = [[1.0, 2.0], [0.5, 3.0]]
+        b = [[2.0, 1.0], [1.5, 0.25]]
+        flat = log_sum_gap(np.ravel(a), np.ravel(b), PARAMS)
+        assert log_sum_gap(a, b, PARAMS) == flat
+        row = log_sum_gap([[1, 2]], [[1, 2]], PARAMS)
+        assert row == log_sum_gap([1, 2], [1, 2], PARAMS)
 
 
 class TestReferenceDivergences:

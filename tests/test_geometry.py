@@ -16,6 +16,7 @@ from entrokit import (
     fisher_metric,
     hessian_potential,
     make_distribution,
+    make_joint2,
     metric_coefficient,
     quadratic_form,
 )
@@ -100,6 +101,12 @@ class TestFdHessian:
             fd_hessian(p, PARAMS, step=0.01)
         with pytest.raises(DomainError):
             fd_hessian(make_distribution([0.5, 0.5]), PARAMS, step=0.0)
+        with pytest.raises(DomainError):
+            fd_hessian(make_distribution([0.5, 0.5]), PARAMS, step=float("nan"))
+
+    def test_vector_required(self):
+        with pytest.raises(DimensionError):
+            fd_hessian(make_joint2([[0.25, 0.25], [0.25, 0.25]]), PARAMS)
 
 
 class TestQuadraticForm:
@@ -137,6 +144,9 @@ class TestQuadraticForm:
             quadratic_form(p, [0.0, 0.0, 0.0], PARAMS)
         with pytest.raises(DomainError):
             quadratic_form(p, [0.6, -0.6], PARAMS)  # leaves the simplex
+        for dp in ([np.nan, np.nan], [np.nan, 0.0], [np.inf, -np.inf]):
+            with pytest.raises(DomainError):
+                quadratic_form(p, dp, PARAMS)
 
 
 class TestHessianPotential:
@@ -185,3 +195,5 @@ class TestHessianPotential:
     def test_domain(self):
         with pytest.raises(DomainError):
             hessian_potential(0.0, PotentialCoefficients(A=1.0))
+        with pytest.raises(DomainError):
+            hessian_potential(float("nan"), PotentialCoefficients(A=1.0))

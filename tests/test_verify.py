@@ -3,6 +3,7 @@ determinism, order independence, and failure reporting."""
 
 import json
 
+import numpy as np
 import pytest
 
 from entrokit import (
@@ -134,15 +135,19 @@ class TestEngine:
         with pytest.raises(ConfigError):
             SweepConfig(trials=0)
         with pytest.raises(ConfigError):
-            SweepConfig(k_range=(0.0, 0.4))
-        with pytest.raises(ConfigError):
-            SweepConfig(k_range=(0.1, 0.7))
-        with pytest.raises(ConfigError):
-            SweepConfig(r_range=(-1.0, 1.0))
-        with pytest.raises(ConfigError):
-            SweepConfig(size_range=(0, 4))
-        with pytest.raises(ConfigError):
             SweepConfig(tol=0.0)
+        # seeds and trial counts must be integers, not values that int() accepts
+        for seed in (1.7, -0.5, "3", 2.0, -1, 2**64):
+            with pytest.raises(ConfigError):
+                SweepConfig(seed=seed)
+        for trials in (2.5, "10", None):
+            with pytest.raises(ConfigError):
+                SweepConfig(trials=trials)
+
+    def test_numpy_integers_become_ints(self):
+        cfg = SweepConfig(np.uint64(3), np.int64(1), properties=("chain_rule",))
+        assert type(cfg.seed) is int and type(cfg.trials) is int
+        assert json.loads(run_suite(cfg).to_json())["config"]["seed"] == 3
 
     def test_forced_failures_are_recorded(self):
         # an impossibly tight tolerance turns benign rounding into failures
