@@ -82,10 +82,6 @@ def _load_joint(source: str, fmt: str | None, normalize: bool) -> Distribution:
     return eio.joint2_from_csv(text, normalize=normalize)
 
 
-def _params(k: float, r: float, relaxed: bool) -> DeformParams:
-    return DeformParams(k, r, relaxed=relaxed)
-
-
 def _to_csv(payload: dict) -> str:
     lines = [f"# {k}={v}" for k, v in payload.items() if isinstance(v, str)]
     numeric = [k for k, v in payload.items() if isinstance(v, (int, float))]
@@ -133,7 +129,7 @@ def cli():
 @click.option("--input", "source", required=True, help="Distribution (inline JSON or path).")
 def entropy_cmd(k, r, relaxed, normalize, fmt, output, source):
     """Entropy of a distribution."""
-    params = _params(k, r, relaxed)
+    params = DeformParams(k, r, relaxed)
     p = _load_distribution(source, fmt, normalize)
     _emit({"value": entropy(p, params).value}, fmt or "json", output)
 
@@ -143,7 +139,7 @@ def entropy_cmd(k, r, relaxed, normalize, fmt, output, source):
 @click.option("--input", "source", required=True, help="Joint matrix or tensor.")
 def joint_cmd(k, r, relaxed, normalize, fmt, output, source):
     """Entropy of a joint distribution (2 or 3 variables)."""
-    params = _params(k, r, relaxed)
+    params = DeformParams(k, r, relaxed)
     j = _load_joint(source, fmt, normalize)
     _emit({"value": entropy(j, params).value}, fmt or "json", output)
 
@@ -157,7 +153,7 @@ def joint_cmd(k, r, relaxed, normalize, fmt, output, source):
               default=None, help="Required for 3-variable joints.")
 def conditional_cmd(k, r, relaxed, normalize, fmt, output, source, direction, mode):
     """Conditional entropy of a joint distribution."""
-    params = _params(k, r, relaxed)
+    params = DeformParams(k, r, relaxed)
     j = _load_joint(source, fmt, normalize)
     if j.ndim == 3 and mode is None:
         raise click.UsageError("--mode is required for a 3-variable joint")
@@ -172,7 +168,7 @@ def conditional_cmd(k, r, relaxed, normalize, fmt, output, source, direction, mo
               show_default=True, help="Entropy combination or divergence from the marginal product.")
 def mutual_cmd(k, r, relaxed, normalize, fmt, output, source, via):
     """Mutual entropy S(X) + S(Y) - S(X,Y), or the divergence form."""
-    params = _params(k, r, relaxed)
+    params = DeformParams(k, r, relaxed)
     j = _load_joint(source, fmt, normalize)
     if via == "divergence":
         value = mutual_divergence(j, params).value
@@ -187,7 +183,7 @@ def mutual_cmd(k, r, relaxed, normalize, fmt, output, source, via):
 @click.option("--q", "q_source", required=True, help="Second distribution Q.")
 def divergence_cmd(k, r, relaxed, normalize, fmt, output, p_source, q_source):
     """Relative entropy D(P || Q)."""
-    params = _params(k, r, relaxed)
+    params = DeformParams(k, r, relaxed)
     p = _load_distribution(p_source, fmt, normalize)
     q = _load_distribution(q_source, fmt, normalize)
     result = divergence(p, q, params)
@@ -206,7 +202,7 @@ def divergence_cmd(k, r, relaxed, normalize, fmt, output, p_source, q_source):
               show_default=True, help="Metric coefficient convention.")
 def metric_cmd(k, r, relaxed, normalize, fmt, output, source, convention):
     """Diagonal of the divergence-induced metric at a base point."""
-    params = _params(k, r, relaxed)
+    params = DeformParams(k, r, relaxed)
     p = _load_distribution(source, fmt, normalize)
     m = fisher_metric(p, params, convention)
     _emit({"g": m.g.tolist(), "convention": convention}, fmt or "json", output)
@@ -223,7 +219,7 @@ def reduce_cmd(k, r, relaxed, normalize, fmt, output, source, q_source, target):
     tsallis maps q = 1 + 2k for entropies and q = 1 - 2k for divergences
     and requires k = r; shannon/kl compare the small-deformation limit.
     """
-    params = _params(k, r, relaxed)
+    params = DeformParams(k, r, relaxed)
     p = _load_distribution(source, fmt, normalize)
     q = _load_distribution(q_source, fmt, normalize) if q_source else None
 
@@ -293,19 +289,13 @@ def main(argv=None) -> int:
     """Parse and dispatch; returns the process exit code instead of raising."""
     try:
         rv = cli.main(args=argv, standalone_mode=False)
-    except click.UsageError as e:
-        e.show()
-        return 1
-    except click.ClickException as e:
+    except click.ClickException as e:  # includes click.UsageError
         e.show()
         return 1
     except click.exceptions.Abort:
         click.echo("aborted", err=True)
         return 1
-    except EntrokitError as e:
-        click.echo(f"error: {e}", err=True)
-        return 2
-    except OSError as e:
+    except (EntrokitError, OSError) as e:
         click.echo(f"error: {e}", err=True)
         return 2
     return rv if isinstance(rv, int) else 0

@@ -37,6 +37,9 @@ __all__ = [
 # gives entropy 1.0 on a distribution whose Shannon entropy is 1.0397).
 K_MIN = 2.0**-970
 
+# np.isfinite accepts these, so the domain checks would compare complex k or r
+_COMPLEX = (complex, np.complexfloating)
+
 
 @dataclass(frozen=True)
 class DeformParams:
@@ -55,6 +58,8 @@ class DeformParams:
     def __post_init__(self):
         k, r = self.k, self.r
         try:
+            if isinstance(k, _COMPLEX) or isinstance(r, _COMPLEX):
+                raise TypeError
             finite = np.isfinite(k) and np.isfinite(r)
         except TypeError:
             raise ParamError(f"k and r must be real numbers, got k={k!r}, r={r!r}") from None

@@ -211,6 +211,17 @@ def _rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+def _sizes(dims) -> tuple[int, ...]:
+    """Support sizes as ints >= 1, else ParamError."""
+    try:
+        dims = tuple(map(operator.index, dims))
+    except TypeError:
+        raise ParamError(f"support sizes must be integers, got {dims!r}") from None
+    if min(dims, default=0) < 1:
+        raise ParamError(f"support sizes must be >= 1, got {dims!r}")
+    return dims
+
+
 def _simplex_point(rng: np.random.Generator, shape) -> np.ndarray:
     # normalized i.i.d. exponentials = flat Dirichlet = uniform on the simplex
     e = rng.exponential(size=shape)
@@ -220,16 +231,13 @@ def _simplex_point(rng: np.random.Generator, shape) -> np.ndarray:
 def sample_distribution(shape, seed) -> Distribution:
     """Uniform random point on the simplex of the given shape (an int for a
     vector, a tuple for a joint), deterministic for a fixed seed."""
-    dims = tuple(shape) if np.iterable(shape) else (shape,)
-    if min(dims, default=0) < 1:
-        raise ParamError("support sizes must be >= 1")
+    dims = _sizes(shape if np.iterable(shape) else (shape,))
     return Distribution(_simplex_point(_rng(seed), dims))
 
 
 def sample_channel(m: int, n: int, seed) -> Channel:
     """Random column-stochastic matrix, one simplex point per column."""
-    if m < 1 or n < 1:
-        raise ParamError("channel sizes must be >= 1")
+    m, n = _sizes((m, n))
     rng = _rng(seed)
     cols = np.column_stack([_simplex_point(rng, m) for _ in range(n)])
     return Channel(cols)

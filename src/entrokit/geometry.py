@@ -142,7 +142,7 @@ def quadratic_form(p: Distribution, dp, params: DeformParams) -> float:
 
 def hessian_potential(u: float, coeffs: PotentialCoefficients) -> float:
     """Potential c2 + u (c1 - A) + A u log u; its second derivative is A / u."""
-    if not u > 0:  # also catches nan
-        raise DomainError(f"potential requires u > 0, got {u}")
+    if not 0 < u < np.inf:  # also catches nan
+        raise DomainError(f"potential requires finite u > 0, got {u}")
     a, c1, c2 = coeffs.A, coeffs.c1, coeffs.c2
     return c2 + u * (c1 - a) + a * u * np.log(u)

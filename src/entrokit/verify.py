@@ -6,22 +6,28 @@ A sweep runs each selected property over randomized instances, where the
 instance of trial t is derived from hash(master seed, property name, t),
 so a counterexample is addressable and re-creatable by (property, trial)
 alone and the aggregated report is independent of execution order. Each
-property is one check `fn(rng, trial) -> Outcome` registered, in run
-order, by the `@_property(name, anchor, kind, tol=None)` decorator.
+property is one check `fn(rng, trial) -> (lhs, rhs, digest)` registered, in
+run order, by the `@_property(name, anchor, kind, tol=None)` decorator; the
+linear entropy laws of Section 3 are one-line `_entropy_law` entries.
 
-Identities record slack = (lhs - rhs) / max(1, |lhs|, |rhs|) and pass when
-|slack| <= tol (default 1e-12). Inequalities record slack = lhs - rhs and
-pass when slack >= -tol (additive, default 1e-9; true slacks approach 0 at
-equality cases, which are injected deterministically as trial 0 where
-meaningful). A few oracle-based properties carry their own tolerance.
+The kind supplies the slack rule and picks the worst element of array
+sides. Identities record slack = (lhs - rhs) / max(1, |lhs|, |rhs|) and
+pass when |slack| <= tol (default 1e-12). Inequalities record slack =
+lhs - rhs and pass when slack >= -tol (additive, default 1e-9; true slacks
+approach 0 at equality cases, which are injected deterministically as
+trial 0 where meaningful). A few oracle-based checks return an `Outcome`
+with a slack of their own, and may carry their own tolerance.
 """
 
 from __future__ import annotations
 
 import hashlib
+import functools
 import json
 import operator
+import re
 from dataclasses import asdict, dataclass
+from numbers import Real
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -43,6 +49,7 @@ from .divergence import (
     log_sum_gap,
 )
 from .entropy import (
+    AXIS_LETTERS,
     conditional_entropy,
     entropy,
     entropy_literal,
@@ -51,6 +58,7 @@ from .entropy import (
 )
 from .errors import ConfigError
 from .geometry import (
+    CONVENTIONS,
     PotentialCoefficients,
     fd_hessian,
     fisher_metric,
@@ -93,21 +101,29 @@ class SweepConfig:
     properties: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        for field in ("seed", "trials"):
-            try:
-                object.__setattr__(self, field, operator.index(getattr(self, field)))
-            except TypeError:
-                raise ConfigError(
-                    f"{field} must be an integer, got {getattr(self, field)!r}"
-                ) from None
+        object.__setattr__(self, "seed", _integer("seed", self.seed))
+        object.__setattr__(self, "trials", _integer("trials", self.trials))
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
         if not (0 <= self.seed < 2**64):
             raise ConfigError("seed must be a 64-bit unsigned integer")
-        if self.tol is not None and not self.tol > 0:
-            raise ConfigError(f"tol must be > 0, got {self.tol}")
+        if self.tol is not None and not (isinstance(self.tol, Real) and self.tol > 0):
+            raise ConfigError(f"tol must be a real number > 0, got {self.tol!r}")
         if self.properties is not None:
-            object.__setattr__(self, "properties", tuple(self.properties))
+            names = self.properties
+            if isinstance(names, str) or not np.iterable(names):
+                raise ConfigError(f"properties must be an iterable of names: {names!r}")
+            names = tuple(names)
+            if not all(isinstance(n, str) for n in names):
+                raise ConfigError(f"property names must be strings: {names!r}")
+            object.__setattr__(self, "properties", names)
+
+
+def _integer(field: str, value) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ConfigError(f"{field} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -177,13 +193,29 @@ class Outcome(NamedTuple):
     digest: str
 
 
+class _Kind(NamedTuple):
+    tol: float  # default tolerance
+    slack: Callable  # elementwise (lhs, rhs) -> slack
+    shortfall: Callable  # slack -> how far it falls short; fails above tol
+
+
+_KINDS = {
+    "identity": _Kind(
+        IDENTITY_TOL,
+        lambda lv, rv: (lv - rv) / np.maximum(1.0, np.maximum(abs(lv), abs(rv))),
+        abs,
+    ),
+    "inequality": _Kind(INEQUALITY_TOL, operator.sub, operator.neg),
+}
+
+
 @dataclass(frozen=True)
 class PropertySpec:
     name: str
     anchor: str
     kind: str  # "identity" | "inequality"
-    fn: Callable[[np.random.Generator, int], Outcome]
-    tol: float | None = None  # per-property override of the kind default
+    fn: Callable[[np.random.Generator, int], tuple]  # -> (lhs, rhs, digest) | Outcome
+    tol: float  # the property's own tolerance, else its kind's
 
 
 # Filled in definition order by @_property; that order is the run order.
@@ -191,13 +223,25 @@ _SPECS: list[PropertySpec] = []
 
 
 def _property(name: str, anchor: str, kind: str, tol: float | None = None):
-    """Register the decorated check `fn(rng, trial) -> Outcome` as a property."""
+    """Register the decorated check `fn(rng, trial)` as a property."""
 
     def register(fn):
-        _SPECS.append(PropertySpec(name, anchor, kind, fn, tol))
+        _SPECS.append(PropertySpec(name, anchor, kind, fn, tol or _KINDS[kind].tol))
         return fn
 
     return register
+
+
+def _outcome(kind: str, lhs, rhs, digest: str) -> Outcome:
+    """The worst element of `lhs` against `rhs` under the kind's slack rule."""
+    rule = _KINDS[kind]
+    lv, rv = np.broadcast_arrays(
+        np.atleast_1d(np.asarray(lhs, dtype=float)),
+        np.atleast_1d(np.asarray(rhs, dtype=float)),
+    )
+    s = rule.slack(lv, rv)
+    i = int(np.argmax(rule.shortfall(s)))
+    return Outcome(float(lv[i]), float(rv[i]), float(s[i]), digest)
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +267,10 @@ def _draw_scalars(rng, count: int, lo: float = 0.05, hi: float = 20.0) -> np.nda
     return np.exp(rng.uniform(np.log(lo), np.log(hi), size=count))
 
 
+def _draw_dist(rng) -> Distribution:
+    return sample_distribution(_draw_size(rng), rng)
+
+
 def _draw_interior_dist(rng, n: int) -> Distribution:
     # keep every coordinate >= 1/(2n) so finite differences stay in (0, 1)
     base = sample_distribution(n, rng)
@@ -230,34 +278,11 @@ def _draw_interior_dist(rng, n: int) -> Distribution:
 
 
 def _draw_joint2(rng, cap: int = SIZE_RANGE[1]) -> Distribution:
-    nx = _draw_size(rng, cap)
-    ny = _draw_size(rng, cap)
-    return sample_distribution((nx, ny), rng)
+    return sample_distribution((_draw_size(rng, cap), _draw_size(rng, cap)), rng)
 
 
 def _draw_joint3(rng, cap: int = 8) -> Distribution:
     return sample_distribution(tuple(_draw_size(rng, cap) for _ in range(3)), rng)
-
-
-def _identity_outcome(lhs, rhs, digest: str) -> Outcome:
-    lv, rv = np.broadcast_arrays(
-        np.atleast_1d(np.asarray(lhs, dtype=float)),
-        np.atleast_1d(np.asarray(rhs, dtype=float)),
-    )
-    scale = np.maximum(1.0, np.maximum(np.abs(lv), np.abs(rv)))
-    s = (lv - rv) / scale
-    i = int(np.argmax(np.abs(s)))
-    return Outcome(float(lv[i]), float(rv[i]), float(s[i]), digest)
-
-
-def _inequality_outcome(lhs, rhs, digest: str) -> Outcome:
-    lv, rv = np.broadcast_arrays(
-        np.atleast_1d(np.asarray(lhs, dtype=float)),
-        np.atleast_1d(np.asarray(rhs, dtype=float)),
-    )
-    s = lv - rv
-    i = int(np.argmin(s))
-    return Outcome(float(lv[i]), float(rv[i]), float(s[i]), digest)
 
 
 def _pdig(params: DeformParams) -> str:
@@ -273,60 +298,58 @@ def _weighted(x, params):
 
 
 @_property("product_rule_1", "Lemma 2.4", "identity")
-def _check_product_rule_1(rng, trial) -> Outcome:
+def _check_product_rule_1(rng, trial):
     params = _draw_params(rng)
     x = _draw_scalars(rng, SCALAR_BATCH)
     y = _draw_scalars(rng, SCALAR_BATCH)
     lhs = _weighted(x * y, params)
     wx, wy = _weighted(x, params), _weighted(y, params)
     rhs = wx + wy + 2.0 * params.k * wx * wy
-    return _identity_outcome(lhs, rhs, f"batch={SCALAR_BATCH};{_pdig(params)}")
+    return lhs, rhs, f"batch={SCALAR_BATCH};{_pdig(params)}"
 
 
 @_property("product_rule_2", "Lemma 2.5", "identity")
-def _check_product_rule_2(rng, trial) -> Outcome:
+def _check_product_rule_2(rng, trial):
     params = _draw_params(rng)
     k, r = params.k, params.r
     x = _draw_scalars(rng, SCALAR_BATCH)
     y = _draw_scalars(rng, SCALAR_BATCH)
     lhs = ln_kr(x * y, params)
-    rhs = np.power(x, -(r - k)) * ln_kr(y, params) + np.power(y, -(r + k)) * ln_kr(
-        x, params
-    )
-    return _identity_outcome(lhs, rhs, f"batch={SCALAR_BATCH};{_pdig(params)}")
+    rhs = (np.power(x, -(r - k)) * ln_kr(y, params)
+           + np.power(y, -(r + k)) * ln_kr(x, params))
+    return lhs, rhs, f"batch={SCALAR_BATCH};{_pdig(params)}"
 
 
 @_property("inversion", "Corollary 2.6", "identity")
-def _check_inversion(rng, trial) -> Outcome:
+def _check_inversion(rng, trial):
     params = _draw_params(rng)
     x = _draw_scalars(rng, SCALAR_BATCH)
     lhs = ln_kr(1.0 / x, params)
     rhs = -np.power(x, 2.0 * params.r) * ln_kr(x, params)
-    return _identity_outcome(lhs, rhs, f"batch={SCALAR_BATCH};{_pdig(params)}")
+    return lhs, rhs, f"batch={SCALAR_BATCH};{_pdig(params)}"
 
 
 @_property("quotient", "Corollary (quotient rule)", "identity")
-def _check_quotient(rng, trial) -> Outcome:
+def _check_quotient(rng, trial):
     params = _draw_params(rng)
     k, r = params.k, params.r
     x = _draw_scalars(rng, SCALAR_BATCH)
     y = _draw_scalars(rng, SCALAR_BATCH)
     lhs = ln_kr(x / y, params)
-    rhs = -np.power(y, 2.0 * r) / np.power(x, r - k) * ln_kr(y, params) + np.power(
-        y, r + k
-    ) * ln_kr(x, params)
-    return _identity_outcome(lhs, rhs, f"batch={SCALAR_BATCH};{_pdig(params)}")
+    rhs = (-np.power(y, 2.0 * r) / np.power(x, r - k) * ln_kr(y, params)
+           + np.power(y, r + k) * ln_kr(x, params))
+    return lhs, rhs, f"batch={SCALAR_BATCH};{_pdig(params)}"
 
 
 @_property("power_rule", "Lemma (power rule)", "identity")
-def _check_power_rule(rng, trial) -> Outcome:
+def _check_power_rule(rng, trial):
     params = _draw_params(rng)
     a = float(rng.uniform(0.1, min(0.5 / params.k, 4.0)))
     scaled = DeformParams(a * params.k, a * params.r)
     x = _draw_scalars(rng, SCALAR_BATCH, lo=0.2, hi=5.0)
     lhs = ln_kr(np.power(x, a), params)
     rhs = a * ln_kr(x, scaled)
-    return _identity_outcome(lhs, rhs, f"a={a!r};batch={SCALAR_BATCH};{_pdig(params)}")
+    return lhs, rhs, f"a={a!r};batch={SCALAR_BATCH};{_pdig(params)}"
 
 
 def _second_differences(f: np.ndarray) -> np.ndarray:
@@ -334,36 +357,32 @@ def _second_differences(f: np.ndarray) -> np.ndarray:
 
 
 @_property("convexity_weighted_neg", "Lemma 2.7", "inequality")
-def _check_convexity_weighted_neg(rng, trial) -> Outcome:
+def _check_convexity_weighted_neg(rng, trial):
     params = _draw_params(rng)
     grid = np.linspace(1e-3, 1.0, 201)
     f = -_weighted(grid, params)
-    sec = _second_differences(f)
-    return _inequality_outcome(sec, 0.0, f"grid=201;{_pdig(params)}")
+    return _second_differences(f), 0.0, f"grid=201;{_pdig(params)}"
 
 
 @_property("convexity_logsum_weight", "Lemma 2.8", "inequality")
-def _check_convexity_logsum_weight(rng, trial) -> Outcome:
+def _check_convexity_logsum_weight(rng, trial):
     params = _draw_params(rng)
     hi = float(rng.uniform(1.5, 4.0))
     grid = np.linspace(1e-3, hi, 201)
     f = np.power(grid, params.r - params.k + 1.0) * ln_kr(grid, params)
-    sec = _second_differences(f)
-    return _inequality_outcome(sec, 0.0, f"grid=201;hi={hi!r};{_pdig(params)}")
+    return _second_differences(f), 0.0, f"grid=201;hi={hi!r};{_pdig(params)}"
 
 
 @_property("legacy_shape", "Theorem 2.1", "inequality")
-def _check_legacy_shape(rng, trial) -> Outcome:
+def _check_legacy_shape(rng, trial):
     k = float(rng.uniform(0.1, 1.0))
     r = float(rng.uniform(-0.9, -0.05))
     params = DeformParams(k, r, relaxed=True)
     grid = np.linspace(1e-3, 1.0, 200)
     g = -legacy_Ln(grid, params, warn_outside_region=False)
-    positivity = g
-    decrease = g[:-1] - g[1:]
-    convexity = _second_differences(g)
-    worst = np.concatenate([positivity, decrease, convexity])
-    return _inequality_outcome(worst, 0.0, f"grid=200;{_pdig(params)}")
+    # -Ln is positive, decreasing and convex
+    shape = np.concatenate([g, g[:-1] - g[1:], _second_differences(g)])
+    return shape, 0.0, f"grid=200;{_pdig(params)}"
 
 
 def _legacy_region_r(rng, k: float) -> float:
@@ -372,173 +391,132 @@ def _legacy_region_r(rng, k: float) -> float:
 
 
 @_property("legacy_product_rule", "Eq. (10)", "identity")
-def _check_legacy_product_rule(rng, trial) -> Outcome:
+def _check_legacy_product_rule(rng, trial):
     k = float(rng.uniform(0.05, 0.95))
     params = DeformParams(k, _legacy_region_r(rng, k), relaxed=True)
     x = _draw_scalars(rng, SCALAR_BATCH, lo=0.05, hi=5.0)
     y = _draw_scalars(rng, SCALAR_BATCH, lo=0.05, hi=5.0)
     lhs = legacy_Ln(x * y, params)
-    rhs = legacy_u(x, params) * legacy_Ln(y, params) + legacy_Ln(
-        x, params
-    ) * legacy_u(y, params)
-    return _identity_outcome(lhs, rhs, f"batch={SCALAR_BATCH};{_pdig(params)}")
+    rhs = (legacy_u(x, params) * legacy_Ln(y, params)
+           + legacy_Ln(x, params) * legacy_u(y, params))
+    return lhs, rhs, f"batch={SCALAR_BATCH};{_pdig(params)}"
 
 
 @_property("log_sum_inequality", "Theorem 2.9", "inequality")
-def _check_log_sum(rng, trial) -> Outcome:
+def _check_log_sum(rng, trial):
     params = _draw_params(rng)
     n = _draw_size(rng)
     a = _draw_scalars(rng, n)
     b = a.copy() if trial == 0 else _draw_scalars(rng, n)
     lhs, rhs = log_sum_gap(a, b, params)
-    return _inequality_outcome(lhs, rhs, f"n={n};equal={trial == 0};{_pdig(params)}")
+    return lhs, rhs, f"n={n};equal={trial == 0};{_pdig(params)}"
 
 
 # ---------------------------------------------------------------------------
 # entropy properties
 
 
-@_property("chain_rule", "Theorem 3.6", "identity")
-def _check_chain_rule(rng, trial) -> Outcome:
-    params = _draw_params(rng)
-    j = _draw_joint2(rng)
-    lhs = entropy(j, params).value
-    rhs = (
-        entropy(j.marginal(0), params).value
-        + conditional_entropy(j, params, "Y_given_X").value
+def _law_side(side: str):
+    """A sum of terms over the axis letters XYZ as a function of (joint,
+    params): "A" is S(A), the joint's own entropy when A names every axis,
+    and "A|B" is S(A|B). The terms are added left to right."""
+
+    def term(text: str):
+        of, _, given = text.partition("|")
+        if given:
+            spec = f"{of}_given_{given}"
+            return lambda j, params: conditional_entropy(j, params, spec).value
+        axes = tuple(AXIS_LETTERS.index(a) for a in of)
+        return lambda j, params: entropy(
+            j if len(axes) == j.ndim else j.marginal(*axes), params
+        ).value
+
+    terms = [term(t) for t in side.split(" + ")]
+    return lambda j, params: functools.reduce(
+        operator.add, [t(j, params) for t in terms]
     )
-    return _identity_outcome(lhs, rhs, f"shape={j.shape};{_pdig(params)}")
 
 
-def _product_or_random_joint(rng, trial, degenerate_axis: int):
-    # trial 0: the given axis has a single outcome, an equality case
-    if trial > 0:
-        return _draw_joint2(rng)
-    point, other = Distribution(np.ones(1)), sample_distribution(_draw_size(rng), rng)
-    return product(point, other) if degenerate_axis == 0 else product(other, point)
+def _entropy_law(name: str, anchor: str, draw, law: str, trial0=None) -> None:
+    """Register `law`, "lhs = rhs" (an identity) or "lhs >= rhs" (an
+    inequality) between sides read by `_law_side`, over the joint `draw(rng)`,
+    or at trial 0 the equality case `trial0(rng)` when one is given."""
+    lhs, relation, rhs = re.split(" (>?=) ", law)
+    left, right = _law_side(lhs), _law_side(rhs)
+
+    @_property(name, anchor, "inequality" if relation == ">=" else "identity")
+    def check(rng, trial):
+        params = _draw_params(rng)
+        j = (trial0 if trial == 0 and trial0 else draw)(rng)
+        return left(j, params), right(j, params), f"shape={j.shape};{_pdig(params)}"
 
 
-@_property("conditional_reduces_entropy", "Lemma 3.5", "inequality")
-def _check_conditional_reduces(rng, trial) -> Outcome:
-    params = _draw_params(rng)
-    j = _product_or_random_joint(rng, trial, degenerate_axis=0)
-    lhs = entropy(j.marginal(1), params).value
-    rhs = conditional_entropy(j, params, "Y_given_X").value
-    return _inequality_outcome(lhs, rhs, f"shape={j.shape};{_pdig(params)}")
+# Equality cases, drawn at trial 0 in place of a random joint.
+def _x_point(rng) -> Distribution:
+    return product(Distribution(np.ones(1)), _draw_dist(rng))
 
 
-@_property("joint_monotonicity", "Theorem 3.6 (consequence)", "inequality")
-def _check_joint_monotonicity(rng, trial) -> Outcome:
-    params = _draw_params(rng)
-    j = _product_or_random_joint(rng, trial, degenerate_axis=1)
-    lhs = entropy(j, params).value
-    rhs = entropy(j.marginal(0), params).value
-    return _inequality_outcome(lhs, rhs, f"shape={j.shape};{_pdig(params)}")
+def _y_point(rng) -> Distribution:
+    return product(_draw_dist(rng), Distribution(np.ones(1)))
+
+
+def _independent(rng) -> Distribution:
+    return product(_draw_dist(rng), _draw_dist(rng))
+
+
+def _x_point3(rng) -> Distribution:
+    return Distribution(_draw_joint2(rng, cap=8).p[np.newaxis])
+
+
+_entropy_law("chain_rule", "Theorem 3.6", _draw_joint2, "XY = X + Y|X")
+_entropy_law(
+    "conditional_reduces_entropy", "Lemma 3.5", _draw_joint2, "Y >= Y|X", _x_point
+)
+_entropy_law(
+    "joint_monotonicity", "Theorem 3.6 (consequence)", _draw_joint2, "XY >= X", _y_point
+)
 
 
 @_property("independence_rule", "Lemma 3.4", "identity")
-def _check_independence_rule(rng, trial) -> Outcome:
+def _check_independence_rule(rng, trial):
     params = _draw_params(rng)
-    p = sample_distribution(_draw_size(rng), rng)
-    q = sample_distribution(_draw_size(rng), rng)
+    p, q = _draw_dist(rng), _draw_dist(rng)
     j = product(p, q)
     lhs = conditional_entropy(j, params, "Y_given_X").value
     sx, sy = entropy(p, params).value, entropy(q, params).value
     rhs = sy - 2.0 * params.k * sx * sy
-    return _identity_outcome(lhs, rhs, f"shape={j.shape};{_pdig(params)}")
+    return lhs, rhs, f"shape={j.shape};{_pdig(params)}"
 
 
 @_property("entropy_pseudo_additivity", "Eq. (29)", "identity")
-def _check_entropy_pseudo_additivity(rng, trial) -> Outcome:
+def _check_entropy_pseudo_additivity(rng, trial):
     params = _draw_params(rng)
-    p = sample_distribution(_draw_size(rng), rng)
-    q = sample_distribution(_draw_size(rng), rng)
+    p, q = _draw_dist(rng), _draw_dist(rng)
     j = product(p, q)
     lhs = entropy(j, params).value
     sx, sy = entropy(p, params).value, entropy(q, params).value
     rhs = sx + sy - 2.0 * params.k * sx * sy
-    return _identity_outcome(lhs, rhs, f"shape={j.shape};{_pdig(params)}")
+    return lhs, rhs, f"shape={j.shape};{_pdig(params)}"
 
 
-@_property("subadditivity", "Theorem 3.9", "inequality")
-def _check_subadditivity(rng, trial) -> Outcome:
-    params = _draw_params(rng)
-    if trial == 0:
-        p = sample_distribution(_draw_size(rng), rng)
-        j = product(p, sample_distribution(_draw_size(rng), rng))
-    else:
-        j = _draw_joint2(rng)
-    lhs = (
-        entropy(j.marginal(0), params).value + entropy(j.marginal(1), params).value
-    )
-    rhs = entropy(j, params).value
-    return _inequality_outcome(lhs, rhs, f"shape={j.shape};{_pdig(params)}")
-
-
-def _draw_joint3_maybe_degenerate_x(rng, trial) -> Distribution:
-    if trial == 0:
-        j2 = _draw_joint2(rng, cap=8)
-        return Distribution(j2.p[np.newaxis])
-    return _draw_joint3(rng)
-
-
-@_property("conditional_comparison", "Lemma 3.10", "inequality")
-def _check_conditional_comparison(rng, trial) -> Outcome:
-    params = _draw_params(rng)
-    j = _draw_joint3_maybe_degenerate_x(rng, trial)
-    lhs = conditional_entropy(j, params, "Y_given_Z").value
-    rhs = conditional_entropy(j, params, "Y_given_XZ").value
-    return _inequality_outcome(lhs, rhs, f"shape={j.shape};{_pdig(params)}")
-
-
-@_property("strong_subadditivity", "Theorem 3.11", "inequality")
-def _check_strong_subadditivity(rng, trial) -> Outcome:
-    params = _draw_params(rng)
-    j = _draw_joint3_maybe_degenerate_x(rng, trial)
-    sxz = entropy(j.marginal(0, 2), params).value
-    syz = entropy(j.marginal(1, 2), params).value
-    sxyz = entropy(j, params).value
-    sz = entropy(j.marginal(2), params).value
-    return _inequality_outcome(sxz + syz, sxyz + sz, f"shape={j.shape};{_pdig(params)}")
-
-
-@_property("corollary_3_7", "Corollary 3.7", "identity")
-def _check_corollary_3_7(rng, trial) -> Outcome:
-    params = _draw_params(rng)
-    j = _draw_joint3(rng)
-    lhs = entropy(j, params).value
-    rhs = (
-        conditional_entropy(j, params, "XY_given_Z").value
-        + entropy(j.marginal(2), params).value
-    )
-    return _identity_outcome(lhs, rhs, f"shape={j.shape};{_pdig(params)}")
-
-
-@_property("corollary_3_8", "Corollary 3.8", "identity")
-def _check_corollary_3_8(rng, trial) -> Outcome:
-    params = _draw_params(rng)
-    j = _draw_joint3(rng)
-    lhs = conditional_entropy(j, params, "XY_given_Z").value
-    rhs = (
-        conditional_entropy(j, params, "X_given_Z").value
-        + conditional_entropy(j, params, "Y_given_XZ").value
-    )
-    return _identity_outcome(lhs, rhs, f"shape={j.shape};{_pdig(params)}")
-
-
-@_property(
-    "conditional_joint_monotonicity", "Corollary 3.8 (consequence)", "inequality"
+_entropy_law("subadditivity", "Theorem 3.9", _draw_joint2, "X + Y >= XY", _independent)
+_entropy_law(
+    "conditional_comparison", "Lemma 3.10", _draw_joint3, "Y|Z >= Y|XZ", _x_point3
 )
-def _check_conditional_joint_monotonicity(rng, trial) -> Outcome:
-    params = _draw_params(rng)
-    j = _draw_joint3(rng)
-    lhs = conditional_entropy(j, params, "XY_given_Z").value
-    rhs = conditional_entropy(j, params, "X_given_Z").value
-    return _inequality_outcome(lhs, rhs, f"shape={j.shape};{_pdig(params)}")
+_entropy_law(
+    "strong_subadditivity", "Theorem 3.11",
+    _draw_joint3, "XZ + YZ >= XYZ + Z", _x_point3,
+)
+_entropy_law("corollary_3_7", "Corollary 3.7", _draw_joint3, "XYZ = XY|Z + Z")
+_entropy_law("corollary_3_8", "Corollary 3.8", _draw_joint3, "XY|Z = X|Z + Y|XZ")
+_entropy_law(
+    "conditional_joint_monotonicity", "Corollary 3.8 (consequence)",
+    _draw_joint3, "XY|Z >= X|Z",
+)
 
 
 @_property("mutual_entropy_consistency", "Theorem 3.6 (mutual form)", "identity")
-def _check_mutual_consistency(rng, trial) -> Outcome:
+def _check_mutual_consistency(rng, trial):
     params = _draw_params(rng)
     j = _draw_joint2(rng)
     lhs = mutual_entropy(j, params)
@@ -546,28 +524,28 @@ def _check_mutual_consistency(rng, trial) -> Outcome:
         entropy(j.marginal(1), params).value
         - conditional_entropy(j, params, "Y_given_X").value
     )
-    return _identity_outcome(lhs, rhs, f"shape={j.shape};{_pdig(params)}")
+    return lhs, rhs, f"shape={j.shape};{_pdig(params)}"
 
 
 @_property("entropy_r_independence", "observed r-cancellation", "identity")
-def _check_entropy_r_independence(rng, trial) -> Outcome:
+def _check_entropy_r_independence(rng, trial):
     k = float(rng.uniform(*K_RANGE))
     r1 = float(rng.uniform(*R_RANGE))
     r2 = float(rng.uniform(*R_RANGE))
-    p = sample_distribution(_draw_size(rng), rng)
+    p = _draw_dist(rng)
     lit1 = entropy_literal(p, DeformParams(k, r1))
     lit2 = entropy_literal(p, DeformParams(k, r2))
-    return _identity_outcome(lit1, lit2, f"n={p.n};k={k!r};r1={r1!r};r2={r2!r}")
+    return lit1, lit2, f"n={p.n};k={k!r};r1={r1!r};r2={r2!r}"
 
 
 @_property("shannon_limit", "Shannon limit", "inequality")
-def _check_shannon_limit(rng, trial) -> Outcome:
+def _check_shannon_limit(rng, trial):
     params = DeformParams(1e-4, 1e-4)
-    p = sample_distribution(_draw_size(rng), rng)
+    p = _draw_dist(rng)
     ref = shannon_entropy(p)
     err = abs(entropy(p, params).value - ref)
     budget = 1e-3 * (1.0 + ref)
-    return _inequality_outcome(budget, err, f"n={p.n};k=r=1e-4")
+    return budget, err, f"n={p.n};k=r=1e-4"
 
 
 # ---------------------------------------------------------------------------
@@ -580,17 +558,17 @@ def _draw_pair(rng) -> tuple[Distribution, Distribution]:
 
 
 @_property("divergence_nonnegativity", "Lemma 4.2", "inequality")
-def _check_divergence_nonneg(rng, trial) -> Outcome:
+def _check_divergence_nonneg(rng, trial):
     params = _draw_params(rng)
     p, q = _draw_pair(rng)
     if trial == 0:
         q = p
     val = divergence(p, q, params).value
-    return _inequality_outcome(val, 0.0, f"n={p.n};equal={trial == 0};{_pdig(params)}")
+    return val, 0.0, f"n={p.n};equal={trial == 0};{_pdig(params)}"
 
 
 @_property("identity_of_indiscernibles", "Lemma 4.2 (equality case)", "inequality")
-def _check_indiscernibles(rng, trial) -> Outcome:
+def _check_indiscernibles(rng, trial):
     # near-coincident pairs: if D <= 1e-12 the points must agree to 1e-4
     params = _draw_params(rng)
     n = max(2, _draw_size(rng))
@@ -610,7 +588,7 @@ def _check_indiscernibles(rng, trial) -> Outcome:
 
 
 @_property("permutation_symmetry", "Lemma 4.3", "identity")
-def _check_permutation_symmetry(rng, trial) -> Outcome:
+def _check_permutation_symmetry(rng, trial):
     params = _draw_params(rng)
     p, q = _draw_pair(rng)
     perm = rng.permutation(p.n)
@@ -618,11 +596,11 @@ def _check_permutation_symmetry(rng, trial) -> Outcome:
     rhs = divergence(
         Distribution(p.p[perm]), Distribution(q.p[perm]), params
     ).value
-    return _identity_outcome(lhs, rhs, f"n={p.n};{_pdig(params)}")
+    return lhs, rhs, f"n={p.n};{_pdig(params)}"
 
 
 @_property("zero_extension", "Lemma 4.4", "identity")
-def _check_zero_extension(rng, trial) -> Outcome:
+def _check_zero_extension(rng, trial):
     params = _draw_params(rng)
     p, q = _draw_pair(rng)
     pad = int(rng.integers(1, 4))
@@ -630,11 +608,11 @@ def _check_zero_extension(rng, trial) -> Outcome:
     qe = Distribution(np.concatenate([q.p, np.zeros(pad)]))
     lhs = divergence(pe, qe, params).value
     rhs = divergence(p, q, params).value
-    return _identity_outcome(lhs, rhs, f"n={p.n};pad={pad};{_pdig(params)}")
+    return lhs, rhs, f"n={p.n};pad={pad};{_pdig(params)}"
 
 
 @_property("divergence_pseudo_additivity", "Theorem 4.5", "identity")
-def _check_divergence_pseudo_additivity(rng, trial) -> Outcome:
+def _check_divergence_pseudo_additivity(rng, trial):
     params = _draw_params(rng)
     p1, q1 = _draw_pair(rng)
     p2, q2 = _draw_pair(rng)
@@ -642,11 +620,11 @@ def _check_divergence_pseudo_additivity(rng, trial) -> Outcome:
     d1 = divergence(p1, q1, params).value
     d2 = divergence(p2, q2, params).value
     rhs = d1 + d2 - 2.0 * params.k * d1 * d2
-    return _identity_outcome(lhs, rhs, f"n1={p1.n};n2={p2.n};{_pdig(params)}")
+    return lhs, rhs, f"n1={p1.n};n2={p2.n};{_pdig(params)}"
 
 
 @_property("joint_convexity", "Theorem 4.6", "inequality")
-def _check_joint_convexity(rng, trial) -> Outcome:
+def _check_joint_convexity(rng, trial):
     params = _draw_params(rng)
     n = _draw_size(rng)
     p1, q1 = sample_distribution(n, rng), sample_distribution(n, rng)
@@ -656,13 +634,9 @@ def _check_joint_convexity(rng, trial) -> Outcome:
         p2, q2 = sample_distribution(n, rng), sample_distribution(n, rng)
     d1 = divergence(p1, q1, params).value
     d2 = divergence(p2, q2, params).value
-    lam_grid = np.linspace(0.0, 1.0, 11)
-    lhs, rhs = [], []
-    for lam in lam_grid:
-        dm = divergence(mix(p1, p2, lam), mix(q1, q2, lam), params).value
-        lhs.append((1.0 - lam) * d1 + lam * d2)
-        rhs.append(dm)
-    return _inequality_outcome(lhs, rhs, f"n={n};equal={trial == 0};{_pdig(params)}")
+    lam = np.linspace(0.0, 1.0, 11)
+    rhs = [divergence(mix(p1, p2, t), mix(q1, q2, t), params).value for t in lam]
+    return (1.0 - lam) * d1 + lam * d2, rhs, f"n={n};equal={trial == 0};{_pdig(params)}"
 
 
 def _partition_channel(rng, m: int, n: int) -> Channel:
@@ -675,7 +649,7 @@ def _partition_channel(rng, m: int, n: int) -> Channel:
 
 
 @_property("information_monotonicity", "Theorem 4.7", "inequality")
-def _check_information_monotonicity(rng, trial) -> Outcome:
+def _check_information_monotonicity(rng, trial):
     params = _draw_params(rng)
     p, q = _draw_pair(rng)
     n = p.n
@@ -692,39 +666,37 @@ def _check_information_monotonicity(rng, trial) -> Outcome:
         kind = "partition"
     lhs = divergence(p, q, params).value
     rhs = divergence(apply_channel(w, p), apply_channel(w, q), params).value
-    return _inequality_outcome(
-        lhs, rhs, f"n={n};channel={kind};m={w.shape[0]};{_pdig(params)}"
-    )
+    return lhs, rhs, f"n={n};channel={kind};m={w.shape[0]};{_pdig(params)}"
 
 
 @_property("divergence_r_independence", "observed r-cancellation", "identity")
-def _check_divergence_r_independence(rng, trial) -> Outcome:
+def _check_divergence_r_independence(rng, trial):
     k = float(rng.uniform(*K_RANGE))
     r1 = float(rng.uniform(*R_RANGE))
     r2 = float(rng.uniform(*R_RANGE))
     p, q = _draw_pair(rng)
     lit1 = divergence_literal(p, q, DeformParams(k, r1))
     lit2 = divergence_literal(p, q, DeformParams(k, r2))
-    return _identity_outcome(lit1, lit2, f"n={p.n};k={k!r};r1={r1!r};r2={r2!r}")
+    return lit1, lit2, f"n={p.n};k={k!r};r1={r1!r};r2={r2!r}"
 
 
 @_property("definitional_equivalence", "Definition 4.1", "identity")
-def _check_definitional_equivalence(rng, trial) -> Outcome:
+def _check_definitional_equivalence(rng, trial):
     params = _draw_params(rng)
     p, q = _draw_pair(rng)
     lhs = divergence_literal(p, q, params, form="pq")
     rhs = divergence_literal(p, q, params, form="qp")
-    return _identity_outcome(lhs, rhs, f"n={p.n};{_pdig(params)}")
+    return lhs, rhs, f"n={p.n};{_pdig(params)}"
 
 
 @_property("kl_limit", "KL limit", "inequality")
-def _check_kl_limit(rng, trial) -> Outcome:
+def _check_kl_limit(rng, trial):
     params = DeformParams(1e-4, 1e-4)
     p, q = _draw_pair(rng)
     ref = kl_divergence(p, q)
     err = abs(divergence(p, q, params).value - ref)
     budget = 1e-3 * (1.0 + ref)
-    return _inequality_outcome(budget, err, f"n={p.n};k=r=1e-4")
+    return budget, err, f"n={p.n};k=r=1e-4"
 
 
 # ---------------------------------------------------------------------------
@@ -735,20 +707,18 @@ def _check_kl_limit(rng, trial) -> Outcome:
     "hessian_separability", "induced metric (off-diagonal vanishing)", "identity",
     tol=1e-8,
 )
-def _check_hessian_separability(rng, trial) -> Outcome:
+def _check_hessian_separability(rng, trial):
     params = _draw_params(rng)
     n = _draw_size(rng, cap=6, floor=2)
     p = _draw_interior_dist(rng, n)
     h = fd_hessian(p, params, step=1e-4)
-    off = h[~np.eye(n, dtype=bool)]
-    i = int(np.argmax(np.abs(off)))
-    return Outcome(float(off[i]), 0.0, float(off[i]), f"n={n};step=1e-4;{_pdig(params)}")
+    return h[~np.eye(n, dtype=bool)], 0.0, f"n={n};step=1e-4;{_pdig(params)}"
 
 
 @_property(
     "metric_oracle_agreement", "induced metric (diagonal oracle)", "identity", tol=1e-5
 )
-def _check_metric_oracle_agreement(rng, trial) -> Outcome:
+def _check_metric_oracle_agreement(rng, trial):
     params = _draw_params(rng)
     n = _draw_size(rng, cap=6, floor=2)
     p = _draw_interior_dist(rng, n)
@@ -760,29 +730,25 @@ def _check_metric_oracle_agreement(rng, trial) -> Outcome:
 
 
 @_property("metric_hessian_structure", "Theorem 5.1", "identity")
-def _check_metric_hessian_structure(rng, trial) -> Outcome:
+def _check_metric_hessian_structure(rng, trial):
     params = _draw_params(rng)
     n = _draw_size(rng, floor=2)
     p = _draw_interior_dist(rng, n)
-    lhs, rhs = [], []
-    for conv in ("derived", "paper"):
-        g = fisher_metric(p, params, conv).g
-        a = metric_coefficient(params, conv)
-        lhs.extend(g.tolist())
-        rhs.extend((a / p.p).tolist())
-    return _identity_outcome(lhs, rhs, f"n={n};{_pdig(params)}")
+    lhs = np.concatenate([fisher_metric(p, params, c).g for c in CONVENTIONS])
+    rhs = np.concatenate([metric_coefficient(params, c) / p.p for c in CONVENTIONS])
+    return lhs, rhs, f"n={n};{_pdig(params)}"
 
 
 @_property("potential_curvature", "Theorem 5.1", "identity", tol=1e-6)
-def _check_potential_curvature(rng, trial) -> Outcome:
+def _check_potential_curvature(rng, trial):
     params = _draw_params(rng)
     u = float(rng.uniform(0.2, 2.0))
     c1 = float(rng.uniform(-1.0, 1.0))
     c2 = float(rng.uniform(-1.0, 1.0))
     # step balances truncation (h^2 / u^2) against roundoff (eps / h^2)
     h = 2e-4 * np.sqrt(u)
-    lhs, rhs = [], []
-    for conv in ("derived", "paper"):
+    lhs = []
+    for conv in CONVENTIONS:
         a = metric_coefficient(params, conv)
         coeffs = PotentialCoefficients(A=a, c1=c1, c2=c2)
         fd = (
@@ -791,23 +757,22 @@ def _check_potential_curvature(rng, trial) -> Outcome:
             + hessian_potential(u - h, coeffs)
         ) / (h * h)
         lhs.append(fd / (a / u))
-        rhs.append(1.0)
-    return _identity_outcome(lhs, rhs, f"u={u!r};c1={c1!r};c2={c2!r};{_pdig(params)}")
+    return lhs, 1.0, f"u={u!r};c1={c1!r};c2={c2!r};{_pdig(params)}"
 
 
 @_property(
     "metric_positive_definite", "induced metric (positive definiteness)", "inequality"
 )
-def _check_metric_positive_definite(rng, trial) -> Outcome:
+def _check_metric_positive_definite(rng, trial):
     params = _draw_params(rng)
     n = _draw_size(rng, floor=2)
     p = Distribution(np.full(n, 1.0 / n)) if trial == 0 else _draw_interior_dist(rng, n)
     g = fisher_metric(p, params, "derived").g
-    return _inequality_outcome(g, 0.0, f"n={n};{_pdig(params)}")
+    return g, 0.0, f"n={n};{_pdig(params)}"
 
 
 @_property("taylor_expansion", "induced metric (quadratic expansion)", "inequality")
-def _check_taylor_expansion(rng, trial) -> Outcome:
+def _check_taylor_expansion(rng, trial):
     # Per coordinate f(a) = (a - a^{1-2k} p^{2k}) / (2k) has f(p) = 0, f' = 1,
     # f'' = (1-2k)/p, f^(3) = -(1-4k^2)/p^2, f^(4) = 2(1-4k^2)(1+k)/p^3 and
     # |f^(5)| <= (1-4k^2)(2k+2)(2k+3) min(p,a)^{-2k-4} p^{2k} between p and a.
@@ -852,17 +817,16 @@ def run_single(config: SweepConfig, name: str, trial: int) -> CheckResult:
     spec = _REGISTRY.get(name)
     if spec is None:
         raise ConfigError(f"unknown property {name!r}")
+    trial = _integer("trial", trial)
+    if trial < 0:
+        raise ConfigError(f"trial must be >= 0, got {trial}")
     seed = _child_seed(config.seed, name, trial)
     rng = np.random.default_rng(seed)
     out = spec.fn(rng, trial)
-    # a config tolerance overrides the property's, which overrides its kind's
-    tol = config.tol or spec.tol or (
-        IDENTITY_TOL if spec.kind == "identity" else INEQUALITY_TOL
-    )
-    if spec.kind == "identity":
-        passed = abs(out.slack) <= tol
-    else:
-        passed = out.slack >= -tol
+    if not isinstance(out, Outcome):
+        out = _outcome(spec.kind, *out)
+    # a config tolerance overrides the property's
+    passed = _KINDS[spec.kind].shortfall(out.slack) <= (config.tol or spec.tol)
     return CheckResult(
         property=name,
         trial_index=trial,
@@ -879,10 +843,8 @@ def _aggregate(spec: PropertySpec, results: list[CheckResult]) -> PropertyReport
     failures = sorted(
         (r for r in results if not r.passed), key=lambda r: r.trial_index
     )
-    if spec.kind == "identity":
-        worst = max(results, key=lambda r: abs(r.slack)).slack
-    else:
-        worst = min(results, key=lambda r: r.slack).slack
+    shortfall = _KINDS[spec.kind].shortfall
+    worst = max(results, key=lambda r: shortfall(r.slack)).slack
     return PropertyReport(
         name=spec.name,
         anchor=spec.anchor,

@@ -56,10 +56,13 @@ class TestDeformParams:
         with pytest.raises(ParamError):
             DeformParams(float("nan"), 1.0, relaxed=True)
 
-    @pytest.mark.parametrize("k,r", [("0.2", 1), (0.2, "1"), (None, 1)])
+    @pytest.mark.parametrize(
+        "k,r", [("0.2", 1), (0.2, "1"), (None, 1), (0.2 + 0j, 1), (0.2, 1 + 0j)]
+    )
     def test_non_numeric_rejected(self, k, r):
-        with pytest.raises(ParamError):
-            DeformParams(k, r)
+        for relaxed in (False, True):
+            with pytest.raises(ParamError):
+                DeformParams(k, r, relaxed=relaxed)
 
     @pytest.mark.parametrize("relaxed", [False, True])
     def test_k_below_floor_rejected(self, relaxed):

@@ -225,6 +225,13 @@ class TestSampling:
             sample_channel(0, 3, seed=1)
         with pytest.raises(ParamError):
             sample_distribution((2, 0, 2), seed=1)
+        # non-integer sizes are rejected, not handed to numpy
+        with pytest.raises(ParamError):
+            sample_distribution(2.5, 0)
+        with pytest.raises(ParamError):
+            sample_distribution((2, "3"), 0)
+        with pytest.raises(ParamError):
+            sample_channel(2.5, 3, 0)
 
     @pytest.mark.parametrize("seed", [1.7, 2.0, "3", None])
     def test_non_integral_seed_rejected(self, seed):

@@ -195,5 +195,6 @@ class TestHessianPotential:
     def test_domain(self):
         with pytest.raises(DomainError):
             hessian_potential(0.0, PotentialCoefficients(A=1.0))
-        with pytest.raises(DomainError):
-            hessian_potential(float("nan"), PotentialCoefficients(A=1.0))
+        for u in (float("nan"), float("inf")):
+            with pytest.raises(DomainError):
+                hessian_potential(u, PotentialCoefficients(A=1.0))

@@ -9,12 +9,22 @@ import pytest
 from entrokit import (
     CheckResult,
     ConfigError,
+    DeformParams,
     SweepConfig,
+    conditional_entropy,
+    entropy,
     list_properties,
     run_single,
     run_suite,
+    sample_distribution,
 )
-from entrokit.verify import _REGISTRY, _aggregate
+from entrokit.verify import (
+    _REGISTRY,
+    IDENTITY_TOL,
+    INEQUALITY_TOL,
+    _aggregate,
+    _law_side,
+)
 
 
 class TestRegistry:
@@ -130,12 +140,23 @@ class TestEngine:
             run_suite(SweepConfig(trials=1, properties=("no_such_property",)))
         with pytest.raises(ConfigError):
             run_single(SweepConfig(trials=1), "no_such_property", 0)
+        # a bare name is not split into characters
+        for properties in ("chain_rule", 5, ("chain_rule", 5)):
+            with pytest.raises(ConfigError):
+                SweepConfig(properties=properties)
+        assert SweepConfig(properties=iter(["chain_rule"])).properties == ("chain_rule",)
+        # trials are non-negative integers
+        for trial in (-1, 1.5, "3", None):
+            with pytest.raises(ConfigError):
+                run_single(SweepConfig(trials=1), "chain_rule", trial)
+        assert run_single(SweepConfig(), "chain_rule", np.int64(2)).trial_index == 2
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             SweepConfig(trials=0)
-        with pytest.raises(ConfigError):
-            SweepConfig(tol=0.0)
+        for tol in (0.0, -1e-3, float("nan"), "1e-3", 1e-3 + 0j):
+            with pytest.raises(ConfigError):
+                SweepConfig(tol=tol)
         # seeds and trial counts must be integers, not values that int() accepts
         for seed in (1.7, -0.5, "3", 2.0, -1, 2**64):
             with pytest.raises(ConfigError):
@@ -167,15 +188,55 @@ class TestEngine:
     def test_check_result_invariant(self):
         # passed <=> |slack| <= tol for identities, slack >= -tol for inequalities
         cfg = SweepConfig(seed=13, trials=5)
-        for name, _, kind in list_properties()[:10]:
+        for name, _, kind in list_properties():
+            tol = _REGISTRY[name].tol
             for t in range(3):
                 res = run_single(cfg, name, t)
-                spec = _REGISTRY[name]
-                tol = cfg.tol or spec.tol or (1e-12 if kind == "identity" else 1e-9)
+                assert type(res.passed) is bool
                 if kind == "identity":
                     assert res.passed == (abs(res.slack) <= tol)
                 else:
                     assert res.passed == (res.slack >= -tol)
+
+    def test_default_tolerances(self):
+        overrides = {"hessian_separability": 1e-8, "metric_oracle_agreement": 1e-5,
+                     "potential_curvature": 1e-6}
+        for name, _, kind in list_properties():
+            default = IDENTITY_TOL if kind == "identity" else INEQUALITY_TOL
+            assert _REGISTRY[name].tol == overrides.get(name, default)
+
+    def test_entropy_law_sides_match_direct_calls(self):
+        # every side of every _entropy_law, against the calls it stands for
+        params = DeformParams(0.3, 0.8)
+        j2 = sample_distribution((3, 4), 7)
+        j3 = sample_distribution((3, 4, 2), 8)
+
+        def s(d):
+            return entropy(d, params).value
+
+        def c(j, spec):
+            return conditional_entropy(j, params, spec).value
+
+        cases = [
+            (j2, "XY", s(j2)),
+            (j2, "X", s(j2.marginal(0))),
+            (j2, "Y", s(j2.marginal(1))),
+            (j2, "Y|X", c(j2, "Y_given_X")),
+            (j2, "X + Y|X", s(j2.marginal(0)) + c(j2, "Y_given_X")),
+            (j2, "X + Y", s(j2.marginal(0)) + s(j2.marginal(1))),
+            (j3, "XYZ", s(j3)),
+            (j3, "Z", s(j3.marginal(2))),
+            (j3, "Y|Z", c(j3, "Y_given_Z")),
+            (j3, "Y|XZ", c(j3, "Y_given_XZ")),
+            (j3, "XY|Z", c(j3, "XY_given_Z")),
+            (j3, "X|Z", c(j3, "X_given_Z")),
+            (j3, "XZ + YZ", s(j3.marginal(0, 2)) + s(j3.marginal(1, 2))),
+            (j3, "XYZ + Z", s(j3) + s(j3.marginal(2))),
+            (j3, "XY|Z + Z", c(j3, "XY_given_Z") + s(j3.marginal(2))),
+            (j3, "X|Z + Y|XZ", c(j3, "X_given_Z") + c(j3, "Y_given_XZ")),
+        ]
+        for j, side, want in cases:
+            assert _law_side(side)(j, params).hex() == want.hex(), side
 
 
 class TestReportShape:
