@@ -15,8 +15,10 @@ expm1/exp so they stay accurate near x = 1 and for k as small as 1e-4.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -91,6 +93,13 @@ class DeformParams:
         return False
 
 
+def _finite_real(name: str, value):
+    """A scalar parameter as given, if it is a finite real number; else ParamError."""
+    if not (isinstance(value, Real) and math.isfinite(value)):
+        raise ParamError(f"{name} must be a finite real number, got {value!r}")
+    return value
+
+
 def _as_positive_array(x, what: str) -> np.ndarray:
     xv = np.asarray(x, dtype=float)
     if xv.size == 0:
@@ -120,7 +129,7 @@ def ln_kr(x, params: DeformParams):
 
 def ln_q(x, q: float):
     """Tsallis q-logarithm (x^{1-q} - 1) / (1 - q), q != 1."""
-    if q == 1:
+    if _finite_real("q", q) == 1:
         raise ParamError("q = 1 is the ordinary logarithm; ln_q requires q != 1")
     xv = _as_positive_array(x, "x")
     out = np.expm1((1.0 - q) * np.log(xv)) / (1.0 - q)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -62,6 +63,16 @@ def _check_nonneg(a: np.ndarray, what: str) -> None:
         raise ValidationError(f"{what} entries must be >= 0")
 
 
+def _check_rows(p: np.ndarray) -> None:
+    """A Distribution's checks on each row (axis 0) of a batch of probability
+    arrays, in one pass over the batch."""
+    _check_nonneg(p, "probability")
+    totals = p.reshape(len(p), -1).sum(axis=1)
+    bad = np.abs(totals - 1.0) > SUM_TOL
+    if np.any(bad):
+        raise ValidationError(f"probabilities sum to {float(totals[bad][0])!r}, expected 1")
+
+
 @dataclass(frozen=True)
 class Distribution:
     """Probability array of any rank >= 1: a vector on the simplex, or a
@@ -71,10 +82,7 @@ class Distribution:
 
     def __post_init__(self):
         p = _freeze(self.p, "probability")
-        _check_nonneg(p, "probability")
-        total = float(p.sum())
-        if abs(total - 1.0) > SUM_TOL:
-            raise ValidationError(f"probabilities sum to {total!r}, expected 1")
+        _check_rows(p[np.newaxis])
         object.__setattr__(self, "p", p)
 
     @property
@@ -92,6 +100,10 @@ class Distribution:
 
     def marginal(self, *axes: int) -> Distribution:
         """Marginal over the given axes (0=x, 1=y, 2=z, ...), in the order given."""
+        try:
+            axes = tuple(map(operator.index, axes))
+        except TypeError:
+            raise ParamError(f"axes must be integers, got {axes}") from None
         kept = sorted(axes)
         if not axes or len(set(axes)) != len(axes) or kept[0] < 0 or kept[-1] >= self.ndim:
             raise ParamError(f"axes must be distinct and in [0, {self.ndim}), got {axes}")
@@ -194,8 +206,8 @@ def mix(p1: Distribution, p2: Distribution, lam: float) -> Distribution:
     """Convex combination (1 - lam) * p1 + lam * p2."""
     if p1.shape != p2.shape:
         raise DimensionError(f"shape mismatch: {p1.shape} vs {p2.shape}")
-    if not (0.0 <= lam <= 1.0):
-        raise ParamError(f"lambda must lie in [0, 1], got {lam}")
+    if not (isinstance(lam, Real) and 0.0 <= lam <= 1.0):
+        raise ParamError(f"lambda must be a real number in [0, 1], got {lam!r}")
     return Distribution((1.0 - lam) * p1.p + lam * p2.p)
 
 

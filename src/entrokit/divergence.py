@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .deformed_log import DeformParams, ln_kr, ln_q
+from .deformed_log import DeformParams, _finite_real, ln_kr, ln_q
 from .distributions import Distribution, product
 from .errors import AbsoluteContinuityError, DimensionError, DomainError, ParamError
 
@@ -54,8 +54,13 @@ class DivergenceValue:
 
 def _positive_terms(p: np.ndarray, q: np.ndarray, k: float) -> np.ndarray:
     # p (1 - (q/p)^{2k}) / (2k) == (p - p^{1-2k} q^{2k}) / (2k), via expm1
-    # so the value is exactly 0 wherever p == q bitwise
-    return -p * np.expm1(2.0 * k * (np.log(q) - np.log(p))) / (2.0 * k)
+    # so the value is exactly 0 wherever p == q bitwise; in place in one buffer
+    t = np.log(q) - np.log(p)
+    t *= 2.0 * k
+    np.expm1(t, out=t)
+    t *= p
+    t /= -2.0 * k
+    return t
 
 
 def _check_pair(p: Distribution, q: Distribution) -> np.ndarray:
@@ -109,17 +114,20 @@ def divergence_literal(
     if form not in ("pq", "qp"):
         raise ParamError(f'form must be "pq" or "qp", got {form!r}')
     live = _check_pair(p, q)
-    k, r = params.k, params.r
     pv, qv = p.p[live], q.p[live]
     if pv.size == 0:
         return 0.0
+    return math.fsum(_literal_terms(pv, qv, params, form).tolist())
+
+
+def _literal_terms(pv: np.ndarray, qv: np.ndarray, params: DeformParams, form: str):
+    """The terms of divergence_literal's `form` elementwise, for p, q > 0."""
+    k, r = params.k, params.r
     if form == "pq":
         ratio = pv / qv
-        terms = pv * np.power(ratio, r - k) * ln_kr(ratio, params)
-    else:
-        ratio = qv / pv
-        terms = -pv * np.power(ratio, r + k) * ln_kr(ratio, params)
-    return math.fsum(terms.tolist())
+        return pv * np.power(ratio, r - k) * ln_kr(ratio, params)
+    ratio = qv / pv
+    return -pv * np.power(ratio, r + k) * ln_kr(ratio, params)
 
 
 def divergence_sum(a, b, params: DeformParams) -> float:
@@ -163,7 +171,7 @@ def kl_divergence(p: Distribution, q: Distribution) -> float:
 
 def tsallis_divergence(p: Distribution, q: Distribution, q_param: float) -> float:
     """Standard one-parameter relative entropy -sum p ln_q(q_x/p_x)."""
-    if q_param == 1:
+    if _finite_real("q", q_param) == 1:
         raise ParamError("q = 1 is the KL limit; use kl_divergence")
     live = _check_pair(p, q)
     pv, qv = p.p[live], q.p[live]

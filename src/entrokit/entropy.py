@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .deformed_log import DeformParams, ln_kr
+from .deformed_log import DeformParams, _finite_real, ln_kr
 from .distributions import Distribution
 from .errors import DimensionError, ParamError
 
@@ -50,8 +50,14 @@ class EntropyValue:
 
 
 def _entropy_terms(p: np.ndarray, k: float) -> np.ndarray:
-    """p (1 - p^{2k}) / (2k) elementwise, for p > 0."""
-    return -p * np.expm1(2.0 * k * np.log(p)) / (2.0 * k)
+    """p (1 - p^{2k}) / (2k) elementwise, for p > 0; k may broadcast
+    against p. Evaluated in place in one buffer."""
+    t = np.log(p)
+    t *= 2.0 * k
+    np.expm1(t, out=t)
+    t *= p
+    t /= -2.0 * k
+    return t
 
 
 def _entropy_sum(arr: np.ndarray, k: float) -> float:
@@ -75,11 +81,15 @@ joint_entropy = entropy
 def entropy_literal(p: Distribution, params: DeformParams) -> float:
     """The defining sum evaluated term by term as written, without the
     algebraic collapse. Retained as a cross-check of the canonical path."""
-    k, r = params.k, params.r
     pos = p.p[p.p > 0]
     if pos.size == 0:
         return 0.0
-    return float(-np.sum(np.power(pos, r + k + 1.0) * ln_kr(pos, params)))
+    return float(-np.sum(_literal_terms(pos, params)))
+
+
+def _literal_terms(p: np.ndarray, params: DeformParams) -> np.ndarray:
+    """p^{r+k+1} ln_{k,r}(p) elementwise, for p > 0."""
+    return np.power(p, params.r + params.k + 1.0) * ln_kr(p, params)
 
 
 def _conditional_sum(mat: np.ndarray, k: float) -> float:
@@ -98,6 +108,8 @@ def _conditional_sum(mat: np.ndarray, k: float) -> float:
 
 def _spec_axes(spec: str, ndim: int) -> tuple[list[int], list[int]]:
     """The (of, given) axes of a "<of>_given_<given>" spec."""
+    if not isinstance(spec, str):
+        raise ParamError(f"spec must be a string such as 'Y_given_X', got {spec!r}")
     of, sep, given = spec.partition("_given_")
     axes = [AXIS_LETTERS[:ndim].find(c) for c in of + given]
     if not (sep and of and given) or -1 in axes or len(set(axes)) != len(axes):
@@ -153,7 +165,7 @@ def shannon_entropy(p: Distribution) -> float:
 
 def tsallis_entropy(p: Distribution, q: float) -> float:
     """Standard one-parameter entropy -sum p^q ln_q(p), q != 1."""
-    if q == 1:
+    if _finite_real("q", q) == 1:
         raise ParamError("q = 1 is the Shannon limit; use shannon_entropy")
     pos = p.p[p.p > 0]
     if pos.size == 0:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -58,6 +59,20 @@ class PotentialCoefficients:
     c1: float = 0.0
     c2: float = 0.0
 
+    def __post_init__(self):
+        values = (self.A, self.c1, self.c2)
+        try:
+            if any(np.iscomplexobj(v) for v in values):
+                raise TypeError
+            finite = all(np.all(np.isfinite(v)) for v in values)
+        except TypeError:
+            finite = False
+        if not finite:
+            raise ParamError(
+                f"coefficients must be finite real numbers, got A={self.A!r}, "
+                f"c1={self.c1!r}, c2={self.c2!r}"
+            )
+
 
 def metric_coefficient(params: DeformParams, convention: str = "derived") -> float:
     """Numerator of the diagonal metric: 1 - 2k (derived) or 1 - 2k + 4r."""
@@ -78,11 +93,15 @@ def fisher_metric(
     p: Distribution, params: DeformParams, convention: str = "derived"
 ) -> MetricDiagonal:
     """Diagonal metric A / p_i with A set by the convention."""
-    pv = _full_support(p)
-    a = metric_coefficient(params, convention)
-    g = a / pv
+    g = _diagonal(_full_support(p), params, convention)
     g.setflags(write=False)
     return MetricDiagonal(g, params, convention)
+
+
+def _diagonal(pv: np.ndarray, params: DeformParams, convention: str) -> np.ndarray:
+    """A / p_i for every entry of pv; any shape that broadcasts against
+    params.k and params.r."""
+    return metric_coefficient(params, convention) / pv
 
 
 def fd_hessian(
@@ -97,8 +116,8 @@ def fd_hessian(
     pv = _full_support(p)
     if pv.ndim != 1:
         raise DimensionError(f"fd_hessian needs a vector, got {pv.ndim} axes")
-    if not step > 0:
-        raise DomainError(f"step must be > 0, got {step}")
+    if not (isinstance(step, Real) and step > 0):
+        raise DomainError(f"step must be a real number > 0, got {step!r}")
     if np.any(pv - step <= 0) or np.any(pv + step >= 1):
         raise DomainError("step pushes some coordinate outside (0, 1)")
 
@@ -141,8 +160,10 @@ def quadratic_form(p: Distribution, dp, params: DeformParams) -> float:
 
 
 def hessian_potential(u: float, coeffs: PotentialCoefficients) -> float:
-    """Potential c2 + u (c1 - A) + A u log u; its second derivative is A / u."""
-    if not 0 < u < np.inf:  # also catches nan
+    """Potential c2 + u (c1 - A) + A u log u; its second derivative is A / u.
+
+    u may be an array, with coefficients that broadcast against it."""
+    if not np.all((0 < u) & (u < np.inf)):  # also catches nan
         raise DomainError(f"potential requires finite u > 0, got {u}")
     a, c1, c2 = coeffs.A, coeffs.c1, coeffs.c2
     return c2 + u * (c1 - a) + a * u * np.log(u)

@@ -206,8 +206,9 @@ class TestLnQ:
         assert abs(ln_q(e, 1.0 - 1e-6) - 1.0) <= 1e-5
 
     def test_q_one_rejected(self):
-        with pytest.raises(ParamError):
-            ln_q(0.5, 1.0)
+        for q in (1.0, float("nan"), "2"):
+            with pytest.raises(ParamError):
+                ln_q(0.5, q)
 
     def test_domain(self):
         with pytest.raises(DomainError):

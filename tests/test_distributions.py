@@ -128,7 +128,7 @@ class TestMarginalsAndProduct:
         np.testing.assert_array_equal(t.marginal(0, 1, 2).p, t.p)
         np.testing.assert_array_equal(t.marginal_x().p, t.marginal(0).p)
 
-    @pytest.mark.parametrize("axes", [(), (3,), (-1,), (0, 0)])
+    @pytest.mark.parametrize("axes", [(), (3,), (-1,), (0, 0), ("0",)])
     def test_marginal_bad_axes(self, axes):
         with pytest.raises(ParamError):
             sample_distribution((3, 4, 2), seed=5).marginal(*axes)
@@ -190,8 +190,9 @@ class TestMix:
         q = make_distribution([0.5, 0.5])
         with pytest.raises(DimensionError):
             mix(p, q, 0.5)
-        with pytest.raises(ParamError):
-            mix(q, q, 1.5)
+        for lam in (1.5, float("nan"), "0.5"):
+            with pytest.raises(ParamError):
+                mix(q, q, lam)
 
 
 class TestSampling:

@@ -348,8 +348,9 @@ class TestReferenceDivergences:
     def test_tsallis_rejects_q_one(self):
         p = make_distribution([0.5, 0.5])
         q = make_distribution([0.25, 0.75])
-        with pytest.raises(ParamError):
-            tsallis_divergence(p, q, 1.0)
+        for q_param in (1.0, float("nan")):
+            with pytest.raises(ParamError):
+                tsallis_divergence(p, q, q_param)
 
 
 class TestMutualDivergence:

@@ -271,7 +271,7 @@ class TestConditionalEntropy3:
             assert val == pytest.approx(expected, rel=1e-11, abs=1e-13)
 
     @pytest.mark.parametrize(
-        "spec", ["X_given_X", "XY_given_Y", "_given_X", "W_given_X", "X_given_", "XZ"]
+        "spec", ["X_given_X", "XY_given_Y", "_given_X", "W_given_X", "X_given_", "XZ", 3]
     )
     def test_malformed_specs_rejected(self, spec):
         t = sample_distribution((2, 2, 2), seed=1)
@@ -388,5 +388,6 @@ class TestReferenceEntropies:
 
     def test_tsallis_rejects_q_one(self):
         d = make_distribution([0.5, 0.5])
-        with pytest.raises(ParamError):
-            tsallis_entropy(d, 1.0)
+        for q in (1.0, float("nan"), "2"):
+            with pytest.raises(ParamError):
+                tsallis_entropy(d, q)

@@ -101,8 +101,9 @@ class TestFdHessian:
             fd_hessian(p, PARAMS, step=0.01)
         with pytest.raises(DomainError):
             fd_hessian(make_distribution([0.5, 0.5]), PARAMS, step=0.0)
-        with pytest.raises(DomainError):
-            fd_hessian(make_distribution([0.5, 0.5]), PARAMS, step=float("nan"))
+        for step in (float("nan"), "1e-4"):
+            with pytest.raises(DomainError):
+                fd_hessian(make_distribution([0.5, 0.5]), PARAMS, step=step)
 
     def test_vector_required(self):
         with pytest.raises(DimensionError):
@@ -198,3 +199,7 @@ class TestHessianPotential:
         for u in (float("nan"), float("inf")):
             with pytest.raises(DomainError):
                 hessian_potential(u, PotentialCoefficients(A=1.0))
+        for bad in ({"A": float("nan")}, {"A": 1.0, "c1": float("inf")}, {"A": 1j},
+                    {"A": "1.0"}):
+            with pytest.raises(ParamError):
+                hessian_potential(1.0, PotentialCoefficients(**bad))

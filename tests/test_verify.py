@@ -18,13 +18,27 @@ from entrokit import (
     run_suite,
     sample_distribution,
 )
+from entrokit.properties import JOINT3, K_RANGE, R_RANGE, SIZE_RANGE, _law_side
 from entrokit.verify import (
     _REGISTRY,
     IDENTITY_TOL,
     INEQUALITY_TOL,
-    _aggregate,
-    _law_side,
+    TRIAL_CHUNK,
+    _chunks,
 )
+
+
+def _rows(cfg, name):
+    """Every trial's CheckResult as the sweep's batches compute it."""
+    return {
+        c.start + i: c.result(i)
+        for c in _chunks(_REGISTRY[name], cfg)
+        for i in range(len(c.passed))
+    }
+
+
+def _bits(r):
+    return (r.lhs.hex(), r.rhs.hex(), r.slack.hex(), r.passed, r.instance_digest)
 
 
 class TestRegistry:
@@ -93,26 +107,64 @@ class TestEngine:
 
     def test_order_independence(self):
         cfg = SweepConfig(seed=7, trials=20, properties=("subadditivity",))
-        in_order = run_suite(cfg).properties[0]
-        spec = _REGISTRY["subadditivity"]
-        shuffled = [run_single(cfg, "subadditivity", t) for t in (13, 2, 19, 0, 7, 5,
-                                                                  11, 3, 17, 1, 9, 15,
-                                                                  4, 18, 6, 12, 8, 16,
-                                                                  10, 14)]
-        assert _aggregate(spec, shuffled) == in_order
+        (in_order,) = run_suite(cfg).properties
+        rows = _rows(cfg, "subadditivity")
+        shuffled = {t: run_single(cfg, "subadditivity", t) for t in (13, 2, 19, 0, 7, 5,
+                                                                     11, 3, 17, 1, 9, 15,
+                                                                     4, 18, 6, 12, 8, 16,
+                                                                     10, 14)}
+        assert shuffled == rows
+        assert in_order.passes == sum(r.passed for r in rows.values())
+        assert in_order.worst_slack == min(r.slack for r in rows.values())
 
     def test_concurrent_trials_match_sequential(self):
         # trials are pure functions of (seed, property, trial), so running
-        # them across threads must reproduce the sequential aggregate
+        # them across threads must reproduce the sequential batch
         from concurrent.futures import ThreadPoolExecutor
 
         cfg = SweepConfig(seed=9, trials=16, properties=("chain_rule",))
-        sequential = run_suite(cfg).properties[0]
         with ThreadPoolExecutor(max_workers=4) as pool:
             results = list(
                 pool.map(lambda t: run_single(cfg, "chain_rule", t), range(16))
             )
-        assert _aggregate(_REGISTRY["chain_rule"], results) == sequential
+        assert results == list(_rows(cfg, "chain_rule").values())
+
+    @pytest.mark.parametrize("name", list(_REGISTRY))
+    def test_batch_rows_equal_run_single(self, name):
+        # run_single is the batched check on a batch of one; rows on both
+        # sides of a chunk boundary regenerate the same blocks bit for bit
+        for seed in (0, 17):
+            cfg = SweepConfig(seed=seed, trials=TRIAL_CHUNK + 2)
+            rows = _rows(cfg, name)
+            assert len(rows) == cfg.trials
+            for t in (0, 1, TRIAL_CHUNK - 1, TRIAL_CHUNK, TRIAL_CHUNK + 1):
+                assert _bits(run_single(cfg, name, t)) == _bits(rows[t]), (seed, t)
+
+    def test_instance_laws(self):
+        # over 2000 trials every support size occurs and every k, r lies in range
+        cfg = SweepConfig(seed=4, trials=2000)
+
+        def field(name, key):
+            return np.concatenate(
+                [np.reshape(c.out.fields[key], (len(c.passed), -1))
+                 for c in _chunks(_REGISTRY[name], cfg)]
+            )
+
+        lo, hi = SIZE_RANGE
+        assert set(field("divergence_nonnegativity", "n").ravel()) == set(range(lo, hi + 1))
+        shape2 = field("chain_rule", "shape")
+        shape3 = field("corollary_3_7", "shape")
+        for axis in range(2):
+            assert set(shape2[:, axis]) == set(range(lo, hi + 1))
+        for axis, cap in enumerate(JOINT3):
+            assert set(shape3[:, axis]) == set(range(lo, cap + 1))
+        for name in ("product_rule_1", "chain_rule", "joint_convexity", "taylor_expansion"):
+            k, r = field(name, "k"), field(name, "r")
+            assert np.all((K_RANGE[0] < k) & (k < K_RANGE[1])), name
+            assert np.all((R_RANGE[0] < r) & (r < R_RANGE[1])), name
+        for key in ("r1", "r2"):
+            r = field("entropy_r_independence", key)
+            assert np.all((R_RANGE[0] < r) & (r < R_RANGE[1]))
 
     def test_run_single_reproducible(self):
         cfg = SweepConfig(seed=5, trials=10)
@@ -129,17 +181,18 @@ class TestEngine:
         assert prop.fails == 0
 
     def test_trial_zero_equality_cases(self):
-        cfg = SweepConfig(seed=21, trials=1)
-        assert run_single(cfg, "divergence_nonnegativity", 0).slack == 0.0
-        assert run_single(cfg, "log_sum_inequality", 0).slack == 0.0
-        assert run_single(cfg, "information_monotonicity", 0).slack == 0.0
-        assert run_single(cfg, "conditional_reduces_entropy", 0).slack == 0.0
+        for seed in range(50):
+            cfg = SweepConfig(seed=seed, trials=1)
+            for name in ("divergence_nonnegativity", "log_sum_inequality",
+                         "information_monotonicity", "conditional_reduces_entropy"):
+                assert run_single(cfg, name, 0).slack == 0.0, (seed, name)
 
     def test_unknown_property_rejected(self):
         with pytest.raises(ConfigError):
             run_suite(SweepConfig(trials=1, properties=("no_such_property",)))
-        with pytest.raises(ConfigError):
-            run_single(SweepConfig(trials=1), "no_such_property", 0)
+        for name in ("no_such_property", ["chain_rule"], None):
+            with pytest.raises(ConfigError):
+                run_single(SweepConfig(trials=1), name, 0)
         # a bare name is not split into characters
         for properties in ("chain_rule", 5, ("chain_rule", 5)):
             with pytest.raises(ConfigError):
@@ -206,10 +259,18 @@ class TestEngine:
             assert _REGISTRY[name].tol == overrides.get(name, default)
 
     def test_entropy_law_sides_match_direct_calls(self):
-        # every side of every _entropy_law, against the calls it stands for
+        # every side of every _entropy_law, evaluated on a zero-padded batch,
+        # against the library calls it stands for on the unpadded joint; the
+        # padded sums re-associate, so each side may differ by 4 ulp per term
+        # of its largest term
         params = DeformParams(0.3, 0.8)
         j2 = sample_distribution((3, 4), 7)
         j3 = sample_distribution((3, 4, 2), 8)
+
+        def padded(j):
+            batch = np.zeros((1,) + {2: (16, 16), 3: JOINT3}[j.ndim])
+            batch[(0,) + tuple(slice(n) for n in j.shape)] = j.p
+            return batch
 
         def s(d):
             return entropy(d, params).value
@@ -218,25 +279,30 @@ class TestEngine:
             return conditional_entropy(j, params, spec).value
 
         cases = [
-            (j2, "XY", s(j2)),
-            (j2, "X", s(j2.marginal(0))),
-            (j2, "Y", s(j2.marginal(1))),
-            (j2, "Y|X", c(j2, "Y_given_X")),
-            (j2, "X + Y|X", s(j2.marginal(0)) + c(j2, "Y_given_X")),
-            (j2, "X + Y", s(j2.marginal(0)) + s(j2.marginal(1))),
-            (j3, "XYZ", s(j3)),
-            (j3, "Z", s(j3.marginal(2))),
-            (j3, "Y|Z", c(j3, "Y_given_Z")),
-            (j3, "Y|XZ", c(j3, "Y_given_XZ")),
-            (j3, "XY|Z", c(j3, "XY_given_Z")),
-            (j3, "X|Z", c(j3, "X_given_Z")),
-            (j3, "XZ + YZ", s(j3.marginal(0, 2)) + s(j3.marginal(1, 2))),
-            (j3, "XYZ + Z", s(j3) + s(j3.marginal(2))),
-            (j3, "XY|Z + Z", c(j3, "XY_given_Z") + s(j3.marginal(2))),
-            (j3, "X|Z + Y|XZ", c(j3, "X_given_Z") + c(j3, "Y_given_XZ")),
+            (j2, "XY", [s(j2)]),
+            (j2, "X", [s(j2.marginal(0))]),
+            (j2, "Y", [s(j2.marginal(1))]),
+            (j2, "Y|X", [c(j2, "Y_given_X")]),
+            (j2, "X + Y|X", [s(j2.marginal(0)), c(j2, "Y_given_X")]),
+            (j2, "X + Y", [s(j2.marginal(0)), s(j2.marginal(1))]),
+            (j2, "X + Y - XY", [s(j2.marginal(0)), s(j2.marginal(1)), -s(j2)]),
+            (j2, "Y - Y|X", [s(j2.marginal(1)), -c(j2, "Y_given_X")]),
+            (j3, "XYZ", [s(j3)]),
+            (j3, "Z", [s(j3.marginal(2))]),
+            (j3, "Y|Z", [c(j3, "Y_given_Z")]),
+            (j3, "Y|XZ", [c(j3, "Y_given_XZ")]),
+            (j3, "XY|Z", [c(j3, "XY_given_Z")]),
+            (j3, "X|Z", [c(j3, "X_given_Z")]),
+            (j3, "XZ + YZ", [s(j3.marginal(0, 2)), s(j3.marginal(1, 2))]),
+            (j3, "XYZ + Z", [s(j3), s(j3.marginal(2))]),
+            (j3, "XY|Z + Z", [c(j3, "XY_given_Z"), s(j3.marginal(2))]),
+            (j3, "X|Z + Y|XZ", [c(j3, "X_given_Z"), c(j3, "Y_given_XZ")]),
         ]
-        for j, side, want in cases:
-            assert _law_side(side)(j, params).hex() == want.hex(), side
+        k = np.array([[params.k]])
+        for j, side, terms in cases:
+            (got,) = _law_side(side)(padded(j), k).ravel()
+            bound = 4 * len(terms) * np.spacing(max(map(abs, terms)))
+            assert abs(got - sum(terms)) <= bound, side
 
 
 class TestReportShape:
