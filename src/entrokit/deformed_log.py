@@ -22,6 +22,7 @@ from numbers import Real
 
 import numpy as np
 
+from .distributions import _as_float_array
 from .errors import DomainError, LegacyRegionWarning, ParamError
 
 __all__ = [
@@ -39,8 +40,8 @@ __all__ = [
 # gives entropy 1.0 on a distribution whose Shannon entropy is 1.0397).
 K_MIN = 2.0**-970
 
-# np.isfinite accepts these, so the domain checks would compare complex k or r
-_COMPLEX = (complex, np.complexfloating)
+# np.isfinite accepts these, so the domain checks would compare them as k or r
+_NOT_REAL = (bool, np.bool_, complex, np.complexfloating)
 
 
 @dataclass(frozen=True)
@@ -50,7 +51,7 @@ class DeformParams:
     Strict mode (default) enforces 0 < k <= 1/2 and r > 0. Relaxed mode
     is an explicit opt-in that drops both bounds, so legacy comparisons
     and out-of-domain reductions (e.g. k = r = (1-q)/2 with q > 1) can run.
-    Both modes require finite real numbers and |k| >= K_MIN.
+    Both modes require finite real numbers (not booleans) and |k| >= K_MIN.
     """
 
     k: float
@@ -60,7 +61,7 @@ class DeformParams:
     def __post_init__(self):
         k, r = self.k, self.r
         try:
-            if isinstance(k, _COMPLEX) or isinstance(r, _COMPLEX):
+            if isinstance(k, _NOT_REAL) or isinstance(r, _NOT_REAL):
                 raise TypeError
             finite = np.isfinite(k) and np.isfinite(r)
         except TypeError:
@@ -94,19 +95,20 @@ class DeformParams:
 
 
 def _finite_real(name: str, value):
-    """A scalar parameter as given, if it is a finite real number; else ParamError."""
-    if not (isinstance(value, Real) and math.isfinite(value)):
+    """A scalar parameter as given, if a finite real number and not a bool; else ParamError."""
+    if isinstance(value, bool) or not (isinstance(value, Real) and math.isfinite(value)):
         raise ParamError(f"{name} must be a finite real number, got {value!r}")
     return value
 
 
-def _as_positive_array(x, what: str) -> np.ndarray:
-    xv = np.asarray(x, dtype=float)
+def _log_x(x) -> np.ndarray:
+    """ln x of a number or array x whose entries are finite and > 0."""
+    xv = _as_float_array(x, "x")
     if xv.size == 0:
-        raise DomainError(f"{what} must be non-empty")
+        raise DomainError("x must be non-empty")
     if not np.all(np.isfinite(xv)) or np.any(xv <= 0):
-        raise DomainError(f"{what} must be finite and > 0")
-    return xv
+        raise DomainError("x must be finite and > 0")
+    return np.log(xv)
 
 
 def _maybe_scalar(out: np.ndarray, like) -> float | np.ndarray:
@@ -120,9 +122,8 @@ def ln_kr(x, params: DeformParams):
 
     Zero exactly at x = 1, finite for all x > 0.
     """
-    xv = _as_positive_array(x, "x")
+    lx = _log_x(x)
     k, r = params.k, params.r
-    lx = np.log(xv)
     out = np.expm1(2.0 * k * lx) * np.exp(-(r + k) * lx) / (2.0 * k)
     return _maybe_scalar(out, x)
 
@@ -131,8 +132,7 @@ def ln_q(x, q: float):
     """Tsallis q-logarithm (x^{1-q} - 1) / (1 - q), q != 1."""
     if _finite_real("q", q) == 1:
         raise ParamError("q = 1 is the ordinary logarithm; ln_q requires q != 1")
-    xv = _as_positive_array(x, "x")
-    out = np.expm1((1.0 - q) * np.log(xv)) / (1.0 - q)
+    out = np.expm1((1.0 - q) * _log_x(x)) / (1.0 - q)
     return _maybe_scalar(out, x)
 
 
@@ -143,7 +143,7 @@ def legacy_Ln(x, params: DeformParams, warn_outside_region: bool = True):
     distinct functions and are never aliased. Parameters outside the
     legacy region trigger a LegacyRegionWarning but are not rejected.
     """
-    xv = _as_positive_array(x, "x")
+    lx = _log_x(x)
     if warn_outside_region and not params.in_legacy_region:
         warnings.warn(
             f"(k={params.k}, r={params.r}) is outside the legacy validity region",
@@ -151,7 +151,6 @@ def legacy_Ln(x, params: DeformParams, warn_outside_region: bool = True):
             stacklevel=2,
         )
     k, r = params.k, params.r
-    lx = np.log(xv)
     out = np.expm1(2.0 * k * lx) * np.exp((r - k) * lx) / (2.0 * k)
     return _maybe_scalar(out, x)
 
@@ -161,8 +160,7 @@ def legacy_u(x, params: DeformParams):
 
     Satisfies Ln(xy) = u(x) Ln(y) + Ln(x) u(y) together with legacy_Ln.
     """
-    xv = _as_positive_array(x, "x")
+    lx = _log_x(x)
     k, r = params.k, params.r
-    lx = np.log(xv)
     out = 0.5 * (np.exp((r + k) * lx) + np.exp((r - k) * lx))
     return _maybe_scalar(out, x)

@@ -38,14 +38,17 @@ SUM_TOL = 1e-9
 
 
 def _as_float_array(data, what: str) -> np.ndarray:
+    """Numeric input as a float array: integers and floats convert; booleans,
+    strings, bytes, objects and complex numbers raise ValidationError."""
     try:
         a = np.asarray(data)
-        out = a.astype(float, copy=False)
     except (TypeError, ValueError):
         raise ValidationError(f"{what} must be numeric") from None
     if a.dtype == bool:
         raise ValidationError(f"{what} must be numeric, not boolean")
-    return out
+    if a.dtype.kind not in "iuf":
+        raise ValidationError(f"{what} must be numeric")
+    return a.astype(float, copy=False)
 
 
 def _freeze(a, what: str) -> np.ndarray:
@@ -61,6 +64,16 @@ def _check_nonneg(a: np.ndarray, what: str) -> None:
         raise ValidationError(f"{what} entries must be finite")
     if np.any(a < 0):
         raise ValidationError(f"{what} entries must be >= 0")
+
+
+def _col(v, ndim: int) -> np.ndarray:
+    """A scalar or one value per row, shaped to broadcast against a batch of ndim axes."""
+    return np.reshape(v, (-1,) + (1,) * (ndim - 1))
+
+
+def _rowsum(a: np.ndarray) -> np.ndarray:
+    """(T, 1) sums over every axis but the first."""
+    return a.reshape(len(a), -1).sum(axis=1, keepdims=True)
 
 
 def _check_rows(p: np.ndarray) -> None:
@@ -206,7 +219,7 @@ def mix(p1: Distribution, p2: Distribution, lam: float) -> Distribution:
     """Convex combination (1 - lam) * p1 + lam * p2."""
     if p1.shape != p2.shape:
         raise DimensionError(f"shape mismatch: {p1.shape} vs {p2.shape}")
-    if not (isinstance(lam, Real) and 0.0 <= lam <= 1.0):
+    if isinstance(lam, bool) or not (isinstance(lam, Real) and 0.0 <= lam <= 1.0):
         raise ParamError(f"lambda must be a real number in [0, 1], got {lam!r}")
     return Distribution((1.0 - lam) * p1.p + lam * p2.p)
 

@@ -8,6 +8,10 @@ as their shapes agree; the sum runs over cells. Final reductions use
 math.fsum so the value is independent of coordinate order (permutation
 symmetry holds bit-exactly).
 
+Each sum is written once, as a batched `_*_rows` evaluator; the public
+functions call it on a batch of one (whole arrays: fsum is exact), and the
+property sweep on zero-padded batches, so it checks the sums users get.
+
 p > 0 with q = 0 is rejected loudly rather than returned as infinity,
 because downstream arithmetic (pseudo-additivity, convexity sweeps) would
 silently propagate it.
@@ -21,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .deformed_log import DeformParams, _finite_real, ln_kr, ln_q
-from .distributions import Distribution, product
+from .distributions import Distribution, _as_float_array, _col, product
 from .errors import AbsoluteContinuityError, DimensionError, DomainError, ParamError
 
 __all__ = [
@@ -79,27 +83,49 @@ def _check_pair(p: Distribution, q: Distribution) -> np.ndarray:
     return p_pos
 
 
+def _fsum_rows(a: np.ndarray) -> np.ndarray:
+    """(T, 1) math.fsum over every axis but the first: exact, so neither
+    order nor zero cells move a bit."""
+    return np.array([math.fsum(row) for row in a.reshape(len(a), -1).tolist()])[:, np.newaxis]
+
+
+def _divergence_rows(p: np.ndarray, q: np.ndarray, k) -> np.ndarray:
+    """(T, 1) divergences D(p || q) of a batch (axis 0) of pairs of any rank
+    with q > 0 where p > 0, for a scalar k or one k per row. A cell with
+    p = 0 adds 0, or -q at k = 1/2, where p^{1-2k} q^{2k} is q."""
+    k = _col(k, p.ndim)
+    live = p > 0
+    terms = _positive_terms(np.where(live, p, 1.0), np.where(live, q, 1.0), k)
+    if (k == 0.5).any():
+        terms = np.where(~live & (k == 0.5), -q, terms)
+    return _fsum_rows(terms)
+
+
 def divergence(
     p: Distribution, q: Distribution, params: DeformParams
 ) -> DivergenceValue:
     """Relative entropy of P from Q; requires support(P) within support(Q)."""
     p_pos = _check_pair(p, q)
-    pv, qv = p.p, q.p
-    k = params.k
-
-    terms = _positive_terms(pv[p_pos], qv[p_pos], k).tolist()
     # p = 0 < q: the closed form's p^{1-2k} factor kills the term for
-    # k < 1/2 and leaves -q at the k = 1/2 boundary
-    tail = ~p_pos & (qv > 0)
-    if np.any(tail):
-        if k == 0.5:
-            terms.extend((-qv[tail]).tolist())
-        elif k > 0.5:
-            raise DomainError(
-                "divergence diverges for zero p-entries when k > 1/2"
-            )
+    # k < 1/2, leaves -q at the k = 1/2 boundary and diverges beyond it
+    if params.k > 0.5 and np.any(~p_pos & (q.p > 0)):
+        raise DomainError("divergence diverges for zero p-entries when k > 1/2")
+    value = float(_divergence_rows(p.p[np.newaxis], q.p[np.newaxis], params.k)[0, 0])
     flag = "full" if bool(np.all(p_pos)) else "extended"
-    return DivergenceValue(math.fsum(terms), params, flag)
+    return DivergenceValue(value, params, flag)
+
+
+def _divergence_literal_rows(p: np.ndarray, q: np.ndarray, params, form: str) -> np.ndarray:
+    """(T, 1) divergence_literal sums of `form` over a batch of pairs; params
+    broadcast against it. A cell with p = 0 adds 0, its limit for k < 1/2."""
+    live = p > 0  # such a cell gets ratio 1, where ln_kr is 0
+    pv, qv = np.where(live, p, 1.0), np.where(live, q, 1.0)
+    k, r = params.k, params.r
+    if form == "pq":
+        ratio = pv / qv
+        return _fsum_rows(pv * np.power(ratio, r - k) * ln_kr(ratio, params))
+    ratio = qv / pv
+    return _fsum_rows(-pv * np.power(ratio, r + k) * ln_kr(ratio, params))
 
 
 def divergence_literal(
@@ -113,21 +139,18 @@ def divergence_literal(
     """
     if form not in ("pq", "qp"):
         raise ParamError(f'form must be "pq" or "qp", got {form!r}')
-    live = _check_pair(p, q)
-    pv, qv = p.p[live], q.p[live]
-    if pv.size == 0:
-        return 0.0
-    return math.fsum(_literal_terms(pv, qv, params, form).tolist())
+    _check_pair(p, q)
+    return float(_divergence_literal_rows(p.p[np.newaxis], q.p[np.newaxis], params, form)[0, 0])
 
 
-def _literal_terms(pv: np.ndarray, qv: np.ndarray, params: DeformParams, form: str):
-    """The terms of divergence_literal's `form` elementwise, for p, q > 0."""
-    k, r = params.k, params.r
-    if form == "pq":
-        ratio = pv / qv
-        return pv * np.power(ratio, r - k) * ln_kr(ratio, params)
-    ratio = qv / pv
-    return -pv * np.power(ratio, r + k) * ln_kr(ratio, params)
+def _weights(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """Equal-shaped weights with finite entries > 0, as float arrays of rank >= 1."""
+    av, bv = (np.atleast_1d(_as_float_array(w, "weight")) for w in (a, b))
+    if av.shape != bv.shape:
+        raise DimensionError(f"shape mismatch: {av.shape} vs {bv.shape}")
+    if not np.all((av > 0) & (bv > 0) & np.isfinite(av) & np.isfinite(bv)):
+        raise DomainError("entries must be finite and > 0")
+    return av, bv
 
 
 def divergence_sum(a, b, params: DeformParams) -> float:
@@ -135,15 +158,15 @@ def divergence_sum(a, b, params: DeformParams) -> float:
     normalization), i.e. sum a_i (a_i/b_i)^{r-k} ln_{k,r}(a_i/b_i) in its
     closed form. This is the log-sum inequality's left side and the
     function the geometry oracle differentiates."""
-    av = np.atleast_1d(np.asarray(a, dtype=float))
-    bv = np.atleast_1d(np.asarray(b, dtype=float))
-    if av.shape != bv.shape:
-        raise DimensionError(f"shape mismatch: {av.shape} vs {bv.shape}")
-    if np.any(av <= 0) or np.any(bv <= 0) or not (
-        np.all(np.isfinite(av)) and np.all(np.isfinite(bv))
-    ):
-        raise DomainError("entries must be finite and > 0")
-    return math.fsum(_positive_terms(av, bv, params.k).ravel().tolist())
+    av, bv = _weights(a, b)
+    return float(_divergence_rows(av[np.newaxis], bv[np.newaxis], params.k)[0, 0])
+
+
+def _log_sum_rows(a: np.ndarray, b: np.ndarray, k) -> tuple[np.ndarray, np.ndarray]:
+    """(T, 1) columns of both sides of the log-sum inequality over a batch of
+    weight pairs: the termwise sum, and the term of the totals."""
+    rhs = _positive_terms(_fsum_rows(a), _fsum_rows(b), _col(k, 2))
+    return _divergence_rows(a, b, k), rhs
 
 
 def log_sum_gap(a, b, params: DeformParams) -> tuple[float, float]:
@@ -152,21 +175,24 @@ def log_sum_gap(a, b, params: DeformParams) -> tuple[float, float]:
     Returns (lhs, rhs) where lhs is the termwise sum and rhs the single
     term built from the totals; the inequality asserts lhs >= rhs.
     """
-    lhs = divergence_sum(a, b, params)
-    av = np.asarray(a, dtype=float).ravel()
-    bv = np.asarray(b, dtype=float).ravel()
+    av, bv = _weights(a, b)
     if av.size == 0:
         raise DomainError("weights must be non-empty")
-    total_a, total_b = math.fsum(av.tolist()), math.fsum(bv.tolist())
-    rhs = float(_positive_terms(np.asarray([total_a]), np.asarray([total_b]), params.k)[0])
-    return lhs, rhs
+    lhs, rhs = _log_sum_rows(av[np.newaxis], bv[np.newaxis], params.k)
+    return float(lhs[0, 0]), float(rhs[0, 0])
+
+
+def _kl_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """(T, 1) KL divergences sum p ln(p/q) in nats of a batch of pairs; a
+    cell with p = 0 adds 0."""
+    live = p > 0
+    return _fsum_rows(p * (np.log(np.where(live, p, 1.0)) - np.log(np.where(live, q, 1.0))))
 
 
 def kl_divergence(p: Distribution, q: Distribution) -> float:
     """Kullback-Leibler divergence sum p ln(p/q) in nats."""
-    live = _check_pair(p, q)
-    pv, qv = p.p[live], q.p[live]
-    return math.fsum((pv * (np.log(pv) - np.log(qv))).tolist())
+    _check_pair(p, q)
+    return float(_kl_rows(p.p[np.newaxis], q.p[np.newaxis])[0, 0])
 
 
 def tsallis_divergence(p: Distribution, q: Distribution, q_param: float) -> float:
@@ -175,8 +201,7 @@ def tsallis_divergence(p: Distribution, q: Distribution, q_param: float) -> floa
         raise ParamError("q = 1 is the KL limit; use kl_divergence")
     live = _check_pair(p, q)
     pv, qv = p.p[live], q.p[live]
-    terms = -pv * ln_q(qv / pv, q_param)
-    return math.fsum(np.atleast_1d(terms).tolist())
+    return math.fsum((-pv * ln_q(qv / pv, q_param)).tolist())
 
 
 def mutual_divergence(j: Distribution, params: DeformParams) -> DivergenceValue:

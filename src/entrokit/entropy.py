@@ -11,6 +11,12 @@ the entropy of its cells.
 Conditional entropies weight per-slice entropies by the conditioning
 probability raised to 2k + 1; this is the weighting that makes the chain
 rule S(X,Y) = S(X) + S(Y|X) hold identically.
+
+Each sum is written once, as a batched `_*_rows` evaluator; the public
+functions call it on a batch of one, and the property sweep on
+zero-padded batches, so it checks the sums users get. The public
+functions hand it only positive cells, and conditional_entropy only rows
+of positive mass: a zero adds 0 but would regroup numpy's pairwise sum.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .deformed_log import DeformParams, _finite_real, ln_kr
-from .distributions import Distribution
+from .distributions import Distribution, _col, _rowsum
 from .errors import DimensionError, ParamError
 
 __all__ = [
@@ -49,10 +55,11 @@ class EntropyValue:
         return self.value
 
 
-def _entropy_terms(p: np.ndarray, k: float) -> np.ndarray:
-    """p (1 - p^{2k}) / (2k) elementwise, for p > 0; k may broadcast
-    against p. Evaluated in place in one buffer."""
-    t = np.log(p)
+def _entropy_terms(p, k) -> np.ndarray:
+    """p (1 - p^{2k}) / (2k) elementwise, exactly 0 at p = 0; k may broadcast
+    against p. Evaluated in place in one buffer, laid out as p is: the
+    layout sets the order in which numpy sums a strided axis."""
+    t = np.log(p, out=np.zeros_like(p, dtype=float), where=p > 0)
     t *= 2.0 * k
     np.expm1(t, out=t)
     t *= p
@@ -60,50 +67,61 @@ def _entropy_terms(p: np.ndarray, k: float) -> np.ndarray:
     return t
 
 
-def _entropy_sum(arr: np.ndarray, k: float) -> float:
-    """sum of p (1 - p^{2k}) / (2k) over positive entries of any shape."""
-    p = arr[arr > 0]
-    if p.size == 0:
-        return 0.0
-    return float(np.sum(_entropy_terms(p, k)))
+def _entropy_rows(p: np.ndarray, k) -> np.ndarray:
+    """(T, 1) entropies of a batch (axis 0) of arrays of any rank, for a
+    scalar k or one k per row. Zero cells add 0."""
+    return _rowsum(_entropy_terms(p, _col(k, p.ndim)))
 
 
 def entropy(p: Distribution, params: DeformParams) -> EntropyValue:
     """Entropy -sum p^{r+k+1} ln_{k,r}(p) over the cells of a distribution
     of any rank; 0 exactly on degenerate inputs."""
-    return EntropyValue(_entropy_sum(p.p, params.k), params)
+    return EntropyValue(float(_entropy_rows(p.p[p.p > 0][np.newaxis], params.k)[0, 0]), params)
 
 
 # the entropy of a joint is the entropy of its cells
 joint_entropy = entropy
 
 
+def _entropy_literal_rows(p: np.ndarray, params) -> np.ndarray:
+    """(T, 1) defining sums -sum p^{r+k+1} ln_{k,r}(p) of a batch, term by
+    term as written; params broadcast against it. Zero cells add 0."""
+    pv = np.where(p > 0, p, 1.0)  # ln_{k,r}(1) = 0
+    return -_rowsum(np.power(pv, params.r + params.k + 1.0) * ln_kr(pv, params))
+
+
 def entropy_literal(p: Distribution, params: DeformParams) -> float:
     """The defining sum evaluated term by term as written, without the
     algebraic collapse. Retained as a cross-check of the canonical path."""
-    pos = p.p[p.p > 0]
-    if pos.size == 0:
-        return 0.0
-    return float(-np.sum(_literal_terms(pos, params)))
+    return float(_entropy_literal_rows(p.p[p.p > 0][np.newaxis], params)[0, 0])
 
 
-def _literal_terms(p: np.ndarray, params: DeformParams) -> np.ndarray:
-    """p^{r+k+1} ln_{k,r}(p) elementwise, for p > 0."""
-    return np.power(p, params.r + params.k + 1.0) * ln_kr(p, params)
+def _conditional_rows(t: np.ndarray, k) -> np.ndarray:
+    """(T, 1) sums over g of p(g)^{2k+1} S(O | g) of a batch of (T, G, O)
+    matrices. Zero cells and zero-mass rows add 0."""
+    prow = t.sum(axis=2, keepdims=True)
+    w = np.where(prow > 0, prow, 1.0)
+    inner = _entropy_terms(t / w, _col(k, 3)).sum(axis=2)
+    return (np.power(w[:, :, 0], 2.0 * _col(k, 2) + 1.0) * inner).sum(axis=1, keepdims=True)
 
 
-def _conditional_sum(mat: np.ndarray, k: float) -> float:
-    """Weighted conditional entropy for a matrix with conditioning variable
-    on the rows: sum_rows p(row)^{2k+1} S(col | row). Zero-probability rows
-    contribute nothing."""
-    prow = mat.sum(axis=1)
-    live = prow > 0
-    if not np.any(live):
-        return 0.0
-    cond = mat[live] / prow[live, None]
-    # zero cells evaluate at 1, where the term is exactly 0
-    inner = np.sum(_entropy_terms(np.where(cond > 0, cond, 1.0), k), axis=1)
-    return float(np.sum(np.power(prow[live], 2.0 * k + 1.0) * inner))
+def _spec_matrices(j: np.ndarray, of: list[int], given: list[int]) -> np.ndarray:
+    """A batch of joints (axis a + 1 is variable a) as (T, G, O) matrices: other
+    axes summed out, the given axes' cells on axis 1, the of axes' on axis 2."""
+    kept = sorted(of + given)
+    rest = tuple(a + 1 for a in range(j.ndim - 1) if a not in kept)
+    t = j.sum(axis=rest) if rest else j
+    t = t.transpose([0] + [kept.index(a) + 1 for a in given + of])
+    return t.reshape(len(t), math.prod(t.shape[1 : 1 + len(given)]), -1)
+
+
+def _letter_axes(of: str, given: str, ndim: int) -> tuple[list[int], list[int]] | None:
+    """The axes the letters of `of` and `given` name; None unless `of` is
+    non-empty and the letters name distinct axes among the first ndim."""
+    axes = [AXIS_LETTERS[:ndim].find(c) for c in of + given]
+    if not of or -1 in axes or len(set(axes)) != len(axes):
+        return None
+    return axes[: len(of)], axes[len(of) :]
 
 
 def _spec_axes(spec: str, ndim: int) -> tuple[list[int], list[int]]:
@@ -111,13 +129,13 @@ def _spec_axes(spec: str, ndim: int) -> tuple[list[int], list[int]]:
     if not isinstance(spec, str):
         raise ParamError(f"spec must be a string such as 'Y_given_X', got {spec!r}")
     of, sep, given = spec.partition("_given_")
-    axes = [AXIS_LETTERS[:ndim].find(c) for c in of + given]
-    if not (sep and of and given) or -1 in axes or len(set(axes)) != len(axes):
+    axes = _letter_axes(of, given, ndim) if sep and given else None
+    if axes is None:
         raise ParamError(
             f"spec must be <of>_given_<given> over distinct axis letters "
             f"{AXIS_LETTERS[:ndim]!r}, got {spec!r}"
         )
-    return axes[: len(of)], axes[len(of) :]
+    return axes
 
 
 def conditional_entropy(
@@ -131,14 +149,11 @@ def conditional_entropy(
     weights the entropy of the of axes conditioned on it by its
     probability raised to 2k + 1.
     """
-    of, given = _spec_axes(spec, j.ndim)
-    kept = sorted(of + given)
-    t = j.p
-    if len(kept) < t.ndim:
-        t = t.sum(axis=tuple(a for a in range(t.ndim) if a not in kept))
-    t = t.transpose([kept.index(a) for a in given + of])
-    mat = t.reshape(math.prod(t.shape[: len(given)]), -1)
-    return EntropyValue(_conditional_sum(mat, params.k), params)
+    (mat,) = _spec_matrices(j.p[np.newaxis], *_spec_axes(spec, j.ndim))
+    live = mat.sum(axis=1) > 0
+    if not np.all(live):
+        mat = mat[live]
+    return EntropyValue(float(_conditional_rows(mat[np.newaxis], params.k)[0, 0]), params)
 
 
 # the three-variable name of the same function
@@ -150,25 +165,23 @@ def mutual_entropy(j: Distribution, params: DeformParams) -> float:
     chain rule."""
     if j.ndim != 2:
         raise DimensionError(f"mutual entropy needs a 2-axis joint, got {j.ndim} axes")
-    k = params.k
-    sx = _entropy_sum(j.p.sum(axis=1), k)
-    sy = _entropy_sum(j.p.sum(axis=0), k)
-    sxy = _entropy_sum(j.p, k)
+    sx, sy, sxy = (entropy(d, params).value for d in (j.marginal(0), j.marginal(1), j))
     return sx + sy - sxy
+
+
+def _shannon_rows(p: np.ndarray) -> np.ndarray:
+    """(T, 1) Shannon entropies -sum p ln p in nats of a batch; zero cells add 0."""
+    return -_rowsum(p * np.log(np.where(p > 0, p, 1.0)))
 
 
 def shannon_entropy(p: Distribution) -> float:
     """-sum p ln p in nats."""
-    pos = p.p[p.p > 0]
-    return float(-np.sum(pos * np.log(pos)))
+    return float(_shannon_rows(p.p[p.p > 0][np.newaxis])[0, 0])
 
 
 def tsallis_entropy(p: Distribution, q: float) -> float:
     """Standard one-parameter entropy -sum p^q ln_q(p), q != 1."""
     if _finite_real("q", q) == 1:
         raise ParamError("q = 1 is the Shannon limit; use shannon_entropy")
-    pos = p.p[p.p > 0]
-    if pos.size == 0:
-        return 0.0
-    lp = np.log(pos)
+    lp = np.log(p.p[p.p > 0])
     return float(-np.sum(np.exp(q * lp) * np.expm1((1.0 - q) * lp) / (1.0 - q)))

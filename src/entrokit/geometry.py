@@ -14,16 +14,15 @@ derivatives that ignore the constraint.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from numbers import Real
 
 import numpy as np
 
 from .deformed_log import DeformParams
-from .distributions import Distribution
-from .divergence import _positive_terms
-from .errors import DimensionError, DomainError, ParamError
+from .distributions import Distribution, _as_float_array
+from .divergence import _fsum_rows, _positive_terms
+from .errors import DimensionError, DomainError, ParamError, ValidationError
 
 __all__ = [
     "CONVENTIONS",
@@ -60,14 +59,11 @@ class PotentialCoefficients:
     c2: float = 0.0
 
     def __post_init__(self):
-        values = (self.A, self.c1, self.c2)
         try:
-            if any(np.iscomplexobj(v) for v in values):
-                raise TypeError
-            finite = all(np.all(np.isfinite(v)) for v in values)
-        except TypeError:
-            finite = False
-        if not finite:
+            values = [_as_float_array(v, "coefficient") for v in (self.A, self.c1, self.c2)]
+        except ValidationError:
+            values = [np.nan]
+        if not all(np.all(np.isfinite(v)) for v in values):
             raise ParamError(
                 f"coefficients must be finite real numbers, got A={self.A!r}, "
                 f"c1={self.c1!r}, c2={self.c2!r}"
@@ -131,8 +127,7 @@ def fd_hessian(
     corners[pairs, np.arange(4), iu[:, None]] += [h, h, -h, -h]
     corners[pairs, np.arange(4), ju[:, None]] += [h, -h, h, -h]
     points = np.concatenate([pv[None], pv + shift, pv - shift, corners.reshape(-1, n)])
-    terms = _positive_terms(points, pv, params.k).tolist()
-    f = np.array([math.fsum(row) for row in terms])
+    f = _fsum_rows(_positive_terms(points, pv, params.k))[:, 0]
     hess = np.diag((f[1 : n + 1] - 2.0 * f[0] + f[n + 1 : 2 * n + 1]) / (h * h))
     c = f[2 * n + 1 :].reshape(-1, 4).T
     # one value per pair, mirrored, so the Hessian is exactly symmetric
@@ -148,7 +143,7 @@ def quadratic_form(p: Distribution, dp, params: DeformParams) -> float:
     divergence satisfies D(p + dp || p) ~ (1/2) quadratic_form(dp).
     """
     pv = _full_support(p)
-    dpv = np.asarray(dp, dtype=float)
+    dpv = _as_float_array(dp, "displacement")
     if dpv.shape != pv.shape:
         raise DimensionError(f"shape mismatch: {dpv.shape} vs {pv.shape}")
     if not np.all(np.isfinite(dpv)) or abs(float(dpv.sum())) > 1e-12:
@@ -163,7 +158,8 @@ def hessian_potential(u: float, coeffs: PotentialCoefficients) -> float:
     """Potential c2 + u (c1 - A) + A u log u; its second derivative is A / u.
 
     u may be an array, with coefficients that broadcast against it."""
-    if not np.all((0 < u) & (u < np.inf)):  # also catches nan
+    uv = _as_float_array(u, "u")
+    if not np.all((0 < uv) & (uv < np.inf)):  # also catches nan
         raise DomainError(f"potential requires finite u > 0, got {u}")
     a, c1, c2 = coeffs.A, coeffs.c1, coeffs.c2
-    return c2 + u * (c1 - a) + a * u * np.log(u)
+    return c2 + uv * (c1 - a) + a * uv * np.log(uv)

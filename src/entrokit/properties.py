@@ -12,6 +12,10 @@ for joints). Padding is exact: a zero cell adds 0 to an entropy, and a
 cell where P is 0 adds 0 to a divergence (Lemma 4.4). The linear entropy
 laws of Section 3 are one-line `_entropy_law` entries.
 
+Entropies and divergences come from the batched `_*_rows` evaluators of
+`entrokit.entropy` and `entrokit.divergence`, which the public functions
+call on a batch of one; this module defines no sum of its own.
+
 The kind supplies the slack rule and picks the worst element of each row.
 Identities record slack = (lhs - rhs) / max(1, |lhs|, |rhs|) and pass when
 |slack| <= tol (default 1e-12). Inequalities record slack = lhs - rhs and
@@ -33,11 +37,17 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .deformed_log import DeformParams, legacy_Ln, legacy_u, ln_kr
-from .distributions import Distribution, _check_rows
-from .divergence import _literal_terms as _divergence_literal_terms
-from .divergence import _positive_terms
-from .entropy import AXIS_LETTERS, _entropy_terms
-from .entropy import _literal_terms as _entropy_literal_terms
+from .distributions import Distribution, _check_rows, _col, _rowsum
+from .divergence import _divergence_literal_rows, _divergence_rows, _kl_rows, _log_sum_rows
+from .entropy import (
+    AXIS_LETTERS,
+    _conditional_rows,
+    _entropy_literal_rows,
+    _entropy_rows,
+    _letter_axes,
+    _shannon_rows,
+    _spec_matrices,
+)
 from .geometry import (
     CONVENTIONS,
     PotentialCoefficients,
@@ -115,7 +125,7 @@ def _property(name: str, anchor: str, kind: str, uniforms: int, tol: float | Non
 
 
 # ---------------------------------------------------------------------------
-# batched draws and padded kernels
+# batched draws and padded instances
 
 
 class _Params(NamedTuple):
@@ -163,22 +173,6 @@ class _Draw:
         return _Params(self.uniform(*K_RANGE), self.uniform(*R_RANGE))
 
 
-def _col(v, ndim: int) -> np.ndarray:
-    """Per-trial values shaped to broadcast against (T, ...) arrays of ndim axes."""
-    return np.reshape(v, (-1,) + (1,) * (ndim - 1))
-
-
-def _rowsum(a: np.ndarray) -> np.ndarray:
-    """(T, 1) sums over every axis but the first."""
-    return a.reshape(len(a), -1).sum(axis=1, keepdims=True)
-
-
-def _fsum_rows(a: np.ndarray) -> np.ndarray:
-    """(T, 1) math.fsum over every axis but the first: exact, so neither the
-    order nor the zero padding moves a bit."""
-    return np.array([[math.fsum(row.tolist())] for row in a.reshape(len(a), -1)])
-
-
 def _mask(sizes: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """(T, *shape) mask of each trial's cells, given its (T, ndim) sizes."""
     mask = np.ones((len(sizes),) + shape, dtype=bool)
@@ -215,30 +209,6 @@ def _interior(p: np.ndarray, n: np.ndarray) -> np.ndarray:
 
 def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a[:, :, None] * b[:, None, :]
-
-
-def _entropy_rows(p: np.ndarray, k) -> np.ndarray:
-    """(T, 1) entropies of a padded batch of any rank; zero cells add 0."""
-    return _rowsum(_entropy_terms(np.where(p > 0, p, 1.0), _col(k, p.ndim)))
-
-
-def _conditional_rows(t: np.ndarray, k) -> np.ndarray:
-    """(T, 1) sums over g of p(g)^{2k+1} S(of | g), for (T, G, O) matrices
-    with the conditioning variable on axis 1; zero-mass rows add 0."""
-    prow = t.sum(axis=2, keepdims=True)
-    w = np.where(prow > 0, prow, 1.0)
-    t = t / w  # conditional distributions; a zero cell is set to 1, adding 0
-    t[t == 0] = 1.0
-    inner = _entropy_terms(t, _col(k, 3)).sum(axis=2)
-    return (np.power(w[:, :, 0], 2.0 * _col(k, 2) + 1.0) * inner).sum(axis=1, keepdims=True)
-
-
-def _divergence_rows(p: np.ndarray, q: np.ndarray, k) -> np.ndarray:
-    """(T, 1) divergences of a padded batch of pairs, each summed with
-    math.fsum; a cell with p = 0 adds 0 (k < 1/2)."""
-    live = p > 0
-    terms = _positive_terms(np.where(live, p, 1.0), np.where(live, q, 1.0), _col(k, p.ndim))
-    return _fsum_rows(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -354,8 +324,8 @@ def _check_log_sum(draw, trial):
     a = np.where(live, _scalars(draw, VECTOR), 0.0)
     equal = trial == 0
     b = np.where(live & ~equal, _scalars(draw, VECTOR), a)
-    rhs = _positive_terms(_fsum_rows(a), _fsum_rows(b), params.k)
-    return _divergence_rows(a, b, params.k), rhs, {"n": n, "equal": equal, **params.fields}
+    lhs, rhs = _log_sum_rows(a, b, params.k)
+    return lhs, rhs, {"n": n, "equal": equal, **params.fields}
 
 
 # ---------------------------------------------------------------------------
@@ -365,25 +335,15 @@ def _check_log_sum(draw, trial):
 def _law_side(side: str):
     """Terms over the axis letters XYZ joined by " + " or " - ", as a function
     of a padded batch of joints and k with (T, 1) values: "A" is S(A), the
-    joint's own entropy when A names every axis, and "A|B" is S(A|B). The
-    terms are added left to right."""
+    joint's own entropy when A names every axis, and "A|B" is S(A|B), each
+    the entropy module's own batched sum. The terms are added left to right."""
 
     def term(text: str):
         sign, text = (-1.0, text[1:]) if text[0] == "-" else (1.0, text)
         of, _, given = text.partition("|")
-        of_axes, given_axes = ([AXIS_LETTERS.index(a) + 1 for a in s] for s in (of, given))
-        kept = sorted(of_axes + given_axes)
-
-        def value(j, k):
-            rest = tuple(a for a in range(1, j.ndim) if a not in kept)
-            t = j.sum(axis=rest) if rest else j
-            if not given_axes:
-                return sign * _entropy_rows(t, k)
-            t = t.transpose([0] + [kept.index(a) + 1 for a in given_axes + of_axes])
-            g = math.prod(t.shape[1 : 1 + len(given_axes)])
-            return sign * _conditional_rows(t.reshape(len(t), g, -1), k)
-
-        return value
+        axes = _letter_axes(of, given, len(AXIS_LETTERS))
+        rows = _conditional_rows if given else _entropy_rows
+        return lambda j, k: sign * rows(_spec_matrices(j, *axes), k)
 
     terms = [term(t) for t in side.replace(" - ", " + -").split(" + ")]
     return lambda j, k: functools.reduce(operator.add, [t(j, k) for t in terms])
@@ -484,15 +444,14 @@ _entropy_law(
 def _check_entropy_r_independence(draw, trial):
     k, r1, r2 = draw.uniform(*K_RANGE), draw.uniform(*R_RANGE), draw.uniform(*R_RANGE)
     n, p = _vector(draw)
-    pv = np.where(p > 0, p, 1.0)  # ln_kr(1) = 0: padding adds 0
-    lit1, lit2 = (-_rowsum(_entropy_literal_terms(pv, _Params(k, r))) for r in (r1, r2))
+    lit1, lit2 = (_entropy_literal_rows(p, _Params(k, r)) for r in (r1, r2))
     return lit1, lit2, {"n": n, "k": k, "r1": r1, "r2": r2}
 
 
 @_property("shannon_limit", "Shannon limit", "inequality", 1 + VECTOR)
 def _check_shannon_limit(draw, trial):
     n, p = _vector(draw)
-    ref = -_rowsum(p * np.log(np.where(p > 0, p, 1.0)))
+    ref = _shannon_rows(p)
     err = abs(_entropy_rows(p, 1e-4) - ref)
     return 1e-3 * (1.0 + ref), err, {"n": n, "k=r": 1e-4}
 
@@ -605,17 +564,11 @@ def _check_information_monotonicity(draw, trial):
     return lhs, rhs, {"n": n, "channel": channel, "m": m, **params.fields}
 
 
-def _literal_rows(p, q, params, form: str) -> np.ndarray:
-    live = p > 0  # padding: ratio 1, where ln_kr is 0
-    pv, qv = np.where(live, p, 1.0), np.where(live, q, 1.0)
-    return _fsum_rows(_divergence_literal_terms(pv, qv, params, form))
-
-
 @_property("divergence_r_independence", "observed r-cancellation", "identity", 4 + 2 * VECTOR)
 def _check_divergence_r_independence(draw, trial):
     k, r1, r2 = draw.uniform(*K_RANGE), draw.uniform(*R_RANGE), draw.uniform(*R_RANGE)
     n, p, q = _pair(draw)
-    lit1, lit2 = (_literal_rows(p, q, _Params(k, r), "pq") for r in (r1, r2))
+    lit1, lit2 = (_divergence_literal_rows(p, q, _Params(k, r), "pq") for r in (r1, r2))
     return lit1, lit2, {"n": n, "k": k, "r1": r1, "r2": r2}
 
 
@@ -623,15 +576,14 @@ def _check_divergence_r_independence(draw, trial):
 def _check_definitional_equivalence(draw, trial):
     params = draw.params()
     n, p, q = _pair(draw)
-    lhs, rhs = (_literal_rows(p, q, params, form) for form in ("pq", "qp"))
+    lhs, rhs = (_divergence_literal_rows(p, q, params, form) for form in ("pq", "qp"))
     return lhs, rhs, {"n": n, **params.fields}
 
 
 @_property("kl_limit", "KL limit", "inequality", 1 + 2 * VECTOR)
 def _check_kl_limit(draw, trial):
     n, p, q = _pair(draw)
-    live = p > 0
-    ref = _fsum_rows(p * (np.log(np.where(live, p, 1.0)) - np.log(np.where(live, q, 1.0))))
+    ref = _kl_rows(p, q)
     err = abs(_divergence_rows(p, q, 1e-4) - ref)
     return 1e-3 * (1.0 + ref), err, {"n": n, "k=r": 1e-4}
 

@@ -343,12 +343,13 @@ class TestUsageAndErrors:
         assert out == ""
 
     def test_non_numeric_entries(self, capsys):
-        code, out, _ = run(
-            capsys, "entropy", "--k", "0.25", "--r", "1",
-            "--input", '{"p": ["a", "b"]}',
-        )
-        assert code == 2
-        assert out == ""
+        for p in ('["a", "b"]', '["0.5", "0.5"]'):
+            code, out, _ = run(
+                capsys, "entropy", "--k", "0.25", "--r", "1",
+                "--input", f'{{"p": {p}}}',
+            )
+            assert code == 2
+            assert out == ""
 
     def test_boolean_entries(self, capsys):
         code, out, _ = run(

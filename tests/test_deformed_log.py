@@ -17,6 +17,7 @@ from entrokit import (
     DomainError,
     LegacyRegionWarning,
     ParamError,
+    ValidationError,
     legacy_Ln,
     legacy_u,
     ln_kr,
@@ -57,7 +58,9 @@ class TestDeformParams:
             DeformParams(float("nan"), 1.0, relaxed=True)
 
     @pytest.mark.parametrize(
-        "k,r", [("0.2", 1), (0.2, "1"), (None, 1), (0.2 + 0j, 1), (0.2, 1 + 0j)]
+        "k,r",
+        [("0.2", 1), (0.2, "1"), (None, 1), (0.2 + 0j, 1), (0.2, 1 + 0j), (True, 1.0),
+         (0.2, True)],
     )
     def test_non_numeric_rejected(self, k, r):
         for relaxed in (False, True):
@@ -115,6 +118,9 @@ class TestLnKr:
             ln_kr(-1.0, params)
         with pytest.raises(DomainError):
             ln_kr([0.5, -0.5], params)
+        for x in ("2", True, [0.5, "2"]):
+            with pytest.raises(ValidationError):
+                ln_kr(x, params)
 
     def test_accepts_arrays(self):
         out = ln_kr(np.array([1.0, 0.5]), DeformParams(0.5, 0.5))
@@ -213,6 +219,8 @@ class TestLnQ:
     def test_domain(self):
         with pytest.raises(DomainError):
             ln_q(0.0, 2.0)
+        with pytest.raises(ValidationError):
+            ln_q("0.5", 2.0)
 
 
 class TestLegacyForms:
@@ -275,6 +283,10 @@ class TestLegacyForms:
             legacy_Ln(0.0, params)
         with pytest.raises(DomainError):
             legacy_u(-2.0, params)
+        with pytest.raises(ValidationError):
+            legacy_Ln("0.5", params)
+        with pytest.raises(ValidationError):
+            legacy_u(True, params)
 
     def test_theorem_shape_witnesses(self):
         # -Ln is positive, decreasing, convex on (0, 1] for r < 0, 0 < k <= 1

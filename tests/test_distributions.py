@@ -63,6 +63,9 @@ class TestMakeDistribution:
             make_distribution([True, False])
         with pytest.raises(ValidationError):
             Distribution(np.array([True, False]))
+        # numeric strings are not numbers either
+        with pytest.raises(ValidationError):
+            make_distribution(["0.5", "0.5"])
 
 
 class TestJointTypes:
@@ -190,7 +193,7 @@ class TestMix:
         q = make_distribution([0.5, 0.5])
         with pytest.raises(DimensionError):
             mix(p, q, 0.5)
-        for lam in (1.5, float("nan"), "0.5"):
+        for lam in (1.5, float("nan"), "0.5", True):
             with pytest.raises(ParamError):
                 mix(q, q, lam)
 

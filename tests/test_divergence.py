@@ -13,6 +13,7 @@ from entrokit import (
     Distribution,
     DomainError,
     ParamError,
+    ValidationError,
     apply_channel,
     divergence,
     divergence_literal,
@@ -28,6 +29,7 @@ from entrokit import (
     sample_distribution,
     tsallis_divergence,
 )
+from entrokit.divergence import divergence_sum
 
 PARAMS = DeformParams(0.25, 1.0)
 
@@ -297,6 +299,8 @@ class TestLogSum:
             log_sum_gap([1.0, 0.0], [1.0, 1.0], PARAMS)
         with pytest.raises(DomainError):
             log_sum_gap([], [], PARAMS)
+        with pytest.raises(ValidationError):
+            divergence_sum("1", "2", PARAMS)
 
     def test_two_axis_weights_match_their_ravel(self):
         a = [[1.0, 2.0], [0.5, 3.0]]
@@ -348,7 +352,7 @@ class TestReferenceDivergences:
     def test_tsallis_rejects_q_one(self):
         p = make_distribution([0.5, 0.5])
         q = make_distribution([0.25, 0.75])
-        for q_param in (1.0, float("nan")):
+        for q_param in (1.0, float("nan"), False):
             with pytest.raises(ParamError):
                 tsallis_divergence(p, q, q_param)
 

@@ -388,6 +388,6 @@ class TestReferenceEntropies:
 
     def test_tsallis_rejects_q_one(self):
         d = make_distribution([0.5, 0.5])
-        for q in (1.0, float("nan"), "2"):
+        for q in (1.0, float("nan"), "2", False):
             with pytest.raises(ParamError):
                 tsallis_entropy(d, q)

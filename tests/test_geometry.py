@@ -10,6 +10,7 @@ from entrokit import (
     DimensionError,
     ParamError,
     PotentialCoefficients,
+    ValidationError,
     divergence,
     Distribution,
     fd_hessian,
@@ -148,6 +149,8 @@ class TestQuadraticForm:
         for dp in ([np.nan, np.nan], [np.nan, 0.0], [np.inf, -np.inf]):
             with pytest.raises(DomainError):
                 quadratic_form(p, dp, PARAMS)
+        with pytest.raises(ValidationError):
+            quadratic_form(p, "ab", PARAMS)
 
 
 class TestHessianPotential:
@@ -199,7 +202,10 @@ class TestHessianPotential:
         for u in (float("nan"), float("inf")):
             with pytest.raises(DomainError):
                 hessian_potential(u, PotentialCoefficients(A=1.0))
+        for u in ("1", True):
+            with pytest.raises(ValidationError):
+                hessian_potential(u, PotentialCoefficients(A=1.0))
         for bad in ({"A": float("nan")}, {"A": 1.0, "c1": float("inf")}, {"A": 1j},
-                    {"A": "1.0"}):
+                    {"A": "1.0"}, {"A": True}):
             with pytest.raises(ParamError):
                 hessian_potential(1.0, PotentialCoefficients(**bad))

@@ -1,6 +1,7 @@
 """Tests for the property-sweep engine itself: registry coverage,
 determinism, order independence, and failure reporting."""
 
+import itertools
 import json
 
 import numpy as np
@@ -10,13 +11,28 @@ from entrokit import (
     CheckResult,
     ConfigError,
     DeformParams,
+    Distribution,
     SweepConfig,
     conditional_entropy,
+    divergence,
+    divergence_literal,
     entropy,
+    entropy_literal,
+    kl_divergence,
     list_properties,
     run_single,
     run_suite,
     sample_distribution,
+    shannon_entropy,
+)
+from entrokit.divergence import _divergence_literal_rows, _divergence_rows, _kl_rows
+from entrokit.entropy import (
+    _conditional_rows,
+    _entropy_literal_rows,
+    _entropy_rows,
+    _shannon_rows,
+    _spec_axes,
+    _spec_matrices,
 )
 from entrokit.properties import JOINT3, K_RANGE, R_RANGE, SIZE_RANGE, _law_side
 from entrokit.verify import (
@@ -259,10 +275,10 @@ class TestEngine:
             assert _REGISTRY[name].tol == overrides.get(name, default)
 
     def test_entropy_law_sides_match_direct_calls(self):
-        # every side of every _entropy_law, evaluated on a zero-padded batch,
-        # against the library calls it stands for on the unpadded joint; the
-        # padded sums re-associate, so each side may differ by 4 ulp per term
-        # of its largest term
+        # every side of every _entropy_law against the library calls it stands
+        # for: bit for bit on the unpadded joint, which has no zero cells, and
+        # on a zero-padded batch, whose sums regroup, within 4 ulp per term of
+        # its largest term
         params = DeformParams(0.3, 0.8)
         j2 = sample_distribution((3, 4), 7)
         j3 = sample_distribution((3, 4, 2), 8)
@@ -300,9 +316,51 @@ class TestEngine:
         ]
         k = np.array([[params.k]])
         for j, side, terms in cases:
+            (exact,) = _law_side(side)(j.p[np.newaxis], k).ravel()
+            assert exact.hex() == sum(terms).hex(), side
             (got,) = _law_side(side)(padded(j), k).ravel()
             bound = 4 * len(terms) * np.spacing(max(map(abs, terms)))
             assert abs(got - sum(terms)) <= bound, side
+
+    def test_kernel_rows_are_the_public_calls(self):
+        # the sweep's batched sums are the library's: each row of a batch of
+        # random vectors and joints equals the public call on that row, bit
+        # for bit; the joints have an axis of 8 or more cells, where numpy
+        # sums a strided axis in another order than a contiguous one
+        params = DeformParams(0.3, 0.8)
+        k, rng = params.k, np.random.default_rng(21)
+
+        def batch(shape):
+            return np.stack([sample_distribution(shape, rng).p for _ in range(5)])
+
+        def same(rows, public, *arrays):
+            for row, *cells in zip(rows[:, 0], *arrays):
+                assert row.hex() == float(public(*map(Distribution, cells))).hex()
+
+        p, q = batch(11), batch(11)
+        same(_entropy_rows(p, k), lambda d: entropy(d, params).value, p)
+        same(_entropy_literal_rows(p, params), lambda d: entropy_literal(d, params), p)
+        same(_shannon_rows(p), shannon_entropy, p)
+        same(_divergence_rows(p, q, k), lambda a, b: divergence(a, b, params).value, p, q)
+        same(_kl_rows(p, q), kl_divergence, p, q)
+        for form in ("pq", "qp"):
+            same(_divergence_literal_rows(p, q, params, form),
+                 lambda a, b: divergence_literal(a, b, params, form), p, q)
+        for shape in ((9, 10), (8, 9, 3)):
+            j = batch(shape)
+            same(_entropy_rows(j, k), lambda d: entropy(d, params).value, j)
+            letters = "XYZ"[: len(shape)]
+            for of_size in range(1, len(shape)):
+                for of in itertools.permutations(letters, of_size):
+                    rest = [c for c in letters if c not in of]
+                    for given in itertools.chain.from_iterable(
+                        itertools.permutations(rest, n) for n in range(1, len(rest) + 1)
+                    ):
+                        spec = "".join(of) + "_given_" + "".join(given)
+                        rows = _conditional_rows(
+                            _spec_matrices(j, *_spec_axes(spec, len(shape))), k
+                        )
+                        same(rows, lambda d: conditional_entropy(d, params, spec).value, j)
 
 
 class TestReportShape:
