@@ -95,10 +95,10 @@ class DeformParams:
 
 
 def _finite_real(name: str, value):
-    """A scalar parameter as given, if a finite real number and not a bool; else ParamError."""
+    """A scalar parameter as a float, if a finite real number and not a bool; else ParamError."""
     if isinstance(value, bool) or not (isinstance(value, Real) and math.isfinite(value)):
         raise ParamError(f"{name} must be a finite real number, got {value!r}")
-    return value
+    return float(value)
 
 
 def _log_x(x) -> np.ndarray:
@@ -130,7 +130,8 @@ def ln_kr(x, params: DeformParams):
 
 def ln_q(x, q: float):
     """Tsallis q-logarithm (x^{1-q} - 1) / (1 - q), q != 1."""
-    if _finite_real("q", q) == 1:
+    q = _finite_real("q", q)
+    if q == 1:
         raise ParamError("q = 1 is the ordinary logarithm; ln_q requires q != 1")
     out = np.expm1((1.0 - q) * _log_x(x)) / (1.0 - q)
     return _maybe_scalar(out, x)

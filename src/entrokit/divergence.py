@@ -144,10 +144,12 @@ def divergence_literal(
 
 
 def _weights(a, b) -> tuple[np.ndarray, np.ndarray]:
-    """Equal-shaped weights with finite entries > 0, as float arrays of rank >= 1."""
+    """Equal-shaped, non-empty weights with finite entries > 0, as float arrays of rank >= 1."""
     av, bv = (np.atleast_1d(_as_float_array(w, "weight")) for w in (a, b))
     if av.shape != bv.shape:
         raise DimensionError(f"shape mismatch: {av.shape} vs {bv.shape}")
+    if av.size == 0:
+        raise DomainError("weights must be non-empty")
     if not np.all((av > 0) & (bv > 0) & np.isfinite(av) & np.isfinite(bv)):
         raise DomainError("entries must be finite and > 0")
     return av, bv
@@ -176,8 +178,6 @@ def log_sum_gap(a, b, params: DeformParams) -> tuple[float, float]:
     term built from the totals; the inequality asserts lhs >= rhs.
     """
     av, bv = _weights(a, b)
-    if av.size == 0:
-        raise DomainError("weights must be non-empty")
     lhs, rhs = _log_sum_rows(av[np.newaxis], bv[np.newaxis], params.k)
     return float(lhs[0, 0]), float(rhs[0, 0])
 
@@ -197,7 +197,8 @@ def kl_divergence(p: Distribution, q: Distribution) -> float:
 
 def tsallis_divergence(p: Distribution, q: Distribution, q_param: float) -> float:
     """Standard one-parameter relative entropy -sum p ln_q(q_x/p_x)."""
-    if _finite_real("q", q_param) == 1:
+    q_param = _finite_real("q", q_param)
+    if q_param == 1:
         raise ParamError("q = 1 is the KL limit; use kl_divergence")
     live = _check_pair(p, q)
     pv, qv = p.p[live], q.p[live]

@@ -17,6 +17,11 @@ functions call it on a batch of one, and the property sweep on
 zero-padded batches, so it checks the sums users get. The public
 functions hand it only positive cells, and conditional_entropy only rows
 of positive mass: a zero adds 0 but would regroup numpy's pairwise sum.
+
+Entropies keep numpy's pairwise sum rather than math.fsum, so they are
+not bit-exactly permutation invariant: reordering n cells can move the
+result, by at most n * eps * S since every term is >= 0. Divergences,
+whose terms change sign, are summed with fsum and are invariant exactly.
 """
 
 from __future__ import annotations
@@ -181,7 +186,8 @@ def shannon_entropy(p: Distribution) -> float:
 
 def tsallis_entropy(p: Distribution, q: float) -> float:
     """Standard one-parameter entropy -sum p^q ln_q(p), q != 1."""
-    if _finite_real("q", q) == 1:
+    q = _finite_real("q", q)
+    if q == 1:
         raise ParamError("q = 1 is the Shannon limit; use shannon_entropy")
     lp = np.log(p.p[p.p > 0])
     return float(-np.sum(np.exp(q * lp) * np.expm1((1.0 - q) * lp) / (1.0 - q)))

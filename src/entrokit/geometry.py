@@ -14,13 +14,15 @@ derivatives that ignore the constraint.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from numbers import Real
 
 import numpy as np
 
 from .deformed_log import DeformParams
-from .distributions import Distribution, _as_float_array
+from .distributions import Distribution, _as_float_array, _col
 from .divergence import _fsum_rows, _positive_terms
 from .errors import DimensionError, DomainError, ParamError, ValidationError
 
@@ -100,39 +102,81 @@ def _diagonal(pv: np.ndarray, params: DeformParams, convention: str) -> np.ndarr
     return metric_coefficient(params, convention) / pv
 
 
+@functools.lru_cache(maxsize=8)
+def _stencil(width: int):
+    """The central-difference stencil on `width` coordinates. Its R =
+    2 width^2 + 1 rows are the base point, +h e_i and -h e_i for each i,
+    then +-h e_i +-h e_j for each pair i < j. Returns the (row, coordinate,
+    sign) of every displacement, the number of leading coordinates each
+    row reaches, and the pairs (i, j) in row order: O(width^2) read-only
+    arrays, cached because building them costs as much as a small Hessian."""
+    iu, ju = np.triu_indices(width, 1)
+    axis = np.arange(width)
+    corners = 2 * width + 1 + np.arange(4 * iu.size)
+    rows = np.concatenate([1 + axis, 1 + width + axis, corners, corners])
+    cols = np.concatenate([axis, axis, np.repeat(iu, 4), np.repeat(ju, 4)])
+    signs = np.concatenate([
+        np.ones(width), -np.ones(width),
+        np.tile([1.0, 1.0, -1.0, -1.0], iu.size), np.tile([1.0, -1.0, 1.0, -1.0], iu.size),
+    ])
+    reach = np.concatenate([[0], axis + 1, axis + 1, np.repeat(ju + 1, 4)])
+    stencil = (rows, cols, signs, reach, iu, ju)
+    for a in stencil:
+        a.setflags(write=False)
+    return stencil
+
+
+def _fd_hessian_rows(p: np.ndarray, n: np.ndarray, k, h) -> np.ndarray:
+    """(T, N, N) central-difference Hessians of a -> D(a || p_t) at a = p_t
+    for a (T, N) batch of base points, each padded with 1.0 beyond its
+    (T, 1) size n, with k and h scalars or (T, 1) columns.
+
+    Every displaced point of every trial is one row of a single term array.
+    Only rows that displace live coordinates are summed: a padded
+    coordinate stays at 1.0 in them, where its term is exactly 0, so each
+    exact fsum is the one the trial's own n coordinates give. The entries
+    beyond each trial's n x n block are +0.0.
+    """
+    t, width = p.shape
+    h = _col(h, 2)
+    live = np.arange(width) < n
+    if np.any(live & ((p - h <= 0) | (p + h >= 1))):
+        raise DomainError("step pushes some coordinate outside (0, 1)")
+    rows, cols, signs, reach, iu, ju = _stencil(width)
+    points = np.repeat(p[:, np.newaxis], reach.size, axis=1)
+    points[:, rows, cols] += h * signs
+    terms = _positive_terms(points, p[:, np.newaxis], _col(k, 3))
+    keep = reach <= n
+    f = np.zeros((t, reach.size))
+    f[keep] = _fsum_rows(terms[keep])[:, 0]
+    hess = np.zeros((t, width, width))
+    diag = np.arange(width)
+    hess[:, diag, diag] = (
+        f[:, 1 : width + 1] - 2.0 * f[:, :1] + f[:, width + 1 : 2 * width + 1]
+    ) / (h * h)
+    c = f[:, 2 * width + 1 :].reshape(t, -1, 4)
+    # one value per pair, mirrored, so each Hessian is exactly symmetric
+    hess[:, iu, ju] = hess[:, ju, iu] = (
+        c[..., 0] - c[..., 1] - c[..., 2] + c[..., 3]
+    ) / (4.0 * h * h)
+    return hess
+
+
 def fd_hessian(
     p: Distribution, params: DeformParams, step: float = DEFAULT_FD_STEP
 ) -> np.ndarray:
     """Central-difference Hessian of a -> D(a || p) at a = p.
 
     Coordinates are treated as unconstrained, so the result can be
-    compared entrywise against the analytic diagonal A / p_i. Every
-    displaced point is one row of a single array evaluation.
+    compared entrywise against the analytic diagonal A / p_i. This is the
+    batched stencil on a batch of one.
     """
     pv = _full_support(p)
     if pv.ndim != 1:
         raise DimensionError(f"fd_hessian needs a vector, got {pv.ndim} axes")
-    if not (isinstance(step, Real) and step > 0):
+    if isinstance(step, bool) or not (isinstance(step, Real) and 0 < step < math.inf):
         raise DomainError(f"step must be a real number > 0, got {step!r}")
-    if np.any(pv - step <= 0) or np.any(pv + step >= 1):
-        raise DomainError("step pushes some coordinate outside (0, 1)")
-
-    n = pv.shape[0]
-    h = float(step)
-    iu, ju = np.triu_indices(n, 1)
-    pairs = np.arange(iu.size)[:, None]
-    # rows: p, p + h e_i, p - h e_i, then p +- h e_i +- h e_j for each i < j
-    shift = np.eye(n) * h
-    corners = np.tile(pv, (iu.size, 4, 1))
-    corners[pairs, np.arange(4), iu[:, None]] += [h, h, -h, -h]
-    corners[pairs, np.arange(4), ju[:, None]] += [h, -h, h, -h]
-    points = np.concatenate([pv[None], pv + shift, pv - shift, corners.reshape(-1, n)])
-    f = _fsum_rows(_positive_terms(points, pv, params.k))[:, 0]
-    hess = np.diag((f[1 : n + 1] - 2.0 * f[0] + f[n + 1 : 2 * n + 1]) / (h * h))
-    c = f[2 * n + 1 :].reshape(-1, 4).T
-    # one value per pair, mirrored, so the Hessian is exactly symmetric
-    hess[iu, ju] = hess[ju, iu] = (c[0] - c[1] - c[2] + c[3]) / (4.0 * h * h)
-    return hess
+    return _fd_hessian_rows(pv[np.newaxis], np.array([[pv.size]]), params.k, float(step))[0]
 
 
 def quadratic_form(p: Distribution, dp, params: DeformParams) -> float:

@@ -13,8 +13,9 @@ cell where P is 0 adds 0 to a divergence (Lemma 4.4). The linear entropy
 laws of Section 3 are one-line `_entropy_law` entries.
 
 Entropies and divergences come from the batched `_*_rows` evaluators of
-`entrokit.entropy` and `entrokit.divergence`, which the public functions
-call on a batch of one; this module defines no sum of its own.
+`entrokit.entropy` and `entrokit.divergence`, and finite-difference
+Hessians from `entrokit.geometry._fd_hessian_rows`, which the public
+functions call on a batch of one; this module defines no sum of its own.
 
 The kind supplies the slack rule and picks the worst element of each row.
 Identities record slack = (lhs - rhs) / max(1, |lhs|, |rhs|) and pass when
@@ -36,8 +37,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .deformed_log import DeformParams, legacy_Ln, legacy_u, ln_kr
-from .distributions import Distribution, _check_rows, _col, _rowsum
+from .deformed_log import legacy_Ln, legacy_u, ln_kr
+from .distributions import _check_rows, _col, _rowsum
 from .divergence import _divergence_literal_rows, _divergence_rows, _kl_rows, _log_sum_rows
 from .entropy import (
     AXIS_LETTERS,
@@ -52,7 +53,7 @@ from .geometry import (
     CONVENTIONS,
     PotentialCoefficients,
     _diagonal,
-    fd_hessian,
+    _fd_hessian_rows,
     hessian_potential,
     metric_coefficient,
 )
@@ -595,16 +596,15 @@ _FD_CAP = 6  # the finite-difference checks draw 2.._FD_CAP coordinates
 
 
 def _fd_hessians(draw: _Draw):
-    """Interior base points (padded to VECTOR) and the finite-difference
-    Hessian at each: one fd_hessian call per trial."""
+    """(T, 1) sizes n, interior base points padded with 1.0 to _FD_CAP, and
+    the finite-difference Hessians at them, 0 beyond each trial's n x n
+    block: one stencil call for the whole batch."""
     params = draw.params()
     n, p = _vector(draw, draw.size(cap=_FD_CAP, floor=2))
     p = _interior(p, n)
-    hessians = [
-        fd_hessian(Distribution(row[:m]), DeformParams(k, r), step=1e-4)
-        for row, m, k, r in zip(p, n[:, 0], params.k[:, 0].tolist(), params.r[:, 0].tolist())
-    ]
-    return params, n, p, hessians
+    _check_rows(p)
+    pv = np.where(p > 0, p, 1.0)[:, :_FD_CAP]
+    return params, n, pv, _fd_hessian_rows(pv, n, params.k, 1e-4)
 
 
 @_property(
@@ -612,10 +612,10 @@ def _fd_hessians(draw: _Draw):
     3 + VECTOR, tol=1e-8,
 )
 def _check_hessian_separability(draw, trial):
-    params, n, p, hessians = _fd_hessians(draw)
-    off = np.zeros((len(p), _FD_CAP * (_FD_CAP - 1)))  # zeros never rank as worst
-    for row, h in zip(off, hessians):
-        row[: h.size - len(h)] = h[~np.eye(len(h), dtype=bool)]
+    # Row-major off-diagonals: the n x n block's keep their order, (0, 1)
+    # leads, and the zeros beyond the block never rank above it as worst.
+    params, n, pv, hess = _fd_hessians(draw)
+    off = hess[:, ~np.eye(_FD_CAP, dtype=bool)]
     return off, 0.0, {"n": n, "step": 1e-4, **params.fields}
 
 
@@ -624,11 +624,10 @@ def _check_hessian_separability(draw, trial):
     3 + VECTOR, tol=1e-5,
 )
 def _check_metric_oracle_agreement(draw, trial):
-    params, n, p, hessians = _fd_hessians(draw)
-    g = _diagonal(np.where(p > 0, p, 1.0), params, "derived")[:, :_FD_CAP]
-    fd = g.copy()  # the padding agrees with the oracle exactly
-    for row, h in zip(fd, hessians):
-        row[: len(h)] = np.diag(h)
+    params, n, pv, hess = _fd_hessians(draw)
+    g = _diagonal(pv, params, "derived")
+    live = np.arange(_FD_CAP) < n
+    fd = np.where(live, np.diagonal(hess, axis1=1, axis2=2), g)  # the padding agrees exactly
     rel = (fd - g) / g
     worst = np.argmax(np.abs(rel), axis=1)[:, None]
     lhs, rhs, slack = (np.take_along_axis(a, worst, axis=1) for a in (fd, g, rel))

@@ -6,6 +6,7 @@ hypothesis over randomized arguments.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -215,6 +216,9 @@ class TestLnQ:
         for q in (1.0, float("nan"), "2"):
             with pytest.raises(ParamError):
                 ln_q(0.5, q)
+
+    def test_fraction_parameter(self):
+        assert float(ln_q(0.3, Fraction(3, 2))).hex() == float(ln_q(0.3, 1.5)).hex()
 
     def test_domain(self):
         with pytest.raises(DomainError):

@@ -1,6 +1,7 @@
 """Tests for the generalized relative entropy and its order properties."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -297,8 +298,11 @@ class TestLogSum:
             log_sum_gap([1.0], [1.0, 2.0], PARAMS)
         with pytest.raises(DomainError):
             log_sum_gap([1.0, 0.0], [1.0, 1.0], PARAMS)
-        with pytest.raises(DomainError):
-            log_sum_gap([], [], PARAMS)
+        for empty in ([], np.zeros((2, 0))):
+            with pytest.raises(DomainError, match="non-empty"):
+                log_sum_gap(empty, empty, PARAMS)
+            with pytest.raises(DomainError, match="non-empty"):
+                divergence_sum(empty, empty, PARAMS)
         with pytest.raises(ValidationError):
             divergence_sum("1", "2", PARAMS)
 
@@ -348,6 +352,12 @@ class TestReferenceDivergences:
             p, q = _pair(rng, int(rng.integers(2, 17)))
             ref = kl_divergence(p, q)
             assert abs(divergence(p, q, params).value - ref) <= 1e-3 * (1 + ref)
+
+    def test_tsallis_fraction_parameter(self):
+        p = make_distribution([0.2, 0.3, 0.5])
+        q = make_distribution([0.4, 0.4, 0.2])
+        value = tsallis_divergence(p, q, Fraction(3, 2))
+        assert value.hex() == tsallis_divergence(p, q, 1.5).hex()
 
     def test_tsallis_rejects_q_one(self):
         p = make_distribution([0.5, 0.5])

@@ -5,6 +5,7 @@ plain ** powers, independently of the library's expm1-based path.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -119,6 +120,18 @@ class TestEntropy:
 
     def test_float_protocol(self):
         assert float(entropy(make_distribution([1.0]), PARAMS)) == 0.0
+
+    def test_permutation_within_summation_bound(self):
+        # entropy sums pairwise, so a permutation may move the last bits,
+        # but never by more than n * eps * S (the terms are >= 0)
+        rng = np.random.default_rng(34)
+        eps = np.finfo(float).eps
+        for _ in range(500):
+            n = int(rng.integers(1, 4097))
+            d = sample_distribution(n, rng)
+            value = entropy(d, PARAMS).value
+            permuted = entropy(make_distribution(rng.permutation(d.p)), PARAMS).value
+            assert abs(permuted - value) <= n * eps * value
 
 
 class TestJointEntropy:
@@ -385,6 +398,10 @@ class TestReferenceEntropies:
         d = make_distribution([0.2, 0.3, 0.5])
         value = entropy(d, DeformParams(K_MIN, 1.0)).value
         assert value == pytest.approx(shannon_entropy(d), rel=1e-14)
+
+    def test_tsallis_fraction_parameter(self):
+        d = make_distribution([0.2, 0.3, 0.5])
+        assert tsallis_entropy(d, Fraction(3, 2)).hex() == tsallis_entropy(d, 1.5).hex()
 
     def test_tsallis_rejects_q_one(self):
         d = make_distribution([0.5, 0.5])

@@ -21,8 +21,29 @@ from entrokit import (
     metric_coefficient,
     quadratic_form,
 )
+from entrokit.geometry import _fd_hessian_rows
+from entrokit.properties import K_RANGE
 
 PARAMS = DeformParams(0.25, 0.5)
+
+# fd_hessian at n = 8 on the benchmark's base point (k = 0.25, default
+# step), pinned bit for bit with sign bits: the diagonal, then the upper
+# triangle in row-major order
+N8_DIAG = [
+    "0x1.fad560025c692p+1", "0x1.94b8e7bacaa6ap+1", "0x1.f1388a5d6f4ebp+2",
+    "0x1.fe433c9d19e79p+2", "0x1.186876ae2b310p+2", "0x1.2926181e517f8p+1",
+    "0x1.fd3c29b79ba51p+1", "0x1.dff6a3224d7c2p+1",
+]
+_Z, _A, _B = "0x0.0p+0", "0x1.7d78400000000p-41", "0x1.7d78400000000p-40"
+N8_UPPER = [
+    "-" + _A, _Z, _A, "-" + _A, _Z, _Z, _Z,
+    _Z, _Z, "-" + _A, _A, _A, "-" + _A,
+    _Z, "-" + _A, _Z, _Z, _A,
+    _Z, "-" + _B, "-" + _B, "-" + _A,
+    _Z, _Z, _Z,
+    _Z, _Z,
+    _Z,
+]
 
 
 def _interior(rng, n):
@@ -102,13 +123,41 @@ class TestFdHessian:
             fd_hessian(p, PARAMS, step=0.01)
         with pytest.raises(DomainError):
             fd_hessian(make_distribution([0.5, 0.5]), PARAMS, step=0.0)
-        for step in (float("nan"), "1e-4"):
-            with pytest.raises(DomainError):
+        for step in (float("nan"), "1e-4", True, float("inf")):
+            with pytest.raises(DomainError, match="step must be a real number > 0"):
                 fd_hessian(make_distribution([0.5, 0.5]), PARAMS, step=step)
 
     def test_vector_required(self):
         with pytest.raises(DimensionError):
             fd_hessian(make_joint2([[0.25, 0.25], [0.25, 0.25]]), PARAMS)
+
+    def test_fd_hessian_rows_are_the_public_calls(self):
+        # one mixed batch, padded with 1.0 to width 6: each trial's block is
+        # the public call on that row, bit for bit, and the rest is +0.0
+        rng = np.random.default_rng(7)
+        t, width = 300, 6
+        n = rng.integers(2, width + 1, size=(t, 1))
+        k = rng.uniform(*K_RANGE, size=(t, 1))
+        h = np.where(np.arange(t)[:, None] % 3 == 0,
+                     10.0 ** rng.uniform(-6.0, -2.5, size=(t, 1)), 1e-4)
+        points = [_interior(rng, m).p for m in n[:, 0]]
+        p = np.ones((t, width))
+        for row, point in zip(p, points):
+            row[: point.size] = point
+        hess = _fd_hessian_rows(p, n, k, h)
+        for i, (m, point) in enumerate(zip(n[:, 0], points)):
+            public = fd_hessian(Distribution(point), DeformParams(k[i, 0], 1.0), step=h[i, 0])
+            assert hess[i, :m, :m].tobytes() == public.tobytes()
+            rest = np.concatenate([hess[i, m:].ravel(), hess[i, :m, m:].ravel()])
+            assert rest.tobytes() == bytes(rest.nbytes)
+
+    def test_fd_hessian_n8_golden(self):
+        e = np.random.default_rng(0).exponential(size=8)
+        p = make_distribution(0.5 * e / e.sum() + 0.5 / 8)
+        h = fd_hessian(p, DeformParams(0.25, 1.0))
+        assert [float(x).hex() for x in np.diag(h)] == N8_DIAG
+        assert [float(x).hex() for x in h[np.triu_indices(8, 1)]] == N8_UPPER
+        assert h.tobytes() == h.T.tobytes()
 
 
 class TestQuadraticForm:
