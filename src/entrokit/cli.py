@@ -19,7 +19,6 @@ import click
 
 from . import io as eio
 from .deformed_log import DeformParams
-from .distributions import Distribution
 from .divergence import divergence, kl_divergence, mutual_divergence, tsallis_divergence
 from .entropy import (
     conditional_entropy,
@@ -49,37 +48,11 @@ def _read_source(source: str) -> tuple[str, str | None]:
     return text, hint
 
 
-def _resolve_format(fmt: str | None, hint: str | None, text: str) -> str:
+def _load(source: str, fields: tuple[str, ...], fmt: str | None, normalize: bool):
+    text, hint = _read_source(source)
     # inline JSON and recognizable extensions win; --format settles the rest
-    if hint:
-        return hint
-    if fmt:
-        return fmt
-    return "json" if text.lstrip().startswith("{") else "csv"
-
-
-def _load_distribution(source: str, fmt: str | None, normalize: bool) -> Distribution:
-    text, hint = _read_source(source)
-    if _resolve_format(fmt, hint, text) == "json":
-        return eio.distribution_from_json(text, normalize=normalize)
-    return eio.distribution_from_csv(text, normalize=normalize)
-
-
-def _load_joint(source: str, fmt: str | None, normalize: bool) -> Distribution:
-    text, hint = _read_source(source)
-    if _resolve_format(fmt, hint, text) == "json":
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as e:
-            raise ValidationError(f"malformed JSON input: {e}") from None
-        if not isinstance(obj, dict):
-            raise ValidationError("expected a JSON object")
-        if "m" in obj:
-            return eio.joint2_from_json(text, normalize=normalize)
-        if "t" in obj:
-            return eio.joint3_from_json(text, normalize=normalize)
-        raise ValidationError('joint input needs an "m" (matrix) or "t" (tensor) field')
-    return eio.joint2_from_csv(text, normalize=normalize)
+    fmt = hint or fmt or ("json" if text.lstrip().startswith("{") else "csv")
+    return eio.read(text, fields, fmt, normalize)
 
 
 def _to_csv(payload: dict) -> str:
@@ -87,10 +60,8 @@ def _to_csv(payload: dict) -> str:
     numeric = [k for k, v in payload.items() if isinstance(v, (int, float))]
     if numeric:
         lines.append(",".join(numeric))
-        lines.append(",".join(repr(float(payload[k])) for k in numeric))
-    for v in payload.values():
-        if isinstance(v, list):
-            lines.append(",".join(repr(float(x)) for x in v))
+        lines.append(eio._row(payload[k] for k in numeric))
+    lines.extend(eio._row(v) for v in payload.values() if isinstance(v, list))
     return "\n".join(lines) + "\n"
 
 
@@ -130,7 +101,7 @@ def cli():
 def entropy_cmd(k, r, relaxed, normalize, fmt, output, source):
     """Entropy of a distribution."""
     params = DeformParams(k, r, relaxed)
-    p = _load_distribution(source, fmt, normalize)
+    p = _load(source, ("p",), fmt, normalize)
     _emit({"value": entropy(p, params).value}, fmt or "json", output)
 
 
@@ -140,7 +111,7 @@ def entropy_cmd(k, r, relaxed, normalize, fmt, output, source):
 def joint_cmd(k, r, relaxed, normalize, fmt, output, source):
     """Entropy of a joint distribution (2 or 3 variables)."""
     params = DeformParams(k, r, relaxed)
-    j = _load_joint(source, fmt, normalize)
+    j = _load(source, ("m", "t"), fmt, normalize)
     _emit({"value": entropy(j, params).value}, fmt or "json", output)
 
 
@@ -154,10 +125,12 @@ def joint_cmd(k, r, relaxed, normalize, fmt, output, source):
 def conditional_cmd(k, r, relaxed, normalize, fmt, output, source, direction, mode):
     """Conditional entropy of a joint distribution."""
     params = DeformParams(k, r, relaxed)
-    j = _load_joint(source, fmt, normalize)
+    j = _load(source, ("m", "t"), fmt, normalize)
     if j.ndim == 3 and mode is None:
         raise click.UsageError("--mode is required for a 3-variable joint")
-    value = conditional_entropy(j, params, mode if j.ndim == 3 else direction).value
+    if j.ndim == 2 and mode is not None:
+        raise click.UsageError("--mode is not accepted for a 2-variable joint; use --direction")
+    value = conditional_entropy(j, params, mode or direction).value
     _emit({"value": value}, fmt or "json", output)
 
 
@@ -169,7 +142,7 @@ def conditional_cmd(k, r, relaxed, normalize, fmt, output, source, direction, mo
 def mutual_cmd(k, r, relaxed, normalize, fmt, output, source, via):
     """Mutual entropy S(X) + S(Y) - S(X,Y), or the divergence form."""
     params = DeformParams(k, r, relaxed)
-    j = _load_joint(source, fmt, normalize)
+    j = _load(source, ("m", "t"), fmt, normalize)
     if via == "divergence":
         value = mutual_divergence(j, params).value
     else:
@@ -184,8 +157,8 @@ def mutual_cmd(k, r, relaxed, normalize, fmt, output, source, via):
 def divergence_cmd(k, r, relaxed, normalize, fmt, output, p_source, q_source):
     """Relative entropy D(P || Q)."""
     params = DeformParams(k, r, relaxed)
-    p = _load_distribution(p_source, fmt, normalize)
-    q = _load_distribution(q_source, fmt, normalize)
+    p = _load(p_source, ("p",), fmt, normalize)
+    q = _load(q_source, ("p",), fmt, normalize)
     result = divergence(p, q, params)
     if params.k == 0.5:
         click.echo(
@@ -203,7 +176,7 @@ def divergence_cmd(k, r, relaxed, normalize, fmt, output, p_source, q_source):
 def metric_cmd(k, r, relaxed, normalize, fmt, output, source, convention):
     """Diagonal of the divergence-induced metric at a base point."""
     params = DeformParams(k, r, relaxed)
-    p = _load_distribution(source, fmt, normalize)
+    p = _load(source, ("p",), fmt, normalize)
     m = fisher_metric(p, params, convention)
     _emit({"g": m.g.tolist(), "convention": convention}, fmt or "json", output)
 
@@ -220,8 +193,8 @@ def reduce_cmd(k, r, relaxed, normalize, fmt, output, source, q_source, target):
     and requires k = r; shannon/kl compare the small-deformation limit.
     """
     params = DeformParams(k, r, relaxed)
-    p = _load_distribution(source, fmt, normalize)
-    q = _load_distribution(q_source, fmt, normalize) if q_source else None
+    p = _load(source, ("p",), fmt, normalize)
+    q = _load(q_source, ("p",), fmt, normalize) if q_source else None
 
     if target == "tsallis":
         if k != r:

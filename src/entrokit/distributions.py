@@ -123,6 +123,8 @@ class Distribution:
         m = self.p.sum(axis=tuple(a for a in range(self.ndim) if a not in kept))
         return Distribution(m.transpose([kept.index(a) for a in axes]))
 
+    # Kept only because the frozen benchmark (perfbench/bulk.py) calls it;
+    # ROADMAP item 1's benchmark change deletes it.
     def marginal_x(self) -> Distribution:
         """The marginal over axis 0, i.e. marginal(0)."""
         return self.marginal(0)

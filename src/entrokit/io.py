@@ -1,18 +1,18 @@
-"""JSON and CSV readers/writers for probability data.
+"""JSON and CSV reader and writer for probability data: `read` and `write`.
 
-JSON object shapes: {"p": [...]} for a distribution, {"m": [[...], ...]}
-for a joint of two variables, {"t": [[[...], ...], ...]} for a joint of
-three, {"w": [[...], ...]} for a channel (rows = outputs). CSV holds one
-row per vector; matrices are row-major with a leading
-"# rows=<n_x> cols=<n_y>" header. Numbers are written with shortest
-round-trip precision so emitted files re-read to identical values.
+Each object lives under one JSON field, listed in `FIELDS`: {"p": [...]}
+for a distribution, {"m": [[...], ...]} for a joint of two variables,
+{"t": [[[...], ...], ...]} for a joint of three, {"w": [[...], ...]} for a
+channel (rows = outputs). CSV holds a distribution as one row, and a joint
+of two variables or a channel as a row-major matrix under an optional
+"# rows=<n_x> cols=<n_y>" header; a joint of three has no CSV layout.
+Numbers are written with shortest round-trip precision so emitted files
+re-read to identical values.
 """
 
 from __future__ import annotations
 
 import json
-
-import numpy as np
 
 from .distributions import (
     Channel,
@@ -24,103 +24,77 @@ from .distributions import (
 )
 from .errors import ValidationError
 
-__all__ = [
-    "distribution_to_json",
-    "joint2_to_json",
-    "joint3_to_json",
-    "channel_to_json",
-    "distribution_from_json",
-    "joint2_from_json",
-    "joint3_from_json",
-    "channel_from_json",
-    "distribution_to_csv",
-    "joint2_to_csv",
-    "channel_to_csv",
-    "distribution_from_csv",
-    "joint2_from_csv",
-    "channel_from_csv",
-]
+__all__ = ["FIELDS", "read", "write"]
+
+# field -> (what it holds, the shape of its data, constructor)
+FIELDS = {
+    "p": ("distribution", "vector", make_distribution),
+    "m": ("joint", "matrix", make_joint2),
+    "t": ("joint", "tensor", make_joint3),
+    "w": ("channel", "matrix", make_channel),
+}
 
 
-def distribution_to_json(d: Distribution) -> str:
-    return json.dumps({"p": d.p.tolist()})
+def read(text: str, fields: tuple[str, ...], fmt: str, normalize: bool) -> Distribution | Channel:
+    """The object under the first of `fields` in JSON `text`, or in CSV `fields[0]`'s layout."""
+    parse = _json_field if fmt == "json" else _csv_field
+    field, data = parse(text, fields)
+    return FIELDS[field][2](data, normalize=normalize)
 
 
-def joint2_to_json(j: Distribution) -> str:
-    return json.dumps({"m": j.p.tolist()})
-
-
-def joint3_to_json(j: Distribution) -> str:
-    return json.dumps({"t": j.p.tolist()})
-
-
-def channel_to_json(c: Channel) -> str:
-    return json.dumps({"w": c.w.tolist()})
-
-
-def _json_field(text: str, key: str):
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ValidationError(f"malformed JSON input: {e}") from None
-    if not isinstance(obj, dict) or key not in obj:
-        raise ValidationError(f'expected a JSON object with a "{key}" field')
-    return obj[key]
-
-
-def distribution_from_json(text: str, normalize: bool = False) -> Distribution:
-    return make_distribution(_json_field(text, "p"), normalize=normalize)
-
-
-def joint2_from_json(text: str, normalize: bool = False) -> Distribution:
-    return make_joint2(_json_field(text, "m"), normalize=normalize)
-
-
-def joint3_from_json(text: str, normalize: bool = False) -> Distribution:
-    return make_joint3(_json_field(text, "t"), normalize=normalize)
-
-
-def channel_from_json(text: str, normalize: bool = False) -> Channel:
-    return make_channel(_json_field(text, "w"), normalize=normalize)
-
-
-def _row(values) -> str:
-    return ",".join(repr(float(v)) for v in values)
-
-
-def distribution_to_csv(d: Distribution) -> str:
-    return _row(d.p) + "\n"
-
-
-def _matrix_to_csv(a: np.ndarray) -> str:
-    rows, cols = a.shape
-    lines = [f"# rows={rows} cols={cols}"]
+def write(obj: Distribution | Channel, fmt: str) -> str:
+    """`obj` as JSON or CSV text, under the field of its type and rank."""
+    if isinstance(obj, Channel):
+        field, a = "w", obj.w
+    elif obj.ndim <= 3:
+        field, a = "pmt"[obj.ndim - 1], obj.p
+    else:
+        raise ValidationError(f"no field holds a distribution of rank {obj.ndim}")
+    if fmt == "json":
+        return json.dumps({field: a.tolist()})
+    if a.ndim == 1:
+        return _row(a) + "\n"
+    if a.ndim == 3:
+        raise ValidationError("a joint of three variables has no CSV layout")
+    lines = [f"# rows={a.shape[0]} cols={a.shape[1]}"]
     lines.extend(_row(r) for r in a)
     return "\n".join(lines) + "\n"
 
 
-def joint2_to_csv(j: Distribution) -> str:
-    return _matrix_to_csv(j.p)
+def _row(values) -> str:
+    """One CSV row, each number at shortest round-trip precision."""
+    return ",".join(repr(float(v)) for v in values)
 
 
-def channel_to_csv(c: Channel) -> str:
-    return _matrix_to_csv(c.w)
+def _json_field(text: str, fields: tuple[str, ...]):
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise ValidationError(f"malformed JSON input: {e}") from None
+    present = [f for f in fields if isinstance(obj, dict) and f in obj]
+    if present:
+        return present[0], obj[present[0]]
+    if len(fields) == 1:
+        raise ValidationError(f'expected a JSON object with a "{fields[0]}" field')
+    if not isinstance(obj, dict):
+        raise ValidationError("expected a JSON object")
+    choices = " or ".join(f'"{f}" ({FIELDS[f][1]})' for f in fields)
+    raise ValidationError(f"{FIELDS[fields[0]][0]} input needs an {choices} field")
 
 
-def _parse_rows(text: str) -> tuple[list[list[float]], tuple[int, int] | None]:
-    shape = None
+def _csv_field(text: str, fields: tuple[str, ...]):
+    """The rows of CSV `text`: exactly one for a vector field, a full matrix otherwise."""
+    header = None
     rows: list[list[float]] = []
     for raw in text.splitlines():
         line = raw.strip()
         if not line:
             continue
         if line.startswith("#"):
-            fields = dict(
-                part.split("=", 1) for part in line.lstrip("#").split() if "=" in part
-            )
-            if "rows" in fields and "cols" in fields:
+            pairs = dict(part.split("=", 1) for part in line.lstrip("#").split() if "=" in part)
+            if "rows" in pairs and "cols" in pairs:
                 try:
-                    shape = (int(fields["rows"]), int(fields["cols"]))
+                    header = (int(pairs["rows"]), int(pairs["cols"]))
                 except ValueError:
                     raise ValidationError(f"malformed CSV header: {line!r}") from None
             continue
@@ -128,32 +102,25 @@ def _parse_rows(text: str) -> tuple[list[list[float]], tuple[int, int] | None]:
             rows.append([float(v) for v in line.split(",")])
         except ValueError:
             raise ValidationError(f"malformed CSV row: {line!r}") from None
-    return rows, shape
-
-
-def distribution_from_csv(text: str, normalize: bool = False) -> Distribution:
-    rows, _ = _parse_rows(text)
-    if len(rows) != 1:
-        raise ValidationError(f"expected a single CSV row, found {len(rows)}")
-    return make_distribution(rows[0], normalize=normalize)
-
-
-def _matrix_from_csv(text: str) -> np.ndarray:
-    rows, shape = _parse_rows(text)
+    if FIELDS[fields[0]][1] == "vector":
+        if len(rows) != 1:
+            raise ValidationError(f"expected a single CSV row, found {len(rows)}")
+        return fields[0], rows[0]
     if not rows:
         raise ValidationError("no data rows in CSV input")
-    widths = {len(r) for r in rows}
-    if len(widths) != 1:
+    if len({len(r) for r in rows}) != 1:
         raise ValidationError("CSV rows have inconsistent lengths")
-    a = np.asarray(rows, dtype=float)
-    if shape is not None and a.shape != shape:
-        raise ValidationError(f"CSV header declares {shape}, data has {a.shape}")
-    return a
+    found = (len(rows), len(rows[0]))
+    if header is not None and header != found:
+        raise ValidationError(f"CSV header declares {header}, data has {found}")
+    return fields[0], rows
 
 
-def joint2_from_csv(text: str, normalize: bool = False) -> Distribution:
-    return make_joint2(_matrix_from_csv(text), normalize=normalize)
+# Kept only because the frozen benchmark (perfbench/climix.py) calls them;
+# ROADMAP item 1's benchmark change deletes them.
+def distribution_from_json(text: str) -> Distribution:
+    return read(text, ("p",), "json", False)
 
 
-def channel_from_csv(text: str, normalize: bool = False) -> Channel:
-    return make_channel(_matrix_from_csv(text), normalize=normalize)
+def joint2_from_csv(text: str) -> Distribution:
+    return read(text, ("m",), "csv", False)

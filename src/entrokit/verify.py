@@ -71,8 +71,10 @@ class SweepConfig:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
         if not (0 <= self.seed < 2**64):
             raise ConfigError("seed must be a 64-bit unsigned integer")
-        if self.tol is not None and not (isinstance(self.tol, Real) and self.tol > 0):
-            raise ConfigError(f"tol must be a real number > 0, got {self.tol!r}")
+        tol = self.tol
+        usable = isinstance(tol, Real) and not isinstance(tol, bool) and 0 < tol < np.inf
+        if tol is not None and not usable:
+            raise ConfigError(f"tol must be a real number > 0, got {tol!r}")
         if self.properties is not None:
             names = self.properties
             if isinstance(names, str) or not np.iterable(names):
@@ -80,6 +82,8 @@ class SweepConfig:
             names = tuple(names)
             if not all(isinstance(n, str) for n in names):
                 raise ConfigError(f"property names must be strings: {names!r}")
+            if not names:
+                raise ConfigError("properties must name at least one property")
             object.__setattr__(self, "properties", names)
 
 

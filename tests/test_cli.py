@@ -115,10 +115,19 @@ class TestJointAndConditional:
         )
         assert code == 0
 
+    def test_conditional_matrix_rejects_mode(self, capsys):
+        code, out, err = run(
+            capsys, "conditional", "--k", "0.25", "--r", "1",
+            "--input", '{"m":[[0.1,0.2],[0.3,0.4]]}', "--mode", "XY_given_Z",
+        )
+        assert code == 1
+        assert out == ""
+        assert "--mode is not accepted for a 2-variable joint" in err
+
     def test_conditional_csv_joint(self, capsys, tmp_path):
         j = sample_distribution((3, 4), seed=2)
         path = tmp_path / "joint.csv"
-        path.write_text(eio.joint2_to_csv(j))
+        path.write_text(eio.write(j, "csv"))
         code, out, _ = run(
             capsys, "conditional", "--k", "0.3", "--r", "0.7", "--input", str(path)
         )
@@ -293,6 +302,15 @@ class TestVerifyCommand:
         )
         assert out_env == out_flag
 
+    def test_infinite_tolerance_exit_two(self, capsys):
+        # an infinite tolerance would pass every check, whatever the sweep finds
+        code, out, err = run(
+            capsys, "verify", "--trials", "1", "--properties", "chain_rule", "--tol", "inf"
+        )
+        assert code == 2
+        assert out == ""
+        assert "tol must be" in err
+
     def test_unknown_property_exit_two(self, capsys):
         code, out, err = run(
             capsys, "verify", "--trials", "1", "--properties", "bogus"
@@ -391,19 +409,51 @@ class TestUsageAndErrors:
         assert json.loads(path.read_text()) == {"value": 1.0}
 
 
+# (command, inline input or file contents, file suffix or None, exact stderr);
+# "{path}" in the stderr stands for the input file's path
+INPUT_ERRORS = [
+    ("entropy", '{"p": oops}', None,
+     "error: malformed JSON input: Expecting value: line 1 column 7 (char 6)\n"),
+    ("entropy", '{"q": [1]}', None, 'error: expected a JSON object with a "p" field\n'),
+    ("entropy", '{"m": [[1]]}', None, 'error: expected a JSON object with a "p" field\n'),
+    ("joint", '{"p": [1]}', None,
+     'error: joint input needs an "m" (matrix) or "t" (tensor) field\n'),
+    ("joint", "[1]\n", ".json", "error: expected a JSON object\n"),
+    ("entropy", "0.5,abc\n", ".csv", "error: malformed CSV row: '0.5,abc'\n"),
+    ("joint", "# rows=3 cols=3\n0.5,0.5\n0.0,0.0\n", ".csv",
+     "error: CSV header declares (3, 3), data has (2, 2)\n"),
+    ("entropy", "0.5,0.5\n0.25,0.75\n", ".csv", "error: expected a single CSV row, found 2\n"),
+    ("joint", "0.5,0.5\n0.0\n", ".csv", "error: CSV rows have inconsistent lengths\n"),
+    ("entropy", None, ".json",
+     "error: cannot read input '{path}': [Errno 2] No such file or directory: '{path}'\n"),
+]
+
+
+@pytest.mark.parametrize("command, text, suffix, stderr", INPUT_ERRORS)
+def test_input_error_messages(capsys, tmp_path, command, text, suffix, stderr):
+    source = text
+    if suffix is not None:
+        path = tmp_path / f"input{suffix}"
+        if text is not None:
+            path.write_text(text)
+        source = str(path)
+    code, out, err = run(capsys, command, "--k", "0.25", "--r", "1", "--input", source)
+    assert (code, out, err) == (2, "", stderr.replace("{path}", source))
+
+
 class TestRoundTrip:
     def test_emitted_csv_is_re_readable(self, capsys, tmp_path):
         # values emitted by the io writers re-read to identical objects
         j = sample_distribution((4, 3), seed=77)
         path = tmp_path / "j.csv"
-        path.write_text(eio.joint2_to_csv(j))
-        again = eio.joint2_from_csv(path.read_text())
+        path.write_text(eio.write(j, "csv"))
+        again = eio.read(path.read_text(), ("m",), "csv", False)
         np.testing.assert_array_equal(j.p, again.p)
         code, out1, _ = run(
             capsys, "joint", "--k", "0.3", "--r", "1", "--input", str(path)
         )
         jso = tmp_path / "j.json"
-        jso.write_text(eio.joint2_to_json(j))
+        jso.write_text(eio.write(j, "json"))
         code, out2, _ = run(
             capsys, "joint", "--k", "0.3", "--r", "1", "--input", str(jso)
         )

@@ -1,5 +1,7 @@
 """Tests for the probability data model, samplers, and JSON/CSV round trips."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -267,60 +269,53 @@ class TestConditionalConsistency:
                 np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
 
+# every (field, format) pair with a layout; a joint of three has no CSV one
+ROUNDTRIPS = [
+    pytest.param("p", "json", sample_distribution(6, seed=4), id="p-json"),
+    pytest.param("m", "json", sample_distribution((3, 5), seed=4), id="m-json"),
+    pytest.param("t", "json", sample_distribution((2, 3, 4), seed=4), id="t-json"),
+    pytest.param("w", "json", sample_channel(4, 3, seed=4), id="w-json"),
+    pytest.param("p", "csv", sample_distribution(6, seed=8), id="p-csv"),
+    pytest.param("m", "csv", sample_distribution((3, 5), seed=8), id="m-csv"),
+    pytest.param("w", "csv", sample_channel(2, 4, seed=8), id="w-csv"),
+]
+
+
 class TestSerialization:
-    def test_distribution_json_roundtrip(self):
-        d = sample_distribution(6, seed=4)
-        again = eio.distribution_from_json(eio.distribution_to_json(d))
-        np.testing.assert_array_equal(d.p, again.p)
+    @pytest.mark.parametrize("field, fmt, obj", ROUNDTRIPS)
+    def test_roundtrip(self, field, fmt, obj):
+        data = obj.w if isinstance(obj, Channel) else obj.p
+        text = eio.write(obj, fmt)
+        if fmt == "json":
+            assert list(json.loads(text)) == [field]
+        elif data.ndim == 2:
+            assert text.splitlines()[0] == f"# rows={data.shape[0]} cols={data.shape[1]}"
+        again = eio.read(text, (field,), fmt, False)
+        assert type(again) is type(obj)
+        np.testing.assert_array_equal(data, again.w if field == "w" else again.p)
 
-    def test_joint2_json_roundtrip(self):
-        j = sample_distribution((3, 5), seed=4)
-        again = eio.joint2_from_json(eio.joint2_to_json(j))
-        np.testing.assert_array_equal(j.p, again.p)
-
-    def test_joint3_json_roundtrip(self):
-        t = sample_distribution((2, 3, 4), seed=4)
-        again = eio.joint3_from_json(eio.joint3_to_json(t))
-        np.testing.assert_array_equal(t.p, again.p)
-
-    def test_channel_json_roundtrip(self):
-        c = sample_channel(4, 3, seed=4)
-        again = eio.channel_from_json(eio.channel_to_json(c))
-        np.testing.assert_array_equal(c.w, again.w)
-
-    def test_distribution_csv_roundtrip(self):
-        d = sample_distribution(6, seed=8)
-        again = eio.distribution_from_csv(eio.distribution_to_csv(d))
-        np.testing.assert_array_equal(d.p, again.p)
-
-    def test_joint2_csv_roundtrip_with_header(self):
-        j = sample_distribution((3, 5), seed=8)
-        text = eio.joint2_to_csv(j)
-        assert text.splitlines()[0] == "# rows=3 cols=5"
-        again = eio.joint2_from_csv(text)
-        np.testing.assert_array_equal(j.p, again.p)
-
-    def test_channel_csv_roundtrip(self):
-        c = sample_channel(2, 4, seed=8)
-        again = eio.channel_from_csv(eio.channel_to_csv(c))
-        np.testing.assert_array_equal(c.w, again.w)
+    def test_no_layout_rejected(self):
+        with pytest.raises(ValidationError, match="no CSV layout"):
+            eio.write(sample_distribution((2, 3, 4), seed=4), "csv")
+        with pytest.raises(ValidationError, match="rank 4"):
+            eio.write(Distribution(np.full((1, 1, 1, 2), 0.5)), "json")
 
     def test_header_shape_mismatch(self):
         with pytest.raises(ValidationError):
-            eio.joint2_from_csv("# rows=3 cols=3\n0.5,0.5\n0.0,0.0\n")
+            eio.read("# rows=3 cols=3\n0.5,0.5\n0.0,0.0\n", ("m",), "csv", False)
 
     def test_malformed_json(self):
         with pytest.raises(ValidationError):
-            eio.distribution_from_json("{not json")
+            eio.read("{not json", ("p",), "json", False)
         with pytest.raises(ValidationError):
-            eio.distribution_from_json('{"q": [1.0]}')
+            eio.read('{"q": [1.0]}', ("p",), "json", False)
 
     def test_malformed_csv(self):
         with pytest.raises(ValidationError):
-            eio.distribution_from_csv("0.5,abc\n")
+            eio.read("0.5,abc\n", ("p",), "csv", False)
         with pytest.raises(ValidationError):
-            eio.joint2_from_csv("0.5,0.5\n0.0\n")
+            eio.read("0.5,0.5\n0.0\n", ("m",), "csv", False)
 
     def test_normalize_on_read(self):
-        d = eio.distribution_from_json('{"p": [2, 2]}', normalize=True)
+        d = eio.read('{"p": [2, 2]}', ("p",), "json", True)
         np.testing.assert_array_equal(d.p, [0.5, 0.5])

@@ -223,7 +223,7 @@ class TestEngine:
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             SweepConfig(trials=0)
-        for tol in (0.0, -1e-3, float("nan"), "1e-3", 1e-3 + 0j):
+        for tol in (0.0, -1e-3, float("nan"), "1e-3", 1e-3 + 0j, True, float("inf")):
             with pytest.raises(ConfigError):
                 SweepConfig(tol=tol)
         # seeds and trial counts must be integers, not values that int() accepts
@@ -233,6 +233,9 @@ class TestEngine:
         for trials in (2.5, "10", None):
             with pytest.raises(ConfigError):
                 SweepConfig(trials=trials)
+        # an empty selection would report green over zero properties
+        with pytest.raises(ConfigError):
+            SweepConfig(properties=())
 
     def test_numpy_integers_become_ints(self):
         cfg = SweepConfig(np.uint64(3), np.int64(1), properties=("chain_rule",))
