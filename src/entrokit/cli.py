@@ -16,6 +16,7 @@ import sys
 from pathlib import Path
 
 import click
+from click.core import ParameterSource
 
 from . import io as eio
 from .deformed_log import DeformParams
@@ -130,6 +131,9 @@ def conditional_cmd(k, r, relaxed, normalize, fmt, output, source, direction, mo
         raise click.UsageError("--mode is required for a 3-variable joint")
     if j.ndim == 2 and mode is not None:
         raise click.UsageError("--mode is not accepted for a 2-variable joint; use --direction")
+    given = click.get_current_context().get_parameter_source("direction")
+    if j.ndim == 3 and given is not ParameterSource.DEFAULT:
+        raise click.UsageError("--direction is not accepted for a 3-variable joint; use --mode")
     value = conditional_entropy(j, params, mode or direction).value
     _emit({"value": value}, fmt or "json", output)
 

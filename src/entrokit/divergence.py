@@ -4,9 +4,12 @@ The divergence of P from Q is sum_x p (p/q)^{r-k} ln_{k,r}(p/q), whose
 per-term closed form (p - p^{1-2k} q^{2k}) / (2k) is the canonical
 evaluator: it is r-free, finite and exact at p = 0 without limit-taking,
 and zero exactly when p = q termwise. P and Q may be of any rank, as long
-as their shapes agree; the sum runs over cells. Final reductions use
-math.fsum so the value is independent of coordinate order (permutation
-symmetry holds bit-exactly).
+as their shapes agree; the sum runs over cells. Every final reduction is
+math.fsum's correctly rounded exact sum, so the value is independent of
+coordinate order (permutation symmetry holds bit-exactly). A row of at
+least _EXACT_MIN cells is first reduced exactly by binary exponent in
+numpy, as in Neal's small superaccumulator (arXiv:1505.05571), so it never
+becomes a Python list; the result is still math.fsum's bit for bit.
 
 Each sum is written once, as a batched `_*_rows` evaluator; the public
 functions call it on a batch of one (whole arrays: fsum is exact), and the
@@ -83,10 +86,52 @@ def _check_pair(p: Distribution, q: Distribution) -> np.ndarray:
     return p_pos
 
 
+# Rows this wide are reduced by binary exponent first: below it, the
+# bucket pass's fixed numpy cost exceeds math.fsum on a list.
+_EXACT_MIN = 1024
+# Cells per bucket pass. A bucket then sums at most 2^16 halves below 2^27,
+# far below 2^53 (at most 2^26 cells would do), so float64 adds them exactly,
+# and a pass's buffers stay in cache.
+_EXACT_CHUNK = 1 << 16
+
+
+def _exact_parts(row: np.ndarray) -> list[float]:
+    """Floats whose math.fsum is math.fsum(row), values and exceptions alike.
+
+    Each cell x = m 2^e (np.frexp) is exactly (h + l) 2^(e-27), where
+    h = trunc(m 2^27) is an integer below 2^27 and l = m 2^27 - h a multiple
+    of 2^-26 below 1. Per chunk and exponent, float64 sums the h and the l
+    exactly, and scaling each sum back by 2^(e-27) is exact too. A row with a
+    non-finite cell, or so large that math.fsum could overflow on the way
+    (about W max|x| >= 2^1020), is handed over as it is.
+    """
+    bound = math.ldexp(1.0, 1020 - len(row).bit_length())
+    if not (-bound < row.min() and row.max() < bound):  # nan fails too
+        return row.tolist()
+    parts = []
+    for c in range(0, len(row), _EXACT_CHUNK):
+        m, e = np.frexp(row[c : c + _EXACT_CHUNK])
+        low = int(e.min())
+        e -= low  # bucket index: exponent above the chunk's lowest
+        m *= 2.0**27
+        h = np.trunc(m)
+        m -= h
+        for half in (h, m):
+            s = np.bincount(e, half)
+            at = np.flatnonzero(s)
+            parts += np.ldexp(s[at], at + (low - 27)).tolist()
+    if not parts and np.signbit(row).all():
+        return [-0.0]  # only -0.0 cells: whatever sign math.fsum gives them
+    return parts
+
+
 def _fsum_rows(a: np.ndarray) -> np.ndarray:
     """(T, 1) math.fsum over every axis but the first: exact, so neither
-    order nor zero cells move a bit."""
-    return np.array([math.fsum(row) for row in a.reshape(len(a), -1).tolist()])[:, np.newaxis]
+    order nor zero cells move a bit. Rows of at least _EXACT_MIN cells are
+    first reduced exactly to a few partials per binary exponent."""
+    rows = a.reshape(len(a), -1)
+    terms = rows.tolist() if rows.shape[1] < _EXACT_MIN else map(_exact_parts, rows)
+    return np.array([math.fsum(t) for t in terms])[:, np.newaxis]
 
 
 def _divergence_rows(p: np.ndarray, q: np.ndarray, k) -> np.ndarray:
@@ -202,7 +247,7 @@ def tsallis_divergence(p: Distribution, q: Distribution, q_param: float) -> floa
         raise ParamError("q = 1 is the KL limit; use kl_divergence")
     live = _check_pair(p, q)
     pv, qv = p.p[live], q.p[live]
-    return math.fsum((-pv * ln_q(qv / pv, q_param)).tolist())
+    return float(_fsum_rows((-pv * ln_q(qv / pv, q_param))[np.newaxis])[0, 0])
 
 
 def mutual_divergence(j: Distribution, params: DeformParams) -> DivergenceValue:

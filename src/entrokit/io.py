@@ -37,6 +37,11 @@ FIELDS = {
 
 def read(text: str, fields: tuple[str, ...], fmt: str, normalize: bool) -> Distribution | Channel:
     """The object under the first of `fields` in JSON `text`, or in CSV `fields[0]`'s layout."""
+    if not fields:
+        raise ValidationError(f"no field to read; fields come from {', '.join(FIELDS)}")
+    for f in fields:
+        if f not in FIELDS:
+            raise ValidationError(f"unknown field {f!r}; fields come from {', '.join(FIELDS)}")
     parse = _json_field if fmt == "json" else _csv_field
     field, data = parse(text, fields)
     return FIELDS[field][2](data, normalize=normalize)

@@ -115,6 +115,17 @@ class TestJointAndConditional:
         )
         assert code == 0
 
+    def test_conditional_tensor_rejects_direction(self, capsys):
+        t = json.dumps({"t": sample_distribution((2, 3, 2), seed=5).p.tolist()})
+        base = ("conditional", "--k", "0.25", "--r", "1", "--input", t, "--mode", "XY_given_Z")
+        for direction in ("Y_given_X", "X_given_Y"):  # the default too, when given
+            code, out, err = run(capsys, *base, "--direction", direction)
+            assert code == 1
+            assert out == ""
+            assert "--direction is not accepted for a 3-variable joint; use --mode" in err
+        code, out, _ = run(capsys, *base)
+        assert code == 0
+
     def test_conditional_matrix_rejects_mode(self, capsys):
         code, out, err = run(
             capsys, "conditional", "--k", "0.25", "--r", "1",

@@ -316,6 +316,16 @@ class TestSerialization:
         with pytest.raises(ValidationError):
             eio.read("0.5,0.5\n0.0\n", ("m",), "csv", False)
 
+    def test_unknown_or_no_field_rejected(self):
+        with pytest.raises(ValidationError, match="unknown field 'q'"):
+            eio.read('{"q": 1}', ("q",), "json", False)
+        with pytest.raises(ValidationError, match="unknown field 'x'"):
+            eio.read('{"p": [1.0]}', ("p", "x"), "json", False)
+        with pytest.raises(ValidationError, match="unknown field 'q'"):
+            eio.read("1.0\n", ("q",), "csv", False)
+        with pytest.raises(ValidationError, match="no field to read"):
+            eio.read("{}", (), "json", False)
+
     def test_normalize_on_read(self):
         d = eio.read('{"p": [2, 2]}', ("p",), "json", True)
         np.testing.assert_array_equal(d.p, [0.5, 0.5])

@@ -30,7 +30,7 @@ from entrokit import (
     sample_distribution,
     tsallis_divergence,
 )
-from entrokit.divergence import divergence_sum
+from entrokit.divergence import _EXACT_MIN, _fsum_rows, divergence_sum
 
 PARAMS = DeformParams(0.25, 1.0)
 
@@ -159,11 +159,63 @@ class TestDivergenceValues:
         assert float(divergence(p, p, PARAMS)) == 0.0
 
 
+class TestExactSum:
+    """_fsum_rows is math.fsum bit for bit, sign of zero included, on both
+    sides of _EXACT_MIN."""
+
+    @staticmethod
+    def _assert_fsum(rows):
+        want = [math.fsum(r).hex() for r in rows.tolist()]
+        assert [v.hex() for v in _fsum_rows(rows)[:, 0].tolist()] == want
+
+    @pytest.mark.parametrize("width", [_EXACT_MIN - 1, _EXACT_MIN, 1 << 20])
+    def test_mixed_signs_across_exponent_range(self, width):
+        rng = np.random.default_rng(width)
+        rows = 1 if width > 4 * _EXACT_MIN else 3  # a batch where fsum is cheap
+        # exponents from the subnormals up to 2^990, where a row of 2^20
+        # cells still stays below the overflow guard
+        wide = rng.integers(-1100, 990, (rows, width))
+        self._assert_fsum(np.ldexp(rng.standard_normal((rows, width)), wide))
+        self._assert_fsum(rng.standard_normal((rows, width)) * 1e-3)  # few exponents
+
+    @pytest.mark.parametrize("width", [_EXACT_MIN - 1, _EXACT_MIN, 3 * _EXACT_MIN + 5])
+    def test_cancellation_subnormals_and_zeros(self, width):
+        rng = np.random.default_rng(width)
+        cancel = np.zeros(width)
+        cancel[[0, 1, 2, width - 1]] = [1.0, 1e100, 1.0, -1e100]
+        half = np.ldexp(rng.standard_normal(width // 2), rng.integers(-300, 300, width // 2))
+        pairs = np.concatenate([half, -half, [0.0] * (width % 2)])
+        tiny = rng.integers(-3, 4, width) * 5e-324
+        signed_zeros = np.where(rng.random(width) < 0.5, -0.0, 0.0)
+        rows = np.array(
+            [cancel, rng.permutation(pairs), tiny, np.full(width, -0.0), signed_zeros]
+        )
+        self._assert_fsum(rows)
+        assert _fsum_rows(rows[:2])[:, 0].tolist() == [2.0, 0.0]
+
+    @pytest.mark.parametrize("width", [_EXACT_MIN - 1, _EXACT_MIN])
+    def test_non_finite_rows_behave_as_fsum(self, width):
+        def row(*head):
+            r = np.zeros((1, width))
+            r[0, : len(head)] = head
+            return r
+
+        self._assert_fsum(row(1.0, math.inf))
+        self._assert_fsum(row(1.0, -math.inf))
+        self._assert_fsum(row(math.nan, 2.0))
+        for head, error in (((math.inf, -math.inf), ValueError), ((1e308, 1e308, -1e308), OverflowError)):
+            with pytest.raises(error) as want:
+                math.fsum(row(*head)[0].tolist())
+            with pytest.raises(error) as got:
+                _fsum_rows(row(*head))
+            assert str(got.value) == str(want.value)
+
+
 class TestSymmetriesAndStructure:
     def test_permutation_symmetry_exact(self):
         rng = np.random.default_rng(5)
-        for _ in range(30):
-            n = int(rng.integers(2, 17))
+        # the last size is summed by binary exponent, the others by fsum alone
+        for n in [*rng.integers(2, 17, size=30).tolist(), 3 * _EXACT_MIN + 1]:
             p, q = _pair(rng, n)
             perm = rng.permutation(n)
             a = divergence(p, q, PARAMS).value
