@@ -106,7 +106,7 @@ def _log_x(x) -> np.ndarray:
     xv = _as_float_array(x, "x")
     if xv.size == 0:
         raise DomainError("x must be non-empty")
-    if not np.all(np.isfinite(xv)) or np.any(xv <= 0):
+    if not (0 < xv.min() and xv.max() < math.inf):  # nan fails too
         raise DomainError("x must be finite and > 0")
     return np.log(xv)
 
@@ -122,9 +122,15 @@ def ln_kr(x, params: DeformParams):
 
     Zero exactly at x = 1, finite for all x > 0.
     """
-    lx = _log_x(x)
+    lx = np.asarray(_log_x(x))
     k, r = params.k, params.r
-    out = np.expm1(2.0 * k * lx) * np.exp(-(r + k) * lx) / (2.0 * k)
+    # in place in the output buffer, of lx's shape broadcast against k and
+    # r, and in lx, unless k and r broadcast it to a larger shape
+    out = np.asarray(-(r + k) * lx)
+    np.exp(out, out=out)
+    lx = np.multiply(2.0 * k, lx, out=lx if lx.shape == out.shape else None)
+    out *= np.expm1(lx, out=lx)
+    out /= 2.0 * k
     return _maybe_scalar(out, x)
 
 

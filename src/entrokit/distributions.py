@@ -11,6 +11,7 @@ can round-trip through decimal text formats.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from numbers import Real
@@ -60,9 +61,10 @@ def _freeze(a, what: str) -> np.ndarray:
 def _check_nonneg(a: np.ndarray, what: str) -> None:
     if a.size == 0:
         raise ValidationError(f"{what} must be non-empty")
-    if not np.all(np.isfinite(a)):
+    lo, hi = a.min(), a.max()  # nan makes both nan
+    if not (-math.inf < lo and hi < math.inf):
         raise ValidationError(f"{what} entries must be finite")
-    if np.any(a < 0):
+    if lo < 0:
         raise ValidationError(f"{what} entries must be >= 0")
 
 

@@ -7,9 +7,13 @@ and zero exactly when p = q termwise. P and Q may be of any rank, as long
 as their shapes agree; the sum runs over cells. Every final reduction is
 math.fsum's correctly rounded exact sum, so the value is independent of
 coordinate order (permutation symmetry holds bit-exactly). A row of at
-least _EXACT_MIN cells is first reduced exactly by binary exponent in
-numpy, as in Neal's small superaccumulator (arXiv:1505.05571), so it never
-becomes a Python list; the result is still math.fsum's bit for bit.
+least _EXACT_MIN cells is evaluated and summed chunk by chunk: the terms
+of _EXACT_CHUNK cells at a time, each chunk reduced exactly by binary
+exponent in numpy, as in Neal's small superaccumulator (arXiv:1505.05571),
+before the next is evaluated. The row never becomes a Python list and no
+array as large as it is built, so a sum allocates a few chunks' worth
+(about 3 MiB) beyond its inputs at any width; the result is still
+math.fsum's bit for bit.
 
 Each sum is written once, as a batched `_*_rows` evaluator; the public
 functions call it on a batch of one (whole arrays: fsum is exact), and the
@@ -70,107 +74,154 @@ def _positive_terms(p: np.ndarray, q: np.ndarray, k: float) -> np.ndarray:
     return t
 
 
-def _check_pair(p: Distribution, q: Distribution) -> np.ndarray:
-    """Require equal shapes and support(P) within support(Q); returns the
-    mask of p > 0."""
+def _check_pair(p: Distribution, q: Distribution) -> bool:
+    """Require equal shapes and support(P) within support(Q); returns
+    whether every p > 0."""
     if p.shape != q.shape:
         raise DimensionError(f"shape mismatch: {p.shape} vs {q.shape}")
-    p_pos = p.p > 0
-    bad = p_pos & (q.p == 0)
-    if np.any(bad):
-        i = np.unravel_index(int(np.argmax(bad)), bad.shape)
-        at = ", ".join(map(str, i))
-        raise AbsoluteContinuityError(
-            f"p[{at}] = {p.p[i]!r} > 0 but q[{at}] = 0; divergence is infinite"
-        )
-    return p_pos
+    if q.p.min() == 0:  # q >= 0: only then can a cell have p > 0 = q
+        bad = (p.p > 0) & (q.p == 0)
+        if np.any(bad):
+            i = np.unravel_index(int(np.argmax(bad)), bad.shape)
+            at = ", ".join(map(str, i))
+            raise AbsoluteContinuityError(
+                f"p[{at}] = {p.p[i]!r} > 0 but q[{at}] = 0; divergence is infinite"
+            )
+    return bool(p.p.min() > 0)
 
 
-# Rows this wide are reduced by binary exponent first: below it, the
-# bucket pass's fixed numpy cost exceeds math.fsum on a list.
+# Rows of this many cells or more are wide: evaluated chunk by chunk and
+# reduced by binary exponent. Below it, the bucket pass's fixed numpy cost
+# exceeds math.fsum on a list.
 _EXACT_MIN = 1024
-# Cells per bucket pass. A bucket then sums at most 2^16 halves below 2^27,
-# far below 2^53 (at most 2^26 cells would do), so float64 adds them exactly,
-# and a pass's buffers stay in cache.
+# Cells per chunk. A bucket then sums at most 2^16 halves below 2^27, far
+# below 2^53 (at most 2^26 cells would do), so float64 adds them exactly, and
+# a chunk's terms and buffers stay in L2 (2^15 to 2^16 cells measured best).
 _EXACT_CHUNK = 1 << 16
 
 
-def _exact_parts(row: np.ndarray) -> list[float]:
-    """Floats whose math.fsum is math.fsum(row), values and exceptions alike.
+def _live(p: np.ndarray):
+    """The mask p > 0 of a batch, or None for a chunk of wide rows in which
+    every p > 0, where the mask would select every cell. A narrow batch (the
+    sweep's, bound by per-call overhead) gets the mask without the test."""
+    if p.size >= _EXACT_MIN * len(p) and p.min() > 0:
+        return None
+    return p > 0
 
-    Each cell x = m 2^e (np.frexp) is exactly (h + l) 2^(e-27), where
+
+def _exact_parts(terms, cells, args) -> list[list[float]] | None:
+    """For each row, floats whose math.fsum is the row's math.fsum of
+    terms(*cells, *args), evaluated _EXACT_CHUNK cells at a time; None when a
+    row has a non-finite term, or one so large that math.fsum could overflow
+    on the way (about W max|x| >= 2^1020): the whole rows then go to math.fsum.
+
+    Each term x = m 2^e (np.frexp) is exactly (h + l) 2^(e-27), where
     h = trunc(m 2^27) is an integer below 2^27 and l = m 2^27 - h a multiple
     of 2^-26 below 1. Per chunk and exponent, float64 sums the h and the l
-    exactly, and scaling each sum back by 2^(e-27) is exact too. A row with a
-    non-finite cell, or so large that math.fsum could overflow on the way
-    (about W max|x| >= 2^1020), is handed over as it is.
+    exactly, and scaling each sum back by 2^(e-27) is exact too.
     """
-    bound = math.ldexp(1.0, 1020 - len(row).bit_length())
-    if not (-bound < row.min() and row.max() < bound):  # nan fails too
-        return row.tolist()
-    parts = []
-    for c in range(0, len(row), _EXACT_CHUNK):
-        m, e = np.frexp(row[c : c + _EXACT_CHUNK])
-        low = int(e.min())
-        e -= low  # bucket index: exponent above the chunk's lowest
-        m *= 2.0**27
-        h = np.trunc(m)
-        m -= h
-        for half in (h, m):
-            s = np.bincount(e, half)
-            at = np.flatnonzero(s)
-            parts += np.ldexp(s[at], at + (low - 27)).tolist()
-    if not parts and np.signbit(row).all():
-        return [-0.0]  # only -0.0 cells: whatever sign math.fsum gives them
-    return parts
+    width = cells[0].shape[1]
+    bound = math.ldexp(1.0, 1020 - width.bit_length())
+    parts = [[] for _ in cells[0]]
+    negative = [True] * len(parts)  # every term of the row so far is -0.0
+    for c in range(0, width, _EXACT_CHUNK):
+        chunk = terms(*(a[:, c : c + _EXACT_CHUNK] for a in cells), *args)
+        for i, t in enumerate(chunk):
+            if not t.size:
+                continue
+            if not (-bound < t.min() and t.max() < bound):  # nan fails too
+                return None
+            m, e = np.frexp(t)
+            low = int(e.min())
+            e -= low  # bucket index: exponent above the chunk's lowest
+            m *= 2.0**27
+            h = np.trunc(m)
+            m -= h
+            before = len(parts[i])
+            for half in (h, m):
+                s = np.bincount(e, half)
+                at = np.flatnonzero(s)
+                parts[i] += np.ldexp(s[at], at + (low - 27)).tolist()
+            if len(parts[i]) == before and not np.signbit(t).all():
+                negative[i] = False
+    # a row of -0.0 terms only: whatever sign math.fsum gives them
+    return [row or ([-0.0] if neg else []) for row, neg in zip(parts, negative)]
+
+
+def _sum_terms(terms, cells: tuple, *args) -> np.ndarray:
+    """(T, 1) math.fsum of each row of terms(*cells, *args), values and
+    exceptions alike: exact, so neither order nor zero cells move a bit.
+
+    cells are equal-shaped batches (axis 0) of any rank, taken as rows of
+    cells; args are scalars or (T, 1) columns, handed over as they are.
+    terms works cell by cell, so it may get any range of cells of every row
+    at once; on a batch of one it may also drop cells. A narrow row is
+    evaluated whole and summed by math.fsum as a list. A wide row is
+    evaluated one _EXACT_CHUNK at a time, each chunk reduced exactly by
+    binary exponent before the next, so no term array as large as the row
+    is built.
+    """
+    cells = tuple(a.reshape(len(a), -1) for a in cells)
+    parts = _exact_parts(terms, cells, args) if cells[0].shape[1] >= _EXACT_MIN else None
+    if parts is None:
+        parts = terms(*cells, *args).tolist()
+    return np.array([math.fsum(row) for row in parts])[:, np.newaxis]
 
 
 def _fsum_rows(a: np.ndarray) -> np.ndarray:
-    """(T, 1) math.fsum over every axis but the first: exact, so neither
-    order nor zero cells move a bit. Rows of at least _EXACT_MIN cells are
-    first reduced exactly to a few partials per binary exponent."""
-    rows = a.reshape(len(a), -1)
-    terms = rows.tolist() if rows.shape[1] < _EXACT_MIN else map(_exact_parts, rows)
-    return np.array([math.fsum(t) for t in terms])[:, np.newaxis]
+    """(T, 1) math.fsum over every axis but the first."""
+    return _sum_terms(lambda x: x, (a,))
+
+
+def _divergence_terms(p: np.ndarray, q: np.ndarray, k) -> np.ndarray:
+    """(p - p^{1-2k} q^{2k}) / (2k) per cell; a cell with p = 0 gives 0, or
+    -q at k = 1/2, where p^{1-2k} q^{2k} is q."""
+    live = _live(p)
+    if live is None:
+        return _positive_terms(p, q, k)
+    terms = _positive_terms(np.where(live, p, 1.0), np.where(live, q, 1.0), k)
+    if (k == 0.5).any():
+        terms = np.where(~live & (k == 0.5), -q, terms)
+    return terms
 
 
 def _divergence_rows(p: np.ndarray, q: np.ndarray, k) -> np.ndarray:
     """(T, 1) divergences D(p || q) of a batch (axis 0) of pairs of any rank
-    with q > 0 where p > 0, for a scalar k or one k per row. A cell with
-    p = 0 adds 0, or -q at k = 1/2, where p^{1-2k} q^{2k} is q."""
-    k = _col(k, p.ndim)
-    live = p > 0
-    terms = _positive_terms(np.where(live, p, 1.0), np.where(live, q, 1.0), k)
-    if (k == 0.5).any():
-        terms = np.where(~live & (k == 0.5), -q, terms)
-    return _fsum_rows(terms)
+    with q > 0 where p > 0, for a scalar k or one k per row."""
+    return _sum_terms(_divergence_terms, (p, q), _col(k, 2))
 
 
 def divergence(
     p: Distribution, q: Distribution, params: DeformParams
 ) -> DivergenceValue:
     """Relative entropy of P from Q; requires support(P) within support(Q)."""
-    p_pos = _check_pair(p, q)
+    full = _check_pair(p, q)
     # p = 0 < q: the closed form's p^{1-2k} factor kills the term for
     # k < 1/2, leaves -q at the k = 1/2 boundary and diverges beyond it
-    if params.k > 0.5 and np.any(~p_pos & (q.p > 0)):
+    if params.k > 0.5 and not full and np.any((p.p == 0) & (q.p > 0)):
         raise DomainError("divergence diverges for zero p-entries when k > 1/2")
     value = float(_divergence_rows(p.p[np.newaxis], q.p[np.newaxis], params.k)[0, 0])
-    flag = "full" if bool(np.all(p_pos)) else "extended"
-    return DivergenceValue(value, params, flag)
+    return DivergenceValue(value, params, "full" if full else "extended")
+
+
+def _literal_terms(p: np.ndarray, q: np.ndarray, params, form: str) -> np.ndarray:
+    """The terms of divergence_literal's `form`; a cell with p = 0 gives 0,
+    its limit for k < 1/2."""
+    live = _live(p)
+    if live is not None:  # such a cell gets ratio 1, where ln_kr is 0
+        p, q = np.where(live, p, 1.0), np.where(live, q, 1.0)
+    k, r = params.k, params.r
+    if form == "pq":
+        ratio = p / q
+        return p * np.power(ratio, r - k) * ln_kr(ratio, params)
+    ratio = q / p
+    return -p * np.power(ratio, r + k) * ln_kr(ratio, params)
 
 
 def _divergence_literal_rows(p: np.ndarray, q: np.ndarray, params, form: str) -> np.ndarray:
     """(T, 1) divergence_literal sums of `form` over a batch of pairs; params
-    broadcast against it. A cell with p = 0 adds 0, its limit for k < 1/2."""
-    live = p > 0  # such a cell gets ratio 1, where ln_kr is 0
-    pv, qv = np.where(live, p, 1.0), np.where(live, q, 1.0)
-    k, r = params.k, params.r
-    if form == "pq":
-        ratio = pv / qv
-        return _fsum_rows(pv * np.power(ratio, r - k) * ln_kr(ratio, params))
-    ratio = qv / pv
-    return _fsum_rows(-pv * np.power(ratio, r + k) * ln_kr(ratio, params))
+    are scalars or (T, 1) columns."""
+    return _sum_terms(_literal_terms, (p, q), params, form)
 
 
 def divergence_literal(
@@ -227,11 +278,17 @@ def log_sum_gap(a, b, params: DeformParams) -> tuple[float, float]:
     return float(lhs[0, 0]), float(rhs[0, 0])
 
 
+def _kl_terms(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """p ln(p/q) per cell; a cell with p = 0 gives 0."""
+    live = _live(p)
+    if live is None:
+        return p * (np.log(p) - np.log(q))
+    return p * (np.log(np.where(live, p, 1.0)) - np.log(np.where(live, q, 1.0)))
+
+
 def _kl_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """(T, 1) KL divergences sum p ln(p/q) in nats of a batch of pairs; a
-    cell with p = 0 adds 0."""
-    live = p > 0
-    return _fsum_rows(p * (np.log(np.where(live, p, 1.0)) - np.log(np.where(live, q, 1.0))))
+    """(T, 1) KL divergences sum p ln(p/q) in nats of a batch of pairs."""
+    return _sum_terms(_kl_terms, (p, q))
 
 
 def kl_divergence(p: Distribution, q: Distribution) -> float:
@@ -240,14 +297,21 @@ def kl_divergence(p: Distribution, q: Distribution) -> float:
     return float(_kl_rows(p.p[np.newaxis], q.p[np.newaxis])[0, 0])
 
 
+def _tsallis_terms(p: np.ndarray, q: np.ndarray, q_param: float) -> np.ndarray:
+    """-p ln_q(q/p) of the cells with p > 0 of a batch of one."""
+    live = _live(p)
+    if live is not None:
+        p, q = p[live][np.newaxis], q[live][np.newaxis]
+    return -p * ln_q(q / p, q_param) if p.size else p
+
+
 def tsallis_divergence(p: Distribution, q: Distribution, q_param: float) -> float:
     """Standard one-parameter relative entropy -sum p ln_q(q_x/p_x)."""
     q_param = _finite_real("q", q_param)
     if q_param == 1:
         raise ParamError("q = 1 is the KL limit; use kl_divergence")
-    live = _check_pair(p, q)
-    pv, qv = p.p[live], q.p[live]
-    return float(_fsum_rows((-pv * ln_q(qv / pv, q_param))[np.newaxis])[0, 0])
+    _check_pair(p, q)
+    return float(_sum_terms(_tsallis_terms, (p.p[np.newaxis], q.p[np.newaxis]), q_param)[0, 0])
 
 
 def mutual_divergence(j: Distribution, params: DeformParams) -> DivergenceValue:

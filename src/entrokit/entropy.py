@@ -33,6 +33,7 @@ import numpy as np
 
 from .deformed_log import DeformParams, _finite_real, ln_kr
 from .distributions import Distribution, _col, _rowsum
+from .divergence import _EXACT_CHUNK, _live
 from .errors import DimensionError, ParamError
 
 __all__ = [
@@ -64,7 +65,8 @@ def _entropy_terms(p, k) -> np.ndarray:
     """p (1 - p^{2k}) / (2k) elementwise, exactly 0 at p = 0; k may broadcast
     against p. Evaluated in place in one buffer, laid out as p is: the
     layout sets the order in which numpy sums a strided axis."""
-    t = np.log(p, out=np.zeros_like(p, dtype=float), where=p > 0)
+    live = _live(p)
+    t = np.log(p) if live is None else np.log(p, out=np.zeros_like(p, dtype=float), where=live)
     t *= 2.0 * k
     np.expm1(t, out=t)
     t *= p
@@ -81,7 +83,8 @@ def _entropy_rows(p: np.ndarray, k) -> np.ndarray:
 def entropy(p: Distribution, params: DeformParams) -> EntropyValue:
     """Entropy -sum p^{r+k+1} ln_{k,r}(p) over the cells of a distribution
     of any rank; 0 exactly on degenerate inputs."""
-    return EntropyValue(float(_entropy_rows(p.p[p.p > 0][np.newaxis], params.k)[0, 0]), params)
+    pv = p.p if p.p.min() > 0 else p.p[p.p > 0]  # both sum the cells in C order
+    return EntropyValue(float(_entropy_rows(pv[np.newaxis], params.k)[0, 0]), params)
 
 
 # the entropy of a joint is the entropy of its cells
@@ -101,13 +104,22 @@ def entropy_literal(p: Distribution, params: DeformParams) -> float:
     return float(_entropy_literal_rows(p.p[p.p > 0][np.newaxis], params)[0, 0])
 
 
-def _conditional_rows(t: np.ndarray, k) -> np.ndarray:
+def _conditional_rows(t: np.ndarray, k, mass: np.ndarray | None = None) -> np.ndarray:
     """(T, 1) sums over g of p(g)^{2k+1} S(O | g) of a batch of (T, G, O)
-    matrices. Zero cells and zero-mass rows add 0."""
-    prow = t.sum(axis=2, keepdims=True)
-    w = np.where(prow > 0, prow, 1.0)
-    inner = _entropy_terms(t / w, _col(k, 3)).sum(axis=2)
-    return (np.power(w[:, :, 0], 2.0 * _col(k, 2) + 1.0) * inner).sum(axis=1, keepdims=True)
+    matrices, given or computing their (T, G) row masses t.sum(axis=2).
+    Zero cells and zero-mass rows add 0. The conditional entropies are
+    evaluated over blocks of about _EXACT_CHUNK cells; each is still the
+    sum over O of its whole row."""
+    if mass is None:
+        mass = t.sum(axis=2)
+    w = np.where(mass > 0, mass, 1.0)
+    inner = np.empty_like(w)
+    kc = _col(k, 3)
+    rows = max(1, _EXACT_CHUNK // t.shape[2])
+    for g in range(0, t.shape[1], rows):
+        b = slice(g, g + rows)
+        _entropy_terms(t[:, b] / w[:, b, np.newaxis], kc).sum(axis=2, out=inner[:, b])
+    return (np.power(w, 2.0 * _col(k, 2) + 1.0) * inner).sum(axis=1, keepdims=True)
 
 
 def _spec_matrices(j: np.ndarray, of: list[int], given: list[int]) -> np.ndarray:
@@ -155,10 +167,12 @@ def conditional_entropy(
     probability raised to 2k + 1.
     """
     (mat,) = _spec_matrices(j.p[np.newaxis], *_spec_axes(spec, j.ndim))
-    live = mat.sum(axis=1) > 0
+    mass = mat.sum(axis=1)
+    live = mass > 0
     if not np.all(live):
-        mat = mat[live]
-    return EntropyValue(float(_conditional_rows(mat[np.newaxis], params.k)[0, 0]), params)
+        mat, mass = mat[live], mass[live]
+    value = _conditional_rows(mat[np.newaxis], params.k, mass[np.newaxis])
+    return EntropyValue(float(value[0, 0]), params)
 
 
 # the three-variable name of the same function

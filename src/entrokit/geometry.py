@@ -40,6 +40,9 @@ __all__ = [
 CONVENTIONS = ("derived", "paper")
 
 DEFAULT_FD_STEP = 1e-4
+# Cells per block of stencil rows: memory stays O(block) at any n, and the
+# sweep's largest batch (256 trials x 73 rows x 6 coordinates) is one block.
+_FD_BLOCK = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -107,9 +110,11 @@ def _stencil(width: int):
     """The central-difference stencil on `width` coordinates. Its R =
     2 width^2 + 1 rows are the base point, +h e_i and -h e_i for each i,
     then +-h e_i +-h e_j for each pair i < j. Returns the (row, coordinate,
-    sign) of every displacement, the number of leading coordinates each
-    row reaches, and the pairs (i, j) in row order: O(width^2) read-only
-    arrays, cached because building them costs as much as a small Hessian."""
+    sign) of every displacement, sorted by row; the index of each row's
+    first displacement, and the count of all as entry R; the number of
+    leading coordinates each row reaches; and the pairs (i, j) in row
+    order: O(width^2) read-only arrays, cached because building them costs
+    as much as a small Hessian."""
     iu, ju = np.triu_indices(width, 1)
     axis = np.arange(width)
     corners = 2 * width + 1 + np.arange(4 * iu.size)
@@ -120,7 +125,10 @@ def _stencil(width: int):
         np.tile([1.0, 1.0, -1.0, -1.0], iu.size), np.tile([1.0, -1.0, 1.0, -1.0], iu.size),
     ])
     reach = np.concatenate([[0], axis + 1, axis + 1, np.repeat(ju + 1, 4)])
-    stencil = (rows, cols, signs, reach, iu, ju)
+    order = np.argsort(rows, kind="stable")
+    rows, cols, signs = rows[order], cols[order], signs[order]
+    starts = np.searchsorted(rows, np.arange(reach.size + 1))
+    stencil = (rows, cols, signs, starts, reach, iu, ju)
     for a in stencil:
         a.setflags(write=False)
     return stencil
@@ -131,24 +139,29 @@ def _fd_hessian_rows(p: np.ndarray, n: np.ndarray, k, h) -> np.ndarray:
     for a (T, N) batch of base points, each padded with 1.0 beyond its
     (T, 1) size n, with k and h scalars or (T, 1) columns.
 
-    Every displaced point of every trial is one row of a single term array.
-    Only rows that displace live coordinates are summed: a padded
-    coordinate stays at 1.0 in them, where its term is exactly 0, so each
-    exact fsum is the one the trial's own n coordinates give. The entries
-    beyond each trial's n x n block are +0.0.
+    Every displaced point of every trial is one row of terms, evaluated
+    and summed in blocks of about _FD_BLOCK cells. Only rows that displace
+    live coordinates are summed: a padded coordinate stays at 1.0 in them,
+    where its term is exactly 0, so each exact fsum is the one the trial's
+    own n coordinates give. The entries beyond each trial's n x n block
+    are +0.0.
     """
     t, width = p.shape
     h = _col(h, 2)
     live = np.arange(width) < n
     if np.any(live & ((p - h <= 0) | (p + h >= 1))):
         raise DomainError("step pushes some coordinate outside (0, 1)")
-    rows, cols, signs, reach, iu, ju = _stencil(width)
-    points = np.repeat(p[:, np.newaxis], reach.size, axis=1)
-    points[:, rows, cols] += h * signs
-    terms = _positive_terms(points, p[:, np.newaxis], _col(k, 3))
-    keep = reach <= n
+    rows, cols, signs, starts, reach, iu, ju = _stencil(width)
+    k, keep = _col(k, 3), reach <= n
     f = np.zeros((t, reach.size))
-    f[keep] = _fsum_rows(terms[keep])[:, 0]
+    step = max(1, _FD_BLOCK // (t * width))  # stencil rows per block
+    for r in range(0, reach.size, step):
+        end = min(r + step, reach.size)
+        b, d = slice(r, end), slice(starts[r], starts[end])
+        points = np.repeat(p[:, np.newaxis], end - r, axis=1)
+        points[:, rows[d] - r, cols[d]] += h * signs[d]
+        terms = _positive_terms(points, p[:, np.newaxis], k)
+        f[:, b][keep[:, b]] = _fsum_rows(terms[keep[:, b]])[:, 0]
     hess = np.zeros((t, width, width))
     diag = np.arange(width)
     hess[:, diag, diag] = (

@@ -46,6 +46,22 @@ class TestMakeDistribution:
         with pytest.raises(ValidationError):
             make_distribution([])
 
+    @pytest.mark.parametrize("weights, message", [
+        # a non-finite entry is reported before a negative one
+        ([np.nan, -1.0], "probability entries must be finite"),
+        ([-np.inf, 1.0], "probability entries must be finite"),
+        ([-0.5, 1.5], "probability entries must be >= 0"),
+    ])
+    def test_validation_messages(self, weights, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            make_distribution(weights)
+
+    def test_channel_validation_messages(self):
+        with pytest.raises(ValidationError, match="^transition weight entries must be finite$"):
+            make_channel([[np.nan, -0.5], [1.0, 1.5]])
+        with pytest.raises(ValidationError, match="^transition weight entries must be >= 0$"):
+            make_channel([[1.0, -0.5], [0.0, 1.5]])
+
     def test_all_zero_normalize_rejected(self):
         with pytest.raises(ValidationError):
             make_distribution([0.0, 0.0], normalize=True)

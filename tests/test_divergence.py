@@ -30,7 +30,14 @@ from entrokit import (
     sample_distribution,
     tsallis_divergence,
 )
-from entrokit.divergence import _EXACT_MIN, _fsum_rows, divergence_sum
+from entrokit.deformed_log import ln_kr, ln_q
+from entrokit.divergence import (
+    _EXACT_CHUNK,
+    _EXACT_MIN,
+    _fsum_rows,
+    _positive_terms,
+    divergence_sum,
+)
 
 PARAMS = DeformParams(0.25, 1.0)
 
@@ -161,7 +168,7 @@ class TestDivergenceValues:
 
 class TestExactSum:
     """_fsum_rows is math.fsum bit for bit, sign of zero included, on both
-    sides of _EXACT_MIN."""
+    sides of _EXACT_MIN and on rows of several chunks."""
 
     @staticmethod
     def _assert_fsum(rows):
@@ -178,7 +185,9 @@ class TestExactSum:
         self._assert_fsum(np.ldexp(rng.standard_normal((rows, width)), wide))
         self._assert_fsum(rng.standard_normal((rows, width)) * 1e-3)  # few exponents
 
-    @pytest.mark.parametrize("width", [_EXACT_MIN - 1, _EXACT_MIN, 3 * _EXACT_MIN + 5])
+    @pytest.mark.parametrize(
+        "width", [_EXACT_MIN - 1, _EXACT_MIN, 3 * _EXACT_MIN + 5, 2 * _EXACT_CHUNK + 5]
+    )
     def test_cancellation_subnormals_and_zeros(self, width):
         rng = np.random.default_rng(width)
         cancel = np.zeros(width)
@@ -187,17 +196,22 @@ class TestExactSum:
         pairs = np.concatenate([half, -half, [0.0] * (width % 2)])
         tiny = rng.integers(-3, 4, width) * 5e-324
         signed_zeros = np.where(rng.random(width) < 0.5, -0.0, 0.0)
+        late_zero = np.full(width, -0.0)  # -0.0 cells, then one +0.0 in the last chunk
+        late_zero[-1] = 0.0
         rows = np.array(
-            [cancel, rng.permutation(pairs), tiny, np.full(width, -0.0), signed_zeros]
+            [cancel, rng.permutation(pairs), tiny, np.full(width, -0.0), signed_zeros, late_zero]
         )
         self._assert_fsum(rows)
         assert _fsum_rows(rows[:2])[:, 0].tolist() == [2.0, 0.0]
 
-    @pytest.mark.parametrize("width", [_EXACT_MIN - 1, _EXACT_MIN])
+    @pytest.mark.parametrize("width", [_EXACT_MIN - 1, _EXACT_MIN, 2 * _EXACT_CHUNK + 5])
     def test_non_finite_rows_behave_as_fsum(self, width):
+        # on the widest rows, the special cells sit in the third chunk
+        start = 0 if width < _EXACT_CHUNK else 2 * _EXACT_CHUNK
+
         def row(*head):
             r = np.zeros((1, width))
-            r[0, : len(head)] = head
+            r[0, start : start + len(head)] = head
             return r
 
         self._assert_fsum(row(1.0, math.inf))
@@ -209,6 +223,53 @@ class TestExactSum:
             with pytest.raises(error) as got:
                 _fsum_rows(row(*head))
             assert str(got.value) == str(want.value)
+
+
+def _whole_row_terms(kind, p, q, params):
+    """The terms of each divergence sum over one whole row, as the sums were
+    evaluated before they were evaluated chunk by chunk."""
+    k, r = params.k, params.r
+    live = p > 0
+    pv, qv = np.where(live, p, 1.0), np.where(live, q, 1.0)
+    if kind == "divergence":
+        return np.where(~live & (k == 0.5), -q, _positive_terms(pv, qv, k))
+    if kind == "kl":
+        return p * (np.log(pv) - np.log(qv))
+    if kind == "pq":
+        return pv * np.power(pv / qv, r - k) * ln_kr(pv / qv, params)
+    if kind == "qp":
+        return -pv * np.power(qv / pv, r + k) * ln_kr(qv / pv, params)
+    return -p[live] * ln_q(q[live] / p[live], 1.0 - 2.0 * k)
+
+
+class TestChunkBoundaries:
+    """Wide rows are evaluated and summed one _EXACT_CHUNK at a time; each sum
+    is still math.fsum of the whole row's terms, bit for bit."""
+
+    @pytest.mark.parametrize("k", [0.1, 0.5])
+    @pytest.mark.parametrize(
+        "width", [_EXACT_CHUNK - 1, _EXACT_CHUNK, _EXACT_CHUNK + 1, 3 * _EXACT_CHUNK + 7]
+    )
+    def test_sums_equal_fsum_of_whole_row_terms(self, width, k):
+        rng = np.random.default_rng(width)
+        a, b = rng.exponential(size=width), rng.exponential(size=width)
+        # zero cells only in the last chunk (near the end of a one-chunk row):
+        # p = 0 < q, which adds -q at k = 1/2, and p = q = 0
+        late = rng.choice(np.arange(width - width % _EXACT_CHUNK - 40, width), 12, replace=False)
+        a[late] = 0.0
+        b[late[:4]] = 0.0
+        p, q = make_distribution(a / a.sum()), make_distribution(b / b.sum())
+        params = DeformParams(k, 0.7)
+        got = {
+            "divergence": divergence(p, q, params).value,
+            "kl": kl_divergence(p, q),
+            "pq": divergence_literal(p, q, params, "pq"),
+            "qp": divergence_literal(p, q, params, "qp"),
+            "tsallis": tsallis_divergence(p, q, 1.0 - 2.0 * k),
+        }
+        for kind, value in got.items():
+            want = math.fsum(_whole_row_terms(kind, p.p, q.p, params).tolist())
+            assert value.hex() == want.hex(), kind
 
 
 class TestSymmetriesAndStructure:

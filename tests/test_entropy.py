@@ -29,6 +29,8 @@ from entrokit import (
 )
 
 from entrokit.deformed_log import K_MIN
+from entrokit.divergence import _EXACT_CHUNK
+from entrokit.entropy import _spec_axes, _spec_matrices
 
 PARAMS = DeformParams(0.3, 0.8)
 
@@ -180,6 +182,32 @@ class TestConditionalEntropy:
             assert val_t == pytest.approx(
                 brute_conditional(j.p.T, k, r), rel=1e-11, abs=1e-13
             )
+
+    @pytest.mark.parametrize("k", [0.1, 0.5])
+    @pytest.mark.parametrize("spec", ["Y_given_X", "X_given_Y"])
+    def test_blocks_equal_whole_matrix(self, spec, k):
+        # 300 x 1000 cells: either spec's rows span several blocks of about
+        # _EXACT_CHUNK cells; the reference evaluates the matrix at once
+        rng = np.random.default_rng(54)
+        w = rng.exponential(size=(300, 1000))
+        w[rng.random(w.shape) < 0.05] = 0.0
+        w[7] = 0.0  # a zero-mass row for Y_given_X
+        j = make_joint2(w / w.sum())
+        (mat,) = _spec_matrices(j.p[np.newaxis], *_spec_axes(spec, 2))
+        assert mat.size > 4 * _EXACT_CHUNK
+        live = mat.sum(axis=1) > 0
+        if not live.all():  # kept strided otherwise: the layout sets the sum's order
+            mat = mat[live]
+        prow = mat.sum(axis=1, keepdims=True)
+        c = mat / prow
+        t = np.log(c, out=np.zeros_like(c), where=c > 0)
+        t *= 2.0 * k
+        np.expm1(t, out=t)
+        t *= c
+        t /= -2.0 * k
+        want = (np.power(prow[:, 0], 2.0 * k + 1.0) * t.sum(axis=1)).sum()
+        got = conditional_entropy(j, DeformParams(k, 0.7), spec).value
+        assert got.hex() == float(want).hex()
 
     def test_chain_rule(self):
         rng = np.random.default_rng(52)
