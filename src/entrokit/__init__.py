@@ -55,16 +55,29 @@ from .geometry import (
     metric_coefficient,
     quadratic_form,
 )
-from .verify import (
-    CheckResult,
-    SweepConfig,
-    VerificationReport,
-    list_properties,
-    run_single,
-    run_suite,
-)
 
 __version__ = "0.1.0"
+
+# The sweep engine (verify, and the property registry it loads) is imported
+# on first use of one of its names, so that library calls and the CLI's
+# other commands do not pay for it (PEP 562).
+_VERIFY_NAMES = (
+    "SweepConfig",
+    "CheckResult",
+    "VerificationReport",
+    "list_properties",
+    "run_single",
+    "run_suite",
+)
+
+
+def __getattr__(name: str):
+    if name in _VERIFY_NAMES:
+        from . import verify
+
+        value = globals()[name] = getattr(verify, name)
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "DeformParams",

@@ -30,7 +30,6 @@ from .entropy import (
 )
 from .errors import EntrokitError, ParamError, ValidationError
 from .geometry import CONVENTIONS, fisher_metric
-from .verify import SweepConfig, list_properties, run_suite
 
 __all__ = ["cli", "main", "entry"]
 
@@ -243,6 +242,8 @@ def reduce_cmd(k, r, relaxed, normalize, fmt, output, source, q_source, target):
 @click.option("--list", "list_only", is_flag=True, help="List registered properties and exit.")
 def verify_cmd(seed, trials, tol, properties, output, list_only):
     """Run the seeded property sweep and report pass/fail per property."""
+    from .verify import SweepConfig, list_properties, run_suite  # only this command needs it
+
     if list_only:
         payload = [
             {"name": n, "anchor": a, "kind": kind} for n, a, kind in list_properties()

@@ -53,6 +53,8 @@ def _as_float_array(data, what: str) -> np.ndarray:
 
 
 def _freeze(a, what: str) -> np.ndarray:
+    """A read-only float copy of a, of rank >= 1: it shares no memory with
+    the caller's array, writeable or not."""
     a = np.array(_as_float_array(a, what), ndmin=1)
     a.setflags(write=False)
     return a
@@ -96,7 +98,10 @@ class Distribution:
     p: np.ndarray
 
     def __post_init__(self):
-        p = _freeze(self.p, "probability")
+        self._seal(_freeze(self.p, "probability"))
+
+    def _seal(self, p: np.ndarray) -> None:
+        """Check the read-only array p and make it this distribution's."""
         _check_rows(p[np.newaxis])
         object.__setattr__(self, "p", p)
 
@@ -123,7 +128,7 @@ class Distribution:
         if not axes or len(set(axes)) != len(axes) or kept[0] < 0 or kept[-1] >= self.ndim:
             raise ParamError(f"axes must be distinct and in [0, {self.ndim}), got {axes}")
         m = self.p.sum(axis=tuple(a for a in range(self.ndim) if a not in kept))
-        return Distribution(m.transpose([kept.index(a) for a in axes]))
+        return _built(Distribution, m.transpose([kept.index(a) for a in axes]))
 
     # Kept only because the frozen benchmark (perfbench/bulk.py) calls it;
     # ROADMAP item 1's benchmark change deletes it.
@@ -142,7 +147,10 @@ class Channel:
     w: np.ndarray
 
     def __post_init__(self):
-        w = _freeze(self.w, "transition probability")
+        self._seal(_freeze(self.w, "transition probability"))
+
+    def _seal(self, w: np.ndarray) -> None:
+        """Check the read-only array w and make it this channel's."""
         if w.ndim != 2:
             raise ValidationError("channel must be a 2-d matrix")
         _check_nonneg(w, "transition probability")
@@ -159,6 +167,16 @@ class Channel:
         return self.w.shape
 
 
+def _built(cls, a: np.ndarray):
+    """A Distribution or Channel (cls) of a float array of rank >= 1 that the
+    library has just built and no caller holds: checked and frozen in place,
+    not copied."""
+    a.setflags(write=False)
+    obj = object.__new__(cls)
+    obj._seal(a)
+    return obj
+
+
 def _make(data, normalize: bool, ndim: int, what: str) -> Distribution:
     a = _as_float_array(data, what)
     if a.ndim != ndim:
@@ -168,7 +186,7 @@ def _make(data, normalize: bool, ndim: int, what: str) -> Distribution:
         total = a.sum()
         if total <= 0:
             raise ValidationError(f"cannot normalize all-zero {what}s")
-        a = a / total
+        return _built(Distribution, a / total)
     return Distribution(a)
 
 
@@ -201,14 +219,14 @@ def make_channel(matrix, normalize: bool = False) -> Channel:
         colsums = a.sum(axis=0)
         if np.any(colsums <= 0):
             raise ValidationError("cannot normalize a channel with an all-zero column")
-        a = a / colsums
+        return _built(Channel, a / colsums)
     return Channel(a)
 
 
 def product(p: Distribution, q: Distribution) -> Distribution:
     """Independent joint with entries p_x * q_y: the outer product, whose
     axes are those of p followed by those of q."""
-    return Distribution(np.multiply.outer(p.p, q.p))
+    return _built(Distribution, np.multiply.outer(p.p, q.p))
 
 
 def apply_channel(w: Channel, p: Distribution) -> Distribution:
@@ -216,7 +234,7 @@ def apply_channel(w: Channel, p: Distribution) -> Distribution:
     m, n = w.shape
     if p.shape != (n,):
         raise DimensionError(f"channel expects {n} inputs, distribution has shape {p.shape}")
-    return Distribution(w.w @ p.p)
+    return _built(Distribution, w.w @ p.p)
 
 
 def mix(p1: Distribution, p2: Distribution, lam: float) -> Distribution:
@@ -225,7 +243,7 @@ def mix(p1: Distribution, p2: Distribution, lam: float) -> Distribution:
         raise DimensionError(f"shape mismatch: {p1.shape} vs {p2.shape}")
     if isinstance(lam, bool) or not (isinstance(lam, Real) and 0.0 <= lam <= 1.0):
         raise ParamError(f"lambda must be a real number in [0, 1], got {lam!r}")
-    return Distribution((1.0 - lam) * p1.p + lam * p2.p)
+    return _built(Distribution, (1.0 - lam) * p1.p + lam * p2.p)
 
 
 def _rng(seed) -> np.random.Generator:
@@ -261,7 +279,7 @@ def sample_distribution(shape, seed) -> Distribution:
     """Uniform random point on the simplex of the given shape (an int for a
     vector, a tuple for a joint), deterministic for a fixed seed."""
     dims = _sizes(shape if np.iterable(shape) else (shape,))
-    return Distribution(_simplex_point(_rng(seed), dims))
+    return _built(Distribution, _simplex_point(_rng(seed), dims))
 
 
 def sample_channel(m: int, n: int, seed) -> Channel:
@@ -269,4 +287,4 @@ def sample_channel(m: int, n: int, seed) -> Channel:
     m, n = _sizes((m, n))
     rng = _rng(seed)
     cols = np.column_stack([_simplex_point(rng, m) for _ in range(n)])
-    return Channel(cols)
+    return _built(Channel, cols)

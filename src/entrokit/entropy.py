@@ -18,6 +18,14 @@ zero-padded batches, so it checks the sums users get. The public
 functions hand it only positive cells, and conditional_entropy only rows
 of positive mass: a zero adds 0 but would regroup numpy's pairwise sum.
 
+A conditional entropy is a sum over the rows of its given axes, so it is
+evaluated over blocks of the joint's transposed view, of about
+_EXACT_CHUNK cells or one row where a row is longer: each block is a view,
+or a contiguous copy of that block alone where the spec moves an axis.
+Beyond the joint, and the sum over any axis the spec leaves out, it
+allocates a few blocks and a few vectors of one value per row: under
+2 MiB for any spec of a 128^3 joint.
+
 Entropies keep numpy's pairwise sum rather than math.fsum, so they are
 not bit-exactly permutation invariant: reordering n cells can move the
 result, by at most n * eps * S since every term is >= 0. Divergences,
@@ -104,32 +112,79 @@ def entropy_literal(p: Distribution, params: DeformParams) -> float:
     return float(_entropy_literal_rows(p.p[p.p > 0][np.newaxis], params)[0, 0])
 
 
-def _conditional_rows(t: np.ndarray, k, mass: np.ndarray | None = None) -> np.ndarray:
-    """(T, 1) sums over g of p(g)^{2k+1} S(O | g) of a batch of (T, G, O)
-    matrices, given or computing their (T, G) row masses t.sum(axis=2).
-    Zero cells and zero-mass rows add 0. The conditional entropies are
-    evaluated over blocks of about _EXACT_CHUNK cells; each is still the
-    sum over O of its whole row."""
-    if mass is None:
-        mass = t.sum(axis=2)
-    w = np.where(mass > 0, mass, 1.0)
-    inner = np.empty_like(w)
-    kc = _col(k, 3)
-    rows = max(1, _EXACT_CHUNK // t.shape[2])
-    for g in range(0, t.shape[1], rows):
-        b = slice(g, g + rows)
-        _entropy_terms(t[:, b] / w[:, b, np.newaxis], kc).sum(axis=2, out=inner[:, b])
-    return (np.power(w, 2.0 * _col(k, 2) + 1.0) * inner).sum(axis=1, keepdims=True)
+def _merged(t: np.ndarray, given: int) -> np.ndarray | None:
+    """A batch t of (T, G..., O...) arrays as (T, G, O) matrices, a view of
+    t; None when the layout makes that reshape a copy. Axes merge without a
+    copy when each non-unit axis steps by the size and step of the next."""
+    for group in (slice(1, 1 + given), slice(1 + given, None)):
+        dims = [(n, s) for n, s in zip(t.shape[group], t.strides[group]) if n > 1]
+        if any(s != n * s2 for (_, s), (n, s2) in zip(dims, dims[1:])):
+            return None
+    return t.reshape(len(t), math.prod(t.shape[1 : 1 + given]), -1)
 
 
-def _spec_matrices(j: np.ndarray, of: list[int], given: list[int]) -> np.ndarray:
-    """A batch of joints (axis a + 1 is variable a) as (T, G, O) matrices: other
-    axes summed out, the given axes' cells on axis 1, the of axes' on axis 2."""
+def _boxes(shape: tuple[int, ...], rows: int):
+    """(start, stop, index) of boxes of at most `rows` >= 1 cells that tile
+    the C-ordered grid `shape` in order: index (integers, then one slice)
+    selects its flat positions start .. stop - 1."""
+    inner = math.prod(shape[1:])
+    if inner <= rows:
+        step = max(1, rows // inner)
+        for a in range(0, shape[0], step):
+            b = min(a + step, shape[0])
+            yield a * inner, b * inner, (slice(a, b),)
+        return
+    for a in range(shape[0]):
+        for start, stop, index in _boxes(shape[1:], rows):
+            yield a * inner + start, a * inner + stop, (a, *index)
+
+
+def _conditional_rows(t: np.ndarray, k, given: int = 1, drop_empty: bool = False) -> np.ndarray:
+    """(T, 1) sums over g of p(g)^{2k+1} S(O | g) of a batch of (T, G..., O...)
+    arrays whose first `given` axes after the batch axis are the given ones.
+    Zero cells add 0, and so do zero-mass rows unless drop_empty, which
+    leaves them out of a batch of one, as if they were not there.
+
+    The rows are evaluated over blocks of about _EXACT_CHUNK cells, each a
+    view of t where the layout allows and otherwise a contiguous copy of
+    that block only. numpy sums a contiguous axis pairwise and a strided one
+    in order, so the layout decides the bits: a batch whose (T, G, O) reshape
+    is a view sums its row masses over the whole view and its blocks in
+    place; any other batch, and a view with an empty row to drop, sums
+    blocks copied contiguous."""
+    shape = t.shape[1 : 1 + given]
+    T, G, O = len(t), math.prod(shape), math.prod(t.shape[1 + given :])
+    view = _merged(t, given)
+    if view is not None:
+        src, shape, mass = view, (G,), view.sum(axis=2)
+        copy = drop_empty and not np.all(mass > 0)
+    else:
+        src, mass, copy = t, np.empty((T, G)), True
+    rows = np.empty((T, G))  # p(g)^{2k+1} S(O | g)
+    kc, power = _col(k, 3), 2.0 * _col(k, 2) + 1.0
+    for start, stop, index in _boxes(shape, max(1, _EXACT_CHUNK // O)):
+        b = slice(start, stop)
+        block = src[(slice(None), *index)].reshape(T, stop - start, O)
+        if copy:
+            block = np.ascontiguousarray(block)
+        if view is None:
+            block.sum(axis=2, out=mass[:, b])
+        w = np.where(mass[:, b] > 0, mass[:, b], 1.0)
+        _entropy_terms(block / w[:, :, np.newaxis], kc).sum(axis=2, out=rows[:, b])
+        rows[:, b] *= np.power(w, power)
+    if drop_empty:
+        rows = rows[:, mass[0] > 0]
+    return rows.sum(axis=1, keepdims=True)
+
+
+def _spec_view(j: np.ndarray, of: list[int], given: list[int]) -> np.ndarray:
+    """A batch of joints (axis a + 1 is variable a) as (T, G..., O...) arrays:
+    other axes summed out, then the given axes and the of axes in the order
+    named, a view of j or of its sum."""
     kept = sorted(of + given)
     rest = tuple(a + 1 for a in range(j.ndim - 1) if a not in kept)
     t = j.sum(axis=rest) if rest else j
-    t = t.transpose([0] + [kept.index(a) + 1 for a in given + of])
-    return t.reshape(len(t), math.prod(t.shape[1 : 1 + len(given)]), -1)
+    return t.transpose([0] + [kept.index(a) + 1 for a in given + of])
 
 
 def _letter_axes(of: str, given: str, ndim: int) -> tuple[list[int], list[int]] | None:
@@ -166,12 +221,9 @@ def conditional_entropy(
     weights the entropy of the of axes conditioned on it by its
     probability raised to 2k + 1.
     """
-    (mat,) = _spec_matrices(j.p[np.newaxis], *_spec_axes(spec, j.ndim))
-    mass = mat.sum(axis=1)
-    live = mass > 0
-    if not np.all(live):
-        mat, mass = mat[live], mass[live]
-    value = _conditional_rows(mat[np.newaxis], params.k, mass[np.newaxis])
+    of, given = _spec_axes(spec, j.ndim)
+    view = _spec_view(j.p[np.newaxis], of, given)
+    value = _conditional_rows(view, params.k, len(given), drop_empty=True)
     return EntropyValue(float(value[0, 0]), params)
 
 

@@ -47,7 +47,7 @@ from .entropy import (
     _entropy_rows,
     _letter_axes,
     _shannon_rows,
-    _spec_matrices,
+    _spec_view,
 )
 from .geometry import (
     CONVENTIONS,
@@ -343,8 +343,9 @@ def _law_side(side: str):
         sign, text = (-1.0, text[1:]) if text[0] == "-" else (1.0, text)
         of, _, given = text.partition("|")
         axes = _letter_axes(of, given, len(AXIS_LETTERS))
-        rows = _conditional_rows if given else _entropy_rows
-        return lambda j, k: sign * rows(_spec_matrices(j, *axes), k)
+        if given:
+            return lambda j, k: sign * _conditional_rows(_spec_view(j, *axes), k, len(given))
+        return lambda j, k: sign * _entropy_rows(_spec_view(j, *axes), k)
 
     terms = [term(t) for t in side.replace(" - ", " + -").split(" + ")]
     return lambda j, k: functools.reduce(operator.add, [t(j, k) for t in terms])

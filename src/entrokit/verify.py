@@ -178,10 +178,12 @@ def _uniforms(key: int, width: int, start: int, count: int) -> np.ndarray:
     """(count, width) uniforms in (0, 1) of trials start .. start + count - 1;
     the row of trial t is its own block, from counter t * width / 4."""
     raw = np.random.Philox(key=key, counter=start * width // 4).random_raw((count, width))
-    raw >>= np.uint64(12)  # the top 52 bits, centred, so no draw is 0 or 1
-    u = raw.astype(float)
-    u += 0.5
-    u *= 2.0**-52
+    # the top 52 bits b as the mantissa of 1 + b 2^-52, less 1 - 2^-53: exactly
+    # (b + 1/2) 2^-52 (Sterbenz), centred so that no draw is 0 or 1
+    raw >>= np.uint64(12)
+    raw |= np.uint64(0x3FF0000000000000)
+    u = raw.view(np.float64)
+    u -= 1.0 - 2.0**-53
     return u
 
 

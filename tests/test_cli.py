@@ -1,10 +1,14 @@
 """End-to-end tests of the command-line surface and its exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import entrokit
 from entrokit import io as eio
 from entrokit import sample_distribution
 from entrokit.cli import main
@@ -469,3 +473,22 @@ class TestRoundTrip:
             capsys, "joint", "--k", "0.3", "--r", "1", "--input", str(jso)
         )
         assert out1 == out2
+
+
+class TestImports:
+    def test_sweep_engine_loads_only_when_used(self):
+        # the library and the CLI's other commands do not import the sweep
+        # engine; each name of entrokit.__all__ still resolves, and loads it
+        code = (
+            "import sys, entrokit, entrokit.cli\n"
+            "print(sorted({'entrokit.verify', 'entrokit.properties'} & set(sys.modules)))\n"
+            "missing = [n for n in entrokit.__all__ if not hasattr(entrokit, n)]\n"
+            "print(missing, 'entrokit.verify' in sys.modules)\n"
+        )
+        src = os.path.dirname(os.path.dirname(entrokit.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+            capture_output=True, text=True, check=True,
+        ).stdout
+        assert out.splitlines() == ["[]", "[] True"]

@@ -4,6 +4,7 @@ Brute-force oracles below evaluate the defining sums term by term with
 plain ** powers, independently of the library's expm1-based path.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -30,7 +31,7 @@ from entrokit import (
 
 from entrokit.deformed_log import K_MIN
 from entrokit.divergence import _EXACT_CHUNK
-from entrokit.entropy import _spec_axes, _spec_matrices
+from entrokit.entropy import _boxes, _merged, _spec_axes, _spec_view
 
 PARAMS = DeformParams(0.3, 0.8)
 
@@ -193,7 +194,7 @@ class TestConditionalEntropy:
         w[rng.random(w.shape) < 0.05] = 0.0
         w[7] = 0.0  # a zero-mass row for Y_given_X
         j = make_joint2(w / w.sum())
-        (mat,) = _spec_matrices(j.p[np.newaxis], *_spec_axes(spec, 2))
+        (mat,) = _spec_view(j.p[np.newaxis], *_spec_axes(spec, 2))  # (G, O)
         assert mat.size > 4 * _EXACT_CHUNK
         live = mat.sum(axis=1) > 0
         if not live.all():  # kept strided otherwise: the layout sets the sum's order
@@ -310,6 +311,36 @@ class TestConditionalEntropy3:
             val = conditional_entropy(t, DeformParams(k, r), "Z_given_XY").value
             expected = brute_conditional(t.p.reshape(dims[0] * dims[1], dims[2]), k, r)
             assert val == pytest.approx(expected, rel=1e-11, abs=1e-13)
+
+    def test_merged_is_a_view_exactly_when_the_reshape_is(self):
+        # _merged decides view or copy from shape and strides alone; it must
+        # agree with numpy's reshape on every axis order, layout and unit axis
+        base = np.arange(2 * 3 * 4 * 5, dtype=float).reshape(2, 3, 4, 5)
+        layouts = [base, np.asfortranarray(base), base[:, :, ::2], base[:, :1],
+                   np.ones((2, 1, 4, 1)), np.asfortranarray(np.ones((1, 3, 1, 5)))]
+        seen = set()
+        for a, perm in itertools.product(layouts, itertools.permutations((1, 2, 3))):
+            t = a.transpose((0, *perm))
+            for given in (1, 2):
+                got = _merged(t, given)
+                shape = (len(t), math.prod(t.shape[1 : 1 + given]), -1)
+                is_view = np.shares_memory(t.reshape(shape), t)
+                assert (got is not None) == is_view
+                if got is not None:
+                    assert np.shares_memory(got, t) and got.shape == t.reshape(shape).shape
+                seen.add(is_view)
+        assert seen == {True, False}
+
+    @pytest.mark.parametrize("shape", [(7,), (3, 5), (5, 3), (2, 3, 4), (4, 1, 6)])
+    @pytest.mark.parametrize("rows", [1, 2, 4, 5, 100])
+    def test_boxes_tile_the_grid_in_order(self, shape, rows):
+        flat = np.arange(math.prod(shape)).reshape(shape)
+        stops = [0]
+        for start, stop, index in _boxes(shape, rows):
+            assert start == stops[-1] and 0 < stop - start <= rows
+            assert flat[index].ravel().tolist() == list(range(start, stop))
+            stops.append(stop)
+        assert stops[-1] == flat.size
 
     @pytest.mark.parametrize(
         "spec", ["X_given_X", "XY_given_Y", "_given_X", "W_given_X", "X_given_", "XZ", 3]

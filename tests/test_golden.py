@@ -5,9 +5,11 @@ The joints are built from Philox bits with integer arithmetic only, so the
 inputs are the same everywhere. They cover positive joints and joints with
 zero-mass rows along each axis, in C and Fortran layout (so each spec meets
 both a strided view and a copy of the joint), with rows of 8 cells or
-more, and two joints large enough for conditional_entropy to run over
+more, and five joints large enough for conditional_entropy to run over
 several blocks. The values were recorded before conditional_entropy
 streamed its blocks; `python tests/test_golden.py` rewrites the file.
+They are compared only where numpy's elementary functions give the bits
+they gave where recorded.
 """
 
 import hashlib
@@ -86,6 +88,17 @@ def _values() -> dict:
     return out
 
 
+def _libm() -> str:
+    """SHA-256 of np.log, np.expm1 and np.power at 8192 points of (0, 1]: the
+    recorded values hold where these elementary functions give the same bits
+    as where they were recorded (numpy picks its SIMD code by CPU)."""
+    x = np.ldexp(np.arange(1.0, 4097.0), -12)
+    x = np.concatenate([x, x * 2.0**-12])
+    parts = [np.log(x)] + [np.expm1(2 * k * np.log(x)) for k in KS]
+    parts += [np.power(x, 2 * k + 1) for k in KS]
+    return hashlib.sha256(b"".join(a.tobytes() for a in parts)).hexdigest()
+
+
 def test_specs_cover_every_axis_choice():
     assert len(list(_specs(2))) == 2
     assert len(list(_specs(3))) == 18
@@ -98,10 +111,12 @@ def values():
 
 def test_recorded_values_are_unchanged(values):
     want = json.loads(GOLDEN.read_text())
+    if want.pop("libm") != _libm():
+        pytest.skip("numpy's log, expm1 or power give other bits here than where recorded")
     assert values.keys() == want.keys()
     moved = [key for key in want if values[key] != want[key]]
     assert not moved, f"{len(moved)} of {len(want)} moved, first {moved[:5]}"
 
 
 if __name__ == "__main__":
-    GOLDEN.write_text(json.dumps(_values(), indent=0, sort_keys=True) + "\n")
+    GOLDEN.write_text(json.dumps({"libm": _libm(), **_values()}, indent=0, sort_keys=True) + "\n")

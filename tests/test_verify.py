@@ -32,7 +32,7 @@ from entrokit.entropy import (
     _entropy_rows,
     _shannon_rows,
     _spec_axes,
-    _spec_matrices,
+    _spec_view,
 )
 from entrokit.properties import JOINT3, K_RANGE, R_RANGE, SIZE_RANGE, _law_side
 from entrokit.verify import (
@@ -41,6 +41,8 @@ from entrokit.verify import (
     INEQUALITY_TOL,
     TRIAL_CHUNK,
     _chunks,
+    _key,
+    _uniforms,
 )
 
 
@@ -360,10 +362,20 @@ class TestEngine:
                         itertools.permutations(rest, n) for n in range(1, len(rest) + 1)
                     ):
                         spec = "".join(of) + "_given_" + "".join(given)
-                        rows = _conditional_rows(
-                            _spec_matrices(j, *_spec_axes(spec, len(shape))), k
-                        )
+                        axes = _spec_axes(spec, len(shape))
+                        rows = _conditional_rows(_spec_view(j, *axes), k, len(axes[1]))
                         same(rows, lambda d: conditional_entropy(d, params, spec).value, j)
+
+
+    @pytest.mark.parametrize("start", [0, 3, 10**6])
+    def test_uniforms_are_the_centred_top_52_bits(self, start):
+        # the exponent-bit construction is (b + 1/2) 2^-52 of the top 52 bits
+        # b of each Philox draw, bit for bit, at every registered width
+        for width in sorted({s.width for s in _REGISTRY.values()}):
+            key = _key(7, f"width {width}")
+            raw = np.random.Philox(key=key, counter=start * width // 4).random_raw((5, width))
+            want = ((raw >> np.uint64(12)).astype(float) + 0.5) * 2.0**-52
+            assert _uniforms(key, width, start, 5).tobytes() == want.tobytes()
 
 
 class TestReportShape:
