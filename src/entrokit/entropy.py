@@ -151,17 +151,21 @@ def _conditional_rows(t: np.ndarray, k, given: int = 1, drop_empty: bool = False
     in order, so the layout decides the bits: a batch whose (T, G, O) reshape
     is a view sums its row masses over the whole view and its blocks in
     place; any other batch, and a view with an empty row to drop, sums
-    blocks copied contiguous."""
+    blocks copied contiguous. A batch of one block is that block: its
+    reshape is a view or a copy, as numpy lays it out."""
     shape = t.shape[1 : 1 + given]
     T, G, O = len(t), math.prod(shape), math.prod(t.shape[1 + given :])
-    view = _merged(t, given)
-    if view is not None:
-        src, shape, mass = view, (G,), view.sum(axis=2)
-        copy = drop_empty and not np.all(mass > 0)
+    view = t.reshape(T, G, O) if G * O <= _EXACT_CHUNK else _merged(t, given)
+    if view is None:  # the row masses come block by block, from the copies
+        src, copy = t, True
+        mass, w = np.empty((2, T, G))
     else:
-        src, mass, copy = t, np.empty((T, G)), True
-    rows = np.empty((T, G))  # p(g)^{2k+1} S(O | g)
-    kc, power = _col(k, 3), 2.0 * _col(k, 2) + 1.0
+        src, shape, mass = view, view.shape[1:2], view.sum(axis=2)
+        live = mass > 0
+        w = np.where(live, mass, 1.0)
+        copy = drop_empty and not live.all()
+    inner = np.empty_like(w)  # S(O | g)
+    kc = _col(k, 3)
     for start, stop, index in _boxes(shape, max(1, _EXACT_CHUNK // O)):
         b = slice(start, stop)
         block = src[(slice(None), *index)].reshape(T, stop - start, O)
@@ -169,9 +173,9 @@ def _conditional_rows(t: np.ndarray, k, given: int = 1, drop_empty: bool = False
             block = np.ascontiguousarray(block)
         if view is None:
             block.sum(axis=2, out=mass[:, b])
-        w = np.where(mass[:, b] > 0, mass[:, b], 1.0)
-        _entropy_terms(block / w[:, :, np.newaxis], kc).sum(axis=2, out=rows[:, b])
-        rows[:, b] *= np.power(w, power)
+            w[:, b] = np.where(mass[:, b] > 0, mass[:, b], 1.0)
+        _entropy_terms(block / w[:, b, np.newaxis], kc).sum(axis=2, out=inner[:, b])
+    rows = np.power(w, 2.0 * _col(k, 2) + 1.0) * inner
     if drop_empty:
         rows = rows[:, mass[0] > 0]
     return rows.sum(axis=1, keepdims=True)

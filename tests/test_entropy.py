@@ -161,6 +161,38 @@ class TestJointEntropy:
         assert joint_entropy(t, PARAMS).value == entropy(cells, PARAMS).value
 
 
+# every "<of>_given_<given>" spec of a 3-axis joint, each part in every order
+SPECS3 = [
+    f"{''.join(axes[:n])}_given_{''.join(axes[n:])}"
+    for n, m in ((1, 1), (1, 2), (2, 1))
+    for axes in itertools.permutations("XYZ", n + m)
+]
+
+
+def whole_joint_conditional(p, spec, k) -> float:
+    """conditional_entropy of the joint p evaluated at once, as numpy lays it
+    out: other axes summed out, the given and of axes moved to the front
+    and the back and reshaped to a matrix (a copy where that moves an axis),
+    its row masses summed, zero-mass rows compressed away, then the terms of
+    each row."""
+    of, given = _spec_axes(spec, p.ndim)
+    kept = sorted(of + given)
+    rest = tuple(a for a in range(p.ndim) if a not in kept)
+    t = (p.sum(axis=rest) if rest else p).transpose([kept.index(a) for a in given + of])
+    mat = t.reshape(math.prod(t.shape[: len(given)]), -1)
+    mass = mat.sum(axis=1)  # summed as laid out: the layout sets the sum's order
+    live = mass > 0
+    if not live.all():  # the terms of the rows left are summed contiguous
+        mat, mass = mat[live], mass[live]
+    c = mat / mass[:, np.newaxis]
+    t = np.log(c, out=np.zeros_like(c), where=c > 0)
+    t *= 2.0 * k
+    np.expm1(t, out=t)
+    t *= c
+    t /= -2.0 * k
+    return float((np.power(mass, 2.0 * k + 1.0) * t.sum(axis=1)).sum())
+
+
 class TestConditionalEntropy:
     def test_degenerate_target(self):
         j = product(make_distribution([0.5, 0.5]), make_distribution([1.0, 0.0]))
@@ -194,21 +226,26 @@ class TestConditionalEntropy:
         w[rng.random(w.shape) < 0.05] = 0.0
         w[7] = 0.0  # a zero-mass row for Y_given_X
         j = make_joint2(w / w.sum())
-        (mat,) = _spec_view(j.p[np.newaxis], *_spec_axes(spec, 2))  # (G, O)
-        assert mat.size > 4 * _EXACT_CHUNK
-        live = mat.sum(axis=1) > 0
-        if not live.all():  # kept strided otherwise: the layout sets the sum's order
-            mat = mat[live]
-        prow = mat.sum(axis=1, keepdims=True)
-        c = mat / prow
-        t = np.log(c, out=np.zeros_like(c), where=c > 0)
-        t *= 2.0 * k
-        np.expm1(t, out=t)
-        t *= c
-        t /= -2.0 * k
-        want = (np.power(prow[:, 0], 2.0 * k + 1.0) * t.sum(axis=1)).sum()
+        assert j.p.size > 4 * _EXACT_CHUNK
         got = conditional_entropy(j, DeformParams(k, 0.7), spec).value
-        assert got.hex() == float(want).hex()
+        assert got.hex() == whole_joint_conditional(j.p, spec, k).hex()
+
+    @pytest.mark.parametrize("k", [0.1, 0.5])
+    @pytest.mark.parametrize("empty", [False, True])
+    @pytest.mark.parametrize("spec", SPECS3)
+    def test_blocks_equal_whole_joint3(self, spec, empty, k):
+        # 3 x 300 x 200 cells, with or without an empty slice along each
+        # axis: specs that move an axis copy their blocks, the others run
+        # over views, and a row spans part of a block (Y_given_XZ) or more
+        # than one (ZY_given_X)
+        rng = np.random.default_rng(55)
+        w = rng.exponential(size=(3, 300, 200))
+        w[rng.random(w.shape) < 0.05] = 0.0
+        if empty:
+            w[1], w[:, 7], w[:, :, 11] = 0.0, 0.0, 0.0
+        j = make_joint3(w / w.sum())
+        got = conditional_entropy(j, DeformParams(k, 0.7), spec).value
+        assert got.hex() == whole_joint_conditional(j.p, spec, k).hex()
 
     def test_chain_rule(self):
         rng = np.random.default_rng(52)
