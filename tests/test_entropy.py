@@ -31,7 +31,7 @@ from entrokit import (
 
 from entrokit.deformed_log import K_MIN
 from entrokit.divergence import _EXACT_CHUNK
-from entrokit.entropy import _boxes, _merged, _spec_axes, _spec_view
+from entrokit.entropy import _boxes, _merged, _spec_axes
 
 PARAMS = DeformParams(0.3, 0.8)
 
