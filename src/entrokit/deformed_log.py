@@ -11,6 +11,10 @@ u_{k,r}, and the one-parameter q-logarithm used for reduction checks.
 
 All functions accept scalars or numpy arrays and evaluate through
 expm1/exp so they stay accurate near x = 1 and for k as small as 1e-4.
+ln_kr checks, takes the log of and evaluates its input one block of
+_EXACT_CHUNK cells at a time, in place in its output, so beyond the output
+it allocates one block's logarithm (512 KiB) at any size; an input of at
+most one block is that block.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from numbers import Real
 
 import numpy as np
 
-from .distributions import _as_float_array
+from .distributions import _EXACT_CHUNK, _as_float_array, _tiles
 from .errors import DomainError, LegacyRegionWarning, ParamError
 
 __all__ = [
@@ -101,14 +105,40 @@ def _finite_real(name: str, value):
     return float(value)
 
 
-def _log_x(x) -> np.ndarray:
-    """ln x of a number or array x whose entries are finite and > 0."""
+def _x_array(x) -> np.ndarray:
+    """A number or array x as a float array, which must be non-empty."""
     xv = _as_float_array(x, "x")
     if xv.size == 0:
         raise DomainError("x must be non-empty")
+    return xv
+
+
+def _log(xv: np.ndarray) -> np.ndarray:
+    """ln x of an array x whose entries must be finite and > 0."""
     if not (0 < xv.min() and xv.max() < math.inf):  # nan fails too
         raise DomainError("x must be finite and > 0")
     return np.log(xv)
+
+
+def _log_x(x) -> np.ndarray:
+    """ln x of a number or array x whose entries are finite and > 0."""
+    return _log(_x_array(x))
+
+
+def _blocks(shape: tuple[int, ...]):
+    """Indexes of the boxes of at most _EXACT_CHUNK cells that tile an array
+    of `shape` in C order: Ellipsis, all of it, when it is that small."""
+    if math.prod(shape) <= _EXACT_CHUNK:
+        yield ...
+        return
+    for _, _, index in _tiles(shape, _EXACT_CHUNK):
+        yield index
+
+
+def _block(v, shape: tuple[int, ...], index):
+    """The cells of v broadcast to shape that index selects: v itself when
+    it is a scalar or index is Ellipsis, where v broadcasts as it is."""
+    return v if index is ... or np.ndim(v) == 0 else np.broadcast_to(v, shape)[index]
 
 
 def _maybe_scalar(out: np.ndarray, like) -> float | np.ndarray:
@@ -117,20 +147,27 @@ def _maybe_scalar(out: np.ndarray, like) -> float | np.ndarray:
     return out
 
 
+def _ln_kr_into(out: np.ndarray, x: np.ndarray, k, r) -> None:
+    """ln_kr of x, with k and r, into out: in place in out and in ln x,
+    unless k and r broadcast x to a larger shape."""
+    lx = np.asarray(_log(x))
+    np.multiply(-(r + k), lx, out=out)
+    np.exp(out, out=out)
+    lx = np.multiply(2.0 * k, lx, out=lx if lx.shape == out.shape else None)
+    out *= np.expm1(lx, out=lx)
+    out /= 2.0 * k
+
+
 def ln_kr(x, params: DeformParams):
     """Two-parameter deformed logarithm (x^{2k} - 1) / (2k x^{r+k}).
 
     Zero exactly at x = 1, finite for all x > 0.
     """
-    lx = np.asarray(_log_x(x))
-    k, r = params.k, params.r
-    # in place in the output buffer, of lx's shape broadcast against k and
-    # r, and in lx, unless k and r broadcast it to a larger shape
-    out = np.asarray(-(r + k) * lx)
-    np.exp(out, out=out)
-    lx = np.multiply(2.0 * k, lx, out=lx if lx.shape == out.shape else None)
-    out *= np.expm1(lx, out=lx)
-    out /= 2.0 * k
+    xv = _x_array(x)
+    shape = np.broadcast(xv, params.k, params.r).shape
+    out = np.empty_like(xv, shape=shape)  # laid out as x is, where x has its shape
+    for index in _blocks(shape):
+        _ln_kr_into(out[index], *(_block(v, shape, index) for v in (xv, params.k, params.r)))
     return _maybe_scalar(out, x)
 
 

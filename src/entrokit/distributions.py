@@ -7,10 +7,20 @@ array indexed (x, y, z, ...). All values are immutable after construction
 (backing arrays are marked read-only) and re-validate their invariants on
 construction. Sums are checked to an absolute tolerance of 1e-9 so data
 can round-trip through decimal text formats.
+
+A caller's C-ordered array is copied and checked in one pass, one block
+of at most _LEAF cells at a time: each block is copied, and its minimum,
+maximum and sum are taken while it is in cache. The sum is numpy's
+pairwise np.sum bit for bit (_pairwise adds the block sums in numpy's
+tree), so no check moves; beyond its copy a Distribution allocates a few
+small objects. Any other layout is copied by np.array, which keeps it, and
+then checked. A Distribution remembers whether every cell is > 0, so the
+kernels do not scan it again.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -37,6 +47,37 @@ __all__ = [
 
 SUM_TOL = 1e-9
 
+# Cells per block of a streamed pass over a large array: a block's terms and
+# buffers stay in L2 (2^15 to 2^16 cells measured best).
+_EXACT_CHUNK = 1 << 16
+# Longest run a pairwise sum adds in one np.sum call. A sum of terms keeps
+# up to three temporaries of a run at once (entropy_literal: a power, and
+# ln_kr's output and logarithm), which stay under 1 MiB at half a block.
+_LEAF = _EXACT_CHUNK // 2
+
+
+def _leaves(n: int, start: int = 0):
+    """The runs (start, stop) of at most _LEAF cells, in order, into which
+    numpy's pairwise sum of n contiguous cells from start splits them: it
+    halves a run, cutting at a multiple of 8 cells, until the run is short
+    (Higham, SIAM J. Sci. Comput. 14, 1993)."""
+    if n <= _LEAF:
+        yield start, start + n
+        return
+    half = n // 2 - n // 2 % 8
+    yield from _leaves(half, start)
+    yield from _leaves(n - half, start + half)
+
+
+def _pairwise(sums, n: int):
+    """np.sum's value of n contiguous cells bit for bit, from the np.sum of
+    each run of _leaves(n), taken in order from the iterator sums: the runs
+    are added in numpy's tree. Values may be (T,) arrays, one per row."""
+    if n <= _LEAF:
+        return next(sums)
+    half = n // 2 - n // 2 % 8
+    return _pairwise(sums, half) + _pairwise(sums, n - half)
+
 
 def _as_float_array(data, what: str) -> np.ndarray:
     """Numeric input as a float array: integers and floats convert; booleans,
@@ -60,7 +101,8 @@ def _freeze(a, what: str) -> np.ndarray:
     return a
 
 
-def _check_nonneg(a: np.ndarray, what: str) -> None:
+def _check_nonneg(a: np.ndarray, what: str):
+    """The smallest entry of a, which must be non-empty, finite and >= 0."""
     if a.size == 0:
         raise ValidationError(f"{what} must be non-empty")
     lo, hi = a.min(), a.max()  # nan makes both nan
@@ -68,6 +110,7 @@ def _check_nonneg(a: np.ndarray, what: str) -> None:
         raise ValidationError(f"{what} entries must be finite")
     if lo < 0:
         raise ValidationError(f"{what} entries must be >= 0")
+    return lo
 
 
 def _col(v, ndim: int) -> np.ndarray:
@@ -75,19 +118,118 @@ def _col(v, ndim: int) -> np.ndarray:
     return np.reshape(v, (-1,) + (1,) * (ndim - 1))
 
 
-def _rowsum(a: np.ndarray) -> np.ndarray:
-    """(T, 1) sums over every axis but the first."""
-    return a.reshape(len(a), -1).sum(axis=1, keepdims=True)
+def _copy_run(a: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """A contiguous (T, stop - start) copy of cells start .. stop - 1 of
+    each row (axis 0) of a batch a, in C order, made box by box."""
+    out = np.empty((len(a), stop - start))
+    for s, e, index in _span(a.shape[1:], start, stop):
+        box = a[(slice(None), *index)]
+        out[:, s - start : e - start].reshape(box.shape)[...] = box
+    return out
 
 
-def _check_rows(p: np.ndarray) -> None:
-    """A Distribution's checks on each row (axis 0) of a batch of probability
-    arrays, in one pass over the batch."""
-    _check_nonneg(p, "probability")
-    totals = p.reshape(len(p), -1).sum(axis=1)
+def _span(shape: tuple[int, ...], start: int, stop: int):
+    """(start, stop, index) of the few boxes that tile flat positions
+    start .. stop - 1 of the C-ordered grid `shape`, in order: index
+    (integers, then one slice) selects each."""
+    inner = math.prod(shape[1:])
+    if inner == 1:
+        yield start, stop, (slice(start, stop),)
+        return
+    (r0, c0), (r1, c1) = divmod(start, inner), divmod(stop, inner)
+    if r0 == r1:
+        yield from _in_row(shape, r0, c0, c1)
+        return
+    if c0:
+        yield from _in_row(shape, r0, c0, inner)
+        r0 += 1
+    if r0 < r1:
+        yield r0 * inner, r1 * inner, (slice(r0, r1),)
+    if c1:
+        yield from _in_row(shape, r1, 0, c1)
+
+
+def _in_row(shape: tuple[int, ...], r: int, start: int, stop: int):
+    """_span of positions start .. stop - 1 within row r of the grid shape."""
+    inner = math.prod(shape[1:])
+    for s, e, index in _span(shape[1:], start, stop):
+        yield r * inner + s, r * inner + e, (r, *index)
+
+
+def _tiles(shape: tuple[int, ...], size: int):
+    """(start, stop, index) of boxes of at most `size` >= 1 cells that tile
+    the C-ordered grid `shape` in order: the _span of each run of `size`."""
+    n = math.prod(shape)
+    for start in range(0, n, size):
+        yield from _span(shape, start, min(start + size, n))
+
+
+def _cells(a: np.ndarray):
+    """A function (start, stop) -> cells start .. stop - 1 of each row (axis
+    0) of the batch a in C order, as a (T, stop - start) array: a view of a
+    C-contiguous a, else a copy of those cells alone."""
+    if a.flags.c_contiguous:
+        rows = a.reshape(len(a), -1)
+        return lambda start, stop: rows[:, start:stop]
+    return functools.partial(_copy_run, a)
+
+
+def _rowsum(a: np.ndarray, terms=None, *args) -> np.ndarray:
+    """(T, 1) sums over every axis but the first of a batch a, or of
+    terms(a, *args), bit for bit as np.sum adds each row in C order. terms
+    works cell by cell on a (T, cells) array; args are scalars or (T, 1)
+    columns. A row of more than _LEAF cells is evaluated and summed one run
+    of _leaves at a time, in numpy's pairwise tree, so no array as large as
+    the row is built."""
+    T, n = len(a), math.prod(a.shape[1:])
+    if n <= _LEAF:
+        rows = a.reshape(T, n)
+        return (rows if terms is None else terms(rows, *args)).sum(axis=1, keepdims=True)
+    cells = _cells(a)
+
+    def run_sums(start, stop):
+        run = cells(start, stop)
+        return (run if terms is None else terms(run, *args)).sum(axis=1)
+
+    return _pairwise((run_sums(*run) for run in _leaves(n)), n)[:, np.newaxis]
+
+
+def _check_sums(totals: np.ndarray) -> None:
     bad = np.abs(totals - 1.0) > SUM_TOL
     if np.any(bad):
         raise ValidationError(f"probabilities sum to {float(totals[bad][0])!r}, expected 1")
+
+
+def _check_rows(p: np.ndarray):
+    """A Distribution's checks on each row (axis 0) of a batch of probability
+    arrays, in one pass over the batch; returns the batch's smallest entry."""
+    lo = _check_nonneg(p, "probability")
+    _check_sums(p.reshape(len(p), -1).sum(axis=1))
+    return lo
+
+
+def _copy_checked(a: np.ndarray) -> tuple[np.ndarray, object]:
+    """A read-only copy of the C-contiguous, non-empty a and its smallest
+    entry, checked as _check_rows checks it, in one pass of blocks: each run
+    of _leaves is copied, then its min, max and np.sum are taken in cache."""
+    p = np.empty_like(a)
+    src, dst = a.reshape(-1), p.reshape(-1)
+    lo, bad = math.inf, False
+
+    def run_sum(start, stop):
+        nonlocal lo, bad
+        run = dst[start:stop]
+        run[...] = src[start:stop]
+        least, most = run.min(), run.max()
+        bad = bad or not (0 <= least and most < math.inf)  # nan fails too
+        lo = min(lo, least)
+        return run.sum()
+
+    total = _pairwise((run_sum(*run) for run in _leaves(p.size)), p.size)
+    if bad or not abs(total - 1.0) <= SUM_TOL:
+        _check_rows(p[np.newaxis])  # raises the check's own message
+    p.setflags(write=False)
+    return p, lo
 
 
 @dataclass(frozen=True)
@@ -98,12 +240,20 @@ class Distribution:
     p: np.ndarray
 
     def __post_init__(self):
-        self._seal(_freeze(self.p, "probability"))
+        a = _as_float_array(self.p, "probability")
+        if a.ndim and a.size and a.flags.c_contiguous:
+            self._seal(*_copy_checked(a))
+        else:  # np.array keeps the layout, which orders some sums (entropy.py)
+            self._seal(_freeze(a, "probability"))
 
-    def _seal(self, p: np.ndarray) -> None:
-        """Check the read-only array p and make it this distribution's."""
-        _check_rows(p[np.newaxis])
+    def _seal(self, p: np.ndarray, lo=None) -> None:
+        """Check the read-only array p, unless its checked smallest entry lo
+        is given, and make it this distribution's."""
+        if lo is None:
+            lo = _check_rows(p[np.newaxis])
         object.__setattr__(self, "p", p)
+        # every cell > 0: the kernels skip their masks and zero tests
+        object.__setattr__(self, "_positive", bool(lo > 0))
 
     @property
     def n(self) -> int:

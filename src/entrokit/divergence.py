@@ -13,7 +13,9 @@ exponent in numpy, as in Neal's small superaccumulator (arXiv:1505.05571),
 before the next is evaluated. The row never becomes a Python list and no
 array as large as it is built, so a sum allocates a few chunks' worth
 (about 3 MiB) beyond its inputs at any width; the result is still
-math.fsum's bit for bit.
+math.fsum's bit for bit. mutual_divergence never builds the product of
+the marginals either: each run of its cells is made, checked and reduced
+in the same pass, so it allocates under 2 MiB on a 1024 x 1024 joint.
 
 Each sum is written once, as a batched `_*_rows` evaluator; the public
 functions call it on a batch of one (whole arrays: fsum is exact), and the
@@ -32,7 +34,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .deformed_log import DeformParams, _finite_real, ln_kr, ln_q
-from .distributions import Distribution, _as_float_array, _col, product
+from .distributions import (
+    _EXACT_CHUNK,
+    Distribution,
+    _as_float_array,
+    _cells,
+    _check_sums,
+    _col,
+    _leaves,
+    _pairwise,
+    _span,
+)
 from .errors import AbsoluteContinuityError, DimensionError, DomainError, ParamError
 
 __all__ = [
@@ -79,25 +91,28 @@ def _check_pair(p: Distribution, q: Distribution) -> bool:
     whether every p > 0."""
     if p.shape != q.shape:
         raise DimensionError(f"shape mismatch: {p.shape} vs {q.shape}")
-    if q.p.min() == 0:  # q >= 0: only then can a cell have p > 0 = q
+    if not q._positive:  # only then can a cell have p > 0 = q
         bad = (p.p > 0) & (q.p == 0)
         if np.any(bad):
-            i = np.unravel_index(int(np.argmax(bad)), bad.shape)
-            at = ", ".join(map(str, i))
-            raise AbsoluteContinuityError(
-                f"p[{at}] = {p.p[i]!r} > 0 but q[{at}] = 0; divergence is infinite"
-            )
-    return bool(p.p.min() > 0)
+            raise _continuity_error(p.p, int(np.argmax(bad)))
+    return p._positive
+
+
+def _continuity_error(p: np.ndarray, flat: int) -> AbsoluteContinuityError:
+    """The error for the cell at C-order position flat, where p > 0 = q."""
+    i = np.unravel_index(flat, p.shape)
+    at = ", ".join(map(str, i))
+    return AbsoluteContinuityError(
+        f"p[{at}] = {p[i]!r} > 0 but q[{at}] = 0; divergence is infinite"
+    )
 
 
 # Rows of this many cells or more are wide: evaluated chunk by chunk and
 # reduced by binary exponent. Below it, the bucket pass's fixed numpy cost
-# exceeds math.fsum on a list.
+# exceeds math.fsum on a list. A chunk has at most _EXACT_CHUNK cells, so a
+# bucket sums at most 2^16 halves below 2^27, far below 2^53 (at most 2^26
+# cells would do), and float64 adds them exactly.
 _EXACT_MIN = 1024
-# Cells per chunk. A bucket then sums at most 2^16 halves below 2^27, far
-# below 2^53 (at most 2^26 cells would do), so float64 adds them exactly, and
-# a chunk's terms and buffers stay in L2 (2^15 to 2^16 cells measured best).
-_EXACT_CHUNK = 1 << 16
 
 
 def _live(p: np.ndarray):
@@ -109,28 +124,31 @@ def _live(p: np.ndarray):
     return p > 0
 
 
-def _exact_parts(terms, cells, args) -> list[list[float]] | None:
-    """For each row, floats whose math.fsum is the row's math.fsum of
-    terms(*cells, *args), evaluated _EXACT_CHUNK cells at a time; None when a
+def _exact_parts(chunks, rows: int, width: int) -> list[list[float]] | None:
+    """For each of `rows` rows of `width` terms, which the iterable chunks
+    yields as (rows, m) arrays of consecutive cells of at most _EXACT_CHUNK,
+    floats whose math.fsum is the row's math.fsum of its terms; None when a
     row has a non-finite term, or one so large that math.fsum could overflow
-    on the way (about W max|x| >= 2^1020): the whole rows then go to math.fsum.
+    on the way (about W max|x| >= 2^1020): the whole rows then go to
+    math.fsum.
 
     Each term x = m 2^e (np.frexp) is exactly (h + l) 2^(e-27), where
     h = trunc(m 2^27) is an integer below 2^27 and l = m 2^27 - h a multiple
     of 2^-26 below 1. Per chunk and exponent, float64 sums the h and the l
     exactly, and scaling each sum back by 2^(e-27) is exact too.
     """
-    width = cells[0].shape[1]
     bound = math.ldexp(1.0, 1020 - width.bit_length())
-    parts = [[] for _ in cells[0]]
-    negative = [True] * len(parts)  # every term of the row so far is -0.0
-    for c in range(0, width, _EXACT_CHUNK):
-        chunk = terms(*(a[:, c : c + _EXACT_CHUNK] for a in cells), *args)
+    parts = [[] for _ in range(rows)]
+    negative = [True] * rows  # every term of the row so far is -0.0
+    for chunk in chunks:
+        if parts is None:
+            continue  # read on: chunks may check their cells as they go
         for i, t in enumerate(chunk):
             if not t.size:
                 continue
             if not (-bound < t.min() and t.max() < bound):  # nan fails too
-                return None
+                parts = None
+                break
             m, e = np.frexp(t)
             low = int(e.min())
             e -= low  # bucket index: exponent above the chunk's lowest
@@ -144,8 +162,23 @@ def _exact_parts(terms, cells, args) -> list[list[float]] | None:
                 parts[i] += np.ldexp(s[at], at + (low - 27)).tolist()
             if len(parts[i]) == before and not np.signbit(t).all():
                 negative[i] = False
+    if parts is None:
+        return None
     # a row of -0.0 terms only: whatever sign math.fsum gives them
     return [row or ([-0.0] if neg else []) for row, neg in zip(parts, negative)]
+
+
+def _fsum_chunks(chunks, rows: int, width: int) -> np.ndarray:
+    """(rows, 1) math.fsum of each row of `width` terms that chunks(), a new
+    iterable on each call, yields as (rows, m) arrays of consecutive cells,
+    values and exceptions alike. A narrow row is summed as a list; a wide
+    one chunk by chunk, each reduced exactly by binary exponent before the
+    next is made, so no array as large as the row is built."""
+    parts = _exact_parts(chunks(), rows, width) if width >= _EXACT_MIN else None
+    if parts is None:
+        terms = [*chunks()]
+        parts = (terms[0] if len(terms) == 1 else np.concatenate(terms, axis=1)).tolist()
+    return np.array([math.fsum(row) for row in parts])[:, np.newaxis]
 
 
 def _sum_terms(terms, cells: tuple, *args) -> np.ndarray:
@@ -155,17 +188,17 @@ def _sum_terms(terms, cells: tuple, *args) -> np.ndarray:
     cells are equal-shaped batches (axis 0) of any rank, taken as rows of
     cells; args are scalars or (T, 1) columns, handed over as they are.
     terms works cell by cell, so it may get any range of cells of every row
-    at once; on a batch of one it may also drop cells. A narrow row is
-    evaluated whole and summed by math.fsum as a list. A wide row is
-    evaluated one _EXACT_CHUNK at a time, each chunk reduced exactly by
-    binary exponent before the next, so no term array as large as the row
-    is built.
+    at once; on a batch of one it may also drop cells. It gets a wide row
+    (_EXACT_MIN cells or more) one _EXACT_CHUNK at a time.
     """
     cells = tuple(a.reshape(len(a), -1) for a in cells)
-    parts = _exact_parts(terms, cells, args) if cells[0].shape[1] >= _EXACT_MIN else None
-    if parts is None:
-        parts = terms(*cells, *args).tolist()
-    return np.array([math.fsum(row) for row in parts])[:, np.newaxis]
+    rows, width = cells[0].shape
+
+    def chunks():
+        for c in range(0, width, _EXACT_CHUNK):
+            yield terms(*(a[:, c : c + _EXACT_CHUNK] for a in cells), *args)
+
+    return _fsum_chunks(chunks, rows, width)
 
 
 def _fsum_rows(a: np.ndarray) -> np.ndarray:
@@ -314,8 +347,49 @@ def tsallis_divergence(p: Distribution, q: Distribution, q_param: float) -> floa
     return float(_sum_terms(_tsallis_terms, (p.p[np.newaxis], q.p[np.newaxis]), q_param)[0, 0])
 
 
+def _outer_run(px: np.ndarray, py: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """Cells start .. stop - 1 of the C-ordered outer product of the vectors
+    px and py, as a (1, stop - start) array: the products product() makes."""
+    out = np.empty((1, stop - start))
+    for s, e, index in _span((len(px), len(py)), start, stop):
+        x, y = px[index[0]], py[index[1] if len(index) > 1 else slice(None)]
+        np.multiply.outer(x, y, out=out[0, s - start : e - start].reshape(np.shape(x) + y.shape))
+    return out
+
+
 def mutual_divergence(j: Distribution, params: DeformParams) -> DivergenceValue:
-    """Divergence of a 2-axis joint from the product of its marginals."""
+    """Divergence of a 2-axis joint from the product of its marginals.
+
+    The product is not built: each run of its cells is made, checked as
+    product() checks it, as divergence() checks the pair, and summed, before
+    the next, so values and errors are those of divergence(j, product(...)).
+    """
     if j.ndim != 2:
         raise DimensionError(f"mutual divergence needs a 2-axis joint, got {j.ndim} axes")
-    return divergence(j, product(j.marginal(0), j.marginal(1)), params)
+    px, py = j.marginal(0).p, j.marginal(1).p
+    p, n, k = _cells(j.p[np.newaxis]), j.n, _col(params.k, 2)
+    # products of the smallest marginals: any zero product would be below it
+    q_positive = px.min() * py.min() > 0
+    domain = params.k > 0.5 and not j._positive
+
+    def chunks():
+        sums, bad, diverges = [], None, False
+        for start, stop in _leaves(n):
+            pc, qc = p(start, stop), _outer_run(px, py, start, stop)
+            sums.append(qc.sum(axis=1))  # the product's total, as _seal sums it
+            if bad is None and not q_positive and qc.min() == 0:
+                hits = np.flatnonzero((pc > 0) & (qc == 0))
+                bad = start + int(hits[0]) if hits.size else None
+            diverges = diverges or (domain and bool(np.any((pc == 0) & (qc > 0))))
+            if bad is None and not diverges:
+                yield _divergence_terms(pc, qc, k)
+        # the product's entries are products of finite marginals in [0, 1]:
+        # of its checks only the sum can fail
+        _check_sums(_pairwise(iter(sums), n))
+        if bad is not None:
+            raise _continuity_error(j.p, bad)
+        if diverges:
+            raise DomainError("divergence diverges for zero p-entries when k > 1/2")
+
+    value = float(_fsum_chunks(chunks, 1, n)[0, 0])
+    return DivergenceValue(value, params, "full" if j._positive else "extended")

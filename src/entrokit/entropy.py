@@ -15,16 +15,27 @@ rule S(X,Y) = S(X) + S(Y|X) hold identically.
 Each sum is written once, as a batched `_*_rows` evaluator; the public
 functions call it on a batch of one, and the property sweep on
 zero-padded batches, so it checks the sums users get. The public
-functions hand it only positive cells, and conditional_entropy only rows
-of positive mass: a zero adds 0 but would regroup numpy's pairwise sum.
+functions hand it only positive cells (a Distribution knows whether all
+of its cells are, so a positive one is not compressed), and
+conditional_entropy only rows of positive mass: a zero adds 0 but would
+regroup numpy's pairwise sum.
+
+A row longer than _LEAF cells is evaluated and summed in one pass, one run
+of at most _LEAF cells at a time (distributions._rowsum): numpy's np.sum
+is pairwise, and the runs are the subtrees of its tree, added in its
+order, so the value is np.sum's bit for bit and no term array as large as
+the row is built. entropy, shannon_entropy and entropy_literal allocate
+under 1 MiB on 2^20 positive cells; with zero cells, the compressed copy
+of the positive ones, its mask, and under 1 MiB.
 
 A conditional entropy is a sum over the rows of its given axes, so it is
 evaluated over blocks of the joint's transposed view, of about
-_EXACT_CHUNK cells or one row where a row is longer: each block is a view,
-or a contiguous copy of that block alone where the spec moves an axis.
-Beyond the joint, and the sum over any axis the spec leaves out, it
-allocates a few blocks and a few vectors of one value per row: under
-2 MiB for any spec of a 128^3 joint.
+_EXACT_CHUNK cells, or one row where a row is longer; such a row is summed
+run by run, as above. Each block or run is a view, or a contiguous copy of
+that block or run alone where the spec moves an axis. Beyond the joint,
+and the sum over any axis the spec leaves out, it allocates a few blocks
+and a few vectors of one value per row: under 2 MiB for any spec of a
+128^3 joint, and under 1 MiB for a 2 x 512 x 512 one.
 
 Entropies keep numpy's pairwise sum rather than math.fsum, so they are
 not bit-exactly permutation invariant: reordering n cells can move the
@@ -40,8 +51,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .deformed_log import DeformParams, _finite_real, ln_kr
-from .distributions import Distribution, _col, _rowsum
-from .divergence import _EXACT_CHUNK, _live
+from .distributions import _EXACT_CHUNK, _LEAF, Distribution, _col, _rowsum, _tiles
+from .divergence import _live
 from .errors import DimensionError, ParamError
 
 __all__ = [
@@ -85,13 +96,13 @@ def _entropy_terms(p, k) -> np.ndarray:
 def _entropy_rows(p: np.ndarray, k) -> np.ndarray:
     """(T, 1) entropies of a batch (axis 0) of arrays of any rank, for a
     scalar k or one k per row. Zero cells add 0."""
-    return _rowsum(_entropy_terms(p, _col(k, p.ndim)))
+    return _rowsum(p, _entropy_terms, _col(k, 2))
 
 
 def entropy(p: Distribution, params: DeformParams) -> EntropyValue:
     """Entropy -sum p^{r+k+1} ln_{k,r}(p) over the cells of a distribution
     of any rank; 0 exactly on degenerate inputs."""
-    pv = p.p if p.p.min() > 0 else p.p[p.p > 0]  # both sum the cells in C order
+    pv = p.p if p._positive else p.p[p.p > 0]  # both sum the cells in C order
     return EntropyValue(float(_entropy_rows(pv[np.newaxis], params.k)[0, 0]), params)
 
 
@@ -99,17 +110,24 @@ def entropy(p: Distribution, params: DeformParams) -> EntropyValue:
 joint_entropy = entropy
 
 
+def _literal_terms(p: np.ndarray, params) -> np.ndarray:
+    """p^{r+k+1} ln_{k,r}(p) per cell, as written; a cell with p = 0 gives 0."""
+    live = _live(p)
+    pv = p if live is None else np.where(live, p, 1.0)  # ln_{k,r}(1) = 0
+    return np.power(pv, params.r + params.k + 1.0) * ln_kr(pv, params)
+
+
 def _entropy_literal_rows(p: np.ndarray, params) -> np.ndarray:
     """(T, 1) defining sums -sum p^{r+k+1} ln_{k,r}(p) of a batch, term by
-    term as written; params broadcast against it. Zero cells add 0."""
-    pv = np.where(p > 0, p, 1.0)  # ln_{k,r}(1) = 0
-    return -_rowsum(np.power(pv, params.r + params.k + 1.0) * ln_kr(pv, params))
+    term as written; params are scalars or (T, 1) columns. Zero cells add 0."""
+    return -_rowsum(p, _literal_terms, params)
 
 
 def entropy_literal(p: Distribution, params: DeformParams) -> float:
     """The defining sum evaluated term by term as written, without the
     algebraic collapse. Retained as a cross-check of the canonical path."""
-    return float(_entropy_literal_rows(p.p[p.p > 0][np.newaxis], params)[0, 0])
+    pv = p.p if p._positive else p.p[p.p > 0]
+    return float(_entropy_literal_rows(pv[np.newaxis], params)[0, 0])
 
 
 def _merged(t: np.ndarray, given: int) -> np.ndarray | None:
@@ -123,20 +141,9 @@ def _merged(t: np.ndarray, given: int) -> np.ndarray | None:
     return t.reshape(len(t), math.prod(t.shape[1 : 1 + given]), -1)
 
 
-def _boxes(shape: tuple[int, ...], rows: int):
-    """(start, stop, index) of boxes of at most `rows` >= 1 cells that tile
-    the C-ordered grid `shape` in order: index (integers, then one slice)
-    selects its flat positions start .. stop - 1."""
-    inner = math.prod(shape[1:])
-    if inner <= rows:
-        step = max(1, rows // inner)
-        for a in range(0, shape[0], step):
-            b = min(a + step, shape[0])
-            yield a * inner, b * inner, (slice(a, b),)
-        return
-    for a in range(shape[0]):
-        for start, stop, index in _boxes(shape[1:], rows):
-            yield a * inner + start, a * inner + stop, (a, *index)
+def _quotient_terms(p: np.ndarray, w, k) -> np.ndarray:
+    """The entropy terms of p / w, one row of a conditional distribution."""
+    return _entropy_terms(p / w, k)
 
 
 def _conditional_rows(t: np.ndarray, k, given: int = 1, drop_empty: bool = False) -> np.ndarray:
@@ -152,7 +159,9 @@ def _conditional_rows(t: np.ndarray, k, given: int = 1, drop_empty: bool = False
     is a view sums its row masses over the whole view and its blocks in
     place; any other batch, and a view with an empty row to drop, sums
     blocks copied contiguous. A batch of one block is that block: its
-    reshape is a view or a copy, as numpy lays it out."""
+    reshape is a view or a copy, as numpy lays it out. A row longer than
+    _LEAF cells is a block of its own, summed run by run in the order of
+    np.sum of the row copied contiguous (distributions._rowsum)."""
     shape = t.shape[1 : 1 + given]
     T, G, O = len(t), math.prod(shape), math.prod(t.shape[1 + given :])
     view = t.reshape(T, G, O) if G * O <= _EXACT_CHUNK else _merged(t, given)
@@ -165,16 +174,22 @@ def _conditional_rows(t: np.ndarray, k, given: int = 1, drop_empty: bool = False
         w = np.where(live, mass, 1.0)
         copy = drop_empty and not live.all()
     inner = np.empty_like(w)  # S(O | g)
-    kc = _col(k, 3)
-    for start, stop, index in _boxes(shape, max(1, _EXACT_CHUNK // O)):
+    for start, stop, index in _tiles(shape, max(1, _EXACT_CHUNK // O)):
         b = slice(start, stop)
-        block = src[(slice(None), *index)].reshape(T, stop - start, O)
+        block = src[(slice(None), *index)]
+        if O > _LEAF:
+            if view is None:
+                mass[:, b] = _rowsum(block)
+                w[:, b] = np.where(mass[:, b] > 0, mass[:, b], 1.0)
+            inner[:, b] = _rowsum(block, _quotient_terms, w[:, b], _col(k, 2))
+            continue
+        block = block.reshape(T, stop - start, O)
         if copy:
             block = np.ascontiguousarray(block)
         if view is None:
             block.sum(axis=2, out=mass[:, b])
             w[:, b] = np.where(mass[:, b] > 0, mass[:, b], 1.0)
-        _entropy_terms(block / w[:, b, np.newaxis], kc).sum(axis=2, out=inner[:, b])
+        _entropy_terms(block / w[:, b, np.newaxis], _col(k, 3)).sum(axis=2, out=inner[:, b])
     rows = np.power(w, 2.0 * _col(k, 2) + 1.0) * inner
     if drop_empty:
         rows = rows[:, mass[0] > 0]
@@ -244,14 +259,21 @@ def mutual_entropy(j: Distribution, params: DeformParams) -> float:
     return sx + sy - sxy
 
 
+def _shannon_terms(p: np.ndarray) -> np.ndarray:
+    """p ln p per cell; a cell with p = 0 gives 0."""
+    live = _live(p)
+    return p * np.log(p if live is None else np.where(live, p, 1.0))
+
+
 def _shannon_rows(p: np.ndarray) -> np.ndarray:
     """(T, 1) Shannon entropies -sum p ln p in nats of a batch; zero cells add 0."""
-    return -_rowsum(p * np.log(np.where(p > 0, p, 1.0)))
+    return -_rowsum(p, _shannon_terms)
 
 
 def shannon_entropy(p: Distribution) -> float:
     """-sum p ln p in nats."""
-    return float(_shannon_rows(p.p[p.p > 0][np.newaxis])[0, 0])
+    pv = p.p if p._positive else p.p[p.p > 0]
+    return float(_shannon_rows(pv[np.newaxis])[0, 0])
 
 
 def tsallis_entropy(p: Distribution, q: float) -> float:

@@ -85,7 +85,7 @@ def metric_coefficient(params: DeformParams, convention: str = "derived") -> flo
 
 
 def _full_support(p: Distribution) -> np.ndarray:
-    if np.any(p.p <= 0):
+    if not p._positive:
         raise DomainError("metric requires a full-support base point (all p_i > 0)")
     return p.p
 

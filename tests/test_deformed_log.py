@@ -6,6 +6,7 @@ hypothesis over randomized arguments.
 """
 
 import math
+from types import SimpleNamespace
 from fractions import Fraction
 
 import numpy as np
@@ -25,6 +26,7 @@ from entrokit import (
     ln_q,
 )
 from entrokit.deformed_log import K_MIN
+from entrokit.distributions import _EXACT_CHUNK
 
 positive_x = st.floats(min_value=0.05, max_value=20.0)
 params_list = [
@@ -127,6 +129,7 @@ class TestLnKr:
         out = ln_kr(np.array([1.0, 0.5]), DeformParams(0.5, 0.5))
         np.testing.assert_allclose(out, [0.0, -1.0], rtol=1e-14)
 
+
     @settings(deadline=None)
     @given(x=positive_x, y=positive_x)
     def test_product_rule_weighted(self, x, y):
@@ -184,6 +187,54 @@ class TestLnKr:
             assert ln_kr(x ** a, params) == pytest.approx(
                 a * ln_kr(x, scaled), rel=1e-12
             )
+
+
+def _ln_kr_at_once(x, k, r):
+    """ln_kr's arithmetic on the whole array at once: the block loop's
+    reference."""
+    lx = np.log(x)
+    out = np.exp(-(r + k) * lx)
+    return out * np.expm1(2.0 * k * lx) / (2.0 * k)
+
+
+def _bits(a: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+class TestLnKrBlocks:
+    """ln_kr writes its output one block of _EXACT_CHUNK cells at a time;
+    the values are those of the whole array at once, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "n", [_EXACT_CHUNK - 1, _EXACT_CHUNK, _EXACT_CHUNK + 1, 3 * _EXACT_CHUNK + 5]
+    )
+    def test_blocks_equal_one_pass(self, n):
+        x = np.exp(np.random.default_rng(n).uniform(-12.0, 12.0, n))
+        params = DeformParams(0.25, 1.0)
+        assert (_bits(ln_kr(x, params)) == _bits(_ln_kr_at_once(x, 0.25, 1.0))).all()
+
+    @pytest.mark.parametrize("x_shape", [(5, 30001), (30001,)])
+    def test_columns_of_k_and_r_broadcast_across_blocks(self, x_shape):
+        # one (k, r) per row, as the sweep passes them, over more than one block
+        rng = np.random.default_rng(7)
+        x = np.exp(rng.uniform(-5.0, 5.0, x_shape))
+        cols = SimpleNamespace(k=rng.uniform(0.05, 0.45, (5, 1)), r=rng.uniform(0.1, 2.0, (5, 1)))
+        out = ln_kr(x, cols)
+        assert out.shape == (5, 30001)
+        assert (_bits(out) == _bits(_ln_kr_at_once(x, cols.k, cols.r))).all()
+
+    def test_layout_of_x_is_kept(self):
+        x = np.asfortranarray(np.exp(np.random.default_rng(8).uniform(-3.0, 3.0, (300, 700))))
+        out = ln_kr(x, DeformParams(0.3, 0.7))
+        assert out.flags.f_contiguous
+        assert (_bits(out) == _bits(_ln_kr_at_once(x, 0.3, 0.7))).all()
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+    def test_a_bad_point_in_a_late_block_is_rejected(self, bad):
+        x = np.full(3 * _EXACT_CHUNK + 5, 0.5)
+        x[-1] = bad
+        with pytest.raises(DomainError, match="^x must be finite and > 0$"):
+            ln_kr(x, DeformParams(0.3, 0.7))
 
 
 class TestConvexityWitnesses:

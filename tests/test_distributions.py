@@ -22,6 +22,7 @@ from entrokit import (
     sample_distribution,
 )
 from entrokit import io as eio
+from entrokit.distributions import _EXACT_CHUNK, _LEAF, _leaves, _rowsum
 
 
 class TestMakeDistribution:
@@ -345,3 +346,155 @@ class TestSerialization:
     def test_normalize_on_read(self):
         d = eio.read('{"p": [2, 2]}', ("p",), "json", True)
         np.testing.assert_array_equal(d.p, [0.5, 0.5])
+
+
+# Run sizes around one leaf of the pairwise tree, one block, and a few blocks
+EDGES = [
+    *range(1, 130),
+    *range(_LEAF - 1, _LEAF + 10),
+    *range(_EXACT_CHUNK - 1, _EXACT_CHUNK + 10),
+    3 * 2**18 + 5,
+    2**20,
+]
+
+
+def _hex(values) -> list[str]:
+    return [float(v).hex() for v in np.ravel(values)]
+
+
+class TestPairwiseOrder:
+    """_rowsum evaluates and sums a long row run by run, adding the runs in
+    numpy's pairwise tree: np.sum's value bit for bit."""
+
+    def test_vectors_of_every_edge_size(self):
+        rng = np.random.default_rng(60)
+        for n in EDGES:
+            # mixed signs over 16 decades: any other grouping moves bits
+            a = rng.standard_normal(n) * 10.0 ** rng.uniform(-8.0, 8.0, n)
+            assert _hex(_rowsum(a[np.newaxis])) == _hex(a.sum()), n
+
+    @pytest.mark.parametrize("n", [_LEAF + 1, 2 * _EXACT_CHUNK + 9, 3 * 2**18 + 5])
+    def test_rows_of_a_batch(self, n):
+        b = np.random.default_rng(n).standard_normal((3, n)) * 1e3
+        assert _hex(_rowsum(b)) == _hex(b.sum(axis=1))
+        assert _hex(_rowsum(b, np.square)) == _hex(np.square(b).sum(axis=1))
+
+    @pytest.mark.parametrize("shape", [(2, 300, 333), (1, 3, 70001)])
+    def test_strided_rows_are_summed_in_c_order(self, shape):
+        # each run of a transposed or reversed batch is copied in C order,
+        # as the whole row's reshape would be
+        a = np.random.default_rng(61).standard_normal(shape)
+        for v in (a.transpose(0, 2, 1), a[:, ::-1, ::-1], np.asfortranarray(a)):
+            assert _hex(_rowsum(v)) == _hex(v.reshape(len(v), -1).sum(axis=1))
+
+    def test_leaves_tile_the_row_in_order(self):
+        for n in EDGES:
+            runs = list(_leaves(n))
+            assert runs[0][0] == 0 and runs[-1][1] == n
+            assert all(b == c for (_, b), (c, _) in zip(runs, runs[1:]))
+            assert max(b - a for a, b in runs) <= _LEAF
+
+
+def _strided(a):
+    wide = np.zeros((2 * a.shape[0], *a.shape[1:]))
+    wide[::2] = a
+    return wide[::2]
+
+
+class TestCopyAndCheck:
+    """A caller's array is copied and checked in one pass of blocks; the
+    copy keeps the layout np.array gives it and every check its message."""
+
+    @pytest.mark.parametrize("n", [3, 1 << 17])
+    @pytest.mark.parametrize(
+        "layout",
+        [
+            lambda a: a,
+            np.asfortranarray,
+            lambda a: np.ascontiguousarray(a.T).T,
+            _strided,
+            lambda a: a[::-1, ::-1],
+        ],
+        ids=["C", "F", "transposed", "strided", "reversed"],
+    )
+    def test_strides_and_values_are_np_arrays(self, n, layout):
+        w = np.random.default_rng(62).exponential(size=(n, 4))
+        a = layout(w / w.sum())
+        d = Distribution(a)
+        assert d.p.strides == np.array(a).strides
+        np.testing.assert_array_equal(d.p, a)
+        assert not d.p.flags.writeable and not np.shares_memory(d.p, a)
+
+    @pytest.mark.parametrize("n", [3, 1 << 17])
+    @pytest.mark.parametrize(
+        "fault, value, message",
+        [
+            ("nan", np.nan, "probability entries must be finite"),
+            ("inf", np.inf, "probability entries must be finite"),
+            ("-inf", -np.inf, "probability entries must be finite"),
+            ("negative", -1e-3, "probability entries must be >= 0"),
+            ("high", 1 + 1.1e-9, None),
+            ("low", 1 - 1.1e-9, None),
+        ],
+    )
+    @pytest.mark.parametrize("at", [0.5, 1.0])
+    def test_each_fault_raises_its_message(self, n, fault, value, message, at):
+        w = np.random.default_rng(63).exponential(size=n)
+        a = w / w.sum()
+        if message is None:  # the sum is off by 1.1e-9
+            a *= value
+            message = f"probabilities sum to {float(a.sum())!r}, expected 1"
+        else:  # in the middle, or in the last run
+            a[min(int(at * n), n - 1)] = value
+        for build in (Distribution, make_distribution):
+            with pytest.raises(ValidationError) as err:
+                build(a)
+            assert str(err.value) == message
+
+    @pytest.mark.parametrize("data", [[], np.zeros((0, 3)), np.zeros((2, 0))])
+    def test_empty_raises_its_message(self, data):
+        with pytest.raises(ValidationError, match="^probability must be non-empty$"):
+            Distribution(data)
+
+
+_P = np.array([0.25, 0.75])
+_Z = np.array([0.0, 1.0])
+_M = np.array([[0.125, 0.375], [0.25, 0.25]])
+_MZ = np.array([[0.0, 0.5], [0.25, 0.25]])
+_LONG = np.full(1 << 17, 2.0**-17)
+_LONG_Z = _LONG.copy()
+_LONG_Z[-1], _LONG_Z[-2] = 0.0, 2.0**-16  # a zero in the last run
+
+
+@pytest.mark.parametrize(
+    "build, positive",
+    [
+        (lambda: Distribution(_P), True),
+        (lambda: Distribution(_Z), False),
+        (lambda: Distribution(np.asfortranarray(_MZ)), False),
+        (lambda: Distribution(_LONG), True),
+        (lambda: Distribution(_LONG_Z), False),
+        (lambda: make_distribution(_P), True),
+        (lambda: make_distribution(3 * _Z, normalize=True), False),
+        (lambda: make_joint2(_M), True),
+        (lambda: make_joint2(_MZ.T, normalize=True), False),
+        (lambda: make_joint3(np.full((2, 2, 2), 0.125)), True),
+        (lambda: make_joint3(np.stack([_MZ, _MZ]), normalize=True), False),
+        (lambda: product(make_distribution(_P), make_distribution(_P)), True),
+        (lambda: product(make_distribution(_P), make_distribution(_Z)), False),
+        (lambda: make_joint2(_M).marginal(1), True),
+        (lambda: make_joint2(_MZ.T).marginal(1), True),
+        (lambda: make_joint2(np.array([[0.0, 0.0], [0.5, 0.5]])).marginal(0), False),
+        (lambda: mix(make_distribution(_Z), make_distribution(_P), 0.5), True),
+        (lambda: mix(make_distribution(_Z), make_distribution(_P), 0.0), False),
+        (lambda: apply_channel(make_channel(np.eye(2)), make_distribution(_P)), True),
+        (lambda: apply_channel(make_channel(np.eye(2)), make_distribution(_Z)), False),
+        (lambda: sample_distribution((3, 4), seed=1), True),
+        (lambda: eio.read('{"p": [0.5, 0.5]}', ("p",), "json", False), True),
+        (lambda: eio.read("0,1", ("p",), "csv", False), False),
+        (lambda: eio.read('{"m": [[0, 2], [1, 1]]}', ("m",), "json", True), False),
+    ],
+)
+def test_every_constructor_knows_its_positivity(build, positive):
+    d = build()
+    assert d._positive is positive is bool(np.all(d.p > 0))

@@ -497,3 +497,78 @@ class TestMutualDivergence:
             j = sample_distribution((int(rng.integers(1, 9)), int(rng.integers(1, 9))), rng)
             k = float(rng.uniform(0.05, 0.45))
             assert mutual_divergence(j, DeformParams(k, 1.0)).value >= -1e-12
+
+
+def _built_product_result(j, params):
+    """divergence(j, product of its marginals), the product built whole:
+    mutual_divergence's reference, value or error."""
+    try:
+        d = divergence(j, product(j.marginal(0), j.marginal(1)), params)
+        return d.value.hex(), d.support_flag
+    except Exception as err:  # the error's type and message must match
+        return type(err).__name__, str(err)
+
+
+def _mutual_result(j, params):
+    try:
+        d = mutual_divergence(j, params)
+        return d.value.hex(), d.support_flag
+    except Exception as err:
+        return type(err).__name__, str(err)
+
+
+def _underflowing(shape, cell):
+    """A joint whose cell p > 0 has a row and a column of that one cell, so
+    the product of the marginals underflows to 0 there."""
+    rng = np.random.default_rng(20)
+    m = rng.exponential(size=shape)
+    r, c = cell
+    m[r, :], m[:, c] = 0.0, 0.0
+    m[r, c] = 1e-200
+    return m / m.sum()
+
+
+MUTUAL_PARAMS = [
+    DeformParams(0.1, 0.5),
+    DeformParams(0.5, 1.0),
+    DeformParams(0.7, 0.3, relaxed=True),
+    DeformParams(-0.3, 0.3, relaxed=True),
+]
+
+
+class TestMutualDivergenceStreamed:
+    """mutual_divergence makes the product of the marginals one run at a
+    time; its values, support flags and errors are those of the divergence
+    from the product built whole."""
+
+    @pytest.mark.parametrize("shape", [(4, 5), (40, 30), (600, 700), (1024, 1024)])
+    @pytest.mark.parametrize("zeros", [False, True])
+    def test_values_and_flags(self, shape, zeros):
+        rng = np.random.default_rng(21)
+        m = rng.exponential(size=shape)
+        if zeros:
+            m[rng.random(shape) < 0.2] = 0.0
+        for layout in (np.ascontiguousarray, np.asfortranarray):
+            j = make_joint2(layout(m / m.sum()))
+            for params in MUTUAL_PARAMS:
+                assert _mutual_result(j, params) == _built_product_result(j, params)
+
+    @pytest.mark.parametrize("shape", [(4, 4), (600, 700)])
+    @pytest.mark.parametrize("where", ["first", "last"])
+    @pytest.mark.parametrize("also", ["", "zero p", "sum off"])
+    def test_errors(self, shape, where, also):
+        # a product that underflows under p > 0, alone, with a cell where
+        # p = 0 < q (an error for k > 1/2), or with a product whose sum is
+        # off by more than 1e-9 (a ValidationError, which comes first)
+        cell = (2, 2) if where == "first" else (shape[0] - 2, shape[1] - 3)
+        m = _underflowing(shape, cell)
+        if also == "zero p":
+            m[0, 1] = 0.0
+            m /= m.sum()
+        if also == "sum off":
+            m *= 1 + 0.7e-9
+        j = make_joint2(m)
+        for params in MUTUAL_PARAMS:
+            got = _mutual_result(j, params)
+            assert got == _built_product_result(j, params)
+            assert got[0] == ("ValidationError" if also == "sum off" else "AbsoluteContinuityError")

@@ -30,8 +30,8 @@ from entrokit import (
 )
 
 from entrokit.deformed_log import K_MIN
-from entrokit.divergence import _EXACT_CHUNK
-from entrokit.entropy import _boxes, _merged, _spec_axes
+from entrokit.distributions import _EXACT_CHUNK, _LEAF, _tiles
+from entrokit.entropy import _merged, _spec_axes
 
 PARAMS = DeformParams(0.3, 0.8)
 
@@ -247,6 +247,23 @@ class TestConditionalEntropy:
         got = conditional_entropy(j, DeformParams(k, 0.7), spec).value
         assert got.hex() == whole_joint_conditional(j.p, spec, k).hex()
 
+    @pytest.mark.parametrize("k", [0.1, 0.5])
+    @pytest.mark.parametrize("empty", [False, True])
+    @pytest.mark.parametrize("spec", ["YZ_given_X", "ZY_given_X"])
+    def test_long_rows_equal_whole_joint3(self, spec, empty, k):
+        # rows of 120000 cells, longer than one run of the pairwise tree:
+        # each is summed run by run, from a view (YZ) or from copies of one
+        # run at a time (ZY), and must still be the whole joint's value
+        rng = np.random.default_rng(56)
+        w = rng.exponential(size=(3, 300, 400))
+        w[rng.random(w.shape) < 0.05] = 0.0
+        if empty:
+            w[1] = 0.0
+        j = make_joint3(w / w.sum())
+        assert j.p[0].size > 3 * _LEAF
+        got = conditional_entropy(j, DeformParams(k, 0.7), spec).value
+        assert got.hex() == whole_joint_conditional(j.p, spec, k).hex()
+
     def test_chain_rule(self):
         rng = np.random.default_rng(52)
         for _ in range(50):
@@ -373,7 +390,7 @@ class TestConditionalEntropy3:
     def test_boxes_tile_the_grid_in_order(self, shape, rows):
         flat = np.arange(math.prod(shape)).reshape(shape)
         stops = [0]
-        for start, stop, index in _boxes(shape, rows):
+        for start, stop, index in _tiles(shape, rows):
             assert start == stops[-1] and 0 < stop - start <= rows
             assert flat[index].ravel().tolist() == list(range(start, stop))
             stops.append(stop)

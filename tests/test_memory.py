@@ -2,8 +2,9 @@
 
 Wide sums are evaluated chunk by chunk, so their temporaries stay a few
 chunks in size whatever the input size; a kernel that builds even one
-temporary as large as its input fails these bounds. A Distribution the
-library builds is its one full-size allocation.
+temporary as large as its input fails these bounds. A Distribution, the
+copy of a caller's array or an array the library builds, and the output of
+ln_kr are their one full-size allocation.
 """
 
 import tracemalloc
@@ -12,8 +13,9 @@ import numpy as np
 import pytest
 
 from entrokit import DeformParams, Distribution, conditional_entropy, conditional_entropy3
-from entrokit import divergence, fd_hessian, make_channel, make_distribution, make_joint2
-from entrokit import make_joint3, mutual_divergence, product
+from entrokit import divergence, entropy, entropy_literal, fd_hessian, ln_kr, make_channel
+from entrokit import make_distribution, make_joint2, make_joint3, mutual_divergence, product
+from entrokit import shannon_entropy
 
 PARAMS = DeformParams(0.25, 1.0)
 MIB = 1 << 20
@@ -69,9 +71,49 @@ def test_a_built_result_is_allocated_once(joint_1024, build):
     assert _peak_mib(lambda: build(joint_1024)) < 9
 
 
-def test_mutual_divergence_stays_below_12_mib(joint_1024):
-    # the 8 MiB product of the marginals, and the divergence's chunks
-    assert _peak_mib(lambda: mutual_divergence(joint_1024, PARAMS)) < 12
+def test_mutual_divergence_stays_below_4_mib(joint_1024):
+    # the product of the marginals is made one run at a time, never whole
+    assert _peak_mib(lambda: mutual_divergence(joint_1024, PARAMS)) < 4
+
+
+ENTROPIES = [
+    lambda p: entropy(p, PARAMS),
+    shannon_entropy,
+    lambda p: entropy_literal(p, PARAMS),
+]
+
+
+@pytest.mark.parametrize("kernel", ENTROPIES, ids=["entropy", "shannon", "literal"])
+def test_entropy_of_a_million_positive_cells_stays_below_1_mib(kernel):
+    p = make_distribution(_simplex(np.random.default_rng(6), 1 << 20))
+    assert _peak_mib(lambda: kernel(p)) < 1
+
+
+@pytest.mark.parametrize("kernel", ENTROPIES, ids=["entropy", "shannon", "literal"])
+def test_entropy_with_zero_cells_allocates_one_compressed_copy(kernel):
+    w = _simplex(np.random.default_rng(7), 1 << 20)
+    w[::5] = 0.0
+    p = make_distribution(w / w.sum())
+    copy = np.count_nonzero(p.p) * 8 / MIB  # the positive cells, in C order
+    assert _peak_mib(lambda: kernel(p)) < copy + 2
+
+
+@pytest.mark.parametrize("spec", ["YZ_given_X", "ZY_given_X"])
+def test_conditional_entropy_of_long_rows_stays_below_1_mib(spec):
+    # each row has 2^18 cells: it is summed run by run, as a view
+    # (YZ_given_X) or as copies of one run at a time (ZY_given_X)
+    t = make_joint3(_simplex(np.random.default_rng(8), 2, 512, 512))
+    assert _peak_mib(lambda: conditional_entropy(t, PARAMS, spec)) < 1
+
+
+def test_ln_kr_of_a_million_points_allocates_its_output_and_under_1_mib():
+    x = np.exp(np.random.default_rng(9).uniform(-12.0, 12.0, 1 << 20))
+    assert _peak_mib(lambda: ln_kr(x, PARAMS)) < 8 + 1
+
+
+def test_a_million_cells_are_copied_and_checked_in_one_allocation():
+    a = _simplex(np.random.default_rng(10), 1 << 20)
+    assert _peak_mib(lambda: make_distribution(a)) < 8 + 1
 
 
 def _read_only(a):
