@@ -1,5 +1,6 @@
 """Recorded values of the conditional entropies, mutual divergence and
-product: every one must stay bit for bit what it is.
+product, of the public finite-difference Hessian and of the two geometry
+properties' sweep reports: every one must stay bit for bit what it is.
 
 The joints are built from Philox bits with integer arithmetic only, so the
 inputs are the same everywhere. They cover positive joints and joints with
@@ -7,11 +8,15 @@ zero-mass rows along each axis, in C and Fortran layout (so each spec meets
 both a strided view and a copy of the joint), with rows of 8 cells or
 more, and five joints large enough for conditional_entropy to run over
 several blocks. The values were recorded before conditional_entropy
-streamed its blocks; `python tests/test_golden.py` rewrites the file.
+streamed its blocks. The Hessians (as SHA-256 of their bytes, so every
+bit, sign bits included, counts) and the reports were recorded while
+fd_hessian still summed every displaced point of a 2n^2 + 1 row stencil
+exactly. `python tests/test_golden.py` rewrites the file.
 They are compared only where numpy's elementary functions give the bits
 they gave where recorded.
 """
 
+import decimal
 import hashlib
 import itertools
 import json
@@ -20,11 +25,15 @@ import pathlib
 import numpy as np
 import pytest
 
-from entrokit import DeformParams, conditional_entropy, make_joint2, make_joint3
-from entrokit import mutual_divergence, product
+from entrokit import DeformParams, conditional_entropy, fd_hessian, make_distribution
+from entrokit import make_joint2, make_joint3, mutual_divergence, product
+from entrokit.verify import SweepConfig, run_suite
 
 GOLDEN = pathlib.Path(__file__).with_name("golden.json")
 KS = (0.25, 0.1, 0.45)
+# key prefixes of the Hessian and report pins; every other key is a joint's
+PINS = ("fd_hessian", "report")
+GEOMETRY = ("hessian_separability", "metric_oracle_agreement")
 
 
 def _weights(seed: int, shape) -> np.ndarray:
@@ -88,6 +97,40 @@ def _values() -> dict:
     return out
 
 
+def _fd_case(n: int, case: int):
+    """A base point of n cells with weights 1 .. 1000, k in (0, 1/2] (1/2
+    included) and a step drawn log-uniformly from [1e-6, 10^-2.5], or half
+    of min p where that is smaller: all from Philox bits, the step in
+    software decimal arithmetic, so the inputs are the same everywhere."""
+    raw = np.random.Philox(key=1000 + 4 * n + case).random_raw(n + 2)
+    w = (raw[:n] % np.uint64(1000) + np.uint64(1)).astype(float)
+    p = w / w.sum()
+    k = int(raw[n] % np.uint64(500) + np.uint64(1)) / 1000
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        exponent = -decimal.Decimal(2500 + int(raw[n + 1] % np.uint64(3501))) / 1000
+        h = float(decimal.Decimal(10) ** exponent)
+    return p, k, min(h, float(p.min()) / 2)
+
+
+def _fd_hessian_values() -> dict:
+    out = {}
+    for n in range(2, 61):
+        for case in range(3):
+            p, k, h = _fd_case(n, case)
+            hess = fd_hessian(make_distribution(p), DeformParams(k, 1.0), step=h)
+            out[f"fd_hessian n={n} case={case}"] = hashlib.sha256(hess.tobytes()).hexdigest()
+    return out
+
+
+def _report_values() -> dict:
+    out = {}
+    for seed in range(3):
+        report = run_suite(SweepConfig(seed=seed, trials=1000, properties=GEOMETRY)).to_json()
+        out[f"report seed={seed}"] = hashlib.sha256(report.encode()).hexdigest()
+    return out
+
+
 def _libm() -> str:
     """SHA-256 of np.log, np.expm1 and np.power at 8192 points of (0, 1]: the
     recorded values hold where these elementary functions give the same bits
@@ -104,15 +147,35 @@ def test_specs_cover_every_axis_choice():
     assert len(list(_specs(3))) == 18
 
 
-def test_recorded_values_are_unchanged():
+def _group(key: str):
+    first = key.split()[0]
+    return first if first in PINS else None
+
+
+def _assert_unchanged(values: dict, prefix) -> None:
+    """values must be the recorded ones whose keys start with prefix (None:
+    the joints' keys)."""
     want = json.loads(GOLDEN.read_text())
     if want.pop("libm") != _libm():
         pytest.skip("numpy's log, expm1 or power give other bits here than where recorded")
-    values = _values()
+    want = {key: v for key, v in want.items() if _group(key) == prefix}
     assert values.keys() == want.keys()
     moved = [key for key in want if values[key] != want[key]]
     assert not moved, f"{len(moved)} of {len(want)} moved, first {moved[:5]}"
 
 
+def test_recorded_values_are_unchanged():
+    _assert_unchanged(_values(), None)
+
+
+def test_fd_hessian_is_unchanged():
+    _assert_unchanged(_fd_hessian_values(), "fd_hessian")
+
+
+def test_geometry_reports_are_unchanged():
+    _assert_unchanged(_report_values(), "report")
+
+
 if __name__ == "__main__":
-    GOLDEN.write_text(json.dumps({"libm": _libm(), **_values()}, indent=0, sort_keys=True) + "\n")
+    values = {**_values(), **_fd_hessian_values(), **_report_values()}
+    GOLDEN.write_text(json.dumps({"libm": _libm(), **values}, indent=0, sort_keys=True) + "\n")
