@@ -204,7 +204,7 @@ def _check_rows(p: np.ndarray):
     """A Distribution's checks on each row (axis 0) of a batch of probability
     arrays, in one pass over the batch; returns the batch's smallest entry."""
     lo = _check_nonneg(p, "probability")
-    _check_sums(p.reshape(len(p), -1).sum(axis=1))
+    _check_sums(_rowsum(p)[:, 0])  # strided rows are summed run by run, not copied
     return lo
 
 

@@ -9,12 +9,15 @@ split parameterizes the Hessian potential through its u log u coefficient.
 
 Finite differences are central and unprojected: coordinates are perturbed
 individually with no simplex projection, matching coordinate-wise partial
-derivatives that ignore the constraint.
+derivatives that ignore the constraint. Each displaced point moves one or
+two coordinates, and every other term of its divergence is exactly -0.0,
+so its exact sum is the IEEE sum of at most two nonzero terms: two term
+vectors, at p + h and p - h, give the whole Hessian bit for bit as summing
+every displaced point would.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from numbers import Real
@@ -23,7 +26,7 @@ import numpy as np
 
 from .deformed_log import DeformParams
 from .distributions import Distribution, _as_float_array, _col
-from .divergence import _fsum_rows, _positive_terms
+from .divergence import _positive_terms
 from .errors import DimensionError, DomainError, ParamError, ValidationError
 
 __all__ = [
@@ -40,9 +43,6 @@ __all__ = [
 CONVENTIONS = ("derived", "paper")
 
 DEFAULT_FD_STEP = 1e-4
-# Cells per block of stencil rows: memory stays O(block) at any n, and the
-# sweep's largest batch (256 trials x 73 rows x 6 coordinates) is one block.
-_FD_BLOCK = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -105,72 +105,35 @@ def _diagonal(pv: np.ndarray, params: DeformParams, convention: str) -> np.ndarr
     return metric_coefficient(params, convention) / pv
 
 
-@functools.lru_cache(maxsize=8)
-def _stencil(width: int):
-    """The central-difference stencil on `width` coordinates. Its R =
-    2 width^2 + 1 rows are the base point, +h e_i and -h e_i for each i,
-    then +-h e_i +-h e_j for each pair i < j. Returns the (row, coordinate,
-    sign) of every displacement, sorted by row; the index of each row's
-    first displacement, and the count of all as entry R; the number of
-    leading coordinates each row reaches; and the pairs (i, j) in row
-    order: O(width^2) read-only arrays, cached because building them costs
-    as much as a small Hessian."""
-    iu, ju = np.triu_indices(width, 1)
-    axis = np.arange(width)
-    corners = 2 * width + 1 + np.arange(4 * iu.size)
-    rows = np.concatenate([1 + axis, 1 + width + axis, corners, corners])
-    cols = np.concatenate([axis, axis, np.repeat(iu, 4), np.repeat(ju, 4)])
-    signs = np.concatenate([
-        np.ones(width), -np.ones(width),
-        np.tile([1.0, 1.0, -1.0, -1.0], iu.size), np.tile([1.0, -1.0, 1.0, -1.0], iu.size),
-    ])
-    reach = np.concatenate([[0], axis + 1, axis + 1, np.repeat(ju + 1, 4)])
-    order = np.argsort(rows, kind="stable")
-    rows, cols, signs = rows[order], cols[order], signs[order]
-    starts = np.searchsorted(rows, np.arange(reach.size + 1))
-    stencil = (rows, cols, signs, starts, reach, iu, ju)
-    for a in stencil:
-        a.setflags(write=False)
-    return stencil
-
-
 def _fd_hessian_rows(p: np.ndarray, n: np.ndarray, k, h) -> np.ndarray:
     """(T, N, N) central-difference Hessians of a -> D(a || p_t) at a = p_t
     for a (T, N) batch of base points, each padded with 1.0 beyond its
     (T, 1) size n, with k and h scalars or (T, 1) columns.
 
-    Every displaced point of every trial is one row of terms, evaluated
-    and summed in blocks of about _FD_BLOCK cells. Only rows that displace
-    live coordinates are summed: a padded coordinate stays at 1.0 in them,
-    where its term is exactly 0, so each exact fsum is the one the trial's
-    own n coordinates give. The entries beyond each trial's n x n block
-    are +0.0.
+    A displaced point p +- h e_i (+- h e_j) keeps every other coordinate
+    bitwise, where the term is -0.0, so the exact sum of its terms is the
+    IEEE sum of its at most two displaced ones, a -0.0 among them read as
+    +0.0 (an exact sum of zeros is +0.0, as at the base point). So the terms
+    at p + h and p - h on live coordinates give every difference bit for
+    bit as summing each displaced point whole does. The entries beyond each
+    trial's n x n block are +0.0.
     """
     t, width = p.shape
     h = _col(h, 2)
     live = np.arange(width) < n
     if np.any(live & ((p - h <= 0) | (p + h >= 1))):
         raise DomainError("step pushes some coordinate outside (0, 1)")
-    rows, cols, signs, starts, reach, iu, ju = _stencil(width)
-    k, keep = _col(k, 3), reach <= n
-    f = np.zeros((t, reach.size))
-    step = max(1, _FD_BLOCK // (t * width))  # stencil rows per block
-    for r in range(0, reach.size, step):
-        end = min(r + step, reach.size)
-        b, d = slice(r, end), slice(starts[r], starts[end])
-        points = np.repeat(p[:, np.newaxis], end - r, axis=1)
-        points[:, rows[d] - r, cols[d]] += h * signs[d]
-        terms = _positive_terms(points, p[:, np.newaxis], k)
-        f[:, b][keep[:, b]] = _fsum_rows(terms[keep[:, b]])[:, 0]
+    k = _col(k, 2)
+    # adding +0.0 turns a -0.0 term into its row's exact sum, +0.0
+    up, dn = (np.where(live, _positive_terms(p + s, p, k), 0.0) + 0.0 for s in (h, -h))
     hess = np.zeros((t, width, width))
     diag = np.arange(width)
-    hess[:, diag, diag] = (
-        f[:, 1 : width + 1] - 2.0 * f[:, :1] + f[:, width + 1 : 2 * width + 1]
-    ) / (h * h)
-    c = f[:, 2 * width + 1 :].reshape(t, -1, 4)
+    hess[:, diag, diag] = (up + dn) / (h * h)  # the base point's sum, +0.0, drops out
+    iu, ju = np.triu_indices(width, 1)
+    ui, uj, di, dj = up[:, iu], up[:, ju], dn[:, iu], dn[:, ju]
     # one value per pair, mirrored, so each Hessian is exactly symmetric
     hess[:, iu, ju] = hess[:, ju, iu] = (
-        c[..., 0] - c[..., 1] - c[..., 2] + c[..., 3]
+        (ui + uj) - (ui + dj) - (di + uj) + (di + dj)
     ) / (4.0 * h * h)
     return hess
 
@@ -181,8 +144,12 @@ def fd_hessian(
     """Central-difference Hessian of a -> D(a || p) at a = p.
 
     Coordinates are treated as unconstrained, so the result can be
-    compared entrywise against the analytic diagonal A / p_i. This is the
-    batched stencil on a batch of one.
+    compared entrywise against the analytic diagonal A / p_i. Each entry is
+    a central difference of exact divergence sums, and a displaced point's
+    sum is the IEEE sum of its at most two nonzero terms (every coordinate
+    left in place gives -0.0), so the terms at p + h and p - h are all it
+    takes: O(n^2) memory, for the output. This is the batched form on a
+    batch of one.
     """
     pv = _full_support(p)
     if pv.ndim != 1:

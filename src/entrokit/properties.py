@@ -16,6 +16,11 @@ Entropies and divergences come from the batched `_*_rows` evaluators of
 `entrokit.entropy` and `entrokit.divergence`, and finite-difference
 Hessians from `entrokit.geometry._fd_hessian_rows`, which the public
 functions call on a batch of one; this module defines no sum of its own.
+`_fd_hessian_rows` takes each displaced point's sum as its at most two
+nonzero terms, which holds for a cell-by-cell kernel only; so
+hessian_separability sums the four corners of each mixed difference whole
+through `_divergence_rows` instead, and a kernel that couples cells fails
+it.
 
 The kind supplies the slack rule and picks the worst element of each row.
 Identities record slack = (lhs - rhs) / max(1, |lhs|, |rhs|) and pass when
@@ -596,16 +601,13 @@ def _check_kl_limit(draw, trial):
 _FD_CAP = 6  # the finite-difference checks draw 2.._FD_CAP coordinates
 
 
-def _fd_hessians(draw: _Draw):
-    """(T, 1) sizes n, interior base points padded with 1.0 to _FD_CAP, and
-    the finite-difference Hessians at them, 0 beyond each trial's n x n
-    block: one stencil call for the whole batch."""
+def _fd_base(draw: _Draw):
+    """(T, 1) sizes n and interior base points padded with 1.0 to _FD_CAP."""
     params = draw.params()
     n, p = _vector(draw, draw.size(cap=_FD_CAP, floor=2))
     p = _interior(p, n)
     _check_rows(p)
-    pv = np.where(p > 0, p, 1.0)[:, :_FD_CAP]
-    return params, n, pv, _fd_hessian_rows(pv, n, params.k, 1e-4)
+    return params, n, np.where(p > 0, p, 1.0)[:, :_FD_CAP]
 
 
 @_property(
@@ -613,11 +615,27 @@ def _fd_hessians(draw: _Draw):
     3 + VECTOR, tol=1e-8,
 )
 def _check_hessian_separability(draw, trial):
-    # Row-major off-diagonals: the n x n block's keep their order, (0, 1)
+    # The central mixed difference of a -> D(a || p) for each live pair, from
+    # its four corners p +- h e_i +- h e_j summed whole by _divergence_rows,
+    # the library's own sum: a kernel that couples cells fails here. The
+    # off-diagonals are row-major: the n x n block's keep their order, (0, 1)
     # leads, and the zeros beyond the block never rank above it as worst.
-    params, n, pv, hess = _fd_hessians(draw)
+    params, n, pv = _fd_base(draw)
+    h = 1e-4
+    iu, ju = np.triu_indices(_FD_CAP, 1)
+    at, pair = np.nonzero(ju < n)  # each trial's live pairs, in row-major order
+    i, j = iu[pair], ju[pair]
+    base = np.repeat(pv[at], 4, axis=0)
+    corners = base.reshape(-1, 4, _FD_CAP).copy()
+    rows, corner = np.arange(pair.size)[:, None], np.arange(4)
+    corners[rows, corner, i[:, None]] += h * np.array([1.0, 1.0, -1.0, -1.0])
+    corners[rows, corner, j[:, None]] += h * np.array([1.0, -1.0, 1.0, -1.0])
+    k = np.repeat(params.k[at], 4, axis=0)
+    d = _divergence_rows(corners.reshape(base.shape), base, k).reshape(-1, 4)
+    hess = np.zeros((len(pv), _FD_CAP, _FD_CAP))
+    hess[at, i, j] = hess[at, j, i] = (d[:, 0] - d[:, 1] - d[:, 2] + d[:, 3]) / (4.0 * h * h)
     off = hess[:, ~np.eye(_FD_CAP, dtype=bool)]
-    return off, 0.0, {"n": n, "step": 1e-4, **params.fields}
+    return off, 0.0, {"n": n, "step": h, **params.fields}
 
 
 @_property(
@@ -625,7 +643,8 @@ def _check_hessian_separability(draw, trial):
     3 + VECTOR, tol=1e-5,
 )
 def _check_metric_oracle_agreement(draw, trial):
-    params, n, pv, hess = _fd_hessians(draw)
+    params, n, pv = _fd_base(draw)
+    hess = _fd_hessian_rows(pv, n, params.k, 1e-4)
     g = _diagonal(pv, params, "derived")
     live = np.arange(_FD_CAP) < n
     fd = np.where(live, np.diagonal(hess, axis1=1, axis2=2), g)  # the padding agrees exactly

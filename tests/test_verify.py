@@ -3,6 +3,7 @@ determinism, order independence, and failure reporting."""
 
 import itertools
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -366,6 +367,19 @@ class TestEngine:
                         rows = _conditional_rows(_spec_view(j, *axes), k, len(axes[1]))
                         same(rows, lambda d: conditional_entropy(d, params, spec).value, j)
 
+
+    def test_hessian_separability_catches_a_coupling_kernel(self, monkeypatch):
+        # a divergence kernel that takes each cell's term on its row
+        # renormalised couples the cells: every mixed difference picks up the
+        # normalisation's curvature, far beyond the 1e-8 tolerance
+        cfg = SweepConfig(seed=0, trials=200, properties=("hessian_separability",))
+        assert run_suite(cfg).all_passed
+        module = sys.modules["entrokit.divergence"]  # entrokit.divergence is the function
+        terms = module._divergence_terms
+        monkeypatch.setattr(module, "_divergence_terms",
+                            lambda p, q, k: terms(p / p.sum(axis=1, keepdims=True), q, k))
+        (prop,) = run_suite(cfg).properties
+        assert prop.fails == 200 and abs(prop.worst_slack) > 1e-3
 
     @pytest.mark.parametrize("start", [0, 3, 10**6])
     def test_uniforms_are_the_centred_top_52_bits(self, start):
