@@ -1,6 +1,7 @@
 """Recorded values of the conditional entropies, mutual divergence and
-product, of the public finite-difference Hessian and of the two geometry
-properties' sweep reports: every one must stay bit for bit what it is.
+product, of every other entropy and divergence sum, of the public
+finite-difference Hessian, of the two geometry properties' sweep reports
+and of the whole sweep's: every one must stay bit for bit what it is.
 
 The joints are built from Philox bits with integer arithmetic only, so the
 inputs are the same everywhere. They cover positive joints and joints with
@@ -11,7 +12,9 @@ several blocks. The values were recorded before conditional_entropy
 streamed its blocks. The Hessians (as SHA-256 of their bytes, so every
 bit, sign bits included, counts) and the reports were recorded while
 fd_hessian still summed every displaced point of a 2n^2 + 1 row stencil
-exactly. `python tests/test_golden.py` rewrites the file.
+exactly. The other sums and the whole sweep were recorded while divergence
+sums cut each row in steps of _EXACT_CHUNK cells and tsallis_entropy
+summed its terms whole. `python tests/test_golden.py` rewrites the file.
 They are compared only where numpy's elementary functions give the bits
 they gave where recorded.
 """
@@ -25,14 +28,16 @@ import pathlib
 import numpy as np
 import pytest
 
-from entrokit import DeformParams, conditional_entropy, fd_hessian, make_distribution
-from entrokit import make_joint2, make_joint3, mutual_divergence, product
+from entrokit import DeformParams, conditional_entropy, divergence, divergence_literal, entropy
+from entrokit import entropy_literal, fd_hessian, kl_divergence, log_sum_gap, make_distribution
+from entrokit import make_joint2, make_joint3, mutual_divergence, product, shannon_entropy
+from entrokit import tsallis_divergence, tsallis_entropy
 from entrokit.verify import SweepConfig, run_suite
 
 GOLDEN = pathlib.Path(__file__).with_name("golden.json")
 KS = (0.25, 0.1, 0.45)
 # key prefixes of the Hessian and report pins; every other key is a joint's
-PINS = ("fd_hessian", "report")
+PINS = ("fd_hessian", "report", "sums", "suite")
 GEOMETRY = ("hessian_separability", "metric_oracle_agreement")
 
 
@@ -97,6 +102,30 @@ def _values() -> dict:
     return out
 
 
+def _sum_values() -> dict:
+    """Every entropy and divergence sum of each joint p at KS and k = 1/2, the
+    divergences from a positive joint q of the same shape and layout."""
+    out = {}
+    for name, (seed, shape, zero, fortran) in JOINTS.items():
+        p, q = _joint(seed, shape, zero, fortran), _joint(seed + 100, shape, False, fortran)
+        values = {"shannon_entropy": shannon_entropy(p), "kl_divergence": kl_divergence(p, q)}
+        for k in (*KS, 0.5):
+            params = DeformParams(k, 1.0)
+            values[f"entropy {k}"] = entropy(p, params).value
+            values[f"entropy_literal {k}"] = entropy_literal(p, params)
+            values[f"tsallis_entropy {k}"] = tsallis_entropy(p, 1.0 + 2.0 * k)
+            values[f"divergence {k}"] = divergence(p, q, params).value
+            for form in ("pq", "qp"):
+                values[f"divergence_literal {form} {k}"] = divergence_literal(p, q, params, form)
+            values[f"tsallis_divergence {k}"] = tsallis_divergence(p, q, 1.0 - 2.0 * k)
+            if not zero:  # log_sum_gap takes weights > 0 only
+                lhs, rhs = log_sum_gap(p.p, q.p, params)
+                values[f"log_sum_gap {k}"] = f"{lhs.hex()} {rhs.hex()}"
+        for key, v in values.items():
+            out[f"sums {name} {key}"] = v if isinstance(v, str) else v.hex()
+    return out
+
+
 def _fd_case(n: int, case: int):
     """A base point of n cells with weights 1 .. 1000, k in (0, 1/2] (1/2
     included) and a step drawn log-uniformly from [1e-6, 10^-2.5], or half
@@ -128,6 +157,14 @@ def _report_values() -> dict:
     for seed in range(3):
         report = run_suite(SweepConfig(seed=seed, trials=1000, properties=GEOMETRY)).to_json()
         out[f"report seed={seed}"] = hashlib.sha256(report.encode()).hexdigest()
+    return out
+
+
+def _suite_values() -> dict:
+    out = {}
+    for seed in range(3):
+        report = run_suite(SweepConfig(seed=seed, trials=1000)).to_json()
+        out[f"suite seed={seed}"] = hashlib.sha256(report.encode()).hexdigest()
     return out
 
 
@@ -176,6 +213,15 @@ def test_geometry_reports_are_unchanged():
     _assert_unchanged(_report_values(), "report")
 
 
+def test_sums_are_unchanged():
+    _assert_unchanged(_sum_values(), "sums")
+
+
+def test_suite_reports_are_unchanged():
+    _assert_unchanged(_suite_values(), "suite")
+
+
 if __name__ == "__main__":
     values = {**_values(), **_fd_hessian_values(), **_report_values()}
+    values.update({**_sum_values(), **_suite_values()})
     GOLDEN.write_text(json.dumps({"libm": _libm(), **values}, indent=0, sort_keys=True) + "\n")
