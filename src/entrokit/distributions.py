@@ -174,24 +174,29 @@ def _cells(a: np.ndarray):
     return functools.partial(_copy_run, a)
 
 
+def _runs(batches: tuple, n: int):
+    """The n cells of each row (axis 0) of equal-shaped batches in C order,
+    as one tuple of (T, m) arrays per run: the whole rows, reshaped, when
+    n <= _LEAF, else the runs of _leaves(n), each a view of a C-contiguous
+    batch or a copy of its cells alone (_cells)."""
+    if n <= _LEAF:
+        yield tuple(a.reshape(len(a), n) for a in batches)
+        return
+    cells = [_cells(a) for a in batches]
+    for start, stop in _leaves(n):
+        yield tuple(c(start, stop) for c in cells)
+
+
 def _rowsum(a: np.ndarray, terms=None, *args) -> np.ndarray:
     """(T, 1) sums over every axis but the first of a batch a, or of
     terms(a, *args), bit for bit as np.sum adds each row in C order. terms
     works cell by cell on a (T, cells) array; args are scalars or (T, 1)
     columns. A row of more than _LEAF cells is evaluated and summed one run
-    of _leaves at a time, in numpy's pairwise tree, so no array as large as
+    at a time (_runs), in numpy's pairwise tree, so no array as large as
     the row is built."""
-    T, n = len(a), math.prod(a.shape[1:])
-    if n <= _LEAF:
-        rows = a.reshape(T, n)
-        return (rows if terms is None else terms(rows, *args)).sum(axis=1, keepdims=True)
-    cells = _cells(a)
-
-    def run_sums(start, stop):
-        run = cells(start, stop)
-        return (run if terms is None else terms(run, *args)).sum(axis=1)
-
-    return _pairwise((run_sums(*run) for run in _leaves(n)), n)[:, np.newaxis]
+    n = math.prod(a.shape[1:])
+    sums = ((run if terms is None else terms(run, *args)).sum(axis=1) for run, in _runs((a,), n))
+    return _pairwise(sums, n)[:, np.newaxis]
 
 
 def _check_sums(totals: np.ndarray) -> None:

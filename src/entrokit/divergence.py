@@ -7,15 +7,17 @@ and zero exactly when p = q termwise. P and Q may be of any rank, as long
 as their shapes agree; the sum runs over cells. Every final reduction is
 math.fsum's correctly rounded exact sum, so the value is independent of
 coordinate order (permutation symmetry holds bit-exactly). A row of at
-least _EXACT_MIN cells is evaluated and summed chunk by chunk: the terms
-of _EXACT_CHUNK cells at a time, each chunk reduced exactly by binary
-exponent in numpy, as in Neal's small superaccumulator (arXiv:1505.05571),
-before the next is evaluated. The row never becomes a Python list and no
-array as large as it is built, so a sum allocates a few chunks' worth
-(about 3 MiB) beyond its inputs at any width; the result is still
-math.fsum's bit for bit. mutual_divergence never builds the product of
-the marginals either: each run of its cells is made, checked and reduced
-in the same pass, so it allocates under 2 MiB on a 1024 x 1024 joint.
+least _EXACT_MIN cells is evaluated and summed run by run: the terms of
+one run of distributions._leaves (at most _LEAF cells) at a time, each
+run reduced exactly by binary exponent in numpy, as in Neal's small
+superaccumulator (arXiv:1505.05571), before the next is evaluated. A run
+is a view of a C-contiguous input, or a copy of that run alone, so the
+row never becomes a Python list and no array as large as it is built,
+in any layout: a sum allocates a few runs' worth (under 3 MiB) beyond
+its inputs at any width; the result is still math.fsum's bit for bit.
+mutual_divergence never builds the product of the marginals either: each
+run of its cells is made, checked and reduced in the same pass, so it
+allocates under 2 MiB on a 1024 x 1024 joint.
 
 Each sum is written once, as a batched `_*_rows` evaluator; the public
 functions call it on a batch of one (whole arrays: fsum is exact), and the
@@ -35,7 +37,6 @@ import numpy as np
 
 from .deformed_log import DeformParams, _finite_real, ln_kr, ln_q
 from .distributions import (
-    _EXACT_CHUNK,
     Distribution,
     _as_float_array,
     _cells,
@@ -43,6 +44,7 @@ from .distributions import (
     _col,
     _leaves,
     _pairwise,
+    _runs,
     _span,
 )
 from .errors import AbsoluteContinuityError, DimensionError, DomainError, ParamError
@@ -51,7 +53,6 @@ __all__ = [
     "DivergenceValue",
     "divergence",
     "divergence_literal",
-    "divergence_sum",
     "log_sum_gap",
     "kl_divergence",
     "tsallis_divergence",
@@ -75,15 +76,21 @@ class DivergenceValue:
         return self.value
 
 
-def _positive_terms(p: np.ndarray, q: np.ndarray, k: float) -> np.ndarray:
-    # p (1 - (q/p)^{2k}) / (2k) == (p - p^{1-2k} q^{2k}) / (2k), via expm1
-    # so the value is exactly 0 wherever p == q bitwise; in place in one buffer
-    t = np.log(q) - np.log(p)
+def _closed_form(t: np.ndarray, p, k) -> np.ndarray:
+    """p (1 - e^{2k t}) / (2k), in place in t, via expm1: the divergence term
+    at t = ln(q/p) and the entropy term at t = ln p. It is exactly 0
+    wherever t is 0."""
     t *= 2.0 * k
     np.expm1(t, out=t)
     t *= p
     t /= -2.0 * k
     return t
+
+
+def _positive_terms(p: np.ndarray, q: np.ndarray, k: float) -> np.ndarray:
+    # p (1 - (q/p)^{2k}) / (2k) == (p - p^{1-2k} q^{2k}) / (2k): exactly 0
+    # wherever p == q bitwise; in place in one buffer
+    return _closed_form(np.log(q) - np.log(p), p, k)
 
 
 def _check_pair(p: Distribution, q: Distribution) -> bool:
@@ -107,16 +114,16 @@ def _continuity_error(p: np.ndarray, flat: int) -> AbsoluteContinuityError:
     )
 
 
-# Rows of this many cells or more are wide: evaluated chunk by chunk and
+# Rows of this many cells or more are wide: evaluated run by run and
 # reduced by binary exponent. Below it, the bucket pass's fixed numpy cost
-# exceeds math.fsum on a list. A chunk has at most _EXACT_CHUNK cells, so a
-# bucket sums at most 2^16 halves below 2^27, far below 2^53 (at most 2^26
+# exceeds math.fsum on a list. A run has at most _LEAF = 2^15 cells, so a
+# bucket sums at most 2^15 halves below 2^27, far below 2^53 (at most 2^26
 # cells would do), and float64 adds them exactly.
 _EXACT_MIN = 1024
 
 
 def _live(p: np.ndarray):
-    """The mask p > 0 of a batch, or None for a chunk of wide rows in which
+    """The mask p > 0 of a batch, or None for a run of wide rows in which
     every p > 0, where the mask would select every cell. A narrow batch (the
     sweep's, bound by per-call overhead) gets the mask without the test."""
     if p.size >= _EXACT_MIN * len(p) and p.min() > 0:
@@ -124,17 +131,28 @@ def _live(p: np.ndarray):
     return p > 0
 
 
+def _unit_at_zero(p: np.ndarray, *arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """p and arrays of its shape with 1.0 wherever p = 0, laid out as they
+    are: there a term's ratio is 1 and its logarithm 0. Where every p > 0
+    (_live), the arrays themselves."""
+    live = _live(p)
+    if live is None:
+        return (p, *arrays)
+    return tuple(np.where(live, a, 1.0) for a in (p, *arrays))
+
+
 def _exact_parts(chunks, rows: int, width: int) -> list[list[float]] | None:
     """For each of `rows` rows of `width` terms, which the iterable chunks
-    yields as (rows, m) arrays of consecutive cells of at most _EXACT_CHUNK,
-    floats whose math.fsum is the row's math.fsum of its terms; None when a
+    yields as (rows, m) arrays of consecutive cells, one run of
+    distributions._leaves(width) each (at most _LEAF cells), floats whose
+    math.fsum is the row's math.fsum of its terms; None when a
     row has a non-finite term, or one so large that math.fsum could overflow
     on the way (about W max|x| >= 2^1020): the whole rows then go to
     math.fsum.
 
     Each term x = m 2^e (np.frexp) is exactly (h + l) 2^(e-27), where
     h = trunc(m 2^27) is an integer below 2^27 and l = m 2^27 - h a multiple
-    of 2^-26 below 1. Per chunk and exponent, float64 sums the h and the l
+    of 2^-26 below 1. Per run and exponent, float64 sums the h and the l
     exactly, and scaling each sum back by 2^(e-27) is exact too.
     """
     bound = math.ldexp(1.0, 1020 - width.bit_length())
@@ -151,7 +169,7 @@ def _exact_parts(chunks, rows: int, width: int) -> list[list[float]] | None:
                 break
             m, e = np.frexp(t)
             low = int(e.min())
-            e -= low  # bucket index: exponent above the chunk's lowest
+            e -= low  # bucket index: exponent above the run's lowest
             m *= 2.0**27
             h = np.trunc(m)
             m -= h
@@ -172,7 +190,7 @@ def _fsum_chunks(chunks, rows: int, width: int) -> np.ndarray:
     """(rows, 1) math.fsum of each row of `width` terms that chunks(), a new
     iterable on each call, yields as (rows, m) arrays of consecutive cells,
     values and exceptions alike. A narrow row is summed as a list; a wide
-    one chunk by chunk, each reduced exactly by binary exponent before the
+    one run by run, each reduced exactly by binary exponent before the
     next is made, so no array as large as the row is built."""
     parts = _exact_parts(chunks(), rows, width) if width >= _EXACT_MIN else None
     if parts is None:
@@ -186,19 +204,12 @@ def _sum_terms(terms, cells: tuple, *args) -> np.ndarray:
     exceptions alike: exact, so neither order nor zero cells move a bit.
 
     cells are equal-shaped batches (axis 0) of any rank, taken as rows of
-    cells; args are scalars or (T, 1) columns, handed over as they are.
-    terms works cell by cell, so it may get any range of cells of every row
-    at once; on a batch of one it may also drop cells. It gets a wide row
-    (_EXACT_MIN cells or more) one _EXACT_CHUNK at a time.
+    cells in C order; args are scalars or (T, 1) columns, handed over as
+    they are. terms works cell by cell, so it may get any range of cells of
+    every row at once: it gets the runs of distributions._runs.
     """
-    cells = tuple(a.reshape(len(a), -1) for a in cells)
-    rows, width = cells[0].shape
-
-    def chunks():
-        for c in range(0, width, _EXACT_CHUNK):
-            yield terms(*(a[:, c : c + _EXACT_CHUNK] for a in cells), *args)
-
-    return _fsum_chunks(chunks, rows, width)
+    rows, width = len(cells[0]), math.prod(cells[0].shape[1:])
+    return _fsum_chunks(lambda: (terms(*run, *args) for run in _runs(cells, width)), rows, width)
 
 
 def _fsum_rows(a: np.ndarray) -> np.ndarray:
@@ -209,12 +220,10 @@ def _fsum_rows(a: np.ndarray) -> np.ndarray:
 def _divergence_terms(p: np.ndarray, q: np.ndarray, k) -> np.ndarray:
     """(p - p^{1-2k} q^{2k}) / (2k) per cell; a cell with p = 0 gives 0, or
     -q at k = 1/2, where p^{1-2k} q^{2k} is q."""
-    live = _live(p)
-    if live is None:
-        return _positive_terms(p, q, k)
-    terms = _positive_terms(np.where(live, p, 1.0), np.where(live, q, 1.0), k)
-    if (k == 0.5).any():
-        terms = np.where(~live & (k == 0.5), -q, terms)
+    pv, qv = _unit_at_zero(p, q)
+    terms = _positive_terms(pv, qv, k)
+    if pv is not p and (k == 0.5).any():  # p may have cells = 0 < q
+        terms = np.where((p == 0) & (k == 0.5), -q, terms)
     return terms
 
 
@@ -240,9 +249,7 @@ def divergence(
 def _literal_terms(p: np.ndarray, q: np.ndarray, params, form: str) -> np.ndarray:
     """The terms of divergence_literal's `form`; a cell with p = 0 gives 0,
     its limit for k < 1/2."""
-    live = _live(p)
-    if live is not None:  # such a cell gets ratio 1, where ln_kr is 0
-        p, q = np.where(live, p, 1.0), np.where(live, q, 1.0)
+    p, q = _unit_at_zero(p, q)  # such a cell gets ratio 1, where ln_kr is 0
     k, r = params.k, params.r
     if form == "pq":
         ratio = p / q
@@ -284,15 +291,6 @@ def _weights(a, b) -> tuple[np.ndarray, np.ndarray]:
     return av, bv
 
 
-def divergence_sum(a, b, params: DeformParams) -> float:
-    """The defining sum on arbitrary positive weight vectors (no
-    normalization), i.e. sum a_i (a_i/b_i)^{r-k} ln_{k,r}(a_i/b_i) in its
-    closed form. This is the log-sum inequality's left side and the
-    function the geometry oracle differentiates."""
-    av, bv = _weights(a, b)
-    return float(_divergence_rows(av[np.newaxis], bv[np.newaxis], params.k)[0, 0])
-
-
 def _log_sum_rows(a: np.ndarray, b: np.ndarray, k) -> tuple[np.ndarray, np.ndarray]:
     """(T, 1) columns of both sides of the log-sum inequality over a batch of
     weight pairs: the termwise sum, and the term of the totals."""
@@ -313,10 +311,8 @@ def log_sum_gap(a, b, params: DeformParams) -> tuple[float, float]:
 
 def _kl_terms(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """p ln(p/q) per cell; a cell with p = 0 gives 0."""
-    live = _live(p)
-    if live is None:
-        return p * (np.log(p) - np.log(q))
-    return p * (np.log(np.where(live, p, 1.0)) - np.log(np.where(live, q, 1.0)))
+    pv, qv = _unit_at_zero(p, q)
+    return p * (np.log(pv) - np.log(qv))
 
 
 def _kl_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -331,11 +327,10 @@ def kl_divergence(p: Distribution, q: Distribution) -> float:
 
 
 def _tsallis_terms(p: np.ndarray, q: np.ndarray, q_param: float) -> np.ndarray:
-    """-p ln_q(q/p) of the cells with p > 0 of a batch of one."""
-    live = _live(p)
-    if live is not None:
-        p, q = p[live][np.newaxis], q[live][np.newaxis]
-    return -p * ln_q(q / p, q_param) if p.size else p
+    """-p ln_q(q/p) per cell; a cell with p = 0 gives -0.0, as one with
+    p = q does."""
+    p, q = _unit_at_zero(p, q)
+    return -p * ln_q(q / p, q_param)
 
 
 def tsallis_divergence(p: Distribution, q: Distribution, q_param: float) -> float:

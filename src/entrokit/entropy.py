@@ -24,9 +24,9 @@ A row longer than _LEAF cells is evaluated and summed in one pass, one run
 of at most _LEAF cells at a time (distributions._rowsum): numpy's np.sum
 is pairwise, and the runs are the subtrees of its tree, added in its
 order, so the value is np.sum's bit for bit and no term array as large as
-the row is built. entropy, shannon_entropy and entropy_literal allocate
-under 1 MiB on 2^20 positive cells; with zero cells, the compressed copy
-of the positive ones, its mask, and under 1 MiB.
+the row is built. entropy, shannon_entropy, entropy_literal and
+tsallis_entropy allocate under 1 MiB on 2^20 positive cells; with zero
+cells, the compressed copy of the positive ones, its mask, and under 1 MiB.
 
 A conditional entropy is a sum over the rows of its given axes, so it is
 evaluated over blocks of the joint's transposed view, of about
@@ -52,7 +52,7 @@ import numpy as np
 
 from .deformed_log import DeformParams, _finite_real, ln_kr
 from .distributions import _EXACT_CHUNK, _LEAF, Distribution, _col, _rowsum, _tiles
-from .divergence import _live
+from .divergence import _closed_form, _unit_at_zero
 from .errors import DimensionError, ParamError
 
 __all__ = [
@@ -82,15 +82,10 @@ class EntropyValue:
 
 def _entropy_terms(p, k) -> np.ndarray:
     """p (1 - p^{2k}) / (2k) elementwise, exactly 0 at p = 0; k may broadcast
-    against p. Evaluated in place in one buffer, laid out as p is: the
-    layout sets the order in which numpy sums a strided axis."""
-    live = _live(p)
-    t = np.log(p) if live is None else np.log(p, out=np.zeros_like(p, dtype=float), where=live)
-    t *= 2.0 * k
-    np.expm1(t, out=t)
-    t *= p
-    t /= -2.0 * k
-    return t
+    against p. Evaluated in place in the logarithm's buffer, laid out as p
+    is: the layout sets the order in which numpy sums a strided axis."""
+    (p,) = _unit_at_zero(p)  # p = 0 becomes 1, whose term is 0 as well
+    return _closed_form(np.log(p), p, k)
 
 
 def _entropy_rows(p: np.ndarray, k) -> np.ndarray:
@@ -99,11 +94,17 @@ def _entropy_rows(p: np.ndarray, k) -> np.ndarray:
     return _rowsum(p, _entropy_terms, _col(k, 2))
 
 
+def _positive_cells(p: Distribution) -> np.ndarray:
+    """The cells p > 0 of a distribution as a batch of one, in C order: the
+    array itself when every cell is (a zero cell adds 0 to a sum but would
+    regroup numpy's pairwise tree)."""
+    return (p.p if p._positive else p.p[p.p > 0])[np.newaxis]
+
+
 def entropy(p: Distribution, params: DeformParams) -> EntropyValue:
     """Entropy -sum p^{r+k+1} ln_{k,r}(p) over the cells of a distribution
     of any rank; 0 exactly on degenerate inputs."""
-    pv = p.p if p._positive else p.p[p.p > 0]  # both sum the cells in C order
-    return EntropyValue(float(_entropy_rows(pv[np.newaxis], params.k)[0, 0]), params)
+    return EntropyValue(float(_entropy_rows(_positive_cells(p), params.k)[0, 0]), params)
 
 
 # the entropy of a joint is the entropy of its cells
@@ -112,8 +113,7 @@ joint_entropy = entropy
 
 def _literal_terms(p: np.ndarray, params) -> np.ndarray:
     """p^{r+k+1} ln_{k,r}(p) per cell, as written; a cell with p = 0 gives 0."""
-    live = _live(p)
-    pv = p if live is None else np.where(live, p, 1.0)  # ln_{k,r}(1) = 0
+    (pv,) = _unit_at_zero(p)  # ln_{k,r}(1) = 0
     return np.power(pv, params.r + params.k + 1.0) * ln_kr(pv, params)
 
 
@@ -126,8 +126,7 @@ def _entropy_literal_rows(p: np.ndarray, params) -> np.ndarray:
 def entropy_literal(p: Distribution, params: DeformParams) -> float:
     """The defining sum evaluated term by term as written, without the
     algebraic collapse. Retained as a cross-check of the canonical path."""
-    pv = p.p if p._positive else p.p[p.p > 0]
-    return float(_entropy_literal_rows(pv[np.newaxis], params)[0, 0])
+    return float(_entropy_literal_rows(_positive_cells(p), params)[0, 0])
 
 
 def _merged(t: np.ndarray, given: int) -> np.ndarray | None:
@@ -261,8 +260,8 @@ def mutual_entropy(j: Distribution, params: DeformParams) -> float:
 
 def _shannon_terms(p: np.ndarray) -> np.ndarray:
     """p ln p per cell; a cell with p = 0 gives 0."""
-    live = _live(p)
-    return p * np.log(p if live is None else np.where(live, p, 1.0))
+    (pv,) = _unit_at_zero(p)
+    return p * np.log(pv)
 
 
 def _shannon_rows(p: np.ndarray) -> np.ndarray:
@@ -272,8 +271,18 @@ def _shannon_rows(p: np.ndarray) -> np.ndarray:
 
 def shannon_entropy(p: Distribution) -> float:
     """-sum p ln p in nats."""
-    pv = p.p if p._positive else p.p[p.p > 0]
-    return float(_shannon_rows(pv[np.newaxis])[0, 0])
+    return float(_shannon_rows(_positive_cells(p))[0, 0])
+
+
+def _tsallis_entropy_terms(p: np.ndarray, q: float) -> np.ndarray:
+    """p^q ln_q(p) per cell > 0, as e^{q ln p} expm1((1 - q) ln p) / (1 - q):
+    a formula of its own, so it checks the closed form independently."""
+    lp = np.log(p)
+    t = np.exp(q * lp)
+    lp *= 1.0 - q
+    t *= np.expm1(lp, out=lp)
+    t /= 1.0 - q
+    return t
 
 
 def tsallis_entropy(p: Distribution, q: float) -> float:
@@ -281,5 +290,4 @@ def tsallis_entropy(p: Distribution, q: float) -> float:
     q = _finite_real("q", q)
     if q == 1:
         raise ParamError("q = 1 is the Shannon limit; use shannon_entropy")
-    lp = np.log(p.p[p.p > 0])
-    return float(-np.sum(np.exp(q * lp) * np.expm1((1.0 - q) * lp) / (1.0 - q)))
+    return float(-_rowsum(_positive_cells(p), _tsallis_entropy_terms, q)[0, 0])

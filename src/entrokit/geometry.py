@@ -43,6 +43,12 @@ __all__ = [
 CONVENTIONS = ("derived", "paper")
 
 DEFAULT_FD_STEP = 1e-4
+# A term at p +- h is p (1 - e^{2k t}) / 2k with t = ln(p / (p +- h)) good
+# to about eps, so it carries an error of about eps p, which the second
+# difference divides by h^2: against the metric's (1 - 2k) / p, the error
+# reaches the value itself near h = sqrt(eps) p. fd_hessian rejects steps
+# below this times max p.
+_MIN_STEP_PER_P = math.sqrt(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -149,13 +155,19 @@ def fd_hessian(
     sum is the IEEE sum of its at most two nonzero terms (every coordinate
     left in place gives -0.0), so the terms at p + h and p - h are all it
     takes: O(n^2) memory, for the output. This is the batched form on a
-    batch of one.
+    batch of one. A step below sqrt(eps) max p, where rounding would
+    swamp every entry, raises DomainError.
     """
     pv = _full_support(p)
     if pv.ndim != 1:
         raise DimensionError(f"fd_hessian needs a vector, got {pv.ndim} axes")
     if isinstance(step, bool) or not (isinstance(step, Real) and 0 < step < math.inf):
         raise DomainError(f"step must be a real number > 0, got {step!r}")
+    smallest = _MIN_STEP_PER_P * float(pv.max())
+    if step < smallest:
+        raise DomainError(
+            f"step {step!r} is below float resolution at p: the smallest accepted is {smallest!r}"
+        )
     return _fd_hessian_rows(pv[np.newaxis], np.array([[pv.size]]), params.k, float(step))[0]
 
 

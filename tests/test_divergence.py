@@ -31,13 +31,8 @@ from entrokit import (
     tsallis_divergence,
 )
 from entrokit.deformed_log import ln_kr, ln_q
-from entrokit.divergence import (
-    _EXACT_CHUNK,
-    _EXACT_MIN,
-    _fsum_rows,
-    _positive_terms,
-    divergence_sum,
-)
+from entrokit.distributions import _EXACT_CHUNK, _LEAF, _leaves
+from entrokit.divergence import _EXACT_MIN, _fsum_rows, _positive_terms
 
 PARAMS = DeformParams(0.25, 1.0)
 
@@ -166,16 +161,26 @@ class TestDivergenceValues:
         assert float(divergence(p, p, PARAMS)) == 0.0
 
 
+# widths at the edges of the runs of _leaves: one run, two, and a row
+# whose runs are cut off the multiples of _LEAF
+RUN_EDGES = [_LEAF - 1, _LEAF + 1, 3 * _LEAF + 7]
+
+
+def test_run_edges_cut_off_the_multiples_of_leaf():
+    assert [len([*_leaves(w)]) for w in RUN_EDGES] == [1, 2, 4]
+    assert any(stop % _LEAF for _, stop in [*_leaves(RUN_EDGES[2])][:-1])
+
+
 class TestExactSum:
     """_fsum_rows is math.fsum bit for bit, sign of zero included, on both
-    sides of _EXACT_MIN and on rows of several chunks."""
+    sides of _EXACT_MIN and on rows of several runs."""
 
     @staticmethod
     def _assert_fsum(rows):
         want = [math.fsum(r).hex() for r in rows.tolist()]
         assert [v.hex() for v in _fsum_rows(rows)[:, 0].tolist()] == want
 
-    @pytest.mark.parametrize("width", [_EXACT_MIN - 1, _EXACT_MIN, 1 << 20])
+    @pytest.mark.parametrize("width", [_EXACT_MIN - 1, _EXACT_MIN, *RUN_EDGES, 1 << 20])
     def test_mixed_signs_across_exponent_range(self, width):
         rng = np.random.default_rng(width)
         rows = 1 if width > 4 * _EXACT_MIN else 3  # a batch where fsum is cheap
@@ -186,7 +191,7 @@ class TestExactSum:
         self._assert_fsum(rng.standard_normal((rows, width)) * 1e-3)  # few exponents
 
     @pytest.mark.parametrize(
-        "width", [_EXACT_MIN - 1, _EXACT_MIN, 3 * _EXACT_MIN + 5, 2 * _EXACT_CHUNK + 5]
+        "width", [_EXACT_MIN - 1, _EXACT_MIN, 3 * _EXACT_MIN + 5, *RUN_EDGES, 2 * _EXACT_CHUNK + 5]
     )
     def test_cancellation_subnormals_and_zeros(self, width):
         rng = np.random.default_rng(width)
@@ -196,7 +201,7 @@ class TestExactSum:
         pairs = np.concatenate([half, -half, [0.0] * (width % 2)])
         tiny = rng.integers(-3, 4, width) * 5e-324
         signed_zeros = np.where(rng.random(width) < 0.5, -0.0, 0.0)
-        late_zero = np.full(width, -0.0)  # -0.0 cells, then one +0.0 in the last chunk
+        late_zero = np.full(width, -0.0)  # -0.0 cells, then one +0.0 in the last run
         late_zero[-1] = 0.0
         rows = np.array(
             [cancel, rng.permutation(pairs), tiny, np.full(width, -0.0), signed_zeros, late_zero]
@@ -204,10 +209,12 @@ class TestExactSum:
         self._assert_fsum(rows)
         assert _fsum_rows(rows[:2])[:, 0].tolist() == [2.0, 0.0]
 
-    @pytest.mark.parametrize("width", [_EXACT_MIN - 1, _EXACT_MIN, 2 * _EXACT_CHUNK + 5])
+    @pytest.mark.parametrize(
+        "width", [_EXACT_MIN - 1, _EXACT_MIN, *RUN_EDGES, 2 * _EXACT_CHUNK + 5]
+    )
     def test_non_finite_rows_behave_as_fsum(self, width):
-        # on the widest rows, the special cells sit in the third chunk
-        start = 0 if width < _EXACT_CHUNK else 2 * _EXACT_CHUNK
+        # on rows of several runs, the special cells sit in the last one
+        start = 0 if width <= _LEAF else width - 5
 
         def row(*head):
             r = np.zeros((1, width))
@@ -227,7 +234,7 @@ class TestExactSum:
 
 def _whole_row_terms(kind, p, q, params):
     """The terms of each divergence sum over one whole row, as the sums were
-    evaluated before they were evaluated chunk by chunk."""
+    evaluated before they were evaluated run by run."""
     k, r = params.k, params.r
     live = p > 0
     pv, qv = np.where(live, p, 1.0), np.where(live, q, 1.0)
@@ -242,34 +249,54 @@ def _whole_row_terms(kind, p, q, params):
     return -p[live] * ln_q(q[live] / p[live], 1.0 - 2.0 * k)
 
 
+def _divergence_sums(p, q, params) -> dict:
+    """The hex of each divergence sum of the pair."""
+    return {
+        "divergence": divergence(p, q, params).value.hex(),
+        "kl": kl_divergence(p, q).hex(),
+        "pq": divergence_literal(p, q, params, "pq").hex(),
+        "qp": divergence_literal(p, q, params, "qp").hex(),
+        "tsallis": tsallis_divergence(p, q, 1.0 - 2.0 * params.k).hex(),
+    }
+
+
 class TestChunkBoundaries:
-    """Wide rows are evaluated and summed one _EXACT_CHUNK at a time; each sum
-    is still math.fsum of the whole row's terms, bit for bit."""
+    """Wide rows are evaluated and summed one run of _leaves at a time; each
+    sum is still math.fsum of the whole row's terms, bit for bit, in any
+    layout."""
 
     @pytest.mark.parametrize("k", [0.1, 0.5])
     @pytest.mark.parametrize(
-        "width", [_EXACT_CHUNK - 1, _EXACT_CHUNK, _EXACT_CHUNK + 1, 3 * _EXACT_CHUNK + 7]
+        "width",
+        [_EXACT_CHUNK - 1, _EXACT_CHUNK, _EXACT_CHUNK + 1, 3 * _EXACT_CHUNK + 7, *RUN_EDGES],
     )
     def test_sums_equal_fsum_of_whole_row_terms(self, width, k):
         rng = np.random.default_rng(width)
         a, b = rng.exponential(size=width), rng.exponential(size=width)
-        # zero cells only in the last chunk (near the end of a one-chunk row):
-        # p = 0 < q, which adds -q at k = 1/2, and p = q = 0
+        # zero cells only from 40 cells before the row's last multiple of
+        # _EXACT_CHUNK on (anywhere in a shorter row): p = 0 < q, which adds
+        # -q at k = 1/2, and p = q = 0
         late = rng.choice(np.arange(width - width % _EXACT_CHUNK - 40, width), 12, replace=False)
         a[late] = 0.0
         b[late[:4]] = 0.0
         p, q = make_distribution(a / a.sum()), make_distribution(b / b.sum())
         params = DeformParams(k, 0.7)
-        got = {
-            "divergence": divergence(p, q, params).value,
-            "kl": kl_divergence(p, q),
-            "pq": divergence_literal(p, q, params, "pq"),
-            "qp": divergence_literal(p, q, params, "qp"),
-            "tsallis": tsallis_divergence(p, q, 1.0 - 2.0 * k),
-        }
-        for kind, value in got.items():
+        for kind, value in _divergence_sums(p, q, params).items():
             want = math.fsum(_whole_row_terms(kind, p.p, q.p, params).tolist())
-            assert value.hex() == want.hex(), kind
+            assert value == want.hex(), kind
+
+    @pytest.mark.parametrize("k", [0.1, 0.5])
+    def test_fortran_pair_sums_equal_the_c_pair(self, k):
+        # a run of a Fortran-ordered pair is a copy of its cells in C order
+        rng = np.random.default_rng(12)
+        a, b = rng.exponential(size=(2, 384, 257))
+        a[rng.random(a.shape) < 0.01] = 0.0
+        b[(a == 0) & (rng.random(a.shape) < 0.5)] = 0.0
+        c = [make_joint2(w / w.sum()) for w in (a, b)]
+        f = [make_joint2(np.asfortranarray(w / w.sum())) for w in (a, b)]
+        assert f[0].p.flags.f_contiguous and not f[0].p.flags.c_contiguous
+        params = DeformParams(k, 0.7)
+        assert _divergence_sums(*f, params) == _divergence_sums(*c, params)
 
 
 class TestSymmetriesAndStructure:
@@ -414,10 +441,8 @@ class TestLogSum:
         for empty in ([], np.zeros((2, 0))):
             with pytest.raises(DomainError, match="non-empty"):
                 log_sum_gap(empty, empty, PARAMS)
-            with pytest.raises(DomainError, match="non-empty"):
-                divergence_sum(empty, empty, PARAMS)
         with pytest.raises(ValidationError):
-            divergence_sum("1", "2", PARAMS)
+            log_sum_gap("1", "2", PARAMS)
 
     def test_two_axis_weights_match_their_ravel(self):
         a = [[1.0, 2.0], [0.5, 3.0]]

@@ -1,6 +1,9 @@
 """Tests for the divergence-induced metric, its finite-difference oracle,
 and the Hessian potential."""
 
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -126,6 +129,18 @@ class TestFdHessian:
         for step in (float("nan"), "1e-4", True, float("inf")):
             with pytest.raises(DomainError, match="step must be a real number > 0"):
                 fd_hessian(make_distribution([0.5, 0.5]), PARAMS, step=step)
+
+    def test_step_below_float_resolution_is_rejected(self):
+        # at 1e-17 every difference rounds to 0, at 1e-12 the diagonal
+        # reads 6.7e7 where the metric is 1.67
+        p = make_distribution([0.3, 0.7])
+        smallest = math.sqrt(np.finfo(float).eps) * 0.7
+        for step in (1e-17, 1e-12, smallest * (1 - 1e-9)):
+            with pytest.raises(DomainError, match=re.escape(f"smallest accepted is {smallest!r}")):
+                fd_hessian(p, PARAMS, step=step)
+        np.testing.assert_allclose(np.diag(fd_hessian(p, PARAMS, step=1e-6)),
+                                   0.5 / p.p, rtol=1e-4)
+        assert np.all(np.isfinite(fd_hessian(p, PARAMS, step=smallest)))
 
     def test_vector_required(self):
         with pytest.raises(DimensionError):

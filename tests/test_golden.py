@@ -36,7 +36,8 @@ from entrokit.verify import SweepConfig, run_suite
 
 GOLDEN = pathlib.Path(__file__).with_name("golden.json")
 KS = (0.25, 0.1, 0.45)
-# key prefixes of the Hessian and report pins; every other key is a joint's
+# key prefixes of the Hessian, report, sum and whole-sweep pins; every other
+# key is a joint's
 PINS = ("fd_hessian", "report", "sums", "suite")
 GEOMETRY = ("hessian_separability", "metric_oracle_agreement")
 

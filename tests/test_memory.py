@@ -1,7 +1,7 @@
 """Peak allocations of the bulk kernels, measured with tracemalloc.
 
-Wide sums are evaluated chunk by chunk, so their temporaries stay a few
-chunks in size whatever the input size; a kernel that builds even one
+Wide sums are evaluated run by run, so their temporaries stay a few runs
+in size whatever the input size or layout; a kernel that builds even one
 temporary as large as its input fails these bounds. A Distribution, the
 copy of a caller's array or an array the library builds, and the output of
 ln_kr are their one full-size allocation.
@@ -13,9 +13,10 @@ import numpy as np
 import pytest
 
 from entrokit import DeformParams, Distribution, conditional_entropy, conditional_entropy3
-from entrokit import divergence, entropy, entropy_literal, fd_hessian, ln_kr, make_channel
-from entrokit import make_distribution, make_joint2, make_joint3, mutual_divergence, product
-from entrokit import shannon_entropy
+from entrokit import divergence, divergence_literal, entropy, entropy_literal, fd_hessian
+from entrokit import kl_divergence, ln_kr, make_channel, make_distribution, make_joint2
+from entrokit import make_joint3, mutual_divergence, product, shannon_entropy
+from entrokit import tsallis_divergence, tsallis_entropy
 
 PARAMS = DeformParams(0.25, 1.0)
 MIB = 1 << 20
@@ -42,6 +43,19 @@ def test_divergence_of_a_million_cells_stays_below_4_mib(k):
     rng = np.random.default_rng(1)
     p, q = make_distribution(_simplex(rng, 1 << 20)), make_distribution(_simplex(rng, 1 << 20))
     assert _peak_mib(lambda: divergence(p, q, DeformParams(k, 1.0))) < 4
+
+
+@pytest.mark.parametrize("kernel", [
+    lambda p, q: divergence(p, q, PARAMS),
+    kl_divergence,
+    lambda p, q: divergence_literal(p, q, PARAMS),
+    lambda p, q: tsallis_divergence(p, q, 0.5),
+], ids=["divergence", "kl", "literal", "tsallis"])
+def test_divergence_of_a_fortran_ordered_pair_stays_below_4_mib(kernel):
+    # each run of cells is copied in C order alone, never the whole pair
+    rng = np.random.default_rng(12)
+    p, q = (make_joint2(np.asfortranarray(_simplex(rng, 1024, 1024))) for _ in range(2))
+    assert _peak_mib(lambda: kernel(p, q)) < 4
 
 
 def test_conditional_entropy_of_a_1024_square_joint_stays_below_4_mib():
@@ -87,6 +101,11 @@ ENTROPIES = [
 def test_entropy_of_a_million_positive_cells_stays_below_1_mib(kernel):
     p = make_distribution(_simplex(np.random.default_rng(6), 1 << 20))
     assert _peak_mib(lambda: kernel(p)) < 1
+
+
+def test_tsallis_entropy_of_a_million_cells_stays_below_2_mib():
+    p = make_distribution(_simplex(np.random.default_rng(6), 1 << 20))
+    assert _peak_mib(lambda: tsallis_entropy(p, 1.5)) < 2
 
 
 @pytest.mark.parametrize("kernel", ENTROPIES, ids=["entropy", "shannon", "literal"])
