@@ -11,10 +11,10 @@ u_{k,r}, and the one-parameter q-logarithm used for reduction checks.
 
 All functions accept scalars or numpy arrays and evaluate through
 expm1/exp so they stay accurate near x = 1 and for k as small as 1e-4.
-ln_kr checks, takes the log of and evaluates its input one block of
-_EXACT_CHUNK cells at a time, in place in its output, so beyond the output
-it allocates one block's logarithm (512 KiB) at any size; an input of at
-most one block is that block.
+ln_kr checks, takes the log of and evaluates its input one box of
+distributions._tiles at a time, at most _LEAF cells, in place in its
+output, so beyond the output it allocates one box's logarithm (256 KiB)
+at any size; an input of at most _LEAF cells is one box, its whole array.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from numbers import Real
 
 import numpy as np
 
-from .distributions import _EXACT_CHUNK, _as_float_array, _tiles
+from .distributions import _LEAF, _as_float_array, _tiles
 from .errors import DomainError, LegacyRegionWarning, ParamError
 
 __all__ = [
@@ -65,7 +65,7 @@ class DeformParams:
     def __post_init__(self):
         k, r = self.k, self.r
         try:
-            if isinstance(k, _NOT_REAL) or isinstance(r, _NOT_REAL):
+            if any(isinstance(v, _NOT_REAL) or np.ndim(v) for v in (k, r)):
                 raise TypeError
             finite = np.isfinite(k) and np.isfinite(r)
         except TypeError:
@@ -125,37 +125,22 @@ def _log_x(x) -> np.ndarray:
     return _log(_x_array(x))
 
 
-def _blocks(shape: tuple[int, ...]):
-    """Indexes of the boxes of at most _EXACT_CHUNK cells that tile an array
-    of `shape` in C order: Ellipsis, all of it, when it is that small."""
-    if math.prod(shape) <= _EXACT_CHUNK:
-        yield ...
-        return
-    for _, _, index in _tiles(shape, _EXACT_CHUNK):
-        yield index
-
-
-def _block(v, shape: tuple[int, ...], index):
-    """The cells of v broadcast to shape that index selects: v itself when
-    it is a scalar or index is Ellipsis, where v broadcasts as it is."""
-    return v if index is ... or np.ndim(v) == 0 else np.broadcast_to(v, shape)[index]
-
-
 def _maybe_scalar(out: np.ndarray, like) -> float | np.ndarray:
     if np.ndim(like) == 0:
         return float(out)
     return out
 
 
-def _ln_kr_into(out: np.ndarray, x: np.ndarray, k, r) -> None:
-    """ln_kr of x, with k and r, into out: in place in out and in ln x,
-    unless k and r broadcast x to a larger shape."""
+def _ln_kr_into(out: np.ndarray, x: np.ndarray, a, b) -> None:
+    """ln_kr of x into out, as e^{a ln x} expm1(b ln x) / b with a = -(r + k)
+    and b = 2k: in place in out and in ln x, unless a and b broadcast x to
+    a larger shape."""
     lx = np.asarray(_log(x))
-    np.multiply(-(r + k), lx, out=out)
+    np.multiply(a, lx, out=out)
     np.exp(out, out=out)
-    lx = np.multiply(2.0 * k, lx, out=lx if lx.shape == out.shape else None)
+    lx = np.multiply(b, lx, out=lx if lx.shape == out.shape else None)
     out *= np.expm1(lx, out=lx)
-    out /= 2.0 * k
+    out /= b
 
 
 def ln_kr(x, params: DeformParams):
@@ -166,8 +151,12 @@ def ln_kr(x, params: DeformParams):
     xv = _x_array(x)
     shape = np.broadcast(xv, params.k, params.r).shape
     out = np.empty_like(xv, shape=shape)  # laid out as x is, where x has its shape
-    for index in _blocks(shape):
-        _ln_kr_into(out[index], *(_block(v, shape, index) for v in (xv, params.k, params.r)))
+    # a scalar broadcasts as it is, and so does anything over one whole box
+    args = (xv, -(params.r + params.k), 2.0 * params.k)
+    for _, _, index in _tiles(shape, _LEAF):
+        box = [v if index == (...,) or np.ndim(v) == 0 else np.broadcast_to(v, shape)[index]
+               for v in args]
+        _ln_kr_into(out[index], *box)
     return _maybe_scalar(out, x)
 
 

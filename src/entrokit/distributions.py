@@ -47,13 +47,12 @@ __all__ = [
 
 SUM_TOL = 1e-9
 
-# Cells per block of a streamed pass over a large array: a block's terms and
-# buffers stay in L2 (2^15 to 2^16 cells measured best).
-_EXACT_CHUNK = 1 << 16
-# Longest run a pairwise sum adds in one np.sum call. A sum of terms keeps
-# up to three temporaries of a run at once (entropy_literal: a power, and
-# ln_kr's output and logarithm), which stay under 1 MiB at half a block.
-_LEAF = _EXACT_CHUNK // 2
+# Cells per block of every streamed pass over a large array, and the longest
+# run a pairwise sum adds in one np.sum call: a block's terms and buffers
+# stay in L2 (2^15 to 2^16 cells measured best). A sum of terms keeps up to
+# three temporaries of a run at once (entropy_literal: a power, and ln_kr's
+# output and logarithm), which stay under 1 MiB.
+_LEAF = 1 << 15
 
 
 def _leaves(n: int, start: int = 0):
@@ -158,8 +157,12 @@ def _in_row(shape: tuple[int, ...], r: int, start: int, stop: int):
 
 def _tiles(shape: tuple[int, ...], size: int):
     """(start, stop, index) of boxes of at most `size` >= 1 cells that tile
-    the C-ordered grid `shape` in order: the _span of each run of `size`."""
+    the C-ordered grid `shape` in order: the _span of each run of `size`, or
+    one box, index (...,), when the grid has at most `size` cells."""
     n = math.prod(shape)
+    if n <= size:
+        yield 0, n, (...,)
+        return
     for start in range(0, n, size):
         yield from _span(shape, start, min(start + size, n))
 
@@ -176,13 +179,15 @@ def _cells(a: np.ndarray):
 
 def _runs(batches: tuple, n: int):
     """The n cells of each row (axis 0) of equal-shaped batches in C order,
-    as one tuple of (T, m) arrays per run: the whole rows, reshaped, when
-    n <= _LEAF, else the runs of _leaves(n), each a view of a C-contiguous
-    batch or a copy of its cells alone (_cells)."""
+    as one tuple of (T, m) arrays per run: the whole rows when n <= _LEAF,
+    else the runs of _leaves(n). A batch is an array, whose whole rows are
+    reshaped and whose runs are views of a C-contiguous batch or copies of
+    its cells alone (_cells), or a run maker (start, stop) -> (T, stop -
+    start) array, as _cells returns."""
     if n <= _LEAF:
-        yield tuple(a.reshape(len(a), n) for a in batches)
+        yield tuple(a(0, n) if callable(a) else a.reshape(len(a), n) for a in batches)
         return
-    cells = [_cells(a) for a in batches]
+    cells = [a if callable(a) else _cells(a) for a in batches]
     for start, stop in _leaves(n):
         yield tuple(c(start, stop) for c in cells)
 
@@ -286,7 +291,7 @@ class Distribution:
         return _built(Distribution, m.transpose([kept.index(a) for a in axes]))
 
     # Kept only because the frozen benchmark (perfbench/bulk.py) calls it;
-    # ROADMAP item 1's benchmark change deletes it.
+    # ROADMAP item 2's benchmark change deletes it.
     def marginal_x(self) -> Distribution:
         """The marginal over axis 0, i.e. marginal(0)."""
         return self.marginal(0)

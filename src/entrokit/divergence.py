@@ -10,14 +10,18 @@ coordinate order (permutation symmetry holds bit-exactly). A row of at
 least _EXACT_MIN cells is evaluated and summed run by run: the terms of
 one run of distributions._leaves (at most _LEAF cells) at a time, each
 run reduced exactly by binary exponent in numpy, as in Neal's small
-superaccumulator (arXiv:1505.05571), before the next is evaluated. A run
-is a view of a C-contiguous input, or a copy of that run alone, so the
-row never becomes a Python list and no array as large as it is built,
-in any layout: a sum allocates a few runs' worth (under 3 MiB) beyond
-its inputs at any width; the result is still math.fsum's bit for bit.
-mutual_divergence never builds the product of the marginals either: each
-run of its cells is made, checked and reduced in the same pass, so it
-allocates under 2 MiB on a 1024 x 1024 joint.
+superaccumulator (arXiv:1505.05571), before the next is evaluated. The
+runs follow the inputs' memory order where they share one (a Fortran-
+ordered pair is read as views); a run is a view of a contiguous input, or
+a copy of that run alone, so the row never becomes a Python list and no
+array as large as it is built, in any layout: a sum allocates a few runs'
+worth (under 3 MiB) beyond its inputs at any width; the result is still
+math.fsum's bit for bit. mutual_divergence does not build the product of
+the marginals either: its runs are made as the sum reads them, so it
+allocates under 2 MiB on a 1024 x 1024 joint. It builds the product only
+where product() or divergence() could raise more than a sum check: where
+products of marginals underflow, or for k > 1/2 over a zero cell of the
+joint inside the product's support.
 
 Each sum is written once, as a batched `_*_rows` evaluator; the public
 functions call it on a batch of one (whole arrays: fsum is exact), and the
@@ -30,6 +34,7 @@ silently propagate it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -39,13 +44,13 @@ from .deformed_log import DeformParams, _finite_real, ln_kr, ln_q
 from .distributions import (
     Distribution,
     _as_float_array,
-    _cells,
     _check_sums,
     _col,
     _leaves,
     _pairwise,
     _runs,
     _span,
+    product,
 )
 from .errors import AbsoluteContinuityError, DimensionError, DomainError, ParamError
 
@@ -143,12 +148,11 @@ def _unit_at_zero(p: np.ndarray, *arrays: np.ndarray) -> tuple[np.ndarray, ...]:
 
 def _exact_parts(chunks, rows: int, width: int) -> list[list[float]] | None:
     """For each of `rows` rows of `width` terms, which the iterable chunks
-    yields as (rows, m) arrays of consecutive cells, one run of
-    distributions._leaves(width) each (at most _LEAF cells), floats whose
-    math.fsum is the row's math.fsum of its terms; None when a
-    row has a non-finite term, or one so large that math.fsum could overflow
-    on the way (about W max|x| >= 2^1020): the whole rows then go to
-    math.fsum.
+    yields as (rows, m) arrays, one run of distributions._leaves(width)
+    each (at most _LEAF cells), in any order of the cells, floats whose
+    math.fsum is the row's math.fsum of its terms; None, at the first run
+    with a non-finite term or one so large that math.fsum could overflow on
+    the way (about W max|x| >= 2^1020): the whole rows then go to math.fsum.
 
     Each term x = m 2^e (np.frexp) is exactly (h + l) 2^(e-27), where
     h = trunc(m 2^27) is an integer below 2^27 and l = m 2^27 - h a multiple
@@ -159,14 +163,11 @@ def _exact_parts(chunks, rows: int, width: int) -> list[list[float]] | None:
     parts = [[] for _ in range(rows)]
     negative = [True] * rows  # every term of the row so far is -0.0
     for chunk in chunks:
-        if parts is None:
-            continue  # read on: chunks may check their cells as they go
         for i, t in enumerate(chunk):
             if not t.size:
                 continue
             if not (-bound < t.min() and t.max() < bound):  # nan fails too
-                parts = None
-                break
+                return None
             m, e = np.frexp(t)
             low = int(e.min())
             e -= low  # bucket index: exponent above the run's lowest
@@ -180,36 +181,44 @@ def _exact_parts(chunks, rows: int, width: int) -> list[list[float]] | None:
                 parts[i] += np.ldexp(s[at], at + (low - 27)).tolist()
             if len(parts[i]) == before and not np.signbit(t).all():
                 negative[i] = False
-    if parts is None:
-        return None
     # a row of -0.0 terms only: whatever sign math.fsum gives them
     return [row or ([-0.0] if neg else []) for row, neg in zip(parts, negative)]
 
 
-def _fsum_chunks(chunks, rows: int, width: int) -> np.ndarray:
-    """(rows, 1) math.fsum of each row of `width` terms that chunks(), a new
-    iterable on each call, yields as (rows, m) arrays of consecutive cells,
-    values and exceptions alike. A narrow row is summed as a list; a wide
-    one run by run, each reduced exactly by binary exponent before the
-    next is made, so no array as large as the row is built."""
-    parts = _exact_parts(chunks(), rows, width) if width >= _EXACT_MIN else None
-    if parts is None:
-        terms = [*chunks()]
-        parts = (terms[0] if len(terms) == 1 else np.concatenate(terms, axis=1)).tolist()
-    return np.array([math.fsum(row) for row in parts])[:, np.newaxis]
+def _memory_order(cells: tuple) -> tuple:
+    """cells with axes 1.. by descending stride size when every batch is an
+    array of the same strides, so that a Fortran-ordered pair is read as
+    views, not copied run by run; else cells as they are."""
+    a = cells[0]
+    if not all(isinstance(c, np.ndarray) and c.strides == a.strides for c in cells):
+        return cells
+    order = [0, *sorted(range(1, a.ndim), key=lambda i: -abs(a.strides[i]))]
+    return tuple(c.transpose(order) for c in cells)
 
 
 def _sum_terms(terms, cells: tuple, *args) -> np.ndarray:
     """(T, 1) math.fsum of each row of terms(*cells, *args), values and
     exceptions alike: exact, so neither order nor zero cells move a bit.
 
-    cells are equal-shaped batches (axis 0) of any rank, taken as rows of
-    cells in C order; args are scalars or (T, 1) columns, handed over as
-    they are. terms works cell by cell, so it may get any range of cells of
-    every row at once: it gets the runs of distributions._runs.
+    cells are equal-shaped batches (axis 0) of any rank, the first an array,
+    taken as rows of cells in C order, or run makers (distributions._runs);
+    args are scalars or (T, 1) columns, handed over as they are. terms works
+    cell by cell, so it may get any range of cells of every row at once: it
+    gets the runs of distributions._runs. A narrow row is summed as a list;
+    a wide one run by run, in memory order, each run reduced exactly by
+    binary exponent before the next is made (_exact_parts), so no array as
+    large as the row is built.
     """
     rows, width = len(cells[0]), math.prod(cells[0].shape[1:])
-    return _fsum_chunks(lambda: (terms(*run, *args) for run in _runs(cells, width)), rows, width)
+
+    def chunks(batches):
+        return (terms(*run, *args) for run in _runs(batches, width))
+
+    parts = _exact_parts(chunks(_memory_order(cells)), rows, width) if width >= _EXACT_MIN else None
+    if parts is None:
+        runs = [*chunks(cells)]
+        parts = (runs[0] if len(runs) == 1 else np.concatenate(runs, axis=1)).tolist()
+    return np.array([math.fsum(row) for row in parts])[:, np.newaxis]
 
 
 def _fsum_rows(a: np.ndarray) -> np.ndarray:
@@ -342,49 +351,39 @@ def tsallis_divergence(p: Distribution, q: Distribution, q_param: float) -> floa
     return float(_sum_terms(_tsallis_terms, (p.p[np.newaxis], q.p[np.newaxis]), q_param)[0, 0])
 
 
-def _outer_run(px: np.ndarray, py: np.ndarray, start: int, stop: int) -> np.ndarray:
+def _outer_run(px: np.ndarray, py: np.ndarray, sums: dict, start: int, stop: int) -> np.ndarray:
     """Cells start .. stop - 1 of the C-ordered outer product of the vectors
-    px and py, as a (1, stop - start) array: the products product() makes."""
+    px and py, as a (1, stop - start) array: the products product() makes.
+    Their np.sum, as product() checks the run, goes to sums[start]."""
     out = np.empty((1, stop - start))
     for s, e, index in _span((len(px), len(py)), start, stop):
         x, y = px[index[0]], py[index[1] if len(index) > 1 else slice(None)]
         np.multiply.outer(x, y, out=out[0, s - start : e - start].reshape(np.shape(x) + y.shape))
+    sums[start] = out.sum(axis=1)
     return out
 
 
 def mutual_divergence(j: Distribution, params: DeformParams) -> DivergenceValue:
-    """Divergence of a 2-axis joint from the product of its marginals.
+    """Divergence of a 2-axis joint from the product of its marginals:
+    values and errors are those of divergence(j, product(...)).
 
-    The product is not built: each run of its cells is made, checked as
-    product() checks it, as divergence() checks the pair, and summed, before
-    the next, so values and errors are those of divergence(j, product(...)).
+    The product is not built where it is positive on the joint's support
+    and, for k > 1/2, nowhere else: each run of its cells is made and summed
+    with the joint's (distributions._runs), and its sum is checked as
+    product() checks it. Elsewhere the product is built, for its errors.
     """
     if j.ndim != 2:
         raise DimensionError(f"mutual divergence needs a 2-axis joint, got {j.ndim} axes")
-    px, py = j.marginal(0).p, j.marginal(1).p
-    p, n, k = _cells(j.p[np.newaxis]), j.n, _col(params.k, 2)
-    # products of the smallest marginals: any zero product would be below it
-    q_positive = px.min() * py.min() > 0
-    domain = params.k > 0.5 and not j._positive
-
-    def chunks():
-        sums, bad, diverges = [], None, False
-        for start, stop in _leaves(n):
-            pc, qc = p(start, stop), _outer_run(px, py, start, stop)
-            sums.append(qc.sum(axis=1))  # the product's total, as _seal sums it
-            if bad is None and not q_positive and qc.min() == 0:
-                hits = np.flatnonzero((pc > 0) & (qc == 0))
-                bad = start + int(hits[0]) if hits.size else None
-            diverges = diverges or (domain and bool(np.any((pc == 0) & (qc > 0))))
-            if bad is None and not diverges:
-                yield _divergence_terms(pc, qc, k)
-        # the product's entries are products of finite marginals in [0, 1]:
-        # of its checks only the sum can fail
-        _check_sums(_pairwise(iter(sums), n))
-        if bad is not None:
-            raise _continuity_error(j.p, bad)
-        if diverges:
-            raise DomainError("divergence diverges for zero p-entries when k > 1/2")
-
-    value = float(_fsum_chunks(chunks, 1, n)[0, 0])
+    mx, my = j.marginal(0), j.marginal(1)
+    px, py = mx.p, my.p
+    # rounding is monotone: a product of the smallest positive marginals
+    # above 0 keeps every such product above 0, and px_x = 0 empties row x
+    if px[px > 0].min() * py[py > 0].min() == 0 or (
+        params.k > 0.5 and np.count_nonzero(j.p) < np.count_nonzero(px) * np.count_nonzero(py)
+    ):
+        return divergence(j, product(mx, my), params)
+    sums = {}
+    q = functools.partial(_outer_run, px, py, sums)
+    value = float(_sum_terms(_divergence_terms, (j.p[np.newaxis], q), _col(params.k, 2))[0, 0])
+    _check_sums(_pairwise((sums[start] for start, _ in _leaves(j.n)), j.n))
     return DivergenceValue(value, params, "full" if j._positive else "extended")

@@ -29,13 +29,16 @@ tsallis_entropy allocate under 1 MiB on 2^20 positive cells; with zero
 cells, the compressed copy of the positive ones, its mask, and under 1 MiB.
 
 A conditional entropy is a sum over the rows of its given axes, so it is
-evaluated over blocks of the joint's transposed view, of about
-_EXACT_CHUNK cells, or one row where a row is longer; such a row is summed
-run by run, as above. Each block or run is a view, or a contiguous copy of
-that block or run alone where the spec moves an axis. Beyond the joint,
-and the sum over any axis the spec leaves out, it allocates a few blocks
-and a few vectors of one value per row: under 2 MiB for any spec of a
-128^3 joint, and under 1 MiB for a 2 x 512 x 512 one.
+evaluated over blocks of the joint's transposed view, of about _LEAF cells
+(distributions._tiles), or one row where a row is longer; such a row is
+summed run by run, as above. Each block or run is a view, or a contiguous
+copy of that block or run alone where the spec moves an axis. Beyond the
+joint, and the sum over any axis the spec leaves out, it allocates a few
+blocks and a few vectors of one value per row: under 2 MiB for any spec
+of a 128^3 joint, and under 1 MiB for a 2 x 512 x 512 one. The layout
+decides how numpy groups each row's sum, so a conditional entropy's last
+bits may differ between a C- and a Fortran-ordered copy of one joint; an
+entropy's never do.
 
 Entropies keep numpy's pairwise sum rather than math.fsum, so they are
 not bit-exactly permutation invariant: reordering n cells can move the
@@ -51,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .deformed_log import DeformParams, _finite_real, ln_kr
-from .distributions import _EXACT_CHUNK, _LEAF, Distribution, _col, _rowsum, _tiles
+from .distributions import _LEAF, Distribution, _col, _rowsum, _tiles
 from .divergence import _closed_form, _unit_at_zero
 from .errors import DimensionError, ParamError
 
@@ -151,9 +154,9 @@ def _conditional_rows(t: np.ndarray, k, given: int = 1, drop_empty: bool = False
     Zero cells add 0, and so do zero-mass rows unless drop_empty, which
     leaves them out of a batch of one, as if they were not there.
 
-    The rows are evaluated over blocks of about _EXACT_CHUNK cells, each a
-    view of t where the layout allows and otherwise a contiguous copy of
-    that block only. numpy sums a contiguous axis pairwise and a strided one
+    The rows are evaluated over blocks of about _LEAF cells, each a view
+    of t where the layout allows and otherwise a contiguous copy of that
+    block only. numpy sums a contiguous axis pairwise and a strided one
     in order, so the layout decides the bits: a batch whose (T, G, O) reshape
     is a view sums its row masses over the whole view and its blocks in
     place; any other batch, and a view with an empty row to drop, sums
@@ -163,7 +166,7 @@ def _conditional_rows(t: np.ndarray, k, given: int = 1, drop_empty: bool = False
     np.sum of the row copied contiguous (distributions._rowsum)."""
     shape = t.shape[1 : 1 + given]
     T, G, O = len(t), math.prod(shape), math.prod(t.shape[1 + given :])
-    view = t.reshape(T, G, O) if G * O <= _EXACT_CHUNK else _merged(t, given)
+    view = t.reshape(T, G, O) if G * O <= _LEAF else _merged(t, given)
     if view is None:  # the row masses come block by block, from the copies
         src, copy = t, True
         mass, w = np.empty((2, T, G))
@@ -173,7 +176,7 @@ def _conditional_rows(t: np.ndarray, k, given: int = 1, drop_empty: bool = False
         w = np.where(live, mass, 1.0)
         copy = drop_empty and not live.all()
     inner = np.empty_like(w)  # S(O | g)
-    for start, stop, index in _tiles(shape, max(1, _EXACT_CHUNK // O)):
+    for start, stop, index in _tiles(shape, max(1, _LEAF // O)):
         b = slice(start, stop)
         block = src[(slice(None), *index)]
         if O > _LEAF:

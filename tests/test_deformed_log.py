@@ -26,7 +26,7 @@ from entrokit import (
     ln_q,
 )
 from entrokit.deformed_log import K_MIN
-from entrokit.distributions import _EXACT_CHUNK
+from entrokit.distributions import _LEAF
 
 positive_x = st.floats(min_value=0.05, max_value=20.0)
 params_list = [
@@ -63,12 +63,18 @@ class TestDeformParams:
     @pytest.mark.parametrize(
         "k,r",
         [("0.2", 1), (0.2, "1"), (None, 1), (0.2 + 0j, 1), (0.2, 1 + 0j), (True, 1.0),
-         (0.2, True)],
+         (0.2, True), (np.array([0.2, 0.3]), 1.0), (np.array([0.25]), 1.0),
+         (0.25, np.array([1.0])), ([0.25], 1.0)],
     )
     def test_non_numeric_rejected(self, k, r):
         for relaxed in (False, True):
-            with pytest.raises(ParamError):
+            with pytest.raises(ParamError, match="^k and r must be real numbers"):
                 DeformParams(k, r, relaxed=relaxed)
+
+    @pytest.mark.parametrize("k", [np.array(0.25), np.float64(0.25), np.float32(0.25)])
+    def test_zero_d_arrays_and_numpy_scalars_accepted(self, k):
+        params = DeformParams(k, np.array(1.0))
+        assert ln_kr(2.0, params) == ln_kr(2.0, DeformParams(0.25, 1.0))
 
     @pytest.mark.parametrize("relaxed", [False, True])
     def test_k_below_floor_rejected(self, relaxed):
@@ -202,25 +208,25 @@ def _bits(a: np.ndarray) -> np.ndarray:
 
 
 class TestLnKrBlocks:
-    """ln_kr writes its output one block of _EXACT_CHUNK cells at a time;
+    """ln_kr writes its output one box of at most _LEAF cells at a time;
     the values are those of the whole array at once, bit for bit."""
 
-    @pytest.mark.parametrize(
-        "n", [_EXACT_CHUNK - 1, _EXACT_CHUNK, _EXACT_CHUNK + 1, 3 * _EXACT_CHUNK + 5]
-    )
+    @pytest.mark.parametrize("n", [_LEAF - 1, _LEAF, _LEAF + 1, 3 * _LEAF + 5])
     def test_blocks_equal_one_pass(self, n):
         x = np.exp(np.random.default_rng(n).uniform(-12.0, 12.0, n))
         params = DeformParams(0.25, 1.0)
         assert (_bits(ln_kr(x, params)) == _bits(_ln_kr_at_once(x, 0.25, 1.0))).all()
 
-    @pytest.mark.parametrize("x_shape", [(5, 30001), (30001,)])
+    # the sweep's (256, 201) grid is two runs of _LEAF cells
+    @pytest.mark.parametrize("x_shape", [(5, 30001), (30001,), (256, 201)])
     def test_columns_of_k_and_r_broadcast_across_blocks(self, x_shape):
         # one (k, r) per row, as the sweep passes them, over more than one block
+        rows = x_shape[0] if len(x_shape) == 2 else 5
         rng = np.random.default_rng(7)
         x = np.exp(rng.uniform(-5.0, 5.0, x_shape))
-        cols = SimpleNamespace(k=rng.uniform(0.05, 0.45, (5, 1)), r=rng.uniform(0.1, 2.0, (5, 1)))
+        cols = SimpleNamespace(k=rng.uniform(0.05, 0.45, (rows, 1)), r=rng.uniform(0.1, 2.0, (rows, 1)))
         out = ln_kr(x, cols)
-        assert out.shape == (5, 30001)
+        assert out.shape == (rows, x_shape[-1]) and out.size > _LEAF
         assert (_bits(out) == _bits(_ln_kr_at_once(x, cols.k, cols.r))).all()
 
     def test_layout_of_x_is_kept(self):
@@ -231,7 +237,7 @@ class TestLnKrBlocks:
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
     def test_a_bad_point_in_a_late_block_is_rejected(self, bad):
-        x = np.full(3 * _EXACT_CHUNK + 5, 0.5)
+        x = np.full(3 * _LEAF + 5, 0.5)
         x[-1] = bad
         with pytest.raises(DomainError, match="^x must be finite and > 0$"):
             ln_kr(x, DeformParams(0.3, 0.7))

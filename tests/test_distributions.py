@@ -1,6 +1,7 @@
 """Tests for the probability data model, samplers, and JSON/CSV round trips."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from entrokit import (
     sample_distribution,
 )
 from entrokit import io as eio
-from entrokit.distributions import _EXACT_CHUNK, _LEAF, _leaves, _rowsum
+from entrokit.distributions import _LEAF, _leaves, _rowsum, _runs, _tiles
 
 
 class TestMakeDistribution:
@@ -348,11 +349,11 @@ class TestSerialization:
         np.testing.assert_array_equal(d.p, [0.5, 0.5])
 
 
-# Run sizes around one leaf of the pairwise tree, one block, and a few blocks
+# Run sizes around one leaf of the pairwise tree, two leaves, and many
 EDGES = [
     *range(1, 130),
     *range(_LEAF - 1, _LEAF + 10),
-    *range(_EXACT_CHUNK - 1, _EXACT_CHUNK + 10),
+    *range(2 * _LEAF - 1, 2 * _LEAF + 10),
     3 * 2**18 + 5,
     2**20,
 ]
@@ -373,7 +374,7 @@ class TestPairwiseOrder:
             a = rng.standard_normal(n) * 10.0 ** rng.uniform(-8.0, 8.0, n)
             assert _hex(_rowsum(a[np.newaxis])) == _hex(a.sum()), n
 
-    @pytest.mark.parametrize("n", [_LEAF + 1, 2 * _EXACT_CHUNK + 9, 3 * 2**18 + 5])
+    @pytest.mark.parametrize("n", [_LEAF + 1, 4 * _LEAF + 9, 3 * 2**18 + 5])
     def test_rows_of_a_batch(self, n):
         b = np.random.default_rng(n).standard_normal((3, n)) * 1e3
         assert _hex(_rowsum(b)) == _hex(b.sum(axis=1))
@@ -393,6 +394,29 @@ class TestPairwiseOrder:
             assert runs[0][0] == 0 and runs[-1][1] == n
             assert all(b == c for (_, b), (c, _) in zip(runs, runs[1:]))
             assert max(b - a for a, b in runs) <= _LEAF
+
+
+@pytest.mark.parametrize("n", [_LEAF - 1, _LEAF + 1, 3 * _LEAF + 7])
+def test_a_run_maker_gives_the_runs_of_its_array(n):
+    a = np.random.default_rng(n).standard_normal((2, n))
+    made = []
+
+    def maker(start, stop):
+        made.append((start, stop))
+        return a[:, start:stop].copy()
+
+    got, want = [*_runs((a, maker), n)], [*_runs((a, a), n)]
+    assert made == ([(0, n)] if n <= _LEAF else [*_leaves(n)])
+    assert len(got) == len(want) == len(made)
+    for (x, y), (x0, y0) in zip(got, want):
+        assert x.shape == y.shape == y0.shape
+        assert (x == x0).all() and (y == y0).all()
+
+
+@pytest.mark.parametrize("shape", [(), (1,), (7,), (3, 5), (2, 3, 4)])
+def test_a_grid_within_one_tile_is_one_box(shape):
+    n = math.prod(shape)
+    assert [*_tiles(shape, n)] == [*_tiles(shape, n + 5)] == [(0, n, (...,))]
 
 
 def _strided(a):

@@ -1,6 +1,7 @@
 """Tests for the generalized relative entropy and its order properties."""
 
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -30,8 +31,9 @@ from entrokit import (
     sample_distribution,
     tsallis_divergence,
 )
+from entrokit import distributions
 from entrokit.deformed_log import ln_kr, ln_q
-from entrokit.distributions import _EXACT_CHUNK, _LEAF, _leaves
+from entrokit.distributions import _LEAF, _leaves
 from entrokit.divergence import _EXACT_MIN, _fsum_rows, _positive_terms
 
 PARAMS = DeformParams(0.25, 1.0)
@@ -191,7 +193,7 @@ class TestExactSum:
         self._assert_fsum(rng.standard_normal((rows, width)) * 1e-3)  # few exponents
 
     @pytest.mark.parametrize(
-        "width", [_EXACT_MIN - 1, _EXACT_MIN, 3 * _EXACT_MIN + 5, *RUN_EDGES, 2 * _EXACT_CHUNK + 5]
+        "width", [_EXACT_MIN - 1, _EXACT_MIN, 3 * _EXACT_MIN + 5, *RUN_EDGES, 4 * _LEAF + 5]
     )
     def test_cancellation_subnormals_and_zeros(self, width):
         rng = np.random.default_rng(width)
@@ -210,7 +212,7 @@ class TestExactSum:
         assert _fsum_rows(rows[:2])[:, 0].tolist() == [2.0, 0.0]
 
     @pytest.mark.parametrize(
-        "width", [_EXACT_MIN - 1, _EXACT_MIN, *RUN_EDGES, 2 * _EXACT_CHUNK + 5]
+        "width", [_EXACT_MIN - 1, _EXACT_MIN, *RUN_EDGES, 4 * _LEAF + 5]
     )
     def test_non_finite_rows_behave_as_fsum(self, width):
         # on rows of several runs, the special cells sit in the last one
@@ -268,15 +270,15 @@ class TestChunkBoundaries:
     @pytest.mark.parametrize("k", [0.1, 0.5])
     @pytest.mark.parametrize(
         "width",
-        [_EXACT_CHUNK - 1, _EXACT_CHUNK, _EXACT_CHUNK + 1, 3 * _EXACT_CHUNK + 7, *RUN_EDGES],
+        [2 * _LEAF - 1, 2 * _LEAF, 2 * _LEAF + 1, 6 * _LEAF + 7, *RUN_EDGES],
     )
     def test_sums_equal_fsum_of_whole_row_terms(self, width, k):
         rng = np.random.default_rng(width)
         a, b = rng.exponential(size=width), rng.exponential(size=width)
         # zero cells only from 40 cells before the row's last multiple of
-        # _EXACT_CHUNK on (anywhere in a shorter row): p = 0 < q, which adds
+        # 2 * _LEAF on (anywhere in a shorter row): p = 0 < q, which adds
         # -q at k = 1/2, and p = q = 0
-        late = rng.choice(np.arange(width - width % _EXACT_CHUNK - 40, width), 12, replace=False)
+        late = rng.choice(np.arange(width - width % (2 * _LEAF) - 40, width), 12, replace=False)
         a[late] = 0.0
         b[late[:4]] = 0.0
         p, q = make_distribution(a / a.sum()), make_distribution(b / b.sum())
@@ -286,8 +288,9 @@ class TestChunkBoundaries:
             assert value == want.hex(), kind
 
     @pytest.mark.parametrize("k", [0.1, 0.5])
-    def test_fortran_pair_sums_equal_the_c_pair(self, k):
-        # a run of a Fortran-ordered pair is a copy of its cells in C order
+    def test_fortran_pair_sums_equal_the_c_pair(self, k, monkeypatch):
+        # a pair of one layout is summed in its memory order, as views; a
+        # run of a pair of two layouts is a copy of its cells in C order
         rng = np.random.default_rng(12)
         a, b = rng.exponential(size=(2, 384, 257))
         a[rng.random(a.shape) < 0.01] = 0.0
@@ -295,8 +298,18 @@ class TestChunkBoundaries:
         c = [make_joint2(w / w.sum()) for w in (a, b)]
         f = [make_joint2(np.asfortranarray(w / w.sum())) for w in (a, b)]
         assert f[0].p.flags.f_contiguous and not f[0].p.flags.c_contiguous
+        assert f[0].p.size > _LEAF
+        copies = []
+        copy_run = distributions._copy_run
+        monkeypatch.setattr(
+            distributions, "_copy_run", lambda a, *run: copies.append(run) or copy_run(a, *run)
+        )
         params = DeformParams(k, 0.7)
-        assert _divergence_sums(*f, params) == _divergence_sums(*c, params)
+        want = _divergence_sums(*c, params)
+        assert _divergence_sums(*f, params) == want
+        assert not copies
+        assert _divergence_sums(f[0], c[1], params) == want
+        assert copies
 
 
 class TestSymmetriesAndStructure:
@@ -597,3 +610,75 @@ class TestMutualDivergenceStreamed:
             got = _mutual_result(j, params)
             assert got == _built_product_result(j, params)
             assert got[0] == ("ValidationError" if also == "sum off" else "AbsoluteContinuityError")
+
+
+def _exponential_joint(shape, seed=23):
+    return np.random.default_rng(seed).exponential(size=shape)
+
+
+class TestMutualDivergenceOfPositiveProducts:
+    """Where the product of the marginals is positive on the joint's support
+    and, for k > 1/2, zero off it, mutual_divergence streams the product
+    and checks only its sum; elsewhere it builds the product. Either way
+    its values, flags and errors are those of the product built whole."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """The arguments of each product() that mutual_divergence builds."""
+        calls = []
+        module = sys.modules["entrokit.divergence"]  # the package's divergence is the function
+        real = module.product
+        monkeypatch.setattr(module, "product", lambda *a: calls.append(a) or real(*a))
+        return calls
+
+    def _assert_parity(self, m):
+        """(params, result) of each layout and params, asserting parity."""
+        for layout in (np.ascontiguousarray, np.asfortranarray):
+            j = make_joint2(layout(m))
+            for params in MUTUAL_PARAMS:
+                got = _mutual_result(j, params)
+                assert got == _built_product_result(j, params)
+                yield params, got
+
+    @pytest.mark.parametrize("shape", [(4, 5), (600, 700)])
+    @pytest.mark.parametrize(
+        "delta", [-9.9e-10, -6e-10, -5e-10, -4.9e-10, 4.9e-10, 5e-10, 6e-10, 9.9e-10]
+    )
+    def test_sums_at_the_tolerance(self, shape, delta, built):
+        # the product sums to about 1 + 2 delta, off by 1e-9 at |delta| =
+        # 5e-10, where rounding decides; the joint itself is off by up to
+        # 9.9e-10 (at 1 +- 1e-9 it is rejected before any product)
+        m = _exponential_joint(shape)
+        for _, got in self._assert_parity(m / m.sum() * (1 + delta)):
+            if abs(delta) != 5e-10:
+                assert (got[0] == "ValidationError") is (abs(delta) > 5e-10)
+        assert not built
+
+    @pytest.mark.parametrize("shape", [(4, 5), (600, 700)])
+    def test_a_zero_cell_inside_the_support(self, shape, built):
+        # p = 0 < q: a DomainError for k > 1/2 only, which the built product raises
+        m = _exponential_joint(shape)
+        m[2, 3] = 0.0
+        for params, got in self._assert_parity(m / m.sum()):
+            assert (got[0] == "DomainError") is (params.k > 0.5)
+        assert len(built) == 2  # once per layout, at k = 0.7
+
+    @pytest.mark.parametrize("shape", [(4, 5), (600, 700)])
+    def test_a_zero_row_only(self, shape, built):
+        # p = q = 0 on the row: no error at any k, and nothing is built
+        m = _exponential_joint(shape)
+        m[1] = 0.0
+        for _, got in self._assert_parity(m / m.sum()):
+            assert got[1] == "extended"
+        assert not built
+
+    @pytest.mark.parametrize("shape", [(4, 5), (600, 700)])
+    def test_marginals_that_underflow_where_p_is_zero(self, shape, built):
+        # row 1 and column 2 carry 1e-200 each, in other cells, so their
+        # product underflows at (1, 2), where p = 0: the product is built
+        m = _exponential_joint(shape)
+        m[1], m[:, 2] = 0.0, 0.0
+        m[1, 0], m[0, 2] = 1e-200, 1e-200
+        for params, got in self._assert_parity(m / m.sum()):
+            assert (got[0] == "DomainError") if params.k > 0.5 else (got[1] == "extended")
+        assert built

@@ -30,7 +30,7 @@ from entrokit import (
 )
 
 from entrokit.deformed_log import K_MIN
-from entrokit.distributions import _EXACT_CHUNK, _LEAF, _tiles
+from entrokit.distributions import _LEAF, _tiles
 from entrokit.entropy import _merged, _spec_axes
 
 PARAMS = DeformParams(0.3, 0.8)
@@ -220,13 +220,13 @@ class TestConditionalEntropy:
     @pytest.mark.parametrize("spec", ["Y_given_X", "X_given_Y"])
     def test_blocks_equal_whole_matrix(self, spec, k):
         # 300 x 1000 cells: either spec's rows span several blocks of about
-        # _EXACT_CHUNK cells; the reference evaluates the matrix at once
+        # _LEAF cells; the reference evaluates the matrix at once
         rng = np.random.default_rng(54)
         w = rng.exponential(size=(300, 1000))
         w[rng.random(w.shape) < 0.05] = 0.0
         w[7] = 0.0  # a zero-mass row for Y_given_X
         j = make_joint2(w / w.sum())
-        assert j.p.size > 4 * _EXACT_CHUNK
+        assert j.p.size > 8 * _LEAF
         got = conditional_entropy(j, DeformParams(k, 0.7), spec).value
         assert got.hex() == whole_joint_conditional(j.p, spec, k).hex()
 

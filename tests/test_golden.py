@@ -13,8 +13,8 @@ streamed its blocks. The Hessians (as SHA-256 of their bytes, so every
 bit, sign bits included, counts) and the reports were recorded while
 fd_hessian still summed every displaced point of a 2n^2 + 1 row stencil
 exactly. The other sums and the whole sweep were recorded while divergence
-sums cut each row in steps of _EXACT_CHUNK cells and tsallis_entropy
-summed its terms whole. `python tests/test_golden.py` rewrites the file.
+sums cut each row in steps of 2^16 cells and tsallis_entropy summed its
+terms whole. `python tests/test_golden.py` rewrites the file.
 They are compared only where numpy's elementary functions give the bits
 they gave where recorded.
 """
@@ -67,7 +67,7 @@ JOINTS = {
     for zero in (False, True)
     for f in (False, True)
 }
-# several blocks of _EXACT_CHUNK cells: one-row blocks, strided and copied
+# several blocks of _LEAF cells: one-row blocks, strided and copied
 JOINTS.update({
     "3x40000": (20, (3, 40000), False, False),
     "3x40000-zero": (21, (3, 40000), True, False),
