@@ -13,9 +13,10 @@ of at most _LEAF cells at a time: each block is copied, and its minimum,
 maximum and sum are taken while it is in cache. The sum is numpy's
 pairwise np.sum bit for bit (_pairwise adds the block sums in numpy's
 tree), so no check moves; beyond its copy a Distribution allocates a few
-small objects. Any other layout is copied by np.array, which keeps it, and
-then checked. A Distribution remembers whether every cell is > 0, so the
-kernels do not scan it again.
+small objects. Any other layout is copied once into C order, then checked.
+So every Distribution and Channel holds a C-contiguous array, and each sum
+over one runs in one order, whatever the caller's layout. A Distribution
+remembers whether every cell is > 0, so the kernels do not scan it again.
 """
 
 from __future__ import annotations
@@ -53,6 +54,13 @@ SUM_TOL = 1e-9
 # three temporaries of a run at once (entropy_literal: a power, and ln_kr's
 # output and logarithm), which stay under 1 MiB.
 _LEAF = 1 << 15
+
+# Columns per piece in which _copy_run copies a box of several rows: a
+# 1024 x 1024 Fortran array is copied to C order in 12.3 ms whole and in
+# 2.7 ms in pieces of 64 columns, and the 32-row blocks of X_given_Y on a
+# 1024 x 1024 joint in 9.9-10.7 ms whole against 2.9-3.8 ms in pieces of
+# 64 (best of 16 to 1024 columns; 2 vCPU).
+_TILE = 64
 
 
 def _leaves(n: int, start: int = 0):
@@ -92,10 +100,19 @@ def _as_float_array(data, what: str) -> np.ndarray:
     return a.astype(float, copy=False)
 
 
+def _c_copy(a: np.ndarray) -> np.ndarray:
+    """A C-ordered copy of the array a, of rank >= 1: it shares no memory
+    with a. Any other layout is copied in tiles (_copy_run), several times
+    faster than np.array."""
+    a = np.atleast_1d(a)
+    if a.flags.c_contiguous:
+        return np.array(a)
+    return _copy_run(a[np.newaxis], 0, a.size).reshape(a.shape)
+
+
 def _freeze(a, what: str) -> np.ndarray:
-    """A read-only float copy of a, of rank >= 1: it shares no memory with
-    the caller's array, writeable or not."""
-    a = np.array(_as_float_array(a, what), ndmin=1)
+    """A read-only, C-ordered float copy of a, of rank >= 1 (_c_copy)."""
+    a = _c_copy(_as_float_array(a, what))
     a.setflags(write=False)
     return a
 
@@ -119,11 +136,16 @@ def _col(v, ndim: int) -> np.ndarray:
 
 def _copy_run(a: np.ndarray, start: int, stop: int) -> np.ndarray:
     """A contiguous (T, stop - start) copy of cells start .. stop - 1 of
-    each row (axis 0) of a batch a, in C order, made box by box."""
+    each row (axis 0) of a batch a, in C order, made box by box, and a box
+    of several rows _TILE columns at a time: a transposed read then reuses
+    the pages and cache lines of those columns across the rows."""
     out = np.empty((len(a), stop - start))
     for s, e, index in _span(a.shape[1:], start, stop):
         box = a[(slice(None), *index)]
-        out[:, s - start : e - start].reshape(box.shape)[...] = box
+        dst = out[:, s - start : e - start].reshape(box.shape)
+        step = _TILE if box.size > box.shape[-1] else box.shape[-1]
+        for c in range(0, box.shape[-1], step):
+            dst[..., c : c + step] = box[..., c : c + step]
     return out
 
 
@@ -253,7 +275,7 @@ class Distribution:
         a = _as_float_array(self.p, "probability")
         if a.ndim and a.size and a.flags.c_contiguous:
             self._seal(*_copy_checked(a))
-        else:  # np.array keeps the layout, which orders some sums (entropy.py)
+        else:
             self._seal(_freeze(a, "probability"))
 
     def _seal(self, p: np.ndarray, lo=None) -> None:
@@ -287,11 +309,13 @@ class Distribution:
         kept = sorted(axes)
         if not axes or len(set(axes)) != len(axes) or kept[0] < 0 or kept[-1] >= self.ndim:
             raise ParamError(f"axes must be distinct and in [0, {self.ndim}), got {axes}")
-        m = self.p.sum(axis=tuple(a for a in range(self.ndim) if a not in kept))
-        return _built(Distribution, m.transpose([kept.index(a) for a in axes]))
+        m = np.empty([self.shape[a] for a in axes])  # C-ordered, summed in the kept order
+        rest = tuple(a for a in range(self.ndim) if a not in kept)
+        self.p.sum(axis=rest, out=m.transpose([axes.index(a) for a in kept]))
+        return _built(Distribution, m)
 
     # Kept only because the frozen benchmark (perfbench/bulk.py) calls it;
-    # ROADMAP item 2's benchmark change deletes it.
+    # ROADMAP item 5's benchmark change deletes it.
     def marginal_x(self) -> Distribution:
         """The marginal over axis 0, i.e. marginal(0)."""
         return self.marginal(0)
@@ -328,9 +352,9 @@ class Channel:
 
 
 def _built(cls, a: np.ndarray):
-    """A Distribution or Channel (cls) of a float array of rank >= 1 that the
-    library has just built and no caller holds: checked and frozen in place,
-    not copied."""
+    """A Distribution or Channel (cls) of a C-ordered float array of rank
+    >= 1 that the library has just built and no caller holds: checked and
+    frozen in place, not copied."""
     a.setflags(write=False)
     obj = object.__new__(cls)
     obj._seal(a)
@@ -343,10 +367,12 @@ def _make(data, normalize: bool, ndim: int, what: str) -> Distribution:
         raise ValidationError(f"{what}s must be a {ndim}-d array, got {a.ndim}-d")
     if normalize:
         _check_nonneg(a, what)
+        a = _c_copy(a)  # summed in C order, whatever the caller's layout
         total = a.sum()
         if total <= 0:
             raise ValidationError(f"cannot normalize all-zero {what}s")
-        return _built(Distribution, a / total)
+        a /= total
+        return _built(Distribution, a)
     return Distribution(a)
 
 
@@ -376,10 +402,12 @@ def make_channel(matrix, normalize: bool = False) -> Channel:
         raise ValidationError("channel weights must be a 2-d matrix")
     _check_nonneg(a, "transition weight")
     if normalize:
+        a = _c_copy(a)  # summed in C order, whatever the caller's layout
         colsums = a.sum(axis=0)
         if np.any(colsums <= 0):
             raise ValidationError("cannot normalize a channel with an all-zero column")
-        return _built(Channel, a / colsums)
+        a /= colsums
+        return _built(Channel, a)
     return Channel(a)
 
 

@@ -10,18 +10,17 @@ coordinate order (permutation symmetry holds bit-exactly). A row of at
 least _EXACT_MIN cells is evaluated and summed run by run: the terms of
 one run of distributions._leaves (at most _LEAF cells) at a time, each
 run reduced exactly by binary exponent in numpy, as in Neal's small
-superaccumulator (arXiv:1505.05571), before the next is evaluated. The
-runs follow the inputs' memory order where they share one (a Fortran-
-ordered pair is read as views); a run is a view of a contiguous input, or
-a copy of that run alone, so the row never becomes a Python list and no
-array as large as it is built, in any layout: a sum allocates a few runs'
-worth (under 3 MiB) beyond its inputs at any width; the result is still
-math.fsum's bit for bit. mutual_divergence does not build the product of
-the marginals either: its runs are made as the sum reads them, so it
-allocates under 2 MiB on a 1024 x 1024 joint. It builds the product only
-where product() or divergence() could raise more than a sum check: where
-products of marginals underflow, or for k > 1/2 over a zero cell of the
-joint inside the product's support.
+superaccumulator (arXiv:1505.05571), before the next is evaluated. A run
+is a view of a C-contiguous input (every Distribution is one), or a copy
+of that run alone, so the row never becomes a Python list and no array as
+large as it is built: a sum allocates a few runs' worth (under 3 MiB)
+beyond its inputs at any width; the result is still math.fsum's bit for
+bit. mutual_divergence does not build the product of the marginals
+either: its runs are made as the sum reads them, so it allocates under
+2 MiB on a 1024 x 1024 joint. It builds the product only where product()
+or divergence() could raise more than a sum check: where products of
+marginals underflow, or for k > 1/2 over a zero cell of the joint inside
+the product's support.
 
 Each sum is written once, as a batched `_*_rows` evaluator; the public
 functions call it on a batch of one (whole arrays: fsum is exact), and the
@@ -185,17 +184,6 @@ def _exact_parts(chunks, rows: int, width: int) -> list[list[float]] | None:
     return [row or ([-0.0] if neg else []) for row, neg in zip(parts, negative)]
 
 
-def _memory_order(cells: tuple) -> tuple:
-    """cells with axes 1.. by descending stride size when every batch is an
-    array of the same strides, so that a Fortran-ordered pair is read as
-    views, not copied run by run; else cells as they are."""
-    a = cells[0]
-    if not all(isinstance(c, np.ndarray) and c.strides == a.strides for c in cells):
-        return cells
-    order = [0, *sorted(range(1, a.ndim), key=lambda i: -abs(a.strides[i]))]
-    return tuple(c.transpose(order) for c in cells)
-
-
 def _sum_terms(terms, cells: tuple, *args) -> np.ndarray:
     """(T, 1) math.fsum of each row of terms(*cells, *args), values and
     exceptions alike: exact, so neither order nor zero cells move a bit.
@@ -205,18 +193,18 @@ def _sum_terms(terms, cells: tuple, *args) -> np.ndarray:
     args are scalars or (T, 1) columns, handed over as they are. terms works
     cell by cell, so it may get any range of cells of every row at once: it
     gets the runs of distributions._runs. A narrow row is summed as a list;
-    a wide one run by run, in memory order, each run reduced exactly by
-    binary exponent before the next is made (_exact_parts), so no array as
-    large as the row is built.
+    a wide one run by run, each run reduced exactly by binary exponent
+    before the next is made (_exact_parts), so no array as large as the row
+    is built.
     """
     rows, width = len(cells[0]), math.prod(cells[0].shape[1:])
 
-    def chunks(batches):
-        return (terms(*run, *args) for run in _runs(batches, width))
+    def chunks():
+        return (terms(*run, *args) for run in _runs(cells, width))
 
-    parts = _exact_parts(chunks(_memory_order(cells)), rows, width) if width >= _EXACT_MIN else None
+    parts = _exact_parts(chunks(), rows, width) if width >= _EXACT_MIN else None
     if parts is None:
-        runs = [*chunks(cells)]
+        runs = [*chunks()]
         parts = (runs[0] if len(runs) == 1 else np.concatenate(runs, axis=1)).tolist()
     return np.array([math.fsum(row) for row in parts])[:, np.newaxis]
 

@@ -29,16 +29,15 @@ tsallis_entropy allocate under 1 MiB on 2^20 positive cells; with zero
 cells, the compressed copy of the positive ones, its mask, and under 1 MiB.
 
 A conditional entropy is a sum over the rows of its given axes, so it is
-evaluated over blocks of the joint's transposed view, of about _LEAF cells
-(distributions._tiles), or one row where a row is longer; such a row is
-summed run by run, as above. Each block or run is a view, or a contiguous
-copy of that block or run alone where the spec moves an axis. Beyond the
-joint, and the sum over any axis the spec leaves out, it allocates a few
-blocks and a few vectors of one value per row: under 2 MiB for any spec
-of a 128^3 joint, and under 1 MiB for a 2 x 512 x 512 one. The layout
-decides how numpy groups each row's sum, so a conditional entropy's last
-bits may differ between a C- and a Fortran-ordered copy of one joint; an
-entropy's never do.
+evaluated over blocks of whole rows, of about _LEAF cells, or one row
+where a row is longer; such a row is summed run by run, as above. Each
+row is summed along its cells in C order, as np.sum sums a contiguous
+row, so the value depends on the joint's numbers alone. A block or run is
+a view of the joint, or a contiguous copy of that block or run alone where
+the spec moves an axis. Beyond the joint, and the sum over any axis the
+spec leaves out, it allocates a few blocks and a few vectors of one value
+per row: under 2 MiB for any spec of a 128^3 joint, and under 1 MiB for a
+2 x 512 x 512 one.
 
 Entropies keep numpy's pairwise sum rather than math.fsum, so they are
 not bit-exactly permutation invariant: reordering n cells can move the
@@ -54,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .deformed_log import DeformParams, _finite_real, ln_kr
-from .distributions import _LEAF, Distribution, _col, _rowsum, _tiles
+from .distributions import _LEAF, Distribution, _cells, _col, _rowsum
 from .divergence import _closed_form, _unit_at_zero
 from .errors import DimensionError, ParamError
 
@@ -85,8 +84,7 @@ class EntropyValue:
 
 def _entropy_terms(p, k) -> np.ndarray:
     """p (1 - p^{2k}) / (2k) elementwise, exactly 0 at p = 0; k may broadcast
-    against p. Evaluated in place in the logarithm's buffer, laid out as p
-    is: the layout sets the order in which numpy sums a strided axis."""
+    against p. Evaluated in place in the logarithm's buffer."""
     (p,) = _unit_at_zero(p)  # p = 0 becomes 1, whose term is 0 as well
     return _closed_form(np.log(p), p, k)
 
@@ -132,17 +130,6 @@ def entropy_literal(p: Distribution, params: DeformParams) -> float:
     return float(_entropy_literal_rows(_positive_cells(p), params)[0, 0])
 
 
-def _merged(t: np.ndarray, given: int) -> np.ndarray | None:
-    """A batch t of (T, G..., O...) arrays as (T, G, O) matrices, a view of
-    t; None when the layout makes that reshape a copy. Axes merge without a
-    copy when each non-unit axis steps by the size and step of the next."""
-    for group in (slice(1, 1 + given), slice(1 + given, None)):
-        dims = [(n, s) for n, s in zip(t.shape[group], t.strides[group]) if n > 1]
-        if any(s != n * s2 for (_, s), (n, s2) in zip(dims, dims[1:])):
-            return None
-    return t.reshape(len(t), math.prod(t.shape[1 : 1 + given]), -1)
-
-
 def _quotient_terms(p: np.ndarray, w, k) -> np.ndarray:
     """The entropy terms of p / w, one row of a conditional distribution."""
     return _entropy_terms(p / w, k)
@@ -154,43 +141,27 @@ def _conditional_rows(t: np.ndarray, k, given: int = 1, drop_empty: bool = False
     Zero cells add 0, and so do zero-mass rows unless drop_empty, which
     leaves them out of a batch of one, as if they were not there.
 
-    The rows are evaluated over blocks of about _LEAF cells, each a view
-    of t where the layout allows and otherwise a contiguous copy of that
-    block only. numpy sums a contiguous axis pairwise and a strided one
-    in order, so the layout decides the bits: a batch whose (T, G, O) reshape
-    is a view sums its row masses over the whole view and its blocks in
-    place; any other batch, and a view with an empty row to drop, sums
-    blocks copied contiguous. A batch of one block is that block: its
-    reshape is a view or a copy, as numpy lays it out. A row longer than
-    _LEAF cells is a block of its own, summed run by run in the order of
-    np.sum of the row copied contiguous (distributions._rowsum)."""
+    Each row is summed along its cells in C order, pairwise as np.sum sums
+    a contiguous row, whatever t's strides and however rows share a block.
+    The rows are evaluated over blocks of at most _LEAF cells, each a view
+    of a C-contiguous t, else a contiguous copy of that block alone
+    (distributions._cells). A row longer than _LEAF cells is a block of its
+    own, summed run by run in np.sum's tree (distributions._rowsum)."""
     shape = t.shape[1 : 1 + given]
     T, G, O = len(t), math.prod(shape), math.prod(t.shape[1 + given :])
-    view = t.reshape(T, G, O) if G * O <= _LEAF else _merged(t, given)
-    if view is None:  # the row masses come block by block, from the copies
-        src, copy = t, True
-        mass, w = np.empty((2, T, G))
-    else:
-        src, shape, mass = view, view.shape[1:2], view.sum(axis=2)
-        live = mass > 0
-        w = np.where(live, mass, 1.0)
-        copy = drop_empty and not live.all()
-    inner = np.empty_like(w)  # S(O | g)
-    for start, stop, index in _tiles(shape, max(1, _LEAF // O)):
-        b = slice(start, stop)
-        block = src[(slice(None), *index)]
+    cells, step = _cells(t), max(1, _LEAF // O)
+    mass, w, inner = np.empty((3, T, G))  # inner: S(O | g)
+    for start in range(0, G, step):
+        b = slice(start, min(start + step, G))
         if O > _LEAF:
-            if view is None:
-                mass[:, b] = _rowsum(block)
-                w[:, b] = np.where(mass[:, b] > 0, mass[:, b], 1.0)
-            inner[:, b] = _rowsum(block, _quotient_terms, w[:, b], _col(k, 2))
-            continue
-        block = block.reshape(T, stop - start, O)
-        if copy:
-            block = np.ascontiguousarray(block)
-        if view is None:
-            block.sum(axis=2, out=mass[:, b])
+            row = t[(slice(None), *np.unravel_index(start, shape))]
+            mass[:, b] = _rowsum(row)
             w[:, b] = np.where(mass[:, b] > 0, mass[:, b], 1.0)
+            inner[:, b] = _rowsum(row, _quotient_terms, w[:, b], _col(k, 2))
+            continue
+        block = cells(start * O, b.stop * O).reshape(T, -1, O)
+        block.sum(axis=2, out=mass[:, b])
+        w[:, b] = np.where(mass[:, b] > 0, mass[:, b], 1.0)
         _entropy_terms(block / w[:, b, np.newaxis], _col(k, 3)).sum(axis=2, out=inner[:, b])
     rows = np.power(w, 2.0 * _col(k, 2) + 1.0) * inner
     if drop_empty:

@@ -122,7 +122,7 @@ def _csv_field(text: str, fields: tuple[str, ...]):
 
 
 # Kept only because the frozen benchmark (perfbench/climix.py) calls them;
-# ROADMAP item 2's benchmark change deletes them.
+# ROADMAP item 5's benchmark change deletes them.
 def distribution_from_json(text: str) -> Distribution:
     return read(text, ("p",), "json", False)
 

@@ -6,32 +6,43 @@ plain ** powers, independently of the library's expm1-based path.
 
 import itertools
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from entrokit import (
+    Channel,
     DeformParams,
     ParamError,
+    apply_channel,
     conditional_entropy,
     conditional_entropy3,
+    divergence,
+    divergence_literal,
     entropy,
     entropy_literal,
     joint_entropy,
+    kl_divergence,
+    log_sum_gap,
+    make_channel,
     make_distribution,
     make_joint2,
     make_joint3,
+    mutual_divergence,
     mutual_entropy,
     product,
     sample_distribution,
     shannon_entropy,
+    tsallis_divergence,
     tsallis_entropy,
 )
 
+from entrokit import distributions
 from entrokit.deformed_log import K_MIN
 from entrokit.distributions import _LEAF, _tiles
-from entrokit.entropy import _merged, _spec_axes
+from entrokit.entropy import _spec_axes
 
 PARAMS = DeformParams(0.3, 0.8)
 
@@ -170,19 +181,18 @@ SPECS3 = [
 
 
 def whole_joint_conditional(p, spec, k) -> float:
-    """conditional_entropy of the joint p evaluated at once, as numpy lays it
-    out: other axes summed out, the given and of axes moved to the front
-    and the back and reshaped to a matrix (a copy where that moves an axis),
-    its row masses summed, zero-mass rows compressed away, then the terms of
-    each row."""
+    """conditional_entropy of the joint p evaluated at once: other axes summed
+    out, the given and of axes moved to the front and the back and copied
+    to a C-ordered matrix, its row masses summed, zero-mass rows compressed
+    away, then the terms of each row."""
     of, given = _spec_axes(spec, p.ndim)
     kept = sorted(of + given)
     rest = tuple(a for a in range(p.ndim) if a not in kept)
     t = (p.sum(axis=rest) if rest else p).transpose([kept.index(a) for a in given + of])
-    mat = t.reshape(math.prod(t.shape[: len(given)]), -1)
-    mass = mat.sum(axis=1)  # summed as laid out: the layout sets the sum's order
+    mat = np.ascontiguousarray(t.reshape(math.prod(t.shape[: len(given)]), -1))
+    mass = mat.sum(axis=1)
     live = mass > 0
-    if not live.all():  # the terms of the rows left are summed contiguous
+    if not live.all():
         mat, mass = mat[live], mass[live]
     c = mat / mass[:, np.newaxis]
     t = np.log(c, out=np.zeros_like(c), where=c > 0)
@@ -366,25 +376,6 @@ class TestConditionalEntropy3:
             expected = brute_conditional(t.p.reshape(dims[0] * dims[1], dims[2]), k, r)
             assert val == pytest.approx(expected, rel=1e-11, abs=1e-13)
 
-    def test_merged_is_a_view_exactly_when_the_reshape_is(self):
-        # _merged decides view or copy from shape and strides alone; it must
-        # agree with numpy's reshape on every axis order, layout and unit axis
-        base = np.arange(2 * 3 * 4 * 5, dtype=float).reshape(2, 3, 4, 5)
-        layouts = [base, np.asfortranarray(base), base[:, :, ::2], base[:, :1],
-                   np.ones((2, 1, 4, 1)), np.asfortranarray(np.ones((1, 3, 1, 5)))]
-        seen = set()
-        for a, perm in itertools.product(layouts, itertools.permutations((1, 2, 3))):
-            t = a.transpose((0, *perm))
-            for given in (1, 2):
-                got = _merged(t, given)
-                shape = (len(t), math.prod(t.shape[1 : 1 + given]), -1)
-                is_view = np.shares_memory(t.reshape(shape), t)
-                assert (got is not None) == is_view
-                if got is not None:
-                    assert np.shares_memory(got, t) and got.shape == t.reshape(shape).shape
-                seen.add(is_view)
-        assert seen == {True, False}
-
     @pytest.mark.parametrize("shape", [(7,), (3, 5), (5, 3), (2, 3, 4), (4, 1, 6)])
     @pytest.mark.parametrize("rows", [1, 2, 4, 5, 100])
     def test_boxes_tile_the_grid_in_order(self, shape, rows):
@@ -521,3 +512,86 @@ class TestReferenceEntropies:
         for q in (1.0, float("nan"), "2", False):
             with pytest.raises(ParamError):
                 tsallis_entropy(d, q)
+
+
+def _reversed_strided(a):
+    """An array equal to a that is neither C- nor Fortran-contiguous: its
+    axes stored in reverse order, every other cell."""
+    every = (slice(None, None, 2),) * a.ndim
+    wide = np.zeros(tuple(2 * n for n in reversed(a.shape)))
+    wide[every] = a.T
+    return wide[every].T
+
+
+LAYOUTS = {"C": np.ascontiguousarray, "F": np.asfortranarray, "strided": _reversed_strided}
+
+
+def _public_values(p, q, w, a, b) -> dict:
+    """Every public value of the 3-axis joints p and q (q > 0), of their
+    (X, YZ) matrices a and b as arrays, and of the channel w, bits included."""
+    j, jq = make_joint2(a), make_joint2(b)
+    values = {
+        "shannon_entropy": shannon_entropy(p),
+        "kl_divergence": kl_divergence(p, q),
+        "apply_channel": apply_channel(w, p.marginal(1)).p,
+        "product": product(j.marginal(0), j.marginal(1)).p,
+    }
+    for axes in itertools.chain.from_iterable(
+        itertools.permutations(range(3), n) for n in (1, 2, 3)
+    ):
+        values[f"marginal {axes}"] = p.marginal(*axes).p
+    for k in (0.1, 0.5):
+        params = DeformParams(k, 0.7)
+        values[f"entropy {k}"] = entropy(p, params).value
+        values[f"entropy_literal {k}"] = entropy_literal(p, params)
+        values[f"tsallis_entropy {k}"] = tsallis_entropy(p, 1.0 + 2.0 * k)
+        values[f"mutual_entropy {k}"] = mutual_entropy(j, params)
+        values[f"divergence {k}"] = divergence(p, q, params).value
+        for form in ("pq", "qp"):
+            values[f"divergence_literal {form} {k}"] = divergence_literal(p, q, params, form)
+        values[f"tsallis_divergence {k}"] = tsallis_divergence(p, q, 1.0 - 2.0 * k)
+        values[f"mutual_divergence {k}"] = mutual_divergence(j, params).value
+        values[f"divergence 2-axis {k}"] = divergence(j, jq, params).value
+        values[f"log_sum_gap {k}"] = log_sum_gap(b, b[::-1], params)
+        for spec in SPECS3:
+            values[f"{spec} {k}"] = conditional_entropy(p, params, spec).value
+    for d in (p, q, j, jq):
+        assert d.p.flags.c_contiguous
+    assert w.w.flags.c_contiguous
+    for v in values.values():
+        assert not isinstance(v, np.ndarray) or v.flags.c_contiguous
+    return {key: np.asarray(v).tobytes() for key, v in values.items()}
+
+
+def test_every_value_depends_on_the_numbers_alone(monkeypatch):
+    # one joint, one positive joint and one channel, each in C, Fortran and
+    # reversed-strided copies, and the weights they are normalized from, at
+    # block sizes 2^8, 2^11 and 2^15: (6, 40, 50) cells make rows longer
+    # than a block, rows that share one, and divergence rows summed run by
+    # run; the zero cells and the empty slices make masks and rows to drop
+    rng = np.random.default_rng(71)
+    w = rng.exponential(size=(6, 40, 50))
+    w[rng.random(w.shape) < 0.05] = 0.0
+    w[2], w[:, 5], w[:, :, 9] = 0.0, 0.0, 0.0
+    wq = rng.exponential(size=w.shape)
+    wc = rng.exponential(size=(7, 40))
+    cells, positive, channel = w / w.sum(), wq / wq.sum(), wc / wc.sum(axis=0)
+    leaf_modules = [
+        m for name, m in sys.modules.items()
+        if name.split(".")[0] == "entrokit" and hasattr(m, "_LEAF")
+    ]
+    assert distributions in leaf_modules
+    want = None
+    for leaf in (1 << 8, 1 << 11, 1 << 15):
+        for m in leaf_modules:
+            monkeypatch.setattr(m, "_LEAF", leaf)
+        for name, layout in LAYOUTS.items():
+            p, q = make_joint3(layout(cells)), make_joint3(layout(positive))
+            a, b = (layout(x.reshape(6, -1)) for x in (cells, positive))
+            got = _public_values(p, q, Channel(layout(channel)), a, b)
+            got["make_joint3 normalize"] = make_joint3(layout(w), normalize=True).p.tobytes()
+            got["make_channel normalize"] = make_channel(layout(wc), normalize=True).w.tobytes()
+            if want is None:
+                want = got
+            moved = [key for key in want if got[key] != want[key]]
+            assert not moved, f"{len(moved)} moved at _LEAF = {leaf}, {name}: {moved[:5]}"

@@ -5,16 +5,20 @@ and of the whole sweep's: every one must stay bit for bit what it is.
 
 The joints are built from Philox bits with integer arithmetic only, so the
 inputs are the same everywhere. They cover positive joints and joints with
-zero-mass rows along each axis, in C and Fortran layout (so each spec meets
-both a strided view and a copy of the joint), with rows of 8 cells or
-more, and five joints large enough for conditional_entropy to run over
-several blocks. The values were recorded before conditional_entropy
-streamed its blocks. The Hessians (as SHA-256 of their bytes, so every
-bit, sign bits included, counts) and the reports were recorded while
-fd_hessian still summed every displaced point of a 2n^2 + 1 row stencil
-exactly. The other sums and the whole sweep were recorded while divergence
-sums cut each row in steps of 2^16 cells and tsallis_entropy summed its
-terms whole. `python tests/test_golden.py` rewrites the file.
+zero-mass rows along each axis, built from C and from Fortran arrays (a
+Distribution stores both in C order, so each Fortran joint's values are its
+C twin's), with rows of 8 cells or more, and five joints large enough for
+conditional_entropy to run over several blocks. The values were recorded
+before conditional_entropy streamed its blocks; those of the Fortran
+joints, and the conditional entropies of specs whose rows are strided,
+were recorded again when every row came to be summed contiguous. The
+Hessians (as SHA-256 of their bytes, so every bit, sign bits included,
+counts) and the reports were recorded while fd_hessian still summed every
+displaced point of a 2n^2 + 1 row stencil exactly. The other sums were
+recorded while divergence sums cut each row in steps of 2^16 cells and
+tsallis_entropy summed its terms whole; the whole sweep's reports were
+recorded again with the conditional entropies. `python tests/test_golden.py`
+rewrites the file and prints each key whose value it changes.
 They are compared only where numpy's elementary functions give the bits
 they gave where recorded.
 """
@@ -223,6 +227,10 @@ def test_suite_reports_are_unchanged():
 
 
 if __name__ == "__main__":
-    values = {**_values(), **_fd_hessian_values(), **_report_values()}
+    values = {"libm": _libm(), **_values(), **_fd_hessian_values(), **_report_values()}
     values.update({**_sum_values(), **_suite_values()})
-    GOLDEN.write_text(json.dumps({"libm": _libm(), **values}, indent=0, sort_keys=True) + "\n")
+    recorded = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+    for key in sorted(values.keys() | recorded.keys()):  # each key the rewrite changes
+        if values.get(key) != recorded.get(key):
+            print(key)
+    GOLDEN.write_text(json.dumps(values, indent=0, sort_keys=True) + "\n")

@@ -12,7 +12,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from entrokit import DeformParams, Distribution, conditional_entropy, conditional_entropy3
+from entrokit import Channel, DeformParams, Distribution, conditional_entropy
+from entrokit import conditional_entropy3
 from entrokit import divergence, divergence_literal, entropy, entropy_literal, fd_hessian
 from entrokit import kl_divergence, ln_kr, make_channel, make_distribution, make_joint2
 from entrokit import make_joint3, mutual_divergence, product, shannon_entropy
@@ -52,15 +53,17 @@ def test_divergence_of_a_million_cells_stays_below_4_mib(k):
     lambda p, q: tsallis_divergence(p, q, 0.5),
 ], ids=["divergence", "kl", "literal", "tsallis"])
 def test_divergence_of_a_fortran_ordered_pair_stays_below_4_mib(kernel):
-    # each run of cells is copied in C order alone, never the whole pair
+    # the pair is stored in C order, so each run of cells is a view
     rng = np.random.default_rng(12)
     p, q = (make_joint2(np.asfortranarray(_simplex(rng, 1024, 1024))) for _ in range(2))
     assert _peak_mib(lambda: kernel(p, q)) < 4
 
 
-def test_conditional_entropy_of_a_1024_square_joint_stays_below_4_mib():
+@pytest.mark.parametrize("spec", ["Y_given_X", "X_given_Y"])
+def test_conditional_entropy_of_a_1024_square_joint_stays_below_4_mib(spec):
+    # X_given_Y's rows are strided: each block of them is copied alone
     j = make_joint2(_simplex(np.random.default_rng(2), 1024, 1024))
-    assert _peak_mib(lambda: conditional_entropy(j, PARAMS, "Y_given_X")) < 4
+    assert _peak_mib(lambda: conditional_entropy(j, PARAMS, spec)) < 4
 
 
 def test_conditional_entropy_that_moves_an_axis_stays_below_4_mib():
@@ -75,14 +78,25 @@ def joint_1024():
     return make_joint2(_simplex(np.random.default_rng(5), 1024, 1024))
 
 
+@pytest.fixture(scope="module")
+def fortran_1024(joint_1024):
+    return np.asfortranarray(joint_1024.p)
+
+
 @pytest.mark.parametrize("build", [
-    lambda j: product(j.marginal(0), j.marginal(1)),
-    lambda j: make_joint2(j.p, normalize=True),
-    lambda j: make_channel(j.p, normalize=True),
-], ids=["product", "make_joint2", "make_channel"])
-def test_a_built_result_is_allocated_once(joint_1024, build):
-    # the 8 MiB array built is frozen in place, not copied again
-    assert _peak_mib(lambda: build(joint_1024)) < 9
+    lambda j, f: product(j.marginal(0), j.marginal(1)),
+    lambda j, f: make_joint2(j.p, normalize=True),
+    lambda j, f: make_channel(j.p, normalize=True),
+    lambda j, f: j.marginal(1, 0),
+    lambda j, f: make_joint2(f, normalize=True),
+    lambda j, f: make_channel(f, normalize=True),
+], ids=["product", "make_joint2", "make_channel", "marginal-transposed", "make_joint2-fortran",
+        "make_channel-fortran"])
+def test_a_built_result_is_allocated_once(joint_1024, fortran_1024, build):
+    # the 8 MiB array is built C-ordered and frozen in place, not copied again
+    built = []
+    assert _peak_mib(lambda: built.append(build(joint_1024, fortran_1024))) < 9
+    assert (built[0].w if isinstance(built[0], Channel) else built[0].p).flags.c_contiguous
 
 
 def test_mutual_divergence_stays_below_4_mib(joint_1024):
@@ -138,7 +152,7 @@ def test_a_million_cells_are_copied_and_checked_in_one_allocation():
 @pytest.mark.parametrize("layout", [lambda a: np.asfortranarray(a[:, ::2]), lambda a: a[:, ::2].T],
                          ids=["fortran", "strided-transposed"])
 def test_a_distribution_of_a_non_c_array_is_copied_once(layout):
-    # np.array keeps the layout, and the check sums the 8 MiB copy run by run
+    # the array is copied once into C order, whose rows the check sums as views
     w = np.random.default_rng(11).exponential(size=(1024, 2048))
     a = layout(w / w[:, ::2].sum())
     assert _peak_mib(lambda: make_joint2(a)) < 8 + 1
