@@ -11,6 +11,7 @@ point of exit code 3.
 
 from __future__ import annotations
 
+import functools
 import json
 import sys
 from pathlib import Path
@@ -65,12 +66,16 @@ def _to_csv(payload: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit(payload: dict, fmt: str, output: str | None) -> None:
-    text = _to_csv(payload) if fmt == "csv" else json.dumps(payload)
+def _write(text: str, output: str | None) -> None:
+    """text to the file output, ending in one newline, else to stdout."""
     if output:
         Path(output).write_text(text if text.endswith("\n") else text + "\n")
     else:
         click.echo(text.rstrip("\n"))
+
+
+def _emit(payload: dict, fmt: str, output: str | None) -> None:
+    _write(_to_csv(payload) if fmt == "csv" else json.dumps(payload), output)
 
 
 _common = [
@@ -84,48 +89,58 @@ _common = [
 ]
 
 
-def _with_common(f):
-    for opt in reversed(_common):
-        f = opt(f)
-    return f
-
-
 @click.group()
 def cli():
     """Deformed-logarithm entropy and divergence toolkit."""
 
 
-@cli.command("entropy")
-@_with_common
-@click.option("--input", "source", required=True, help="Distribution (inline JSON or path).")
-def entropy_cmd(k, r, relaxed, normalize, fmt, output, source):
+def _command(name: str, *options):
+    """Register body(params, load, **own options) as the command `name`, with
+    the common options, then its own. The parameters are checked first;
+    load(source, fields) reads an input under --format and --normalize, and
+    the payload the body returns is emitted."""
+
+    def register(body):
+        @functools.wraps(body)
+        def run(k, r, relaxed, normalize, fmt, output, **own):
+            params = DeformParams(k, r, relaxed)
+            load = functools.partial(_load, fmt=fmt, normalize=normalize)
+            _emit(body(params, load, **own), fmt or "json", output)
+
+        for opt in reversed([*_common, *options]):
+            run = opt(run)
+        return cli.command(name)(run)
+
+    return register
+
+
+def _input(text: str):
+    return click.option("--input", "source", required=True, help=text)
+
+
+@_command("entropy", _input("Distribution (inline JSON or path)."))
+def entropy_cmd(params, load, source):
     """Entropy of a distribution."""
-    params = DeformParams(k, r, relaxed)
-    p = _load(source, ("p",), fmt, normalize)
-    _emit({"value": entropy(p, params).value}, fmt or "json", output)
+    return {"value": entropy(load(source, ("p",)), params).value}
 
 
-@cli.command("joint")
-@_with_common
-@click.option("--input", "source", required=True, help="Joint matrix or tensor.")
-def joint_cmd(k, r, relaxed, normalize, fmt, output, source):
+@_command("joint", _input("Joint matrix or tensor."))
+def joint_cmd(params, load, source):
     """Entropy of a joint distribution (2 or 3 variables)."""
-    params = DeformParams(k, r, relaxed)
-    j = _load(source, ("m", "t"), fmt, normalize)
-    _emit({"value": entropy(j, params).value}, fmt or "json", output)
+    return {"value": entropy(load(source, ("m", "t")), params).value}
 
 
-@cli.command("conditional")
-@_with_common
-@click.option("--input", "source", required=True, help="Joint matrix or tensor.")
-@click.option("--direction", type=click.Choice(["Y_given_X", "X_given_Y"]),
-              default="Y_given_X", show_default=True, help="For 2-variable joints.")
-@click.option("--mode", type=click.Choice(["XY_given_Z", "Y_given_XZ", "X_given_Z", "Y_given_Z"]),
-              default=None, help="Required for 3-variable joints.")
-def conditional_cmd(k, r, relaxed, normalize, fmt, output, source, direction, mode):
+@_command(
+    "conditional",
+    _input("Joint matrix or tensor."),
+    click.option("--direction", type=click.Choice(["Y_given_X", "X_given_Y"]),
+                 default="Y_given_X", show_default=True, help="For 2-variable joints."),
+    click.option("--mode", type=click.Choice(["XY_given_Z", "Y_given_XZ", "X_given_Z", "Y_given_Z"]),
+                 default=None, help="Required for 3-variable joints."),
+)
+def conditional_cmd(params, load, source, direction, mode):
     """Conditional entropy of a joint distribution."""
-    params = DeformParams(k, r, relaxed)
-    j = _load(source, ("m", "t"), fmt, normalize)
+    j = load(source, ("m", "t"))
     if j.ndim == 3 and mode is None:
         raise click.UsageError("--mode is required for a 3-variable joint")
     if j.ndim == 2 and mode is not None:
@@ -133,101 +148,90 @@ def conditional_cmd(k, r, relaxed, normalize, fmt, output, source, direction, mo
     given = click.get_current_context().get_parameter_source("direction")
     if j.ndim == 3 and given is not ParameterSource.DEFAULT:
         raise click.UsageError("--direction is not accepted for a 3-variable joint; use --mode")
-    value = conditional_entropy(j, params, mode or direction).value
-    _emit({"value": value}, fmt or "json", output)
+    return {"value": conditional_entropy(j, params, mode or direction).value}
 
 
-@cli.command("mutual")
-@_with_common
-@click.option("--input", "source", required=True, help="Joint matrix.")
-@click.option("--via", type=click.Choice(["entropy", "divergence"]), default="entropy",
-              show_default=True, help="Entropy combination or divergence from the marginal product.")
-def mutual_cmd(k, r, relaxed, normalize, fmt, output, source, via):
+@_command(
+    "mutual",
+    _input("Joint matrix."),
+    click.option("--via", type=click.Choice(["entropy", "divergence"]), default="entropy",
+                 show_default=True,
+                 help="Entropy combination or divergence from the marginal product."),
+)
+def mutual_cmd(params, load, source, via):
     """Mutual entropy S(X) + S(Y) - S(X,Y), or the divergence form."""
-    params = DeformParams(k, r, relaxed)
-    j = _load(source, ("m", "t"), fmt, normalize)
+    j = load(source, ("m", "t"))
     if via == "divergence":
-        value = mutual_divergence(j, params).value
-    else:
-        value = mutual_entropy(j, params)
-    _emit({"value": value}, fmt or "json", output)
+        return {"value": mutual_divergence(j, params).value}
+    return {"value": mutual_entropy(j, params)}
 
 
-@cli.command("divergence")
-@_with_common
-@click.option("--p", "p_source", required=True, help="First distribution P.")
-@click.option("--q", "q_source", required=True, help="Second distribution Q.")
-def divergence_cmd(k, r, relaxed, normalize, fmt, output, p_source, q_source):
+@_command(
+    "divergence",
+    click.option("--p", "p_source", required=True, help="First distribution P."),
+    click.option("--q", "q_source", required=True, help="Second distribution Q."),
+)
+def divergence_cmd(params, load, p_source, q_source):
     """Relative entropy D(P || Q)."""
-    params = DeformParams(k, r, relaxed)
-    p = _load(p_source, ("p",), fmt, normalize)
-    q = _load(q_source, ("p",), fmt, normalize)
-    result = divergence(p, q, params)
+    result = divergence(load(p_source, ("p",)), load(q_source, ("p",)), params)
     if params.k == 0.5:
         click.echo(
             "warning: at k = 1/2 the divergence vanishes identically on common support",
             err=True,
         )
-    _emit({"value": result.value}, fmt or "json", output)
+    return {"value": result.value}
 
 
-@cli.command("metric")
-@_with_common
-@click.option("--input", "source", required=True, help="Full-support base distribution.")
-@click.option("--convention", type=click.Choice(list(CONVENTIONS)), default="derived",
-              show_default=True, help="Metric coefficient convention.")
-def metric_cmd(k, r, relaxed, normalize, fmt, output, source, convention):
+@_command(
+    "metric",
+    _input("Full-support base distribution."),
+    click.option("--convention", type=click.Choice(list(CONVENTIONS)), default="derived",
+                 show_default=True, help="Metric coefficient convention."),
+)
+def metric_cmd(params, load, source, convention):
     """Diagonal of the divergence-induced metric at a base point."""
-    params = DeformParams(k, r, relaxed)
-    p = _load(source, ("p",), fmt, normalize)
-    m = fisher_metric(p, params, convention)
-    _emit({"g": m.g.tolist(), "convention": convention}, fmt or "json", output)
+    m = fisher_metric(load(source, ("p",)), params, convention)
+    return {"g": m.g.tolist(), "convention": convention}
 
 
-@cli.command("reduce")
-@_with_common
-@click.option("--input", "source", required=True, help="Distribution P.")
-@click.option("--q", "q_source", default=None, help="Distribution Q (divergence reductions).")
-@click.option("--target", type=click.Choice(["tsallis", "shannon", "kl"]), required=True)
-def reduce_cmd(k, r, relaxed, normalize, fmt, output, source, q_source, target):
+# (target, whether --q is given) -> the reference value (p, q, k) -> float,
+# or the usage error that pair is
+_REFERENCES = {
+    ("tsallis", False): lambda p, q, k: tsallis_entropy(p, 1.0 + 2.0 * k),
+    ("tsallis", True): lambda p, q, k: tsallis_divergence(p, q, 1.0 - 2.0 * k),
+    ("shannon", False): lambda p, q, k: shannon_entropy(p),
+    ("shannon", True): "--q is not accepted with --target shannon",
+    ("kl", False): "--q is required with --target kl",
+    ("kl", True): lambda p, q, k: kl_divergence(p, q),
+}
+
+
+@_command(
+    "reduce",
+    _input("Distribution P."),
+    click.option("--q", "q_source", default=None, help="Distribution Q (divergence reductions)."),
+    click.option("--target", type=click.Choice(["tsallis", "shannon", "kl"]), required=True),
+)
+def reduce_cmd(params, load, source, q_source, target):
     """Compare against a reference entropy or divergence.
 
     tsallis maps q = 1 + 2k for entropies and q = 1 - 2k for divergences
     and requires k = r; shannon/kl compare the small-deformation limit.
     """
-    params = DeformParams(k, r, relaxed)
-    p = _load(source, ("p",), fmt, normalize)
-    q = _load(q_source, ("p",), fmt, normalize) if q_source else None
-
-    if target == "tsallis":
-        if k != r:
-            raise ParamError("tsallis reduction requires k = r")
-        if q is None:
-            generalized = entropy(p, params).value
-            reference = tsallis_entropy(p, 1.0 + 2.0 * k)
-        else:
-            generalized = divergence(p, q, params).value
-            reference = tsallis_divergence(p, q, 1.0 - 2.0 * k)
-    elif target == "shannon":
-        if q is not None:
-            raise click.UsageError("--q is not accepted with --target shannon")
-        generalized = entropy(p, params).value
-        reference = shannon_entropy(p)
-    else:  # kl
-        if q is None:
-            raise click.UsageError("--q is required with --target kl")
-        generalized = divergence(p, q, params).value
-        reference = kl_divergence(p, q)
-
-    _emit(
-        {
-            "generalized_value": generalized,
-            "reference_value": reference,
-            "abs_diff": abs(generalized - reference),
-        },
-        fmt or "json",
-        output,
-    )
+    p = load(source, ("p",))
+    q = load(q_source, ("p",)) if q_source else None
+    if target == "tsallis" and params.k != params.r:
+        raise ParamError("tsallis reduction requires k = r")
+    reference = _REFERENCES[target, q is not None]
+    if isinstance(reference, str):
+        raise click.UsageError(reference)
+    generalized = (entropy(p, params) if q is None else divergence(p, q, params)).value
+    reference = reference(p, q, params.k)
+    return {
+        "generalized_value": generalized,
+        "reference_value": reference,
+        "abs_diff": abs(generalized - reference),
+    }
 
 
 @cli.command("verify")
@@ -250,17 +254,10 @@ def verify_cmd(seed, trials, tol, properties, output, list_only):
         ]
         click.echo(json.dumps(payload, indent=2))
         return 0
-    names = tuple(s.strip() for s in properties.split(",")) if properties else None
-    config = SweepConfig(seed=seed, trials=trials, tol=tol, properties=names)
-    report = run_suite(config)
-    text = report.to_json()
-    if output:
-        Path(output).write_text(text + "\n")
-    else:
-        click.echo(text)
-    if not report.all_passed:
-        return 3
-    return 0
+    names = None if properties is None else tuple(s.strip() for s in properties.split(","))
+    report = run_suite(SweepConfig(seed=seed, trials=trials, tol=tol, properties=names))
+    _write(report.to_json(), output)
+    return 0 if report.all_passed else 3
 
 
 def main(argv=None) -> int:

@@ -9,12 +9,15 @@ The module also provides the legacy form Ln_{k,r}(x) = x^r (x^k - x^{-k}) / (2k)
 (note the sign flip on r relative to the current form), its pairing function
 u_{k,r}, and the one-parameter q-logarithm used for reduction checks.
 
-All functions accept scalars or numpy arrays and evaluate through
-expm1/exp so they stay accurate near x = 1 and for k as small as 1e-4.
-ln_kr checks, takes the log of and evaluates its input one box of
-distributions._tiles at a time, at most _LEAF cells, in place in its
-output, so beyond the output it allocates one box's logarithm (256 KiB)
-at any size; an input of at most _LEAF cells is one box, its whole array.
+All three logarithms are x^a (x^b - 1) / b: ln_{k,r} with a = -(r + k),
+b = 2k; Ln_{k,r} with a = r - k, b = 2k; ln_q with a = 0, b = 1 - q. One
+evaluator, _deformed, computes it as e^{a ln x} expm1(b ln x) / b, so it
+stays accurate near x = 1 and for k as small as 1e-4. It accepts scalars
+or numpy arrays, and checks, takes the log of and evaluates its input one
+box of distributions._tiles at a time, at most _LEAF cells, in place in
+its output, so beyond the output ln_kr, ln_q and legacy_Ln each allocate
+one box's logarithm (256 KiB) at any size; an input of at most _LEAF
+cells is one box, its whole array.
 """
 
 from __future__ import annotations
@@ -114,10 +117,13 @@ def _x_array(x) -> np.ndarray:
 
 
 def _log(xv: np.ndarray) -> np.ndarray:
-    """ln x of an array x whose entries must be finite and > 0."""
-    if not (0 < xv.min() and xv.max() < math.inf):  # nan fails too
+    """ln x of an array x whose entries must be finite and > 0. Those are
+    the x whose ln x is finite, so ln x is checked, while in cache, not x."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lx = np.log(xv)
+    if not (-math.inf < lx.min() and lx.max() < math.inf):  # nan fails too
         raise DomainError("x must be finite and > 0")
-    return np.log(xv)
+    return lx
 
 
 def _log_x(x) -> np.ndarray:
@@ -132,9 +138,8 @@ def _maybe_scalar(out: np.ndarray, like) -> float | np.ndarray:
 
 
 def _ln_kr_into(out: np.ndarray, x: np.ndarray, a, b) -> None:
-    """ln_kr of x into out, as e^{a ln x} expm1(b ln x) / b with a = -(r + k)
-    and b = 2k: in place in out and in ln x, unless a and b broadcast x to
-    a larger shape."""
+    """x^a (x^b - 1) / b of x into out, as e^{a ln x} expm1(b ln x) / b: in
+    place in out and in ln x, unless a and b broadcast x to a larger shape."""
     lx = np.asarray(_log(x))
     np.multiply(a, lx, out=out)
     np.exp(out, out=out)
@@ -143,21 +148,26 @@ def _ln_kr_into(out: np.ndarray, x: np.ndarray, a, b) -> None:
     out /= b
 
 
+def _deformed(x, a, b):
+    """x^a (x^b - 1) / b for x > 0, the one evaluator of every logarithm of
+    the family; a and b are scalars or broadcast against x."""
+    xv = _x_array(x)
+    shape = np.broadcast(xv, a, b).shape
+    out = np.empty_like(xv, shape=shape)  # laid out as x is, where x has its shape
+    # a scalar broadcasts as it is, and so does anything over one whole box
+    for _, _, index in _tiles(shape, _LEAF):
+        box = [v if index == (...,) or np.ndim(v) == 0 else np.broadcast_to(v, shape)[index]
+               for v in (xv, a, b)]
+        _ln_kr_into(out[index], *box)
+    return _maybe_scalar(out, x)
+
+
 def ln_kr(x, params: DeformParams):
     """Two-parameter deformed logarithm (x^{2k} - 1) / (2k x^{r+k}).
 
     Zero exactly at x = 1, finite for all x > 0.
     """
-    xv = _x_array(x)
-    shape = np.broadcast(xv, params.k, params.r).shape
-    out = np.empty_like(xv, shape=shape)  # laid out as x is, where x has its shape
-    # a scalar broadcasts as it is, and so does anything over one whole box
-    args = (xv, -(params.r + params.k), 2.0 * params.k)
-    for _, _, index in _tiles(shape, _LEAF):
-        box = [v if index == (...,) or np.ndim(v) == 0 else np.broadcast_to(v, shape)[index]
-               for v in args]
-        _ln_kr_into(out[index], *box)
-    return _maybe_scalar(out, x)
+    return _deformed(x, -(params.r + params.k), 2.0 * params.k)
 
 
 def ln_q(x, q: float):
@@ -165,8 +175,7 @@ def ln_q(x, q: float):
     q = _finite_real("q", q)
     if q == 1:
         raise ParamError("q = 1 is the ordinary logarithm; ln_q requires q != 1")
-    out = np.expm1((1.0 - q) * _log_x(x)) / (1.0 - q)
-    return _maybe_scalar(out, x)
+    return _deformed(x, 0.0, 1.0 - q)
 
 
 def legacy_Ln(x, params: DeformParams, warn_outside_region: bool = True):
@@ -176,16 +185,14 @@ def legacy_Ln(x, params: DeformParams, warn_outside_region: bool = True):
     distinct functions and are never aliased. Parameters outside the
     legacy region trigger a LegacyRegionWarning but are not rejected.
     """
-    lx = _log_x(x)
+    out = _deformed(x, params.r - params.k, 2.0 * params.k)
     if warn_outside_region and not params.in_legacy_region:
         warnings.warn(
             f"(k={params.k}, r={params.r}) is outside the legacy validity region",
             LegacyRegionWarning,
             stacklevel=2,
         )
-    k, r = params.k, params.r
-    out = np.expm1(2.0 * k * lx) * np.exp((r - k) * lx) / (2.0 * k)
-    return _maybe_scalar(out, x)
+    return out
 
 
 def legacy_u(x, params: DeformParams):

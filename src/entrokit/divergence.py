@@ -327,7 +327,9 @@ def _tsallis_terms(p: np.ndarray, q: np.ndarray, q_param: float) -> np.ndarray:
     """-p ln_q(q/p) per cell; a cell with p = 0 gives -0.0, as one with
     p = q does."""
     p, q = _unit_at_zero(p, q)
-    return -p * ln_q(q / p, q_param)
+    t = ln_q(q / p, q_param)
+    t *= p
+    return np.negative(t, out=t)  # -(p t) is (-p) t bit for bit
 
 
 def tsallis_divergence(p: Distribution, q: Distribution, q_param: float) -> float:

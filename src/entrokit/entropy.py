@@ -52,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .deformed_log import DeformParams, _finite_real, ln_kr
+from .deformed_log import DeformParams, _deformed, _finite_real, ln_kr
 from .distributions import _LEAF, Distribution, _cells, _col, _rowsum
 from .divergence import _closed_form, _unit_at_zero
 from .errors import DimensionError, ParamError
@@ -248,15 +248,11 @@ def shannon_entropy(p: Distribution) -> float:
     return float(_shannon_rows(_positive_cells(p))[0, 0])
 
 
-def _tsallis_entropy_terms(p: np.ndarray, q: float) -> np.ndarray:
-    """p^q ln_q(p) per cell > 0, as e^{q ln p} expm1((1 - q) ln p) / (1 - q):
-    a formula of its own, so it checks the closed form independently."""
-    lp = np.log(p)
-    t = np.exp(q * lp)
-    lp *= 1.0 - q
-    t *= np.expm1(lp, out=lp)
-    t /= 1.0 - q
-    return t
+def _tsallis_entropy_terms(p: np.ndarray, q) -> np.ndarray:
+    """p^q ln_q(p) per cell > 0, as p^q (p^{1-q} - 1) / (1 - q) through the
+    logarithms' evaluator, not through the entropy's closed form, so it
+    still checks that closed form independently."""
+    return _deformed(p, q, 1.0 - q)
 
 
 def tsallis_entropy(p: Distribution, q: float) -> float:

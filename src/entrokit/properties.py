@@ -27,8 +27,9 @@ Identities record slack = (lhs - rhs) / max(1, |lhs|, |rhs|) and pass when
 |slack| <= tol (default 1e-12). Inequalities record slack = lhs - rhs and
 pass when slack >= -tol (additive, default 1e-9; true slacks approach 0 at
 equality cases, which are injected deterministically as trial 0 where
-meaningful). A few oracle-based checks return an `Outcome` with a slack of
-their own, and may carry their own tolerance.
+meaningful). A few oracle-based checks return a slack of their own as a
+fourth element, `(lhs, rhs, fields, slack)`, whose worst element the kind
+picks all the same, and may carry their own tolerance.
 """
 
 from __future__ import annotations
@@ -79,15 +80,6 @@ JOINT2 = (VECTOR, VECTOR)
 JOINT3 = (8, 8, 8)
 
 
-class Outcome(NamedTuple):
-    """Per-trial lhs, rhs and slack columns, and the instance digest fields."""
-
-    lhs: np.ndarray
-    rhs: np.ndarray
-    slack: np.ndarray
-    fields: dict
-
-
 class _Kind(NamedTuple):
     tol: float  # default tolerance
     slack: Callable  # elementwise (lhs, rhs) -> slack
@@ -109,7 +101,7 @@ class PropertySpec:
     name: str
     anchor: str
     kind: str  # "identity" | "inequality"
-    fn: Callable  # (draw, trial) -> (lhs, rhs, fields) | Outcome
+    fn: Callable  # (draw, trial) -> (lhs, rhs, fields) | (lhs, rhs, fields, slack)
     tol: float  # the property's own tolerance, else its kind's
     width: int  # uniforms per trial, in whole Philox blocks of 4
 
@@ -495,7 +487,7 @@ def _check_indiscernibles(draw, trial):
     maxdiff = np.max(np.abs(p - q), axis=1, keepdims=True)
     # a false antecedent satisfies the implication vacuously
     slack = np.where(d <= 1e-12, 1e-4 - maxdiff, 1e-4)
-    return Outcome(d, maxdiff, slack, {"n": n, "scale": scale, **params.fields})
+    return d, maxdiff, {"n": n, "scale": scale, **params.fields}, slack
 
 
 @_property("permutation_symmetry", "Lemma 4.3", "identity", 3 + 3 * VECTOR)
@@ -648,10 +640,7 @@ def _check_metric_oracle_agreement(draw, trial):
     g = _diagonal(pv, params, "derived")
     live = np.arange(_FD_CAP) < n
     fd = np.where(live, np.diagonal(hess, axis1=1, axis2=2), g)  # the padding agrees exactly
-    rel = (fd - g) / g
-    worst = np.argmax(np.abs(rel), axis=1)[:, None]
-    lhs, rhs, slack = (np.take_along_axis(a, worst, axis=1) for a in (fd, g, rel))
-    return Outcome(lhs, rhs, slack, {"n": n, **params.fields})
+    return fd, g, {"n": n, **params.fields}, (fd - g) / g
 
 
 @_property("metric_hessian_structure", "Theorem 5.1", "identity", 3 + VECTOR)
@@ -721,4 +710,4 @@ def _check_taylor_expansion(draw, trial):
         np.abs(dp) ** 5 * np.minimum(pv, av) ** (-2.0 * k - 4.0) * pv ** (2.0 * k)
     )
     err = abs(rest - quartic)
-    return Outcome(bound, err, 1.0 - err / bound, {"n": n, "delta": 1e-2, **params.fields})
+    return bound, err, {"n": n, "delta": 1e-2, **params.fields}, 1.0 - err / bound

@@ -34,7 +34,6 @@ from .properties import (
     K_RANGE,
     R_RANGE,
     SIZE_RANGE,
-    Outcome,
     PropertySpec,
     _Draw,
 )
@@ -84,6 +83,8 @@ class SweepConfig:
                 raise ConfigError(f"property names must be strings: {names!r}")
             if not names:
                 raise ConfigError("properties must name at least one property")
+            if "" in names:
+                raise ConfigError(f"property names must be non-empty: {names!r}")
             object.__setattr__(self, "properties", names)
 
 
@@ -154,14 +155,24 @@ class VerificationReport:
         return json.dumps(self.to_dict(), indent=2)
 
 
-def _outcome(kind: str, lhs, rhs, fields: dict) -> Outcome:
-    """Each trial's worst element of its lhs row against its rhs row under
-    the kind's slack rule."""
+class Outcome(NamedTuple):
+    """Per-trial lhs, rhs and slack columns, and the instance digest fields."""
+
+    lhs: np.ndarray
+    rhs: np.ndarray
+    slack: np.ndarray
+    fields: dict
+
+
+def _outcome(kind: str, lhs, rhs, fields: dict, slack=None) -> Outcome:
+    """Each trial's worst element of its lhs row against its rhs row, as
+    (T,) columns: by the check's own slack where it gives one, else by the
+    kind's slack rule."""
     rule = _KINDS[kind]
     lv, rv = np.broadcast_arrays(np.asarray(lhs, dtype=float), rhs)
-    s = rule.slack(lv, rv)
+    s = rule.slack(lv, rv) if slack is None else slack
     worst = np.argmax(rule.shortfall(s), axis=1)[:, None]
-    return Outcome(*(np.take_along_axis(a, worst, axis=1) for a in (lv, rv, s)), fields)
+    return Outcome(*(np.take_along_axis(a, worst, axis=1)[:, 0] for a in (lv, rv, s)), fields)
 
 
 # ---------------------------------------------------------------------------
@@ -229,10 +240,7 @@ class _Chunk(NamedTuple):
 def _evaluate(spec: PropertySpec, config: SweepConfig, start: int, count: int) -> _Chunk:
     """Trials start .. start + count - 1 of one property, as one batch."""
     u = _uniforms(_key(config.seed, spec.name), spec.width, start, count)
-    out = spec.fn(_Draw(u), np.arange(start, start + count)[:, None])
-    if not isinstance(out, Outcome):
-        out = _outcome(spec.kind, *out)
-    out = Outcome(*(np.ravel(a) for a in out[:3]), out.fields)
+    out = _outcome(spec.kind, *spec.fn(_Draw(u), np.arange(start, start + count)[:, None]))
     # a config tolerance overrides the property's
     passed = _KINDS[spec.kind].shortfall(out.slack) <= (config.tol or spec.tol)
     return _Chunk(spec.name, config.seed, start, out, passed)

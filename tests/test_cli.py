@@ -334,6 +334,14 @@ class TestVerifyCommand:
         assert code == 2
         assert out == ""
 
+    @pytest.mark.parametrize("names", ["", "chain_rule,"], ids=["empty", "trailing-comma"])
+    def test_empty_property_name_exit_two(self, capsys, names):
+        # an empty selection is an error, not the whole registry
+        code, out, err = run(capsys, "verify", "--trials", "1", "--properties", names)
+        assert code == 2
+        assert out == ""
+        assert "property names must be non-empty" in err
+
     def test_list_flag(self, capsys):
         code, out, _ = run(capsys, "verify", "--list")
         assert code == 0
@@ -502,3 +510,67 @@ class TestImports:
             capture_output=True, text=True, check=True,
         ).stdout
         assert out.splitlines() == ["[]", "[] True"]
+
+
+# Each command's parameters in order: name, flags, type, required, default
+# (None where required), choices and whether it is a flag.
+_COMMON = [
+    ("k", ("--k",), "float", True, None, None, False),
+    ("r", ("--r",), "float", True, None, None, False),
+    ("relaxed", ("--relaxed",), "boolean", False, False, None, True),
+    ("normalize", ("--normalize",), "boolean", False, False, None, True),
+    ("fmt", ("--format",), "choice", False, None, ("json", "csv"), False),
+    ("output", ("--output",), "path", False, None, None, False),
+]
+_INPUT = ("source", ("--input",), "text", True, None, None, False)
+COMMAND_PARAMETERS = {
+    "entropy": [*_COMMON, _INPUT],
+    "joint": [*_COMMON, _INPUT],
+    "conditional": [
+        *_COMMON, _INPUT,
+        ("direction", ("--direction",), "choice", False, "Y_given_X", ("Y_given_X", "X_given_Y"),
+         False),
+        ("mode", ("--mode",), "choice", False, None,
+         ("XY_given_Z", "Y_given_XZ", "X_given_Z", "Y_given_Z"), False),
+    ],
+    "mutual": [
+        *_COMMON, _INPUT,
+        ("via", ("--via",), "choice", False, "entropy", ("entropy", "divergence"), False),
+    ],
+    "divergence": [
+        *_COMMON,
+        ("p_source", ("--p",), "text", True, None, None, False),
+        ("q_source", ("--q",), "text", True, None, None, False),
+    ],
+    "metric": [
+        *_COMMON, _INPUT,
+        ("convention", ("--convention",), "choice", False, "derived", ("derived", "paper"), False),
+    ],
+    "reduce": [
+        *_COMMON, _INPUT,
+        ("q_source", ("--q",), "text", False, None, None, False),
+        ("target", ("--target",), "choice", True, None, ("tsallis", "shannon", "kl"), False),
+    ],
+    "verify": [
+        ("seed", ("--seed",), "integer", False, 0, None, False),
+        ("trials", ("--trials",), "integer", False, 100, None, False),
+        ("tol", ("--tol",), "float", False, None, None, False),
+        ("properties", ("--properties",), "text", False, None, None, False),
+        ("output", ("--output",), "path", False, None, None, False),
+        ("list_only", ("--list",), "boolean", False, False, None, True),
+    ],
+}
+
+
+def test_each_command_keeps_its_parameters():
+    from entrokit.cli import cli
+
+    def pinned(p):
+        choices = getattr(p.type, "choices", None)
+        return (p.name, tuple(p.opts), p.type.name, p.required, None if p.required else p.default,
+                None if choices is None else tuple(choices), p.is_flag)
+
+    assert list(cli.commands) == list(COMMAND_PARAMETERS)
+    for name, expected in COMMAND_PARAMETERS.items():
+        assert [pinned(p) for p in cli.commands[name].params] == expected, name
+    assert cli.commands["verify"].params[0].envvar == "ENTROKIT_SEED"

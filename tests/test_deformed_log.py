@@ -6,6 +6,7 @@ hypothesis over randomized arguments.
 """
 
 import math
+import warnings
 from types import SimpleNamespace
 from fractions import Fraction
 
@@ -241,6 +242,81 @@ class TestLnKrBlocks:
         x[-1] = bad
         with pytest.raises(DomainError, match="^x must be finite and > 0$"):
             ln_kr(x, DeformParams(0.3, 0.7))
+
+
+def _former_ln_q(x, q):
+    """ln_q as it was written before it went through ln_kr's evaluator."""
+    return np.expm1((1.0 - q) * np.log(x)) / (1.0 - q)
+
+
+def _former_legacy_Ln(x, k, r):
+    """legacy_Ln as it was written before it went through ln_kr's evaluator."""
+    lx = np.log(x)
+    return np.expm1(2.0 * k * lx) * np.exp((r - k) * lx) / (2.0 * k)
+
+
+def _former_tsallis_terms(p, q):
+    """tsallis_entropy's terms p^q ln_q(p) as they were written before they
+    went through ln_kr's evaluator."""
+    lp = np.log(p)
+    t = np.exp(q * lp)
+    lp *= 1.0 - q
+    t *= np.expm1(lp, out=lp)
+    t /= 1.0 - q
+    return t
+
+
+class TestOneEvaluator:
+    """ln_q, legacy_Ln and the Tsallis entropy terms are ln_kr's evaluator,
+    x^a (x^b - 1) / b, with their own a and b; each keeps the bits of the
+    formula it had of its own."""
+
+    # one box, several boxes, and a 0-d x
+    @pytest.mark.parametrize("shape", [(7,), (3 * _LEAF + 5,), ()])
+    def test_ln_q(self, shape):
+        rng = np.random.default_rng(21)
+        x = np.exp(rng.uniform(-30.0, 30.0, shape))
+        for q in rng.uniform(-2.0, 4.0, 12):
+            out = ln_q(x, q)
+            assert np.ndim(out) == len(shape) and type(out) is (float if not shape else np.ndarray)
+            assert (_bits(np.asarray(out)) == _bits(_former_ln_q(x, q))).all()
+
+    @pytest.mark.parametrize("shape", [(7,), (3 * _LEAF + 5,), ()])
+    def test_legacy_Ln_with_relaxed_parameters(self, shape):
+        rng = np.random.default_rng(22)
+        x = np.exp(rng.uniform(-30.0, 30.0, shape))
+        for k, r in zip(rng.uniform(-1.5, 1.5, 12), rng.uniform(-2.0, 2.0, 12)):
+            out = legacy_Ln(x, DeformParams(k, r, relaxed=True), warn_outside_region=False)
+            assert (_bits(np.asarray(out)) == _bits(_former_legacy_Ln(x, k, r))).all()
+
+    @pytest.mark.parametrize("x_shape", [(5, 40), (5, 30001)])
+    def test_columns_of_k_r_and_q(self, x_shape):
+        # one parameter per row, as the sweep passes them
+        from entrokit.entropy import _tsallis_entropy_terms
+
+        rng = np.random.default_rng(23)
+        x = np.exp(rng.uniform(-5.0, 5.0, x_shape))
+        cols = SimpleNamespace(k=rng.uniform(0.05, 0.45, (5, 1)), r=rng.uniform(0.1, 2.0, (5, 1)))
+        out = legacy_Ln(x, cols, warn_outside_region=False)
+        assert (_bits(out) == _bits(_former_legacy_Ln(x, cols.k, cols.r))).all()
+        p, q = x / x.max(), rng.uniform(0.1, 2.9, (5, 1))
+        assert (_bits(_tsallis_entropy_terms(p, q)) == _bits(_former_tsallis_terms(p, q))).all()
+
+    def test_tsallis_entropy_terms(self):
+        from entrokit.entropy import _tsallis_entropy_terms
+
+        rng = np.random.default_rng(24)
+        p = rng.dirichlet(np.full(300, 0.3))[np.newaxis]
+        p = p[p > 0][np.newaxis]
+        for q in (0.1, 0.5, 1.5, 2.5, 1.0 + 1e-9):
+            assert (_bits(_tsallis_entropy_terms(p, q)) == _bits(_former_tsallis_terms(p, q))).all()
+
+    def test_invalid_x_raises_before_the_legacy_warning(self):
+        params = DeformParams(0.3, -0.8, relaxed=True)  # outside the legacy region
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError):
+                legacy_Ln(np.array([0.5, 0.0]), params)
 
 
 class TestConvexityWitnesses:

@@ -4,7 +4,7 @@ Wide sums are evaluated run by run, so their temporaries stay a few runs
 in size whatever the input size or layout; a kernel that builds even one
 temporary as large as its input fails these bounds. A Distribution, the
 copy of a caller's array or an array the library builds, and the output of
-ln_kr are their one full-size allocation.
+a deformed logarithm are their one full-size allocation.
 """
 
 import tracemalloc
@@ -15,8 +15,8 @@ import pytest
 from entrokit import Channel, DeformParams, Distribution, conditional_entropy
 from entrokit import conditional_entropy3
 from entrokit import divergence, divergence_literal, entropy, entropy_literal, fd_hessian
-from entrokit import kl_divergence, ln_kr, make_channel, make_distribution, make_joint2
-from entrokit import make_joint3, mutual_divergence, product, shannon_entropy
+from entrokit import kl_divergence, legacy_Ln, ln_kr, ln_q, make_channel, make_distribution
+from entrokit import make_joint2, make_joint3, mutual_divergence, product, shannon_entropy
 from entrokit import tsallis_divergence, tsallis_entropy
 
 PARAMS = DeformParams(0.25, 1.0)
@@ -142,6 +142,16 @@ def test_conditional_entropy_of_long_rows_stays_below_1_mib(spec):
 def test_ln_kr_of_a_million_points_allocates_its_output_and_under_1_mib():
     x = np.exp(np.random.default_rng(9).uniform(-12.0, 12.0, 1 << 20))
     assert _peak_mib(lambda: ln_kr(x, PARAMS)) < 8 + 1
+
+
+@pytest.mark.parametrize("log", [
+    lambda x: ln_q(x, 1.5),
+    lambda x: legacy_Ln(x, PARAMS, warn_outside_region=False),
+], ids=["ln_q", "legacy_Ln"])
+def test_every_deformed_log_of_a_million_points_allocates_its_output_and_under_1_mib(log):
+    # ln_q and legacy_Ln go through ln_kr's evaluator, one block at a time
+    x = np.exp(np.random.default_rng(9).uniform(-12.0, 12.0, 1 << 20))
+    assert _peak_mib(lambda: log(x)) < 8 + 1
 
 
 def test_a_million_cells_are_copied_and_checked_in_one_allocation():

@@ -239,6 +239,10 @@ class TestEngine:
         # an empty selection would report green over zero properties
         with pytest.raises(ConfigError):
             SweepConfig(properties=())
+        # and so would an empty name, which names no property
+        for properties in (("",), ("chain_rule", "")):
+            with pytest.raises(ConfigError, match="property names must be non-empty"):
+                SweepConfig(properties=properties)
 
     def test_numpy_integers_become_ints(self):
         cfg = SweepConfig(np.uint64(3), np.int64(1), properties=("chain_rule",))
