@@ -252,7 +252,7 @@ def verify_cmd(seed, trials, tol, properties, output, list_only):
         payload = [
             {"name": n, "anchor": a, "kind": kind} for n, a, kind in list_properties()
         ]
-        click.echo(json.dumps(payload, indent=2))
+        _write(json.dumps(payload, indent=2), output)
         return 0
     names = None if properties is None else tuple(s.strip() for s in properties.split(","))
     report = run_suite(SweepConfig(seed=seed, trials=trials, tol=tol, properties=names))

@@ -1,5 +1,16 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "EntrokitError",
+    "DomainError",
+    "ParamError",
+    "ValidationError",
+    "DimensionError",
+    "AbsoluteContinuityError",
+    "ConfigError",
+    "LegacyRegionWarning",
+]
+
 
 class EntrokitError(ValueError):
     """Base class for all entrokit errors."""

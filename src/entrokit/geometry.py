@@ -100,15 +100,9 @@ def fisher_metric(
     p: Distribution, params: DeformParams, convention: str = "derived"
 ) -> MetricDiagonal:
     """Diagonal metric A / p_i with A set by the convention."""
-    g = _diagonal(_full_support(p), params, convention)
+    g = metric_coefficient(params, convention) / _full_support(p)
     g.setflags(write=False)
     return MetricDiagonal(g, params, convention)
-
-
-def _diagonal(pv: np.ndarray, params: DeformParams, convention: str) -> np.ndarray:
-    """A / p_i for every entry of pv; any shape that broadcasts against
-    params.k and params.r."""
-    return metric_coefficient(params, convention) / pv
 
 
 def _fd_hessian_rows(p: np.ndarray, n: np.ndarray, k, h) -> np.ndarray:

@@ -58,7 +58,6 @@ from .entropy import (
 from .geometry import (
     CONVENTIONS,
     PotentialCoefficients,
-    _diagonal,
     _fd_hessian_rows,
     hessian_potential,
     metric_coefficient,
@@ -637,7 +636,7 @@ def _check_hessian_separability(draw, trial):
 def _check_metric_oracle_agreement(draw, trial):
     params, n, pv = _fd_base(draw)
     hess = _fd_hessian_rows(pv, n, params.k, 1e-4)
-    g = _diagonal(pv, params, "derived")
+    g = metric_coefficient(params, "derived") / pv
     live = np.arange(_FD_CAP) < n
     fd = np.where(live, np.diagonal(hess, axis1=1, axis2=2), g)  # the padding agrees exactly
     return fd, g, {"n": n, **params.fields}, (fd - g) / g
@@ -645,11 +644,17 @@ def _check_metric_oracle_agreement(draw, trial):
 
 @_property("metric_hessian_structure", "Theorem 5.1", "identity", 3 + VECTOR)
 def _check_metric_hessian_structure(draw, trial):
+    # The library's diagonal A / p against the second derivative of the
+    # divergence term (a - a^{1-2k} p^{2k}) / 2k at a = p, written with
+    # powers as (1-2k) p^{-2k-1} p^{2k}; the paper's form adds 4r / p.
     params = draw.params()
+    k = params.k
     n, p = _vector(draw, draw.size(floor=2))
     pv = np.where(p > 0, _interior(p, n), 1.0)  # the padding agrees exactly
-    lhs = np.hstack([_diagonal(pv, params, c) for c in CONVENTIONS])
-    rhs = np.hstack([metric_coefficient(params, c) / pv for c in CONVENTIONS])
+    lhs = np.hstack([metric_coefficient(params, c) / pv for c in CONVENTIONS])
+    derived = (1.0 - 2.0 * k) * pv ** (-2.0 * k - 1.0) * pv ** (2.0 * k)
+    second = {"derived": derived, "paper": derived + 4.0 * params.r / pv}
+    rhs = np.hstack([second[c] for c in CONVENTIONS])
     return lhs, rhs, {"n": n, **params.fields}
 
 
@@ -676,7 +681,7 @@ def _check_metric_positive_definite(draw, trial):
     params = draw.params()
     n, p = _vector(draw, draw.size(floor=2))
     p = np.where(trial == 0, np.where(p > 0, 1.0 / n, 0.0), _interior(p, n))  # uniform at trial 0
-    g = _diagonal(np.where(p > 0, p, 1.0), params, "derived")
+    g = metric_coefficient(params, "derived") / np.where(p > 0, p, 1.0)
     return np.where(p > 0, g, np.inf), 0.0, {"n": n, **params.fields}
 
 

@@ -349,6 +349,16 @@ class TestVerifyCommand:
         assert len(payload) >= 25
         assert {"name", "anchor", "kind"} == set(payload[0])
 
+    def test_list_to_output_file(self, capsys, tmp_path):
+        # --output takes the list as it takes a report: the file gets the
+        # JSON that bare --list prints, and stdout stays empty
+        _, listed, _ = run(capsys, "verify", "--list")
+        path = tmp_path / "list.json"
+        code, out, _ = run(capsys, "verify", "--list", "--output", str(path))
+        assert code == 0
+        assert out == ""
+        assert path.read_text() == listed
+
     def test_output_file(self, capsys, tmp_path):
         path = tmp_path / "report.json"
         code, out, _ = run(
@@ -484,22 +494,39 @@ class TestRoundTrip:
         assert out1 == out2
 
 
+LAYER_MODULES = ("deformed_log", "distributions", "entropy", "divergence", "geometry", "errors",
+                 "verify")
+ALIASES = ("joint_entropy", "conditional_entropy3")  # left out of entropy.__all__
+
+
 class TestImports:
-    @pytest.mark.parametrize("name", [
-        "deformed_log", "distributions", "entropy", "divergence", "geometry", "verify", "io", "cli",
-    ])
+    @pytest.mark.parametrize("name", [*LAYER_MODULES, "io", "cli"])
     def test_every_name_of_a_submodules_all_resolves(self, name):
         # perfbench's tracer wraps each layer's functions by these names and
         # skips a missing one without a word
         module = importlib.import_module(f"entrokit.{name}")
         assert [n for n in module.__all__ if not hasattr(module, n)] == []
 
+    def test_the_package_exports_what_its_layer_modules_declare(self):
+        # entrokit.__all__ is read from the modules' own lists, so no public
+        # name drifts out of the package, and each is the module's object
+        modules = [importlib.import_module(f"entrokit.{name}") for name in LAYER_MODULES]
+        declared = [n for m in modules for n in m.__all__] + list(ALIASES)
+        assert len(entrokit.__all__) == len(set(entrokit.__all__))
+        assert sorted(entrokit.__all__) == sorted(declared)
+        for m in modules:
+            assert [n for n in m.__all__ if getattr(entrokit, n) is not getattr(m, n)] == []
+        entropy_module = sys.modules["entrokit.entropy"]  # entrokit.entropy is the function
+        assert all(getattr(entrokit, n) is getattr(entropy_module, n) for n in ALIASES)
+
     def test_sweep_engine_loads_only_when_used(self):
         # the library and the CLI's other commands do not import the sweep
-        # engine; each name of entrokit.__all__ still resolves, and loads it
+        # engine; the names they leave unbound are verify's, and each name of
+        # entrokit.__all__ still resolves, and loads it
         code = (
             "import sys, entrokit, entrokit.cli\n"
             "print(sorted({'entrokit.verify', 'entrokit.properties'} & set(sys.modules)))\n"
+            "print([n for n in entrokit.__all__ if n not in vars(entrokit)])\n"
             "missing = [n for n in entrokit.__all__ if not hasattr(entrokit, n)]\n"
             "print(missing, 'entrokit.verify' in sys.modules)\n"
         )
@@ -509,7 +536,9 @@ class TestImports:
             [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
             capture_output=True, text=True, check=True,
         ).stdout
-        assert out.splitlines() == ["[]", "[] True"]
+        from entrokit import verify
+
+        assert out.splitlines() == ["[]", str(verify.__all__), "[] True"]
 
 
 # Each command's parameters in order: name, flags, type, required, default

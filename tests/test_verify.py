@@ -385,6 +385,20 @@ class TestEngine:
         (prop,) = run_suite(cfg).properties
         assert prop.fails == 200 and abs(prop.worst_slack) > 1e-3
 
+    def test_metric_hessian_structure_catches_a_wrong_coefficient(self, monkeypatch):
+        # a metric coefficient 1e-9 off, patched wherever a module binds it,
+        # moves the library's diagonal but not the divergence's second
+        # derivative that the property compares it with
+        cfg = SweepConfig(seed=0, trials=200, properties=("metric_hessian_structure",))
+        assert run_suite(cfg).all_passed
+        original = sys.modules["entrokit.geometry"].metric_coefficient
+        mutant = lambda params, convention="derived": original(params, convention) * (1 + 1e-9)
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "entrokit" and vars(module).get("metric_coefficient") is original:
+                monkeypatch.setattr(module, "metric_coefficient", mutant)
+        (prop,) = run_suite(cfg).properties
+        assert prop.fails == 200 and abs(prop.worst_slack) > 1e-10
+
     @pytest.mark.parametrize("start", [0, 3, 10**6])
     def test_uniforms_are_the_centred_top_52_bits(self, start):
         # the exponent-bit construction is (b + 1/2) 2^-52 of the top 52 bits
