@@ -17,7 +17,9 @@ counts) and the reports were recorded while fd_hessian still summed every
 displaced point of a 2n^2 + 1 row stencil exactly. The other sums were
 recorded while divergence sums cut each row in steps of 2^16 cells and
 tsallis_entropy summed its terms whole; the whole sweep's reports were
-recorded again with the conditional entropies. `python tests/test_golden.py`
+recorded again with the conditional entropies, and again when
+metric_hessian_structure came to check the metric against the divergence
+term's second derivative. `python tests/test_golden.py`
 rewrites the file and prints each key whose value it changes.
 They are compared only where numpy's elementary functions give the bits
 they gave where recorded.
