@@ -154,10 +154,12 @@ def _deformed(x, a, b):
     xv = _x_array(x)
     shape = np.broadcast(xv, a, b).shape
     out = np.empty_like(xv, shape=shape)  # laid out as x is, where x has its shape
-    # a scalar broadcasts as it is, and so does anything over one whole box
+    if out.size <= _LEAF:  # one box, the whole arrays
+        _ln_kr_into(out, xv, a, b)
+        return _maybe_scalar(out, x)
+    # a scalar broadcasts as it is, and so does a box's part of an array
     for _, _, index in _tiles(shape, _LEAF):
-        box = [v if index == (...,) or np.ndim(v) == 0 else np.broadcast_to(v, shape)[index]
-               for v in (xv, a, b)]
+        box = [v if np.ndim(v) == 0 else np.broadcast_to(v, shape)[index] for v in (xv, a, b)]
         _ln_kr_into(out[index], *box)
     return _maybe_scalar(out, x)
 

@@ -9,8 +9,10 @@ construction. Sums are checked to an absolute tolerance of 1e-9 so data
 can round-trip through decimal text formats.
 
 A caller's C-ordered array is copied and checked in one pass, one block
-of at most _LEAF cells at a time: each block is copied, and its minimum,
-maximum and sum are taken while it is in cache. The sum is numpy's
+of at most _LEAF cells at a time: each block is copied, and its minimum
+and sum are taken while it is in cache. Cells >= 0 that sum to 1 within
+SUM_TOL are finite (a +inf makes the sum inf), so the largest cell is
+looked at only to name the fault of an array that fails. The sum is numpy's
 pairwise np.sum bit for bit (_pairwise adds the block sums in numpy's
 tree), so no check moves; beyond its copy a Distribution allocates a few
 small objects. Any other layout is copied once into C order, then checked.
@@ -131,7 +133,7 @@ def _check_nonneg(a: np.ndarray, what: str):
 
 def _col(v, ndim: int) -> np.ndarray:
     """A scalar or one value per row, shaped to broadcast against a batch of ndim axes."""
-    return np.reshape(v, (-1,) + (1,) * (ndim - 1))
+    return np.asarray(v).reshape((-1,) + (1,) * (ndim - 1))
 
 
 def _copy_run(a: np.ndarray, start: int, stop: int) -> np.ndarray:
@@ -199,15 +201,21 @@ def _cells(a: np.ndarray):
     return functools.partial(_copy_run, a)
 
 
+def _whole(batches: tuple, n: int) -> tuple:
+    """The n cells of each row (axis 0) of equal-shaped batches as (T, n)
+    arrays: the one run of _runs when n <= _LEAF."""
+    return tuple(a(0, n) if callable(a) else a.reshape(len(a), n) for a in batches)
+
+
 def _runs(batches: tuple, n: int):
     """The n cells of each row (axis 0) of equal-shaped batches in C order,
-    as one tuple of (T, m) arrays per run: the whole rows when n <= _LEAF,
-    else the runs of _leaves(n). A batch is an array, whose whole rows are
-    reshaped and whose runs are views of a C-contiguous batch or copies of
-    its cells alone (_cells), or a run maker (start, stop) -> (T, stop -
-    start) array, as _cells returns."""
+    as one tuple of (T, m) arrays per run: the whole rows when n <= _LEAF
+    (_whole), else the runs of _leaves(n). A batch is an array, whose whole
+    rows are reshaped and whose runs are views of a C-contiguous batch or
+    copies of its cells alone (_cells), or a run maker (start, stop) -> (T,
+    stop - start) array, as _cells returns."""
     if n <= _LEAF:
-        yield tuple(a(0, n) if callable(a) else a.reshape(len(a), n) for a in batches)
+        yield _whole(batches, n)
         return
     cells = [a if callable(a) else _cells(a) for a in batches]
     for start, stop in _leaves(n):
@@ -220,8 +228,12 @@ def _rowsum(a: np.ndarray, terms=None, *args) -> np.ndarray:
     works cell by cell on a (T, cells) array; args are scalars or (T, 1)
     columns. A row of more than _LEAF cells is evaluated and summed one run
     at a time (_runs), in numpy's pairwise tree, so no array as large as
-    the row is built."""
+    the row is built; a row of at most _LEAF cells is one run, summed
+    without the walker."""
     n = math.prod(a.shape[1:])
+    if n <= _LEAF:
+        run = a.reshape(len(a), n)
+        return (run if terms is None else terms(run, *args)).sum(axis=1)[:, np.newaxis]
     sums = ((run if terms is None else terms(run, *args)).sum(axis=1) for run, in _runs((a,), n))
     return _pairwise(sums, n)[:, np.newaxis]
 
@@ -234,16 +246,23 @@ def _check_sums(totals: np.ndarray) -> None:
 
 def _check_rows(p: np.ndarray):
     """A Distribution's checks on each row (axis 0) of a batch of probability
-    arrays, in one pass over the batch; returns the batch's smallest entry."""
-    lo = _check_nonneg(p, "probability")
-    _check_sums(_rowsum(p)[:, 0])  # strided rows are summed run by run, not copied
+    arrays; returns the batch's smallest entry. Its minimum and row sums
+    decide: entries >= 0 whose rows sum to 1 are finite, so the fuller
+    _check_nonneg runs only to name the fault of a batch that fails."""
+    lo = p.min() if p.size else math.nan  # nan makes it nan
+    if not lo >= 0:
+        _check_nonneg(p, "probability")  # raises: empty, nan, -inf or < 0
+    totals = _rowsum(p)[:, 0]  # strided rows are summed run by run, not copied
+    if not np.abs(totals - 1.0).max() <= SUM_TOL:
+        _check_nonneg(p, "probability")  # raises for +inf, whose row sums to inf
+        _check_sums(totals)
     return lo
 
 
 def _copy_checked(a: np.ndarray) -> tuple[np.ndarray, object]:
     """A read-only copy of the C-contiguous, non-empty a and its smallest
     entry, checked as _check_rows checks it, in one pass of blocks: each run
-    of _leaves is copied, then its min, max and np.sum are taken in cache."""
+    of _leaves is copied, then its min and np.sum are taken in cache."""
     p = np.empty_like(a)
     src, dst = a.reshape(-1), p.reshape(-1)
     lo, bad = math.inf, False
@@ -252,13 +271,13 @@ def _copy_checked(a: np.ndarray) -> tuple[np.ndarray, object]:
         nonlocal lo, bad
         run = dst[start:stop]
         run[...] = src[start:stop]
-        least, most = run.min(), run.max()
-        bad = bad or not (0 <= least and most < math.inf)  # nan fails too
+        least = run.min()
+        bad = bad or not 0 <= least  # nan fails too
         lo = min(lo, least)
         return run.sum()
 
     total = _pairwise((run_sum(*run) for run in _leaves(p.size)), p.size)
-    if bad or not abs(total - 1.0) <= SUM_TOL:
+    if bad or not abs(total - 1.0) <= SUM_TOL:  # +inf makes the total inf
         _check_rows(p[np.newaxis])  # raises the check's own message
     p.setflags(write=False)
     return p, lo

@@ -41,6 +41,7 @@ import numpy as np
 
 from .deformed_log import DeformParams, _finite_real, ln_kr, ln_q
 from .distributions import (
+    _LEAF,
     Distribution,
     _as_float_array,
     _check_sums,
@@ -49,6 +50,7 @@ from .distributions import (
     _pairwise,
     _runs,
     _span,
+    _whole,
     product,
 )
 from .errors import AbsoluteContinuityError, DimensionError, DomainError, ParamError
@@ -192,10 +194,11 @@ def _sum_terms(terms, cells: tuple, *args) -> np.ndarray:
     taken as rows of cells in C order, or run makers (distributions._runs);
     args are scalars or (T, 1) columns, handed over as they are. terms works
     cell by cell, so it may get any range of cells of every row at once: it
-    gets the runs of distributions._runs. A narrow row is summed as a list;
-    a wide one run by run, each run reduced exactly by binary exponent
-    before the next is made (_exact_parts), so no array as large as the row
-    is built.
+    gets the runs of distributions._runs. A narrow row is summed as a list,
+    its terms taken at once where it is one run (every sweep batch's); a
+    wide one run by run, each run reduced exactly by binary exponent before
+    the next is made (_exact_parts), so no array as large as the row is
+    built.
     """
     rows, width = len(cells[0]), math.prod(cells[0].shape[1:])
 
@@ -204,9 +207,11 @@ def _sum_terms(terms, cells: tuple, *args) -> np.ndarray:
 
     parts = _exact_parts(chunks(), rows, width) if width >= _EXACT_MIN else None
     if parts is None:
-        runs = [*chunks()]
-        parts = (runs[0] if len(runs) == 1 else np.concatenate(runs, axis=1)).tolist()
-    return np.array([math.fsum(row) for row in parts])[:, np.newaxis]
+        if width <= _LEAF:  # one run, without the walker
+            parts = terms(*_whole(cells, width), *args).tolist()
+        else:
+            parts = np.concatenate([*chunks()], axis=1).tolist()
+    return np.array(list(map(math.fsum, parts)))[:, np.newaxis]
 
 
 def _fsum_rows(a: np.ndarray) -> np.ndarray:

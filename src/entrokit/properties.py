@@ -44,7 +44,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .deformed_log import legacy_Ln, legacy_u, ln_kr
-from .distributions import _check_rows, _col, _rowsum
+from .distributions import _check_rows, _rowsum
 from .divergence import _divergence_literal_rows, _divergence_rows, _kl_rows, _log_sum_rows
 from .entropy import (
     AXIS_LETTERS,
@@ -154,9 +154,10 @@ class _Draw:
     def uniform(self, lo, hi, *shape: int) -> np.ndarray:
         return lo + (hi - lo) * self.take(*shape)
 
-    def size(self, cap: int = SIZE_RANGE[1], floor: int = SIZE_RANGE[0]) -> np.ndarray:
-        """A (T, 1) column of integers uniform on floor..cap."""
-        return floor + (self.take() * (cap - floor + 1)).astype(np.int64)
+    def size(self, cap=SIZE_RANGE[1], floor: int = SIZE_RANGE[0]) -> np.ndarray:
+        """A (T, 1) column of integers uniform on floor..cap; for an array
+        of caps, (T, len(cap)) columns, each on floor..its cap, in turn."""
+        return floor + (self.take(*np.shape(cap)) * (cap - floor + 1)).astype(np.int64)
 
     def exponential(self, *shape: int) -> np.ndarray:
         e = np.log(self.take(*shape))
@@ -167,25 +168,39 @@ class _Draw:
         return radius * np.cos(2.0 * np.pi * self.take(*shape))
 
     def params(self) -> _Params:
-        return _Params(self.uniform(*K_RANGE), self.uniform(*R_RANGE))
+        k_r = self.uniform(*_PARAM_RANGE, 2)  # k, then r
+        return _Params(k_r[:, :1], k_r[:, 1:])
+
+
+_PARAM_RANGE = np.array([K_RANGE, R_RANGE]).T  # (lo, hi) rows of (k, r)
+
+
+@functools.cache
+def _grid(shape: tuple[int, ...]) -> np.ndarray:
+    """(ndim, cells) indices on each axis of the cells of a C-ordered array
+    of `shape`; made once per shape, and read-only."""
+    grid = np.indices(shape).reshape(len(shape), -1)
+    grid.setflags(write=False)
+    return grid
 
 
 def _mask(sizes: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """(T, *shape) mask of each trial's cells, given its (T, ndim) sizes."""
-    mask = np.ones((len(sizes),) + shape, dtype=bool)
-    for axis, cap in enumerate(shape):
-        index = np.arange(cap).reshape([cap if a == axis else 1 for a in range(len(shape))])
-        mask &= index < _col(sizes[:, axis], len(shape) + 1)
-    return mask
+    """(T, *shape) mask of each trial's cells, given its (T, ndim) sizes;
+    made as (T, cells) rows, whose comparisons run contiguously."""
+    grid = _grid(shape)
+    mask = grid[0] < sizes[:, :1]
+    for axis in range(1, len(shape)):
+        mask &= grid[axis] < sizes[:, axis : axis + 1]
+    return mask.reshape(len(sizes), *shape)
 
 
 def _simplex(e: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """Each trial's exponentials inside its sizes, normalized: a uniform
     point of its simplex (flat Dirichlet), zero-padded and validated."""
-    p = np.where(_mask(sizes, e.shape[1:]), e, 0.0)
-    p /= _col(_rowsum(p), p.ndim)
+    p = np.where(_mask(sizes, e.shape[1:]), e, 0.0).reshape(len(e), -1)
+    p /= _rowsum(p)
     _check_rows(p)
-    return p
+    return p.reshape(e.shape)
 
 
 def _vector(draw: _Draw, n=None) -> tuple[np.ndarray, np.ndarray]:
@@ -350,7 +365,7 @@ def _law_side(side: str):
 def _joint(draw: _Draw, shape: tuple[int, ...], trial: np.ndarray, case=None):
     """(T, ndim) support sizes and random joints zero-padded to `shape`; trial
     0 draws the equality `case(sizes, e)` instead, when one is given."""
-    sizes = np.hstack([draw.size(cap) for cap in shape])
+    sizes = draw.size(np.array(shape))
     e = draw.exponential(*shape)
     p = _simplex(e, sizes)
     if case is not None and trial[0, 0] == 0:  # trial 0 only ever leads a batch

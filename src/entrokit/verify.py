@@ -10,7 +10,8 @@ stream keyed by (master seed, property name), and trial t owns the block
 of the property's `width` uniforms at counter t * width / 4. So a trial is
 replayed from (seed, property, trial) alone: `run_single` regenerates its
 block and runs the same batched check on a batch of one, and reports do
-not depend on chunking or order.
+not depend on chunking or order. Trials run from 0 to 2^63 - 1, and each
+thread re-keys one generator of its own for every batch.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import hashlib
 import itertools
 import json
 import operator
+import threading
 from dataclasses import asdict, dataclass
 from numbers import Real
 from typing import NamedTuple
@@ -52,6 +54,8 @@ __all__ = [
 
 TRIAL_CHUNK = 256  # trials per batch; larger batches gain little speed and hold more memory
 MAX_RECORDED_FAILURES = 10
+# Trials run from 0 to TRIAL_LIMIT - 1: the trial column is int64.
+TRIAL_LIMIT = 2**63
 
 
 @dataclass(frozen=True)
@@ -68,6 +72,8 @@ class SweepConfig:
         object.__setattr__(self, "trials", _integer("trials", self.trials))
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
+        if self.trials > TRIAL_LIMIT:
+            raise ConfigError(f"trials must be <= 2**63, got {self.trials}")
         if not (0 <= self.seed < 2**64):
             raise ConfigError("seed must be a 64-bit unsigned integer")
         tol = self.tol
@@ -167,12 +173,20 @@ class Outcome(NamedTuple):
 def _outcome(kind: str, lhs, rhs, fields: dict, slack=None) -> Outcome:
     """Each trial's worst element of its lhs row against its rhs row, as
     (T,) columns: by the check's own slack where it gives one, else by the
-    kind's slack rule."""
+    kind's slack rule. Each side is a (T, m) row, a (T, 1) column or a
+    scalar, which stand for their broadcast to the slack's shape."""
     rule = _KINDS[kind]
-    lv, rv = np.broadcast_arrays(np.asarray(lhs, dtype=float), rhs)
-    s = rule.slack(lv, rv) if slack is None else slack
-    worst = np.argmax(rule.shortfall(s), axis=1)[:, None]
-    return Outcome(*(np.take_along_axis(a, worst, axis=1)[:, 0] for a in (lv, rv, s)), fields)
+    lv = np.asarray(lhs, dtype=float)
+    s = rule.slack(lv, rhs) if slack is None else slack
+    rows, worst = np.arange(len(s)), np.argmax(rule.shortfall(s), axis=1)
+
+    def pick(a):
+        a = np.asarray(a)
+        if a.ndim == 0:
+            return np.full(len(rows), a)
+        return a[rows, worst] if a.shape[1] > 1 else a[:, 0]
+
+    return Outcome(pick(lv), pick(rhs), pick(s), fields)
 
 
 # ---------------------------------------------------------------------------
@@ -185,10 +199,34 @@ def _key(seed: int, name: str) -> int:
     return int.from_bytes(h.digest(), "big")
 
 
+# One Philox generator per thread, re-keyed for every batch: constructing
+# one draws a throwaway seed from the OS, several times the cost of setting
+# its state; a generator shared between threads would interleave streams.
+_PHILOX = threading.local()
+_WORD = 2**64 - 1
+
+
 def _uniforms(key: int, width: int, start: int, count: int) -> np.ndarray:
     """(count, width) uniforms in (0, 1) of trials start .. start + count - 1;
     the row of trial t is its own block, from counter t * width / 4."""
-    raw = np.random.Philox(key=key, counter=start * width // 4).random_raw((count, width))
+    gen = getattr(_PHILOX, "gen", None)
+    if gen is None:
+        gen = _PHILOX.gen = np.random.Philox()
+    counter = start * width // 4
+    # the state of a fresh Philox(key=key, counter=counter): key and counter
+    # as little-endian 64-bit words, and an empty output buffer
+    gen.state = {
+        "bit_generator": "Philox",
+        "state": {
+            "counter": [counter >> shift & _WORD for shift in (0, 64, 128, 192)],
+            "key": [key & _WORD, key >> 64],
+        },
+        "buffer": [0, 0, 0, 0],
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    raw = gen.random_raw((count, width))
     # the top 52 bits b as the mantissa of 1 + b 2^-52, less 1 - 2^-53: exactly
     # (b + 1/2) 2^-52 (Sterbenz), centred so that no draw is 0 or 1
     raw >>= np.uint64(12)
@@ -240,7 +278,8 @@ class _Chunk(NamedTuple):
 def _evaluate(spec: PropertySpec, config: SweepConfig, start: int, count: int) -> _Chunk:
     """Trials start .. start + count - 1 of one property, as one batch."""
     u = _uniforms(_key(config.seed, spec.name), spec.width, start, count)
-    out = _outcome(spec.kind, *spec.fn(_Draw(u), np.arange(start, start + count)[:, None]))
+    trial = np.arange(count, dtype=np.int64)[:, None] + start  # int64 below TRIAL_LIMIT
+    out = _outcome(spec.kind, *spec.fn(_Draw(u), trial))
     # a config tolerance overrides the property's
     passed = _KINDS[spec.kind].shortfall(out.slack) <= (config.tol or spec.tol)
     return _Chunk(spec.name, config.seed, start, out, passed)
@@ -261,15 +300,20 @@ def run_single(config: SweepConfig, name: str, trial: int) -> CheckResult:
     trial = _integer("trial", trial)
     if trial < 0:
         raise ConfigError(f"trial must be >= 0, got {trial}")
+    if trial >= TRIAL_LIMIT:
+        raise ConfigError(f"trial must be < 2**63, got {trial}")
     return _evaluate(spec, config, trial, 1).result(0)
 
 
 def _aggregate(spec: PropertySpec, chunks) -> PropertyReport:
     chunks = list(chunks)
-    slack = np.concatenate([c.out.slack for c in chunks])
-    passes = sum(int(c.passed.sum()) for c in chunks)
-    failed = ((c, i) for c in chunks for i in np.flatnonzero(~c.passed))
-    failures = [c.result(i) for c, i in itertools.islice(failed, MAX_RECORDED_FAILURES)]
+    slack = chunks[0].out.slack if len(chunks) == 1 else np.concatenate(
+        [c.out.slack for c in chunks])
+    passes = sum(int(np.count_nonzero(c.passed)) for c in chunks)
+    failures = []
+    if passes < len(slack):
+        failed = ((c, i) for c in chunks for i in np.flatnonzero(~c.passed))
+        failures = [c.result(i) for c, i in itertools.islice(failed, MAX_RECORDED_FAILURES)]
     return PropertyReport(
         name=spec.name,
         anchor=spec.anchor,

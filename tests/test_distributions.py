@@ -23,7 +23,7 @@ from entrokit import (
     sample_distribution,
 )
 from entrokit import io as eio
-from entrokit.distributions import _LEAF, _leaves, _rowsum, _runs, _tiles
+from entrokit.distributions import _LEAF, _check_rows, _leaves, _rowsum, _runs, _tiles
 
 
 class TestMakeDistribution:
@@ -475,6 +475,24 @@ class TestCopyAndCheck:
             with pytest.raises(ValidationError) as err:
                 build(a)
             assert str(err.value) == message
+
+    @pytest.mark.parametrize("cells, message", [
+        ([0.5, np.nan, 0.5], "probability entries must be finite"),
+        ([0.5, np.inf, 0.5], "probability entries must be finite"),
+        ([0.5, -np.inf, 0.5], "probability entries must be finite"),
+        ([0.5, -0.25, 0.75], "probability entries must be >= 0"),
+        ([1e308, 1e308, 0.0], "probabilities sum to inf, expected 1"),
+    ])
+    def test_no_scan_for_the_largest_cell_moves_a_message(self, cells, message):
+        # cells >= 0 that sum to 1 are finite: +inf makes its sum inf, and
+        # finite cells whose sum overflows keep the sum's message
+        batch = np.full((3, 3), 1 / 3)
+        batch[1] = cells
+        builds = [(make_distribution, cells), (make_joint2, [cells, cells]), (_check_rows, batch)]
+        for build, data in builds:
+            with np.errstate(over="ignore"), pytest.raises(ValidationError) as err:
+                build(data)
+            assert str(err.value) == message, build
 
     @pytest.mark.parametrize("data", [[], np.zeros((0, 3)), np.zeros((2, 0))])
     def test_empty_raises_its_message(self, data):

@@ -4,6 +4,8 @@ determinism, order independence, and failure reporting."""
 import itertools
 import json
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -35,7 +37,7 @@ from entrokit.entropy import (
     _spec_axes,
     _spec_view,
 )
-from entrokit.properties import JOINT3, K_RANGE, R_RANGE, SIZE_RANGE, _law_side
+from entrokit.properties import _KINDS, JOINT3, K_RANGE, R_RANGE, SIZE_RANGE, _law_side
 from entrokit.verify import (
     _REGISTRY,
     IDENTITY_TOL,
@@ -43,6 +45,7 @@ from entrokit.verify import (
     TRIAL_CHUNK,
     _chunks,
     _key,
+    _outcome,
     _uniforms,
 )
 
@@ -139,8 +142,6 @@ class TestEngine:
     def test_concurrent_trials_match_sequential(self):
         # trials are pure functions of (seed, property, trial), so running
         # them across threads must reproduce the sequential batch
-        from concurrent.futures import ThreadPoolExecutor
-
         cfg = SweepConfig(seed=9, trials=16, properties=("chain_rule",))
         with ThreadPoolExecutor(max_workers=4) as pool:
             results = list(
@@ -405,9 +406,151 @@ class TestEngine:
         # b of each Philox draw, bit for bit, at every registered width
         for width in sorted({s.width for s in _REGISTRY.values()}):
             key = _key(7, f"width {width}")
-            raw = np.random.Philox(key=key, counter=start * width // 4).random_raw((5, width))
-            want = ((raw >> np.uint64(12)).astype(float) + 0.5) * 2.0**-52
-            assert _uniforms(key, width, start, 5).tobytes() == want.tobytes()
+            assert _uniforms(key, width, start, 5).tobytes() == _fresh(key, width, start, 5)
+
+    def test_uniforms_match_a_fresh_philox_from_four_threads(self):
+        # the re-keyed generator of each thread against a Philox constructed
+        # for the block, at counters that carry into every word of the
+        # counter, for random 128-bit keys and the properties' own, run by
+        # four threads at once on four properties of different widths
+        rng = np.random.default_rng(2024)
+        counters = [0, 2**64 - 1, 2**64, 2**128, 2**192,
+                    int.from_bytes(rng.bytes(32), "little") >> 6]  # 250 bits
+        keys = [int.from_bytes(rng.bytes(16), "little") for _ in range(4)]
+        names = ["chain_rule", "information_monotonicity", "kl_limit", "potential_curvature"]
+        assert len({_REGISTRY[n].width for n in names}) == 4
+        barrier = threading.Barrier(len(names))
+
+        def check(name):
+            width = _REGISTRY[name].width
+            barrier.wait()
+            misses = []
+            for _ in range(5):
+                for key in keys + [_key(3, name)]:
+                    for counter in counters:
+                        # width 4 reads from the counter itself
+                        for w, start in ((4, counter), (width, counter // (width // 4))):
+                            if _uniforms(key, w, start, 3).tobytes() != _fresh(key, w, start, 3):
+                                misses.append((key, w, start))
+            return misses
+
+        with ThreadPoolExecutor(max_workers=len(names)) as pool:
+            assert list(pool.map(check, names)) == [[]] * len(names)
+
+    @pytest.mark.parametrize("kind", ["identity", "inequality"])
+    def test_outcome_picks_what_take_along_axis_picks(self, kind):
+        # random (T, m) rows of a few values, so that rows tie and hold
+        # +-inf, against the broadcast and take_along_axis form, with each
+        # side a row, a column or a scalar, and with a slack of the check's own
+        rng = np.random.default_rng(5)
+        values = np.array([-np.inf, -1.0, -0.0, 0.0, 1e-300, 1.0, 2.0, np.inf])
+
+        def rows(m):
+            return rng.choice(values, size=(40, m))
+
+        cases = [(rows(7), rows(7)), (rows(7), rows(1)), (rows(1), rows(7)), (rows(7), 0.0),
+                 (rows(1), 1.0), (rows(1), rows(1))]
+        with np.errstate(invalid="ignore"):
+            for lhs, rhs in cases:
+                slacks = [None, rng.standard_normal(np.broadcast(lhs, rhs).shape)]
+                for slack in slacks:
+                    got = _outcome(kind, lhs, rhs, {}, slack)[:3]
+                    want = _take_along_axis_outcome(kind, lhs, rhs, slack)
+                    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
+def _fresh(key, width, start, count):
+    """The bytes of the uniforms of a Philox constructed for the block."""
+    raw = np.random.Philox(key=key, counter=start * width // 4).random_raw((count, width))
+    return (((raw >> np.uint64(12)).astype(float) + 0.5) * 2.0**-52).tobytes()
+
+
+def _take_along_axis_outcome(kind, lhs, rhs, slack=None):
+    """_outcome's (T,) lhs, rhs and slack, as picked over broadcast arrays."""
+    rule = _KINDS[kind]
+    lv, rv = np.broadcast_arrays(np.asarray(lhs, dtype=float), rhs)
+    s = rule.slack(lv, rv) if slack is None else slack
+    worst = np.argmax(rule.shortfall(s), axis=1)[:, None]
+    return [np.take_along_axis(a, worst, axis=1)[:, 0] for a in (lv, rv, s)]
+
+
+class TestTrialRange:
+    """Trials run from 0 to 2^63 - 1, the range of the int64 trial column."""
+
+    def test_trials_beyond_the_column_are_rejected(self):
+        cfg = SweepConfig(seed=0, trials=10)
+        for name, trial in (("information_monotonicity", 2**63 + 1),
+                            ("information_monotonicity", 2**63), ("chain_rule", 2**260)):
+            with pytest.raises(ConfigError, match=r"trial must be < 2\*\*63"):
+                run_single(cfg, name, trial)
+        with pytest.raises(ConfigError, match=r"trials must be <= 2\*\*63"):
+            SweepConfig(trials=2**63 + 1)
+        assert SweepConfig(trials=2**63).trials == 2**63
+
+    def test_the_last_trials_keep_their_parity(self):
+        # odd trials draw deterministic channels, even ones random channels
+        cfg = SweepConfig(seed=0, trials=10)
+        for trial in (2**62 + 1, 2**63 - 1):
+            digest = run_single(cfg, "information_monotonicity", trial).instance_digest
+            assert "channel=deterministic" in digest, trial
+        for trial in (2**62, 2**63 - 2):
+            digest = run_single(cfg, "information_monotonicity", trial).instance_digest
+            assert "channel=random" in digest, trial
+
+
+# Properties that sum entropies over rows of more than 2^4 cells with numpy's
+# pairwise tree, which runs of 2^4 cells regroup.
+_REGROUPED_AT_LEAF_16 = {
+    "chain_rule", "conditional_reduces_entropy", "joint_monotonicity",
+    "entropy_pseudo_additivity", "subadditivity", "conditional_comparison",
+    "strong_subadditivity", "corollary_3_7", "corollary_3_8",
+    "conditional_joint_monotonicity", "mutual_entropy_consistency",
+}
+
+
+class TestOneRunPaths:
+    """Every sweep batch has at most _LEAF cells a row, one run, which
+    _rowsum, _sum_terms and _deformed take without the run walker. With
+    _LEAF patched to 2^4 in every entrokit module that binds it, the same
+    batches go through the walker and must give the same bits."""
+
+    @staticmethod
+    def _small_leaf(monkeypatch):
+        patched = 0
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "entrokit" and "_LEAF" in vars(module):
+                monkeypatch.setattr(module, "_LEAF", 2**4)
+                patched += 1
+        assert patched >= 4  # distributions, deformed_log, entropy, divergence
+
+    def test_properties_agree(self, monkeypatch):
+        cfg = SweepConfig(seed=6, trials=40)
+        names = [n for n in _REGISTRY if n not in _REGROUPED_AT_LEAF_16]
+        one_run = {n: _rows(cfg, n) for n in names}
+        self._small_leaf(monkeypatch)
+        for name in names:
+            assert _rows(cfg, name) == one_run[name], name
+
+    @pytest.mark.parametrize("width", [1, 15, 16, 17, 19, 201, 256, 512])
+    def test_kernels_agree(self, monkeypatch, width):
+        from entrokit.deformed_log import _deformed
+        from entrokit.distributions import _rowsum
+
+        rng = np.random.default_rng(width)
+        p = rng.random((25, width)) * (rng.random((25, width)) < 0.7)
+        q = rng.random((25, width)) + 0.1
+        k = rng.uniform(0.05, 0.45, (25, 1))
+        # multiples of 2^-20 below 1, whose every partial sum is exact
+        dyadic = np.floor(p * 2**20) / 2**20
+
+        def kernels():
+            return [_divergence_rows(p, q, k), _kl_rows(p, q),
+                    _deformed(q, -k, 2.0 * k), _deformed(q.reshape(25, width, 1), 0.5, k[:, None]),
+                    _rowsum(dyadic), _rowsum(dyadic, lambda run, c: run * c, 2.0 ** -np.arange(25)[:, None])]
+
+        one_run = [a.tobytes() for a in kernels()]
+        self._small_leaf(monkeypatch)
+        assert [a.tobytes() for a in kernels()] == one_run
 
 
 class TestReportShape:
