@@ -28,6 +28,8 @@ from entrokit import (
     sample_distribution,
     shannon_entropy,
 )
+from entrokit.deformed_log import _deformed
+from entrokit.distributions import _rowsum
 from entrokit.divergence import _divergence_literal_rows, _divergence_rows, _kl_rows
 from entrokit.entropy import (
     _conditional_rows,
@@ -533,9 +535,6 @@ class TestOneRunPaths:
 
     @pytest.mark.parametrize("width", [1, 15, 16, 17, 19, 201, 256, 512])
     def test_kernels_agree(self, monkeypatch, width):
-        from entrokit.deformed_log import _deformed
-        from entrokit.distributions import _rowsum
-
         rng = np.random.default_rng(width)
         p = rng.random((25, width)) * (rng.random((25, width)) < 0.7)
         q = rng.random((25, width)) + 0.1
@@ -543,10 +542,12 @@ class TestOneRunPaths:
         # multiples of 2^-20 below 1, whose every partial sum is exact
         dyadic = np.floor(p * 2**20) / 2**20
 
+        scale = 2.0 ** -np.arange(25)[:, None]
+
         def kernels():
             return [_divergence_rows(p, q, k), _kl_rows(p, q),
                     _deformed(q, -k, 2.0 * k), _deformed(q.reshape(25, width, 1), 0.5, k[:, None]),
-                    _rowsum(dyadic), _rowsum(dyadic, lambda run, c: run * c, 2.0 ** -np.arange(25)[:, None])]
+                    _rowsum(dyadic), _rowsum(dyadic, lambda run, c: run * c, scale)]
 
         one_run = [a.tobytes() for a in kernels()]
         self._small_leaf(monkeypatch)

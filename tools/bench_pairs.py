@@ -120,7 +120,8 @@ def main(argv=None) -> int:
 
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         dirs = {side: Path(tmp) / side for side in SIDES}
-        revs = {side: unpack(rev, dirs[side]) for side, rev in zip(SIDES, (args.parent, args.change))}
+        revs = {side: unpack(rev, dirs[side])
+                for side, rev in zip(SIDES, (args.parent, args.change))}
         spec = json.loads((dirs["change"] / "BENCHMARK.json").read_text())
         out = {
             # perfbench's digest of each side's src/, as its runs report it
@@ -157,10 +158,9 @@ def main(argv=None) -> int:
                                            "summary": summarize(runs, spec["end_to_end"]),
                                            "operations": operations(runs)}
         for workload, _, _ in args.plan:
-            out["per_layer"][workload] = {
-                side: bench(dirs[side], workload, args.trace_seed, args.trace_seconds, 1)[0]["metrics"]
-                for side in SIDES
-            }
+            traced = {side: bench(dirs[side], workload, args.trace_seed, args.trace_seconds, 1)
+                      for side in SIDES}
+            out["per_layer"][workload] = {side: traced[side][0]["metrics"] for side in SIDES}
     args.out.write_text(json.dumps(out, indent=1) + "\n")
     return 0
 
