@@ -425,7 +425,7 @@ class TestEngine:
 
         def check(name):
             width = _REGISTRY[name].width
-            barrier.wait()
+            barrier.wait(timeout=60)
             misses = []
             for _ in range(5):
                 for key in keys + [_key(3, name)]:
