@@ -181,12 +181,8 @@ def _in_row(shape: tuple[int, ...], r: int, start: int, stop: int):
 
 def _tiles(shape: tuple[int, ...], size: int):
     """(start, stop, index) of boxes of at most `size` >= 1 cells that tile
-    the C-ordered grid `shape` in order: the _span of each run of `size`, or
-    one box, index (...,), when the grid has at most `size` cells."""
+    the C-ordered grid `shape` in order: the _span of each run of `size`."""
     n = math.prod(shape)
-    if n <= size:
-        yield 0, n, (...,)
-        return
     for start in range(0, n, size):
         yield from _span(shape, start, min(start + size, n))
 

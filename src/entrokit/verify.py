@@ -307,13 +307,10 @@ def run_single(config: SweepConfig, name: str, trial: int) -> CheckResult:
 
 def _aggregate(spec: PropertySpec, chunks) -> PropertyReport:
     chunks = list(chunks)
-    slack = chunks[0].out.slack if len(chunks) == 1 else np.concatenate(
-        [c.out.slack for c in chunks])
+    slack = np.concatenate([c.out.slack for c in chunks])
     passes = sum(int(np.count_nonzero(c.passed)) for c in chunks)
-    failures = []
-    if passes < len(slack):
-        failed = ((c, i) for c in chunks for i in np.flatnonzero(~c.passed))
-        failures = [c.result(i) for c, i in itertools.islice(failed, MAX_RECORDED_FAILURES)]
+    failed = ((c, i) for c in chunks for i in np.flatnonzero(~c.passed))
+    failures = [c.result(i) for c, i in itertools.islice(failed, MAX_RECORDED_FAILURES)]
     return PropertyReport(
         name=spec.name,
         anchor=spec.anchor,

@@ -1,7 +1,6 @@
 """Tests for the probability data model, samplers, and JSON/CSV round trips."""
 
 import json
-import math
 
 import numpy as np
 import pytest
@@ -23,7 +22,7 @@ from entrokit import (
     sample_distribution,
 )
 from entrokit import io as eio
-from entrokit.distributions import _LEAF, _check_rows, _leaves, _rowsum, _runs, _tiles
+from entrokit.distributions import _LEAF, _check_rows, _leaves, _rowsum, _runs
 
 
 class TestMakeDistribution:
@@ -411,12 +410,6 @@ def test_a_run_maker_gives_the_runs_of_its_array(n):
     for (x, y), (x0, y0) in zip(got, want):
         assert x.shape == y.shape == y0.shape
         assert (x == x0).all() and (y == y0).all()
-
-
-@pytest.mark.parametrize("shape", [(), (1,), (7,), (3, 5), (2, 3, 4)])
-def test_a_grid_within_one_tile_is_one_box(shape):
-    n = math.prod(shape)
-    assert [*_tiles(shape, n)] == [*_tiles(shape, n + 5)] == [(0, n, (...,))]
 
 
 def _strided(a):

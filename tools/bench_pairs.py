@@ -1,17 +1,18 @@
 """Alternating benchmark pairs of two commits, written as one BENCH_<pr>.json.
 
-    python3 tools/bench_pairs.py --parent REV [--change REV] --out BENCH_<pr>.json \
-        [--seed N] [--trace-seconds S] [--note TEXT ...] WORKLOAD:PAIRS:SECONDS ...
+    python3 tools/bench_pairs.py --parent REV --out BENCH_<pr>.json [--seed N] \
+        WORKLOAD:PAIRS:SECONDS ...
 
 for example `tools/bench_pairs.py --parent HEAD~1 --out BENCH_20.json
-sweep:10:30 bulk:5:20`. Each side is the committed tree of its revision,
-unpacked with `git archive` into a temporary directory: both sides run
+sweep:10:30 bulk:5:20`. The change side is HEAD. Each side is the committed
+tree of its revision, unpacked with `git archive` into a temporary directory: both sides run
 exactly what their commit holds, as fresh checkouts, and nothing is left
 in the repository. For each WORKLOAD:PAIRS:SECONDS, pair i runs
 `perfbench/run.py --workload WORKLOAD --seed N+i --seconds SECONDS` once
 on each side, the parent first in even pairs and the change first in odd
 ones, so a drift in the host's load favours neither side. Then each side
-runs `--trace 1` once per workload, for the per-layer view.
+runs `--trace 1` once per workload (seed TRACE_SEED, TRACE_SECONDS long),
+for the per-layer view.
 
 The file holds, per workload, every run of each side; per end-to-end
 metric of BENCHMARK.json, each side's median and quartiles over its runs
@@ -32,6 +33,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("parent", "change")
+TRACE_SEED = 7
+TRACE_SECONDS = 10.0
 
 
 def quartiles(values: list[float]) -> dict:
@@ -109,19 +112,15 @@ def parse_plan(text: str) -> tuple[str, int, float]:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     ap.add_argument("--parent", required=True, help="revision of the parent side")
-    ap.add_argument("--change", default="HEAD", help="revision of the change side")
     ap.add_argument("--out", required=True, type=Path, help="the BENCH_<pr>.json to write")
     ap.add_argument("--seed", type=int, default=100, help="seed of the first pair")
-    ap.add_argument("--trace-seconds", type=float, default=10.0)
-    ap.add_argument("--trace-seed", type=int, default=7)
-    ap.add_argument("--note", action="append", default=[], help="a line for the notes")
     ap.add_argument("plan", nargs="+", type=parse_plan, metavar="WORKLOAD:PAIRS:SECONDS")
     args = ap.parse_args(argv)
 
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         dirs = {side: Path(tmp) / side for side in SIDES}
         revs = {side: unpack(rev, dirs[side])
-                for side, rev in zip(SIDES, (args.parent, args.change))}
+                for side, rev in zip(SIDES, (args.parent, "HEAD"))}
         spec = json.loads((dirs["change"] / "BENCHMARK.json").read_text())
         out = {
             # perfbench's digest of each side's src/, as its runs report it
@@ -131,13 +130,12 @@ def main(argv=None) -> int:
             "commands": {
                 "end_to_end": "python3 perfbench/run.py --workload W --seed S --seconds T "
                               "--trace 0, parent and change alternating which runs first",
-                "per_layer": f"python3 perfbench/run.py --workload W --seed {args.trace_seed} "
-                             f"--seconds {args.trace_seconds:g} --trace 1",
+                "per_layer": f"python3 perfbench/run.py --workload W --seed {TRACE_SEED} "
+                             f"--seconds {TRACE_SECONDS:g} --trace 1",
                 "plan": [f"{w}:{n}:{s:g}" for w, n, s in args.plan],
             },
             "end_to_end": {},
             "machine": {},
-            "notes": args.note,
             "per_layer": {},
         }
         seed = args.seed
@@ -158,7 +156,7 @@ def main(argv=None) -> int:
                                            "summary": summarize(runs, spec["end_to_end"]),
                                            "operations": operations(runs)}
         for workload, _, _ in args.plan:
-            traced = {side: bench(dirs[side], workload, args.trace_seed, args.trace_seconds, 1)
+            traced = {side: bench(dirs[side], workload, TRACE_SEED, TRACE_SECONDS, 1)
                       for side in SIDES}
             out["per_layer"][workload] = {side: traced[side][0]["metrics"] for side in SIDES}
     args.out.write_text(json.dumps(out, indent=1) + "\n")
