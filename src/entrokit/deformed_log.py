@@ -65,6 +65,8 @@ class DeformParams:
     r: float
     relaxed: bool = False
 
+    _type_error = ParamError  # what distributions._typed raises for another type
+
     def __post_init__(self):
         k, r = self.k, self.r
         try:

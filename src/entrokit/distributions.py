@@ -426,27 +426,64 @@ def make_channel(matrix, normalize: bool = False) -> Channel:
     return Channel(a)
 
 
+def _typed(cls, **values) -> None:
+    """Raise, naming the keyword and the type it got, unless each keyword's
+    value is an instance of cls: the class's _type_error where it sets one
+    (ParamError for DeformParams), else ValidationError (a Distribution or
+    a Channel)."""
+    for name, value in values.items():
+        if not isinstance(value, cls):
+            error = getattr(cls, "_type_error", ValidationError)
+            raise error(f"{name} must be a {cls.__name__}, got {type(value).__name__}")
+
+
+def _outer_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(T, *A, *B) outer products of each row (axis 0) of the batches a, of
+    shape (T, *A), and b, of shape (T, *B), in a new C-ordered array: each
+    cell is a_x * b_y, as np.multiply.outer makes it."""
+    return (a.reshape(len(a), -1, 1) * b.reshape(len(b), 1, -1)).reshape(a.shape + b.shape[1:])
+
+
 def product(p: Distribution, q: Distribution) -> Distribution:
     """Independent joint with entries p_x * q_y: the outer product, whose
-    axes are those of p followed by those of q."""
-    return _built(Distribution, np.multiply.outer(p.p, q.p))
+    axes are those of p followed by those of q. This is _outer_rows on a
+    batch of one."""
+    _typed(Distribution, p=p, q=q)
+    return _built(Distribution, _outer_rows(p.p[np.newaxis], q.p[np.newaxis])[0])
+
+
+def _push_rows(w: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """(T, m) pushes of the (T, n) rows p through the (T, m, n) channels w:
+    out_j = sum_i w_{j,i} p_i, by one stacked matmul, whose every row has
+    the bits of w @ p alone."""
+    return np.matmul(w, p[..., np.newaxis])[..., 0]
 
 
 def apply_channel(w: Channel, p: Distribution) -> Distribution:
-    """Push a distribution through a channel: out_j = sum_i w_{j,i} p_i."""
+    """Push a distribution through a channel: out_j = sum_i w_{j,i} p_i.
+    This is _push_rows on a batch of one."""
+    _typed(Channel, w=w)
+    _typed(Distribution, p=p)
     m, n = w.shape
     if p.shape != (n,):
         raise DimensionError(f"channel expects {n} inputs, distribution has shape {p.shape}")
-    return _built(Distribution, w.w @ p.p)
+    return _built(Distribution, _push_rows(w.w[np.newaxis], p.p[np.newaxis])[0])
+
+
+def _mix_rows(a: np.ndarray, b: np.ndarray, lam) -> np.ndarray:
+    """(1 - lam) * a + lam * b of batches a and b, with lam a scalar or an
+    array that broadcasts against them."""
+    return (1.0 - lam) * a + lam * b
 
 
 def mix(p1: Distribution, p2: Distribution, lam: float) -> Distribution:
-    """Convex combination (1 - lam) * p1 + lam * p2."""
+    """Convex combination (1 - lam) * p1 + lam * p2 (_mix_rows)."""
+    _typed(Distribution, p1=p1, p2=p2)
     if p1.shape != p2.shape:
         raise DimensionError(f"shape mismatch: {p1.shape} vs {p2.shape}")
     if isinstance(lam, bool) or not (isinstance(lam, Real) and 0.0 <= lam <= 1.0):
         raise ParamError(f"lambda must be a real number in [0, 1], got {lam!r}")
-    return _built(Distribution, (1.0 - lam) * p1.p + lam * p2.p)
+    return _built(Distribution, _mix_rows(p1.p, p2.p, lam))
 
 
 def _rng(seed) -> np.random.Generator:

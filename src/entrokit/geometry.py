@@ -25,7 +25,7 @@ from numbers import Real
 import numpy as np
 
 from .deformed_log import DeformParams
-from .distributions import Distribution, _as_float_array, _col
+from .distributions import Distribution, _as_float_array, _col, _rowsum, _typed
 from .divergence import _positive_terms
 from .errors import DimensionError, DomainError, ParamError, ValidationError
 
@@ -91,16 +91,24 @@ def metric_coefficient(params: DeformParams, convention: str = "derived") -> flo
 
 
 def _full_support(p: Distribution) -> np.ndarray:
+    _typed(Distribution, p=p)
     if not p._positive:
         raise DomainError("metric requires a full-support base point (all p_i > 0)")
     return p.p
 
 
+def _metric_rows(p: np.ndarray, params, convention: str = "derived") -> np.ndarray:
+    """The diagonal metric A / p of every cell of a batch p, with A set by
+    the convention; params may hold (T, 1) columns of k and r."""
+    return metric_coefficient(params, convention) / p
+
+
 def fisher_metric(
     p: Distribution, params: DeformParams, convention: str = "derived"
 ) -> MetricDiagonal:
-    """Diagonal metric A / p_i with A set by the convention."""
-    g = metric_coefficient(params, convention) / _full_support(p)
+    """Diagonal metric A / p_i with A set by the convention (_metric_rows)."""
+    _typed(DeformParams, params=params)
+    g = _metric_rows(_full_support(p), params, convention)
     g.setflags(write=False)
     return MetricDiagonal(g, params, convention)
 
@@ -165,13 +173,22 @@ def fd_hessian(
     return _fd_hessian_rows(pv[np.newaxis], np.array([[pv.size]]), params.k, float(step))[0]
 
 
+def _quadratic_rows(p: np.ndarray, dp: np.ndarray, params) -> np.ndarray:
+    """(T, 1) quadratic forms sum g_ii dp_i^2, with the derived-convention
+    metric (_metric_rows), of a batch of base points p and displacements
+    dp; each row is summed by _rowsum, as np.sum adds it in C order."""
+    return _rowsum(_metric_rows(p, params) * dp * dp)
+
+
 def quadratic_form(p: Distribution, dp, params: DeformParams) -> float:
     """sum g_ii dp_i^2 with the derived-convention metric.
 
     The displacement must sum to 0 (tangent to the simplex) and keep
     p + dp a valid distribution. The second-order expansion of the
-    divergence satisfies D(p + dp || p) ~ (1/2) quadratic_form(dp).
+    divergence satisfies D(p + dp || p) ~ (1/2) quadratic_form(dp). This is
+    _quadratic_rows on a batch of one.
     """
+    _typed(DeformParams, params=params)
     pv = _full_support(p)
     dpv = _as_float_array(dp, "displacement")
     if dpv.shape != pv.shape:
@@ -180,8 +197,7 @@ def quadratic_form(p: Distribution, dp, params: DeformParams) -> float:
         raise DomainError("displacement must be finite and sum to 0")
     if np.any(pv + dpv < 0):
         raise DomainError("p + dp leaves the simplex")
-    a = metric_coefficient(params, "derived")
-    return float(np.sum(a / pv * dpv * dpv))
+    return float(_quadratic_rows(pv[np.newaxis], dpv[np.newaxis], params)[0, 0])
 
 
 def hessian_potential(u: float, coeffs: PotentialCoefficients) -> float:

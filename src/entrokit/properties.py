@@ -15,7 +15,13 @@ laws of Section 3 are one-line `_entropy_law` entries.
 Entropies and divergences come from the batched `_*_rows` evaluators of
 `entrokit.entropy` and `entrokit.divergence`, and finite-difference
 Hessians from `entrokit.geometry._fd_hessian_rows`, which the public
-functions call on a batch of one; this module defines no sum of its own.
+functions call on a batch of one. So do the operators: outer products
+(`product`), channel pushes (`apply_channel`) and mixtures (`mix`) come
+from `_outer_rows`, `_push_rows` and `_mix_rows` of
+`entrokit.distributions`, and metric diagonals (`fisher_metric`) and
+quadratic forms (`quadratic_form`) from `_metric_rows` and
+`_quadratic_rows` of `entrokit.geometry`. This module defines no sum and
+no operator of its own.
 `_fd_hessian_rows` takes each displaced point's sum as its at most two
 nonzero terms, which holds for a cell-by-cell kernel only; so
 hessian_separability sums the four corners of each mixed difference whole
@@ -44,7 +50,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .deformed_log import legacy_Ln, legacy_u, ln_kr
-from .distributions import _check_rows, _rowsum
+from .distributions import _check_rows, _mix_rows, _outer_rows, _push_rows, _rowsum
 from .divergence import _divergence_literal_rows, _divergence_rows, _kl_rows, _log_sum_rows
 from .entropy import (
     AXIS_LETTERS,
@@ -59,6 +65,8 @@ from .geometry import (
     CONVENTIONS,
     PotentialCoefficients,
     _fd_hessian_rows,
+    _metric_rows,
+    _quadratic_rows,
     hessian_potential,
     metric_coefficient,
 )
@@ -217,10 +225,6 @@ def _pair(draw: _Draw) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _interior(p: np.ndarray, n: np.ndarray) -> np.ndarray:
     # keep every coordinate >= 1/(2n) so finite differences stay in (0, 1)
     return np.where(p > 0, 0.5 * p + 0.5 / n, 0.0)
-
-
-def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return a[:, :, None] * b[:, None, :]
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +407,7 @@ def _point(axis: int):
 
 def _independent(sizes, e):
     px, py = _simplex(e[:, :, 0], sizes[:, :1]), _simplex(e[:, :, 1], sizes[:, 1:])
-    return sizes, _outer(px, py)
+    return sizes, _outer_rows(px, py)
 
 
 def _dyadic(p: np.ndarray) -> np.ndarray:
@@ -425,7 +429,7 @@ def _product(draw: _Draw):
     params = draw.params()
     (n1, p), (n2, q) = _vector(draw), _vector(draw)
     sx, sy = _entropy_rows(p, params.k), _entropy_rows(q, params.k)
-    return params, _outer(p, q), sx, sy, {"shape": np.hstack([n1, n2]), **params.fields}
+    return params, _outer_rows(p, q), sx, sy, {"shape": np.hstack([n1, n2]), **params.fields}
 
 
 @_property("independence_rule", "Lemma 3.4", "identity", 2 + 2 * (1 + VECTOR))
@@ -531,7 +535,7 @@ def _check_divergence_pseudo_additivity(draw, trial):
     k = params.k
     (n1, p1, q1), (n2, p2, q2) = _pair(draw), _pair(draw)
     d1, d2 = _divergence_rows(p1, q1, k), _divergence_rows(p2, q2, k)
-    lhs = _divergence_rows(_outer(p1, p2), _outer(q1, q2), k)
+    lhs = _divergence_rows(_outer_rows(p1, p2), _outer_rows(q1, q2), k)
     return lhs, d1 + d2 - 2.0 * k * d1 * d2, {"n1": n1, "n2": n2, **params.fields}
 
 
@@ -545,13 +549,10 @@ def _check_joint_convexity(draw, trial):
     p2, q2 = np.where(equal, p1, p2), np.where(equal, q1, q2)
     d1, d2 = _divergence_rows(p1, q1, k), _divergence_rows(p2, q2, k)
     lam = np.linspace(0.0, 1.0, 11)
-    step = lam[:, None]
-
-    def mixes(a, b):  # (T * 11, VECTOR): the 11 mixtures of each trial in turn
-        return ((1.0 - step) * a[:, None] + step * b[:, None]).reshape(-1, VECTOR)
-
-    rhs = _divergence_rows(mixes(p1, p2), mixes(q1, q2), np.repeat(k, lam.size, axis=0))
-    lhs = (1.0 - lam) * d1 + lam * d2
+    # the 11 mixtures of (p1, p2) and of (q1, q2), each trial's in turn
+    mixed = _mix_rows(np.stack([p1, q1])[:, :, None], np.stack([p2, q2])[:, :, None], lam[:, None])
+    rhs = _divergence_rows(*mixed.reshape(2, -1, VECTOR), np.repeat(k, lam.size, axis=0))
+    lhs = (1.0 - lam) * d1 + lam * d2  # written out: a wrong _mix_rows must not move both sides
     return lhs, rhs.reshape(lhs.shape), {"n": n, "equal": equal, **params.fields}
 
 
@@ -569,7 +570,7 @@ def _check_information_monotonicity(draw, trial):
     function = outputs == (draw.take(VECTOR) * m).astype(np.int64)[:, None, :]
     w = np.where(even[:, :, None], random, function)
     w = np.where(first[:, :, None], outputs == np.arange(VECTOR), w)
-    wp, wq = ((w * a[:, None, :]).sum(axis=2) for a in (p, q))
+    wp, wq = (_push_rows(w, a) for a in (p, q))
     _check_rows(wp)
     _check_rows(wq)
     channel = np.where(first, "identity", np.where(even, "random", "deterministic"))
@@ -651,7 +652,7 @@ def _check_hessian_separability(draw, trial):
 def _check_metric_oracle_agreement(draw, trial):
     params, n, pv = _fd_base(draw)
     hess = _fd_hessian_rows(pv, n, params.k, 1e-4)
-    g = metric_coefficient(params, "derived") / pv
+    g = _metric_rows(pv, params)
     live = np.arange(_FD_CAP) < n
     fd = np.where(live, np.diagonal(hess, axis1=1, axis2=2), g)  # the padding agrees exactly
     return fd, g, {"n": n, **params.fields}, (fd - g) / g
@@ -666,7 +667,7 @@ def _check_metric_hessian_structure(draw, trial):
     k = params.k
     n, p = _vector(draw, draw.size(floor=2))
     pv = np.where(p > 0, _interior(p, n), 1.0)  # the padding agrees exactly
-    lhs = np.hstack([metric_coefficient(params, c) / pv for c in CONVENTIONS])
+    lhs = np.hstack([_metric_rows(pv, params, c) for c in CONVENTIONS])
     derived = (1.0 - 2.0 * k) * pv ** (-2.0 * k - 1.0) * pv ** (2.0 * k)
     second = {"derived": derived, "paper": derived + 4.0 * params.r / pv}
     rhs = np.hstack([second[c] for c in CONVENTIONS])
@@ -696,7 +697,7 @@ def _check_metric_positive_definite(draw, trial):
     params = draw.params()
     n, p = _vector(draw, draw.size(floor=2))
     p = np.where(trial == 0, np.where(p > 0, 1.0 / n, 0.0), _interior(p, n))  # uniform at trial 0
-    g = metric_coefficient(params, "derived") / np.where(p > 0, p, 1.0)
+    g = _metric_rows(np.where(p > 0, p, 1.0), params)
     return np.where(p > 0, g, np.inf), 0.0, {"n": n, **params.fields}
 
 
@@ -720,9 +721,8 @@ def _check_taylor_expansion(draw, trial):
     dp = a - p
     pv, av = np.where(live, p, 1.0), np.where(live, a, 1.0)  # the padding adds 0
     c = 1.0 - 4.0 * k * k
-    quadratic = _rowsum(metric_coefficient(params, "derived") / pv * dp * dp)
     rest = (
-        _divergence_rows(a, p, k) - _rowsum(dp) - 0.5 * quadratic
+        _divergence_rows(a, p, k) - _rowsum(dp) - 0.5 * _quadratic_rows(pv, dp, params)
         + c / 6.0 * _rowsum(dp**3 / pv**2)
     )
     quartic = c * (1.0 + k) / 12.0 * _rowsum(dp**4 / pv**3)

@@ -217,6 +217,55 @@ class TestMix:
                 mix(q, q, lam)
 
 
+class TestOperatorBits:
+    """Each operator against the expression it computed before it called its
+    batched form (_outer_rows, _push_rows, _mix_rows), bit for bit."""
+
+    @pytest.mark.parametrize("shapes", [((1,), (1,)), ((3,), (4,)), ((3,), (2, 5)), ((2, 5), (3,))],
+                             ids=["1x1", "rank 1x1", "rank 1x2", "rank 2x1"])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_product(self, shapes, order):
+        rng = np.random.default_rng(8)
+        a, b = (rng.exponential(size=s) for s in shapes)
+        if a.size > 1:
+            a.flat[0] = b.flat[-1] = 0.0  # zero cells
+        a, b = (np.asarray(x / x.sum(), order=order) for x in (a, b))
+        j = product(Distribution(a), Distribution(b))
+        ref = np.multiply.outer(a, b)
+        assert j.shape == ref.shape and j.p.flags.c_contiguous
+        assert j.p.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("m, n", [(1, 1), (18, 16), (1024, 1024)])
+    def test_apply_channel(self, m, n):
+        rng = np.random.default_rng(n)
+        w, p = sample_channel(m, n, rng), sample_distribution(n, rng)
+        out = apply_channel(w, p)
+        assert out.p.flags.c_contiguous and out.p.tobytes() == (w.w @ p.p).tobytes()
+
+    @pytest.mark.parametrize("lam", [0.0, 0.3, 1.0])
+    def test_mix(self, lam):
+        rng = np.random.default_rng(9)
+        p, q = sample_distribution((4, 5), rng), sample_distribution((4, 5), rng)
+        assert mix(p, q, lam).p.tobytes() == ((1.0 - lam) * p.p + lam * q.p).tobytes()
+
+
+_HALF = make_distribution([0.5, 0.5])
+_EYE = make_channel(np.eye(2))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: product(_HALF, [0.5, 0.5]), "q must be a Distribution, got list"),
+    (lambda: product([0.5, 0.5], _HALF), "p must be a Distribution, got list"),
+    (lambda: apply_channel(_EYE, [0.5, 0.5]), "p must be a Distribution, got list"),
+    (lambda: apply_channel(np.eye(2), _HALF), "w must be a Channel, got ndarray"),
+    (lambda: mix(_HALF, [0.5, 0.5], 0.5), "p2 must be a Distribution, got list"),
+    (lambda: mix(None, _HALF, 0.5), "p1 must be a Distribution, got NoneType"),
+])
+def test_operators_reject_a_wrong_type(call, message):
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        call()
+
+
 class TestSampling:
     def test_singleton(self):
         np.testing.assert_array_equal(sample_distribution(1, seed=9).p, [1.0])

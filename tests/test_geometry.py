@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from entrokit import (
+    CONVENTIONS,
     DeformParams,
     DomainError,
     DimensionError,
@@ -215,6 +216,48 @@ class TestQuadraticForm:
                 quadratic_form(p, dp, PARAMS)
         with pytest.raises(ValidationError):
             quadratic_form(p, "ab", PARAMS)
+
+
+class TestOperatorBits:
+    """fisher_metric and quadratic_form against the expressions they
+    computed before they called _metric_rows and _quadratic_rows, bit for
+    bit."""
+
+    @pytest.mark.parametrize("convention", CONVENTIONS)
+    def test_fisher_metric(self, convention):
+        p = _interior(np.random.default_rng(6), 9)
+        g = fisher_metric(p, PARAMS, convention).g
+        assert g.tobytes() == (metric_coefficient(PARAMS, convention) / p.p).tobytes()
+
+    @pytest.mark.parametrize("shape", [(7,), (9, 11), (1 << 16,)],
+                             ids=["vector", "joint", "2^16 cells"])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_quadratic_form(self, shape, order):
+        # 2^16 cells are two runs of _LEAF, which _rowsum adds in numpy's tree
+        rng = np.random.default_rng(7)
+        e = rng.exponential(size=shape)
+        p = Distribution(e / e.sum())
+        z = rng.uniform(-1.0, 1.0, size=shape)
+        dp = np.asarray(0.1 * p.p * (z - np.sum(p.p * z)), order=order)
+        a = metric_coefficient(PARAMS, "derived")
+        assert quadratic_form(p, dp, PARAMS) == np.sum(a / p.p * dp * dp)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda p: fisher_metric([0.5, 0.5], PARAMS), ValidationError,
+     "p must be a Distribution, got list"),
+    (lambda p: fisher_metric(p, None), ParamError, "params must be a DeformParams, got NoneType"),
+    (lambda p: quadratic_form([0.5, 0.5], [0.0, 0.0], PARAMS), ValidationError,
+     "p must be a Distribution, got list"),
+    (lambda p: quadratic_form(p, [0.0, 0.0], None), ParamError,
+     "params must be a DeformParams, got NoneType"),
+    (lambda p: quadratic_form(p, [0.0, 0.0], (0.25, 0.5)), ParamError,
+     "params must be a DeformParams, got tuple"),
+    (lambda p: fd_hessian(p.p, PARAMS), ValidationError, "p must be a Distribution, got ndarray"),
+])
+def test_operators_reject_a_wrong_type(call, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        call(make_distribution([0.5, 0.5]))
 
 
 class TestHessianPotential:

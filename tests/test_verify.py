@@ -1,6 +1,7 @@
 """Tests for the property-sweep engine itself: registry coverage,
 determinism, order independence, and failure reporting."""
 
+import inspect
 import itertools
 import json
 import sys
@@ -10,6 +11,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+import entrokit
 from entrokit import (
     CheckResult,
     ConfigError,
@@ -63,6 +65,57 @@ def _rows(cfg, name):
 
 def _bits(r):
     return (r.lhs.hex(), r.rhs.hex(), r.slack.hex(), r.passed, r.instance_digest)
+
+
+def _patch_everywhere(monkeypatch, original, mutant):
+    """Bind mutant in place of the function original wherever an entrokit
+    module binds it."""
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "entrokit" and vars(module).get(original.__name__) is original:
+            monkeypatch.setattr(module, original.__name__, mutant)
+
+
+def _moved_input(push):
+    """A push that first moves 10% of input 0's mass to input 1."""
+
+    def mutant(w, p):
+        p = p.copy()
+        p[..., 1] += 0.1 * p[..., 0]
+        p[..., 0] *= 0.9
+        return push(w, p)
+
+    return mutant
+
+
+# A mutant of each batched form that a public operator shares with the sweep,
+# and the failures it causes per property at seed 0 over 200 trials.
+SHARED_FORM_MUTANTS = {
+    "outer product a x a": ("distributions", "_outer_rows", lambda f: lambda a, b: f(a, a), {
+        "independence_rule": 198,
+        "entropy_pseudo_additivity": 199,
+        "divergence_pseudo_additivity": 199,
+    }),
+    "mixture at 1 - lambda": (
+        "distributions", "_mix_rows", lambda f: lambda a, b, lam: f(a, b, 1.0 - lam),
+        {"joint_convexity": 188},
+    ),
+    "quadratic form x (1 + 1e-4)": (
+        "geometry", "_quadratic_rows", lambda f: lambda p, dp, prm: f(p, dp, prm) * (1 + 1e-4),
+        {"taylor_expansion": 153},
+    ),
+    "quadratic form x (1 + 1e-6)": (
+        "geometry", "_quadratic_rows", lambda f: lambda p, dp, prm: f(p, dp, prm) * (1 + 1e-6),
+        {"taylor_expansion": 8},
+    ),
+    "metric diagonal x (1 + 1e-9)": (
+        "geometry", "_metric_rows",
+        lambda f: lambda p, prm, convention="derived": f(p, prm, convention) * (1 + 1e-9),
+        {"metric_hessian_structure": 200},
+    ),
+    # A blind spot: the same change made to both pushes is itself a channel,
+    # and information monotonicity holds for every channel.
+    "push moving 10% of input 0 (blind spot)": ("distributions", "_push_rows", _moved_input, {}),
+}
 
 
 class TestRegistry:
@@ -395,12 +448,20 @@ class TestEngine:
         cfg = SweepConfig(seed=0, trials=200, properties=("metric_hessian_structure",))
         assert run_suite(cfg).all_passed
         original = sys.modules["entrokit.geometry"].metric_coefficient
-        mutant = lambda params, convention="derived": original(params, convention) * (1 + 1e-9)
-        for name, module in list(sys.modules.items()):
-            if name.split(".")[0] == "entrokit" and vars(module).get("metric_coefficient") is original:
-                monkeypatch.setattr(module, "metric_coefficient", mutant)
+        _patch_everywhere(monkeypatch, original,
+                          lambda params, convention="derived": original(params, convention) * (1 + 1e-9))
         (prop,) = run_suite(cfg).properties
         assert prop.fails == 200 and abs(prop.worst_slack) > 1e-10
+
+    @pytest.mark.parametrize("mutant", SHARED_FORM_MUTANTS)
+    def test_a_wrong_shared_form_fails_its_laws(self, monkeypatch, mutant):
+        # the operators' batched forms run in the sweep: a mutant of one
+        # fails the laws that go through it, and no other property
+        module, form, mutate, fails = SHARED_FORM_MUTANTS[mutant]
+        original = getattr(sys.modules[f"entrokit.{module}"], form)
+        _patch_everywhere(monkeypatch, original, mutate(original))
+        report = run_suite(SweepConfig(seed=0, trials=200))
+        assert {p.name: p.fails for p in report.properties if p.fails} == fails
 
     @pytest.mark.parametrize("start", [0, 3, 10**6])
     def test_uniforms_are_the_centred_top_52_bits(self, start):
@@ -474,6 +535,66 @@ def _take_along_axis_outcome(kind, lhs, rhs, slack=None):
     s = rule.slack(lv, rv) if slack is None else slack
     worst = np.argmax(rule.shortfall(s), axis=1)[:, None]
     return [np.take_along_axis(a, worst, axis=1)[:, 0] for a in (lv, rv, s)]
+
+
+# Each public operator's batched form: the operator calls it on a batch of
+# one, and the sweep on its padded batches.
+SHARED_FORMS = {
+    "product": "_outer_rows",
+    "apply_channel": "_push_rows",
+    "mix": "_mix_rows",
+    "fisher_metric": "_metric_rows",
+    "quadratic_form": "_quadratic_rows",
+}
+
+# Public entry points that no sweep property reaches, neither themselves nor
+# through a batched _*_rows form that they call. The constructors and
+# samplers are here because the sweep draws its own instances, and
+# list_properties and run_single because they are the sweep's other entry
+# points. ROADMAP items 9 and 10 bring the rest into the sweep.
+NEVER_REACHED = {
+    "make_distribution", "make_joint2", "make_joint3", "make_channel",
+    "sample_distribution", "sample_channel", "list_properties", "run_single",
+    "Distribution.marginal", "ln_q", "mutual_entropy", "mutual_divergence",
+    "tsallis_entropy", "tsallis_divergence",
+}
+
+
+@pytest.fixture(scope="module")
+def sweep_codes():
+    """The code objects of every Python function that a 25-trial run_suite enters."""
+    entered = set()
+
+    def hook(frame, event, arg):
+        if event == "call":
+            entered.add(frame.f_code)
+
+    previous = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        run_suite(SweepConfig(seed=0, trials=25))
+    finally:
+        sys.setprofile(previous)
+    return entered
+
+
+class TestSweepReach:
+    def test_the_sweep_calls_each_operators_batched_form(self, sweep_codes):
+        for public, form in SHARED_FORMS.items():
+            fn = getattr(entrokit, public)
+            assert form in fn.__code__.co_names  # the operator calls its form
+            assert getattr(sys.modules[fn.__module__], form).__code__ in sweep_codes
+
+    def test_the_entry_points_the_sweep_never_reaches(self, sweep_codes):
+        def reached(fn):
+            module = vars(sys.modules[fn.__module__])
+            forms = [module[n] for n in fn.__code__.co_names if n.endswith("_rows") and n in module]
+            return any(getattr(f, "__code__", None) in sweep_codes for f in [fn, *forms])
+
+        public = {n: getattr(entrokit, n) for n in entrokit.__all__}
+        public = {n: fn for n, fn in public.items() if inspect.isfunction(fn)}
+        public["Distribution.marginal"] = Distribution.marginal
+        assert {n for n, fn in public.items() if not reached(fn)} == NEVER_REACHED
 
 
 class TestTrialRange:
