@@ -29,7 +29,7 @@ from numbers import Real
 
 import numpy as np
 
-from .distributions import _LEAF, _as_float_array, _tiles
+from .distributions import _LEAF, _as_float_array, _tiles, _typed
 from .errors import DomainError, LegacyRegionWarning, ParamError
 
 __all__ = [
@@ -171,6 +171,7 @@ def ln_kr(x, params: DeformParams):
 
     Zero exactly at x = 1, finite for all x > 0.
     """
+    _typed(DeformParams, params=params)
     return _deformed(x, -(params.r + params.k), 2.0 * params.k)
 
 
@@ -189,6 +190,7 @@ def legacy_Ln(x, params: DeformParams, warn_outside_region: bool = True):
     distinct functions and are never aliased. Parameters outside the
     legacy region trigger a LegacyRegionWarning but are not rejected.
     """
+    _typed(DeformParams, params=params)
     out = _deformed(x, params.r - params.k, 2.0 * params.k)
     if warn_outside_region and not params.in_legacy_region:
         warnings.warn(
@@ -204,6 +206,7 @@ def legacy_u(x, params: DeformParams):
 
     Satisfies Ln(xy) = u(x) Ln(y) + Ln(x) u(y) together with legacy_Ln.
     """
+    _typed(DeformParams, params=params)
     lx = _log_x(x)
     k, r = params.k, params.r
     out = 0.5 * (np.exp((r + k) * lx) + np.exp((r - k) * lx))

@@ -9,8 +9,10 @@ math.fsum's correctly rounded exact sum, so the value is independent of
 coordinate order (permutation symmetry holds bit-exactly). A row of at
 least _EXACT_MIN cells is evaluated and summed run by run: the terms of
 one run of distributions._leaves (at most _LEAF cells) at a time, each
-run reduced exactly by binary exponent in numpy, as in Neal's small
-superaccumulator (arXiv:1505.05571), before the next is evaluated. A run
+run sliced by error-free extraction (Rump, Ogita and Oishi, SIAM J. Sci.
+Comput. 31(1), 2008) into a few floats of the same exact sum before the
+next is evaluated; a row holding a non-finite term or one of 2^1000 or
+more goes to math.fsum as it is, run by run. A run
 is a view of a C-contiguous input (every Distribution is one), or a copy
 of that run alone, so the row never becomes a Python list and no array as
 large as it is built: a sum allocates a few runs' worth (under 3 MiB)
@@ -50,6 +52,7 @@ from .distributions import (
     _pairwise,
     _runs,
     _span,
+    _typed,
     _whole,
     product,
 )
@@ -102,6 +105,7 @@ def _positive_terms(p: np.ndarray, q: np.ndarray, k: float) -> np.ndarray:
 def _check_pair(p: Distribution, q: Distribution) -> bool:
     """Require equal shapes and support(P) within support(Q); returns
     whether every p > 0."""
+    _typed(Distribution, p=p, q=q)
     if p.shape != q.shape:
         raise DimensionError(f"shape mismatch: {p.shape} vs {q.shape}")
     if not q._positive:  # only then can a cell have p > 0 = q
@@ -121,11 +125,13 @@ def _continuity_error(p: np.ndarray, flat: int) -> AbsoluteContinuityError:
 
 
 # Rows of this many cells or more are wide: evaluated run by run and
-# reduced by binary exponent. Below it, the bucket pass's fixed numpy cost
-# exceeds math.fsum on a list. A run has at most _LEAF = 2^15 cells, so a
-# bucket sums at most 2^15 halves below 2^27, far below 2^53 (at most 2^26
-# cells would do), and float64 adds them exactly.
+# sliced by _exact_parts. Below it, slicing's fixed numpy cost per run
+# exceeds math.fsum on a list (one row of 512 cells: 42 against 31 us).
 _EXACT_MIN = 1024
+# The terms of a row of fewer than 2^23 cells, each below this, add up to
+# less than 2^1023 in any order: math.fsum overflows neither on them nor on
+# their slices, and sigma = 2^(e+17) stays below 2^1018.
+_HUGE = 2.0**1000
 
 
 def _live(p: np.ndarray):
@@ -147,43 +153,34 @@ def _unit_at_zero(p: np.ndarray, *arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     return tuple(np.where(live, a, 1.0) for a in (p, *arrays))
 
 
-def _exact_parts(chunks, rows: int, width: int) -> list[list[float]] | None:
-    """For each of `rows` rows of `width` terms, which the iterable chunks
-    yields as (rows, m) arrays, one run of distributions._leaves(width)
-    each (at most _LEAF cells), in any order of the cells, floats whose
-    math.fsum is the row's math.fsum of its terms; None, at the first run
-    with a non-finite term or one so large that math.fsum could overflow on
-    the way (about W max|x| >= 2^1020): the whole rows then go to math.fsum.
+def _exact_parts(chunks, rows: int) -> list[list[float]] | None:
+    """For each of `rows` rows, which the iterable chunks yields as (rows, m)
+    arrays of at most 2^15 cells, one run each, in any order of the cells:
+    floats whose math.fsum is the row's math.fsum of its terms. None, at the
+    first run with a non-finite term or one of magnitude _HUGE or more: the
+    rows' terms then go to math.fsum themselves. The chunks are overwritten.
 
-    Each term x = m 2^e (np.frexp) is exactly (h + l) 2^(e-27), where
-    h = trunc(m 2^27) is an integer below 2^27 and l = m 2^27 - h a multiple
-    of 2^-26 below 1. Per run and exponent, float64 sums the h and the l
-    exactly, and scaling each sum back by 2^(e-27) is exact too.
+    Each run is sliced by error-free extraction (Rump, Ogita and Oishi, SIAM
+    J. Sci. Comput. 31(1), 2008) until nothing is left: with 2^e above its
+    largest |x| and sigma = 2^(e+17), q = (x + sigma) - sigma and x - q are
+    exact, and each q is a multiple of ulp(sigma)/2 = 2^(e-36) no larger
+    than 2^e, so float64 adds a run's at most 2^15 q exactly in any order.
+    The remainder x - q is at most 2^(e-36), so each slice reaches at least
+    35 binades lower than the last.
     """
-    bound = math.ldexp(1.0, 1020 - width.bit_length())
     parts = [[] for _ in range(rows)]
-    negative = [True] * rows  # every term of the row so far is -0.0
     for chunk in chunks:
-        for i, t in enumerate(chunk):
-            if not t.size:
-                continue
-            if not (-bound < t.min() and t.max() < bound):  # nan fails too
+        for row, x in zip(parts, chunk):
+            top = max(x.max(), -x.min())
+            if not top < _HUGE:  # nan fails too
                 return None
-            m, e = np.frexp(t)
-            low = int(e.min())
-            e -= low  # bucket index: exponent above the run's lowest
-            m *= 2.0**27
-            h = np.trunc(m)
-            m -= h
-            before = len(parts[i])
-            for half in (h, m):
-                s = np.bincount(e, half)
-                at = np.flatnonzero(s)
-                parts[i] += np.ldexp(s[at], at + (low - 27)).tolist()
-            if len(parts[i]) == before and not np.signbit(t).all():
-                negative[i] = False
-    # a row of -0.0 terms only: whatever sign math.fsum gives them
-    return [row or ([-0.0] if neg else []) for row, neg in zip(parts, negative)]
+            while top:
+                sigma = math.ldexp(1.0, math.frexp(top)[1] + 17)
+                q = x + sigma - sigma
+                row.append(float(q.sum()))
+                x -= q
+                top = max(x.max(), -x.min())
+    return parts
 
 
 def _sum_terms(terms, cells: tuple, *args) -> np.ndarray:
@@ -194,29 +191,30 @@ def _sum_terms(terms, cells: tuple, *args) -> np.ndarray:
     taken as rows of cells in C order, or run makers (distributions._runs);
     args are scalars or (T, 1) columns, handed over as they are. terms works
     cell by cell, so it may get any range of cells of every row at once: it
-    gets the runs of distributions._runs. A narrow row is summed as a list,
-    its terms taken at once where it is one run (every sweep batch's); a
-    wide one run by run, each run reduced exactly by binary exponent before
-    the next is made (_exact_parts), so no array as large as the row is
-    built.
+    gets the runs of distributions._runs, and returns new arrays, which the
+    sum may overwrite. A narrow row is summed as a list, its terms taken at
+    once where it is one run (every sweep batch's); a wide one run by run,
+    each run sliced before the next is made (_exact_parts), so no array as
+    large as the row is built. Rows _exact_parts leaves go to math.fsum run
+    by run, in order.
     """
     rows, width = len(cells[0]), math.prod(cells[0].shape[1:])
 
     def chunks():
         return (terms(*run, *args) for run in _runs(cells, width))
 
-    parts = _exact_parts(chunks(), rows, width) if width >= _EXACT_MIN else None
+    parts = _exact_parts(chunks(), rows) if width >= _EXACT_MIN else None
     if parts is None:
         if width <= _LEAF:  # one run, without the walker
             parts = terms(*_whole(cells, width), *args).tolist()
-        else:
-            parts = np.concatenate([*chunks()], axis=1).tolist()
+        else:  # row i's terms, made as map reads row i
+            parts = ((t for run in chunks() for t in run[i].tolist()) for i in range(rows))
     return np.array(list(map(math.fsum, parts)))[:, np.newaxis]
 
 
 def _fsum_rows(a: np.ndarray) -> np.ndarray:
     """(T, 1) math.fsum over every axis but the first."""
-    return _sum_terms(lambda x: x, (a,))
+    return _sum_terms(np.copy, (a,))  # slicing overwrites its terms
 
 
 def _divergence_terms(p: np.ndarray, q: np.ndarray, k) -> np.ndarray:
@@ -240,6 +238,7 @@ def divergence(
 ) -> DivergenceValue:
     """Relative entropy of P from Q; requires support(P) within support(Q)."""
     full = _check_pair(p, q)
+    _typed(DeformParams, params=params)
     # p = 0 < q: the closed form's p^{1-2k} factor kills the term for
     # k < 1/2, leaves -q at the k = 1/2 boundary and diverges beyond it
     if params.k > 0.5 and not full and np.any((p.p == 0) & (q.p > 0)):
@@ -278,6 +277,7 @@ def divergence_literal(
     if form not in ("pq", "qp"):
         raise ParamError(f'form must be "pq" or "qp", got {form!r}')
     _check_pair(p, q)
+    _typed(DeformParams, params=params)
     return float(_divergence_literal_rows(p.p[np.newaxis], q.p[np.newaxis], params, form)[0, 0])
 
 
@@ -306,8 +306,13 @@ def log_sum_gap(a, b, params: DeformParams) -> tuple[float, float]:
     Returns (lhs, rhs) where lhs is the termwise sum and rhs the single
     term built from the totals; the inequality asserts lhs >= rhs.
     """
+    _typed(DeformParams, params=params)
     av, bv = _weights(a, b)
-    lhs, rhs = _log_sum_rows(av[np.newaxis], bv[np.newaxis], params.k)
+    try:
+        with np.errstate(over="raise"):
+            lhs, rhs = _log_sum_rows(av[np.newaxis], bv[np.newaxis], params.k)
+    except (OverflowError, FloatingPointError):  # fsum's, and numpy's
+        raise DomainError("log_sum_gap overflows the float range on these weights") from None
     return float(lhs[0, 0]), float(rhs[0, 0])
 
 
@@ -367,6 +372,8 @@ def mutual_divergence(j: Distribution, params: DeformParams) -> DivergenceValue:
     with the joint's (distributions._runs), and its sum is checked as
     product() checks it. Elsewhere the product is built, for its errors.
     """
+    _typed(Distribution, j=j)
+    _typed(DeformParams, params=params)
     if j.ndim != 2:
         raise DimensionError(f"mutual divergence needs a 2-axis joint, got {j.ndim} axes")
     mx, my = j.marginal(0), j.marginal(1)

@@ -53,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .deformed_log import DeformParams, _deformed, _finite_real, ln_kr
-from .distributions import _LEAF, Distribution, _cells, _col, _rowsum
+from .distributions import _LEAF, Distribution, _cells, _col, _rowsum, _typed
 from .divergence import _closed_form, _unit_at_zero
 from .errors import DimensionError, ParamError
 
@@ -99,12 +99,14 @@ def _positive_cells(p: Distribution) -> np.ndarray:
     """The cells p > 0 of a distribution as a batch of one, in C order: the
     array itself when every cell is (a zero cell adds 0 to a sum but would
     regroup numpy's pairwise tree)."""
+    _typed(Distribution, p=p)
     return (p.p if p._positive else p.p[p.p > 0])[np.newaxis]
 
 
 def entropy(p: Distribution, params: DeformParams) -> EntropyValue:
     """Entropy -sum p^{r+k+1} ln_{k,r}(p) over the cells of a distribution
     of any rank; 0 exactly on degenerate inputs."""
+    _typed(DeformParams, params=params)
     return EntropyValue(float(_entropy_rows(_positive_cells(p), params.k)[0, 0]), params)
 
 
@@ -127,6 +129,7 @@ def _entropy_literal_rows(p: np.ndarray, params) -> np.ndarray:
 def entropy_literal(p: Distribution, params: DeformParams) -> float:
     """The defining sum evaluated term by term as written, without the
     algebraic collapse. Retained as a cross-check of the canonical path."""
+    _typed(DeformParams, params=params)
     return float(_entropy_literal_rows(_positive_cells(p), params)[0, 0])
 
 
@@ -213,6 +216,8 @@ def conditional_entropy(
     weights the entropy of the of axes conditioned on it by its
     probability raised to 2k + 1.
     """
+    _typed(Distribution, j=j)
+    _typed(DeformParams, params=params)
     of, given = _spec_axes(spec, j.ndim)
     view = _spec_view(j.p[np.newaxis], of, given)
     value = _conditional_rows(view, params.k, len(given), drop_empty=True)
@@ -226,6 +231,7 @@ conditional_entropy3 = conditional_entropy
 def mutual_entropy(j: Distribution, params: DeformParams) -> float:
     """S(X) + S(Y) - S(X,Y) of a 2-axis joint; equals S(Y) - S(Y|X) by the
     chain rule."""
+    _typed(Distribution, j=j)
     if j.ndim != 2:
         raise DimensionError(f"mutual entropy needs a 2-axis joint, got {j.ndim} axes")
     sx, sy, sxy = (entropy(d, params).value for d in (j.marginal(0), j.marginal(1), j))

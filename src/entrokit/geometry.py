@@ -69,6 +69,8 @@ class PotentialCoefficients:
     c1: float = 0.0
     c2: float = 0.0
 
+    _type_error = ParamError  # what distributions._typed raises for another type
+
     def __post_init__(self):
         try:
             values = [_as_float_array(v, "coefficient") for v in (self.A, self.c1, self.c2)]
@@ -83,6 +85,7 @@ class PotentialCoefficients:
 
 def metric_coefficient(params: DeformParams, convention: str = "derived") -> float:
     """Numerator of the diagonal metric: 1 - 2k (derived) or 1 - 2k + 4r."""
+    _typed(DeformParams, params=params)
     if convention == "derived":
         return 1.0 - 2.0 * params.k
     if convention == "paper":
@@ -161,6 +164,7 @@ def fd_hessian(
     swamp every entry, raises DomainError.
     """
     pv = _full_support(p)
+    _typed(DeformParams, params=params)
     if pv.ndim != 1:
         raise DimensionError(f"fd_hessian needs a vector, got {pv.ndim} axes")
     if isinstance(step, bool) or not (isinstance(step, Real) and 0 < step < math.inf):
@@ -204,6 +208,7 @@ def hessian_potential(u: float, coeffs: PotentialCoefficients) -> float:
     """Potential c2 + u (c1 - A) + A u log u; its second derivative is A / u.
 
     u may be an array, with coefficients that broadcast against it."""
+    _typed(PotentialCoefficients, coeffs=coeffs)
     uv = _as_float_array(u, "u")
     if not np.all((0 < uv) & (uv < np.inf)):  # also catches nan
         raise DomainError(f"potential requires finite u > 0, got {u}")

@@ -49,7 +49,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .deformed_log import legacy_Ln, legacy_u, ln_kr
+from .deformed_log import DeformParams, legacy_Ln, legacy_u, ln_kr
 from .distributions import _check_rows, _mix_rows, _outer_rows, _push_rows, _rowsum
 from .divergence import _divergence_literal_rows, _divergence_rows, _kl_rows, _log_sum_rows
 from .entropy import (
@@ -133,12 +133,14 @@ def _property(name: str, anchor: str, kind: str, uniforms: int, tol: float | Non
 # batched draws and padded instances
 
 
-class _Params(NamedTuple):
-    """Per-trial (T, 1) columns of k and r. The library kernels read only
-    params.k and params.r, so they broadcast them against (T, ...) arrays."""
+@dataclass(frozen=True)
+class _Params(DeformParams):
+    """Per-trial (T, 1) columns of k and r: a DeformParams to the library's
+    type checks, but not validated. The kernels read only params.k and
+    params.r, so they broadcast them against (T, ...) arrays."""
 
-    k: np.ndarray
-    r: np.ndarray
+    def __post_init__(self):
+        pass
 
     @property
     def fields(self) -> dict:
@@ -264,7 +266,7 @@ def _product_rule_1(x, y, params):
 
 @_scalar_law("product_rule_2", "Lemma 2.5")
 def _product_rule_2(x, y, params):
-    k, r = params
+    k, r = params.k, params.r
     rhs = (np.power(x, -(r - k)) * ln_kr(y, params)
            + np.power(y, -(r + k)) * ln_kr(x, params))
     return ln_kr(x * y, params), rhs
@@ -277,7 +279,7 @@ def _inversion(x, y, params):
 
 @_scalar_law("quotient", "Corollary (quotient rule)")
 def _quotient(x, y, params):
-    k, r = params
+    k, r = params.k, params.r
     rhs = (-np.power(y, 2.0 * r) / np.power(x, r - k) * ln_kr(y, params)
            + np.power(y, r + k) * ln_kr(x, params))
     return ln_kr(x / y, params), rhs

@@ -11,8 +11,8 @@ _SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
 bench_pairs = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(bench_pairs)
 
-END_TO_END = [{"name": "items_per_s", "better": "higher"},
-              {"name": "call_p50_ms", "better": "lower"}]
+END_TO_END = [{"name": "items_per_s", "better": "higher", "bound": 0.25},
+              {"name": "call_p50_ms", "better": "lower", "bound": 0.25}]
 
 
 def _run(items, p50, failed=0, attempted=100):
@@ -58,3 +58,55 @@ def test_operations_are_summed_per_side():
                                         ("bulk:4:7.5", ("bulk", 4, 7.5))])
 def test_plans_parse(text, plan):
     assert bench_pairs.parse_plan(text) == plan
+
+
+PARENT = [100.0, 90.0, 110.0, 95.0, 105.0, 98.0, 102.0, 93.0, 107.0, 100.0]
+
+
+def _verdict(change, parent=PARENT, better="higher", bound=0.25):
+    return bench_pairs.verdict(parent, change, better, bound)
+
+
+def test_a_gain_wins_nine_in_ten_pairs_by_more_than_the_parents_spread():
+    assert _verdict([x * 1.3 for x in PARENT]) == "gain"
+    # a tie counts for neither side: 9 wins and a tie are 9/10, 8 and 2 are not
+    nine = [x * 1.3 for x in PARENT[:9]] + [PARENT[9]]
+    assert _verdict(nine) == "gain"
+    assert _verdict(nine[:8] + PARENT[8:]) == "within bound"
+    # better is lower: the same runs are a gain when they fall
+    assert _verdict([x / 1.3 for x in PARENT], better="lower") == "gain"
+    assert _verdict([x * 1.3 for x in PARENT], better="lower") == "worse"
+
+
+def test_ties_are_within_bound():
+    assert _verdict(PARENT) == "within bound"
+    assert _verdict([5.0] * 10, parent=[5.0] * 10) == "within bound"
+
+
+def test_a_ten_in_ten_win_inside_the_parents_spread_is_no_gain():
+    q = bench_pairs.quartiles(PARENT)
+    change = [x + 1.0 for x in PARENT]  # 10/10, but 1 < q3 - q1
+    assert 1.0 < q["q3"] - q["q1"]
+    assert _verdict(change) == "within bound"
+
+
+def test_a_median_worse_by_more_than_the_bound_is_worse():
+    assert _verdict([x * 0.7 for x in PARENT]) == "worse"
+    assert _verdict([x * 0.8 for x in PARENT]) == "within bound"
+
+
+def test_a_spread_wider_than_the_bound_is_unresolved():
+    wide = [50.0, 150.0, 60.0, 140.0, 55.0, 145.0, 100.0, 100.0, 70.0, 130.0]
+    assert _verdict(wide) == "unresolved"  # against itself
+    assert _verdict(PARENT, parent=wide) == "unresolved"
+    assert _verdict(wide, parent=PARENT) == "unresolved"
+    # unless every change run beats every parent run
+    assert _verdict([151.0 + i for i in range(10)], parent=wide) == "within bound"
+
+
+def test_the_summary_holds_each_metrics_verdict():
+    runs = {"parent": [_run(x, 1.0) for x in PARENT],
+            "change": [_run(x * 1.3, 1.0) for x in PARENT]}
+    summary = bench_pairs.summarize(runs, END_TO_END)
+    assert summary["items_per_s"]["verdict"] == "gain"
+    assert summary["call_p50_ms"]["verdict"] == "within bound"

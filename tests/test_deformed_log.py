@@ -7,7 +7,6 @@ hypothesis over randomized arguments.
 
 import math
 import warnings
-from types import SimpleNamespace
 from fractions import Fraction
 
 import numpy as np
@@ -28,6 +27,7 @@ from entrokit import (
 )
 from entrokit.deformed_log import K_MIN
 from entrokit.distributions import _LEAF
+from entrokit.properties import _Params
 
 positive_x = st.floats(min_value=0.05, max_value=20.0)
 params_list = [
@@ -225,7 +225,7 @@ class TestLnKrBlocks:
         rows = x_shape[0] if len(x_shape) == 2 else 5
         rng = np.random.default_rng(7)
         x = np.exp(rng.uniform(-5.0, 5.0, x_shape))
-        cols = SimpleNamespace(k=rng.uniform(0.05, 0.45, (rows, 1)), r=rng.uniform(0.1, 2.0, (rows, 1)))
+        cols = _Params(k=rng.uniform(0.05, 0.45, (rows, 1)), r=rng.uniform(0.1, 2.0, (rows, 1)))
         out = ln_kr(x, cols)
         assert out.shape == (rows, x_shape[-1]) and out.size > _LEAF
         assert (_bits(out) == _bits(_ln_kr_at_once(x, cols.k, cols.r))).all()
@@ -296,7 +296,7 @@ class TestOneEvaluator:
 
         rng = np.random.default_rng(23)
         x = np.exp(rng.uniform(-5.0, 5.0, x_shape))
-        cols = SimpleNamespace(k=rng.uniform(0.05, 0.45, (5, 1)), r=rng.uniform(0.1, 2.0, (5, 1)))
+        cols = _Params(k=rng.uniform(0.05, 0.45, (5, 1)), r=rng.uniform(0.1, 2.0, (5, 1)))
         out = legacy_Ln(x, cols, warn_outside_region=False)
         assert (_bits(out) == _bits(_former_legacy_Ln(x, cols.k, cols.r))).all()
         p, q = x / x.max(), rng.uniform(0.1, 2.9, (5, 1))

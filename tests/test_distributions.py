@@ -21,6 +21,7 @@ from entrokit import (
     sample_channel,
     sample_distribution,
 )
+import entrokit as ek
 from entrokit import io as eio
 from entrokit.distributions import _LEAF, _check_rows, _leaves, _rowsum, _runs
 
@@ -263,6 +264,43 @@ _EYE = make_channel(np.eye(2))
 ])
 def test_operators_reject_a_wrong_type(call, message):
     with pytest.raises(ValidationError, match=f"^{message}$"):
+        call()
+
+
+_PARAMS = ek.DeformParams(0.25, 0.5)
+_JOINT = ek.make_joint2([[0.5, 0.0], [0.0, 0.5]])
+_NOT_P = "p must be a Distribution, got list"
+_NOT_PARAMS = "params must be a DeformParams, got NoneType"
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: ek.entropy([0.5, 0.5], _PARAMS), ValidationError, _NOT_P),
+    (lambda: ek.entropy(_HALF, None), ParamError, _NOT_PARAMS),
+    (lambda: ek.entropy_literal(_HALF, None), ParamError, _NOT_PARAMS),
+    (lambda: ek.shannon_entropy([0.5, 0.5]), ValidationError, _NOT_P),
+    (lambda: ek.tsallis_entropy([0.5, 0.5], 0.5), ValidationError, _NOT_P),
+    (lambda: ek.conditional_entropy(_JOINT, None), ParamError, _NOT_PARAMS),
+    (lambda: ek.mutual_entropy([[0.5, 0.0], [0.0, 0.5]], _PARAMS), ValidationError,
+     "j must be a Distribution, got list"),
+    (lambda: ek.divergence(_HALF, [0.5, 0.5], _PARAMS), ValidationError,
+     "q must be a Distribution, got list"),
+    (lambda: ek.divergence(_HALF, _HALF, None), ParamError, _NOT_PARAMS),
+    (lambda: ek.divergence_literal([0.5, 0.5], _HALF, _PARAMS), ValidationError, _NOT_P),
+    (lambda: ek.kl_divergence(_HALF, None), ValidationError,
+     "q must be a Distribution, got NoneType"),
+    (lambda: ek.tsallis_divergence([0.5, 0.5], _HALF, 0.5), ValidationError, _NOT_P),
+    (lambda: ek.mutual_divergence(_JOINT, None), ParamError, _NOT_PARAMS),
+    (lambda: ek.log_sum_gap([1.0, 2.0], [2.0, 1.0], None), ParamError, _NOT_PARAMS),
+    (lambda: ek.fd_hessian(_HALF, None), ParamError, _NOT_PARAMS),
+    (lambda: ek.ln_kr(2.0, None), ParamError, _NOT_PARAMS),
+    (lambda: ek.legacy_Ln(2.0, None), ParamError, _NOT_PARAMS),
+    (lambda: ek.legacy_u(2.0, None), ParamError, _NOT_PARAMS),
+    (lambda: ek.metric_coefficient(None), ParamError, _NOT_PARAMS),
+    (lambda: ek.hessian_potential(1.0, None), ParamError,
+     "coeffs must be a PotentialCoefficients, got NoneType"),
+])
+def test_entry_points_reject_a_wrong_type(call, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
         call()
 
 

@@ -234,6 +234,92 @@ class TestExactSum:
             assert str(got.value) == str(want.value)
 
 
+    @pytest.mark.parametrize("width", [_EXACT_MIN, 3 * _LEAF + 7])
+    def test_terms_at_the_top_of_the_float_range(self, width):
+        # from 2^1000 up, a row goes to math.fsum as it is; just below, it
+        # is sliced; the large terms sit in the last run
+        rows = np.random.default_rng(width).standard_normal((3, width))
+        rows[0, -1] = 2.0**1000
+        rows[1, -1] = np.nextafter(2.0**1000, 0.0)
+        rows[2, [-2, -1]] = 1e305, -1e305
+        self._assert_fsum(rows)
+
+    @pytest.mark.parametrize("width", [_EXACT_MIN, _LEAF + 1])
+    def test_exact_ties_round_half_to_even(self, width):
+        # the exact sums lie halfway between two doubles, the half ulp cut
+        # into 256 pieces spread over the row; fsum rounds them to even
+        rng = np.random.default_rng(width)
+
+        def row(head, tie, *extra):
+            r = np.zeros(width)
+            cells = rng.choice(width, 257 + len(extra), replace=False)
+            r[cells[0]] = head
+            r[cells[1:257]] = tie / 256
+            r[cells[257:]] = extra
+            return r
+
+        rows = np.array([
+            row(1.0, 2.0**-53),  # to 1, not 1 + 2^-52
+            row(1.0 + 2.0**-52, 2.0**-53),  # to 1 + 2^-51
+            row(-1.0, -(2.0**-53)),
+            row(1.0, 2.0**-53, 7.0, -7.0),  # larger terms that cancel
+            row(1.0, 2.0**-53, 5e-324),  # just above the tie: up
+        ])
+        self._assert_fsum(rows)
+        want = [1.0, 1.0 + 2.0**-51, -1.0, 1.0, 1.0 + 2.0**-52]
+        assert _fsum_rows(rows)[:, 0].tolist() == want
+
+    @pytest.mark.parametrize("width", [_EXACT_MIN, _LEAF + 1, 3 * _LEAF + 7])
+    def test_one_nonzero_cell(self, width):
+        values = [-1.5, 5e-324, 1e300, -math.pi]
+        rows = np.zeros((len(values), width))
+        rows[range(len(values)), [0, width - 1, width // 2, 1]] = values
+        self._assert_fsum(rows)
+        assert _fsum_rows(rows)[:, 0].tolist() == values
+
+    def test_cancelling_pairs_across_runs(self):
+        width = 4 * _LEAF + 5
+        rng = np.random.default_rng(5)
+        x = np.ldexp(rng.random(width // 2), rng.integers(-60, 60, width // 2))
+        pairs = np.concatenate([x, -x * (1 + 1e-12), [0.0]])  # x and its partner runs apart
+        self._assert_fsum(np.array([pairs, rng.permutation(pairs)]))
+
+
+_DIVERGENCE = sys.modules["entrokit.divergence"]
+
+
+@pytest.fixture(scope="module")
+def bulk_inputs():
+    """The seed-0 exponential simplices of 2^20 cells that the bulk
+    benchmark draws: p, q and a 1024 x 1024 joint."""
+    rng = np.random.default_rng(0)
+    e = rng.exponential(size=(3, 1 << 20)) + 1e-300
+    p, q, j = e / e.sum(axis=1, keepdims=True)
+    return make_distribution(p), make_distribution(q), make_joint2(j.reshape(1024, 1024))
+
+
+@pytest.mark.parametrize("k, r", [(0.1, 0.5), (0.25, 1.0), (0.4, 1.5)])
+def test_bulk_runs_take_at_most_three_slices(bulk_inputs, k, r, monkeypatch):
+    # the cost of a wide sum, as a count: the slices each run of its terms takes
+    slices = []
+    exact_parts = _DIVERGENCE._exact_parts
+
+    def counted(chunks, rows):
+        def each():
+            for chunk in chunks:
+                slices.extend(len(row) for row in exact_parts([chunk.copy()], rows))
+                yield chunk
+
+        return exact_parts(each(), rows)
+
+    monkeypatch.setattr(_DIVERGENCE, "_exact_parts", counted)
+    p, q, j = bulk_inputs
+    params = DeformParams(k, r)
+    divergence(p, q, params), kl_divergence(p, q), divergence_literal(p, q, params)
+    mutual_divergence(j, params)
+    assert len(slices) == 4 * len([*_leaves(1 << 20)])
+    assert max(slices) <= 3
+
 def _whole_row_terms(kind, p, q, params):
     """The terms of each divergence sum over one whole row, as the sums were
     evaluated before they were evaluated run by run."""
@@ -313,7 +399,7 @@ class TestChunkBoundaries:
 class TestSymmetriesAndStructure:
     def test_permutation_symmetry_exact(self):
         rng = np.random.default_rng(5)
-        # the last size is summed by binary exponent, the others by fsum alone
+        # the last size is summed by slicing, the others by fsum alone
         for n in [*rng.integers(2, 17, size=30).tolist(), 3 * _EXACT_MIN + 1]:
             p, q = _pair(rng, n)
             perm = rng.permutation(n)
@@ -454,6 +540,15 @@ class TestLogSum:
                 log_sum_gap(empty, empty, PARAMS)
         with pytest.raises(ValidationError):
             log_sum_gap("1", "2", PARAMS)
+
+    @pytest.mark.parametrize("a, b", [
+        ([1e308, 1e308], [1.0, 1.0]),  # the totals overflow in fsum
+        ([1.0, 1.0], [1e308, 1e308]),
+        ([1.7e308], [1.0]),  # the term overflows in numpy's divide
+    ])
+    def test_overflow_at_the_top_of_the_float_range(self, a, b):
+        with pytest.raises(DomainError, match="overflows"):
+            log_sum_gap(a, b, PARAMS)
 
     def test_two_axis_weights_match_their_ravel(self):
         a = [[1.0, 2.0], [0.5, 3.0]]

@@ -7,6 +7,7 @@ copy of a caller's array or an array the library builds, and the output of
 a deformed logarithm are their one full-size allocation.
 """
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -18,6 +19,7 @@ from entrokit import divergence, divergence_literal, entropy, entropy_literal, f
 from entrokit import kl_divergence, legacy_Ln, ln_kr, ln_q, make_channel, make_distribution
 from entrokit import make_joint2, make_joint3, mutual_divergence, product, shannon_entropy
 from entrokit import tsallis_divergence, tsallis_entropy
+from entrokit.divergence import _fsum_rows
 
 PARAMS = DeformParams(0.25, 1.0)
 MIB = 1 << 20
@@ -57,6 +59,22 @@ def test_divergence_of_a_fortran_ordered_pair_stays_below_4_mib(kernel):
     rng = np.random.default_rng(12)
     p, q = (make_joint2(np.asfortranarray(_simplex(rng, 1024, 1024))) for _ in range(2))
     assert _peak_mib(lambda: kernel(p, q)) < 4
+
+
+@pytest.mark.parametrize("make", [
+    lambda row: row.__setitem__((0, -1), math.inf),
+    lambda row: row.__setitem__((0, -1), 2.0**1000),
+    lambda row: row.fill(1e301),
+], ids=["inf", "2^1000", "1e301"])
+def test_a_wide_row_of_large_or_non_finite_terms_stays_below_4_mib(make):
+    # a row with an infinite term or one from 2^1000 up (here in the last
+    # run) goes to math.fsum run by run, not as one list; terms of 1e301
+    # are sliced
+    row = _simplex(np.random.default_rng(6), 1, 1 << 20)
+    make(row)
+    got = []
+    assert _peak_mib(lambda: got.append(_fsum_rows(row)[0, 0])) < 4
+    assert got[0] == math.fsum(row[0].tolist())
 
 
 @pytest.mark.parametrize("spec", ["Y_given_X", "X_given_Y"])

@@ -15,9 +15,10 @@ runs `--trace 1` once per workload (seed TRACE_SEED, TRACE_SECONDS long),
 for the per-layer view.
 
 The file holds, per workload, every run of each side; per end-to-end
-metric of BENCHMARK.json, each side's median and quartiles over its runs
-and the pairs the change won by that metric's `better` (a tie counts for
-neither side); and each side's attempted and failed operations.
+metric of BENCHMARK.json, each side's median and quartiles over its runs,
+the pairs the change won by that metric's `better` (a tie counts for
+neither side) and the verdict (see `verdict`); and each side's attempted
+and failed operations.
 """
 
 from __future__ import annotations
@@ -50,18 +51,40 @@ def change_wins(parent: float, change: float, better: str) -> bool:
     return change > parent if better == "higher" else change < parent
 
 
+def verdict(parent: list[float], change: list[float], better: str, bound: float) -> str:
+    """The verdict on one end-to-end metric from its runs in pair order:
+    - "gain": the change wins at least 9 in 10 pairs, and its median beats
+      the parent's by more than the parent's quartile spread (q3 - q1);
+    - "worse": the change's median is worse than the parent's by more than
+      `bound` times the parent's median;
+    - "unresolved": either side's quartile spread is wider than `bound`
+      times its median, unless every change run beats every parent run;
+    - "within bound": otherwise.
+    """
+    p, c = quartiles(parent), quartiles(change)
+    wins = sum(change_wins(a, b, better) for a, b in zip(parent, change))
+    ahead = (c["median"] - p["median"]) * (1 if better == "higher" else -1)
+    if 10 * wins >= 9 * len(parent) and ahead > p["q3"] - p["q1"]:
+        return "gain"
+    if -ahead > bound * abs(p["median"]):
+        return "worse"
+    if any(q["q3"] - q["q1"] > bound * abs(q["median"]) for q in (p, c)) and not all(
+            change_wins(a, b, better) for a in parent for b in change):
+        return "unresolved"
+    return "within bound"
+
+
 def summarize(runs: dict, end_to_end: list[dict]) -> dict:
-    """Per end-to-end metric, each side's quartiles and the pairs the change
-    won; runs holds each side's runs in pair order."""
-    pairs = list(zip(runs["parent"], runs["change"]))
+    """Per end-to-end metric, each side's quartiles, the pairs the change
+    won and the verdict; runs holds each side's runs in pair order."""
     summary = {}
     for spec in end_to_end:
-        name = spec["name"]
-        values = {side: [r["metrics"][name] for r in runs[side]] for side in SIDES}
-        wins = sum(change_wins(p["metrics"][name], c["metrics"][name], spec["better"])
-                   for p, c in pairs)
-        summary[name] = {**{side: quartiles(values[side]) for side in SIDES},
-                         "change_better_pairs": f"{wins}/{len(pairs)}"}
+        name, better = spec["name"], spec["better"]
+        parent, change = ([r["metrics"][name] for r in runs[side]] for side in SIDES)
+        wins = sum(change_wins(p, c, better) for p, c in zip(parent, change))
+        summary[name] = {"parent": quartiles(parent), "change": quartiles(change),
+                         "change_better_pairs": f"{wins}/{len(parent)}",
+                         "verdict": verdict(parent, change, better, spec["bound"])}
     return summary
 
 
