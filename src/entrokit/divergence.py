@@ -207,7 +207,7 @@ def _sum_terms(terms, cells: tuple, *args) -> np.ndarray:
     if parts is None:
         if width <= _LEAF:  # one run, without the walker
             parts = terms(*_whole(cells, width), *args).tolist()
-        else:  # row i's terms, made as map reads row i
+        else:  # row i's own terms, run by run; map reads them before i moves on
             parts = ((t for run in chunks() for t in run[i].tolist()) for i in range(rows))
     return np.array(list(map(math.fsum, parts)))[:, np.newaxis]
 
