@@ -25,11 +25,10 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from numbers import Real
 
 import numpy as np
 
-from .distributions import _LEAF, _as_float_array, _tiles, _typed
+from .distributions import _LEAF, _as_float_array, _real, _tiles, _typed
 from .errors import DomainError, LegacyRegionWarning, ParamError
 
 __all__ = [
@@ -103,13 +102,6 @@ class DeformParams:
         return False
 
 
-def _finite_real(name: str, value):
-    """A scalar parameter as a float, if a finite real number and not a bool; else ParamError."""
-    if isinstance(value, bool) or not (isinstance(value, Real) and math.isfinite(value)):
-        raise ParamError(f"{name} must be a finite real number, got {value!r}")
-    return float(value)
-
-
 def _x_array(x) -> np.ndarray:
     """A number or array x as a float array, which must be non-empty."""
     xv = _as_float_array(x, "x")
@@ -177,7 +169,7 @@ def ln_kr(x, params: DeformParams):
 
 def ln_q(x, q: float):
     """Tsallis q-logarithm (x^{1-q} - 1) / (1 - q), q != 1."""
-    q = _finite_real("q", q)
+    q = _real("q", q, "a finite real number", math.isfinite)
     if q == 1:
         raise ParamError("q = 1 is the ordinary logarithm; ln_q requires q != 1")
     return _deformed(x, 0.0, 1.0 - q)

@@ -19,6 +19,10 @@ small objects. Any other layout is copied once into C order, then checked.
 So every Distribution and Channel holds a C-contiguous array, and each sum
 over one runs in one order, whatever the caller's layout. A Distribution
 remembers whether every cell is > 0, so the kernels do not scan it again.
+
+The rules for scalar arguments are written here once for every module:
+_real for real numbers, _integer and _integers for integers and _seed for
+seeds. None of them takes a bool for a number.
 """
 
 from __future__ import annotations
@@ -100,6 +104,51 @@ def _as_float_array(data, what: str) -> np.ndarray:
     if a.dtype.kind not in "iuf":
         raise ValidationError(f"{what} must be numeric")
     return a.astype(float, copy=False)
+
+
+def _real(name: str, value, what: str, ok, error=ParamError) -> float:
+    """A real number, not a bool, as a float that ok accepts; else error,
+    "<name> must be <what>, got <value>"."""
+    try:
+        x = float(value) if isinstance(value, Real) and not isinstance(value, bool) else math.nan
+    except OverflowError:  # an int beyond the floats
+        x = math.nan
+    if not ok(x):  # every ok rejects nan
+        raise error(f"{name} must be {what}, got {value!r}")
+    return x
+
+
+def _index(value) -> int:
+    """operator.index of an integer that is not a bool; else TypeError."""
+    if isinstance(value, (bool, np.bool_)):
+        raise TypeError
+    return operator.index(value)
+
+
+def _integer(name: str, value, error=ParamError) -> int:
+    """An integer, not a bool, as an int; else error, "<name> must be an
+    integer, got <value>"."""
+    try:
+        return _index(value)
+    except TypeError:
+        raise error(f"{name} must be an integer, got {value!r}") from None
+
+
+def _integers(name: str, values, error=ParamError) -> tuple[int, ...]:
+    """Integers, none a bool, as a tuple of ints; else error, "<name> must be
+    integers, got <values>"."""
+    try:
+        return tuple(map(_index, values))
+    except TypeError:
+        raise error(f"{name} must be integers, got {values!r}") from None
+
+
+def _seed(value, error=ParamError) -> int:
+    """A seed as an int in [0, 2^64); else error."""
+    seed = _integer("seed", value, error)
+    if not 0 <= seed < 2**64:
+        raise error("seed must be a 64-bit unsigned integer")
+    return seed
 
 
 def _c_copy(a: np.ndarray) -> np.ndarray:
@@ -234,6 +283,23 @@ def _rowsum(a: np.ndarray, terms=None, *args) -> np.ndarray:
     return _pairwise(sums, n)[:, np.newaxis]
 
 
+def _simplex_rows(e: np.ndarray) -> np.ndarray:
+    """Each row (axis 0) of the batch e divided by its _rowsum: normalized
+    i.i.d. exponentials are a flat Dirichlet draw, a uniform point of the
+    simplex."""
+    return e / _col(_rowsum(e), e.ndim)
+
+
+def _marginal_rows(j: np.ndarray, axes) -> np.ndarray:
+    """A batch of joints (axis a + 1 is variable a) with every variable but
+    `axes` summed out, and those in the order named: a view of j or of its
+    sum."""
+    kept = sorted(axes)
+    rest = tuple(a + 1 for a in range(j.ndim - 1) if a not in kept)
+    t = j.sum(axis=rest) if rest else j
+    return t.transpose([0] + [kept.index(a) + 1 for a in axes])
+
+
 def _check_sums(totals: np.ndarray) -> None:
     bad = np.abs(totals - 1.0) > SUM_TOL
     if np.any(bad):
@@ -316,21 +382,15 @@ class Distribution:
         return self.p.shape
 
     def marginal(self, *axes: int) -> Distribution:
-        """Marginal over the given axes (0=x, 1=y, 2=z, ...), in the order given."""
-        try:
-            axes = tuple(map(operator.index, axes))
-        except TypeError:
-            raise ParamError(f"axes must be integers, got {axes}") from None
-        kept = sorted(axes)
-        if not axes or len(set(axes)) != len(axes) or kept[0] < 0 or kept[-1] >= self.ndim:
+        """Marginal over the given axes (0=x, 1=y, 2=z, ...), in the order
+        given: _marginal_rows on a batch of one, copied to C order."""
+        axes = _integers("axes", axes)
+        if not axes or len(set(axes)) != len(axes) or min(axes) < 0 or max(axes) >= self.ndim:
             raise ParamError(f"axes must be distinct and in [0, {self.ndim}), got {axes}")
-        m = np.empty([self.shape[a] for a in axes])  # C-ordered, summed in the kept order
-        rest = tuple(a for a in range(self.ndim) if a not in kept)
-        self.p.sum(axis=rest, out=m.transpose([axes.index(a) for a in kept]))
-        return _built(Distribution, m)
+        return _built(Distribution, _c_copy(_marginal_rows(self.p[np.newaxis], axes)[0]))
 
     # Kept only because the frozen benchmark (perfbench/bulk.py) calls it;
-    # ROADMAP item 5's benchmark change deletes it.
+    # ROADMAP item 4's benchmark change deletes it.
     def marginal_x(self) -> Distribution:
         """The marginal over axis 0, i.e. marginal(0)."""
         return self.marginal(0)
@@ -481,50 +541,32 @@ def mix(p1: Distribution, p2: Distribution, lam: float) -> Distribution:
     _typed(Distribution, p1=p1, p2=p2)
     if p1.shape != p2.shape:
         raise DimensionError(f"shape mismatch: {p1.shape} vs {p2.shape}")
-    if isinstance(lam, bool) or not (isinstance(lam, Real) and 0.0 <= lam <= 1.0):
-        raise ParamError(f"lambda must be a real number in [0, 1], got {lam!r}")
+    lam = _real("lambda", lam, "a real number in [0, 1]", lambda x: 0.0 <= x <= 1.0)
     return _built(Distribution, _mix_rows(p1.p, p2.p, lam))
 
 
 def _rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    try:
-        seed = operator.index(seed)
-    except TypeError:
-        raise ParamError(f"seed must be an integer, got {seed!r}") from None
-    if not (0 <= seed < 2**64):
-        raise ParamError("seed must be a 64-bit unsigned integer")
-    return np.random.default_rng(seed)
+    return seed if isinstance(seed, np.random.Generator) else np.random.default_rng(_seed(seed))
 
 
 def _sizes(dims) -> tuple[int, ...]:
     """Support sizes as ints >= 1, else ParamError."""
-    try:
-        dims = tuple(map(operator.index, dims))
-    except TypeError:
-        raise ParamError(f"support sizes must be integers, got {dims!r}") from None
-    if min(dims, default=0) < 1:
-        raise ParamError(f"support sizes must be >= 1, got {dims!r}")
-    return dims
-
-
-def _simplex_point(rng: np.random.Generator, shape) -> np.ndarray:
-    # normalized i.i.d. exponentials = flat Dirichlet = uniform on the simplex
-    e = rng.exponential(size=shape)
-    return e / e.sum()
+    sizes = _integers("support sizes", dims)
+    if min(sizes, default=0) < 1:
+        raise ParamError(f"support sizes must be >= 1, got {sizes!r}")
+    return sizes
 
 
 def sample_distribution(shape, seed) -> Distribution:
     """Uniform random point on the simplex of the given shape (an int for a
-    vector, a tuple for a joint), deterministic for a fixed seed."""
+    vector, a tuple for a joint), deterministic for a fixed seed: one
+    _simplex_rows draw on a batch of one."""
     dims = _sizes(shape if np.iterable(shape) else (shape,))
-    return _built(Distribution, _simplex_point(_rng(seed), dims))
+    return _built(Distribution, _simplex_rows(_rng(seed).exponential(size=(1, *dims)))[0])
 
 
 def sample_channel(m: int, n: int, seed) -> Channel:
-    """Random column-stochastic matrix, one simplex point per column."""
+    """Random column-stochastic matrix, one simplex point per column: the
+    n columns are one (n, m) _simplex_rows draw, transposed."""
     m, n = _sizes((m, n))
-    rng = _rng(seed)
-    cols = np.column_stack([_simplex_point(rng, m) for _ in range(n)])
-    return _built(Channel, cols)
+    return _built(Channel, _c_copy(_simplex_rows(_rng(seed).exponential(size=(n, m))).T))

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .deformed_log import DeformParams, _finite_real, ln_kr, ln_q
+from .deformed_log import DeformParams, ln_kr, ln_q
 from .distributions import (
     _LEAF,
     Distribution,
@@ -50,6 +50,7 @@ from .distributions import (
     _col,
     _leaves,
     _pairwise,
+    _real,
     _runs,
     _span,
     _typed,
@@ -344,7 +345,7 @@ def _tsallis_terms(p: np.ndarray, q: np.ndarray, q_param: float) -> np.ndarray:
 
 def tsallis_divergence(p: Distribution, q: Distribution, q_param: float) -> float:
     """Standard one-parameter relative entropy -sum p ln_q(q_x/p_x)."""
-    q_param = _finite_real("q", q_param)
+    q_param = _real("q", q_param, "a finite real number", math.isfinite)
     if q_param == 1:
         raise ParamError("q = 1 is the KL limit; use kl_divergence")
     _check_pair(p, q)

@@ -52,8 +52,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .deformed_log import DeformParams, _deformed, _finite_real, ln_kr
-from .distributions import _LEAF, Distribution, _cells, _col, _rowsum, _typed
+from .deformed_log import DeformParams, _deformed, ln_kr
+from .distributions import (_LEAF, Distribution, _cells, _col, _marginal_rows, _real, _rowsum,
+                            _typed)
 from .divergence import _closed_form, _unit_at_zero
 from .errors import DimensionError, ParamError
 
@@ -172,16 +173,6 @@ def _conditional_rows(t: np.ndarray, k, given: int = 1, drop_empty: bool = False
     return rows.sum(axis=1, keepdims=True)
 
 
-def _spec_view(j: np.ndarray, of: list[int], given: list[int]) -> np.ndarray:
-    """A batch of joints (axis a + 1 is variable a) as (T, G..., O...) arrays:
-    other axes summed out, then the given axes and the of axes in the order
-    named, a view of j or of its sum."""
-    kept = sorted(of + given)
-    rest = tuple(a + 1 for a in range(j.ndim - 1) if a not in kept)
-    t = j.sum(axis=rest) if rest else j
-    return t.transpose([0] + [kept.index(a) + 1 for a in given + of])
-
-
 def _letter_axes(of: str, given: str, ndim: int) -> tuple[list[int], list[int]] | None:
     """The axes the letters of `of` and `given` name; None unless `of` is
     non-empty and the letters name distinct axes among the first ndim."""
@@ -219,7 +210,7 @@ def conditional_entropy(
     _typed(Distribution, j=j)
     _typed(DeformParams, params=params)
     of, given = _spec_axes(spec, j.ndim)
-    view = _spec_view(j.p[np.newaxis], of, given)
+    view = _marginal_rows(j.p[np.newaxis], given + of)  # (1, G..., O...)
     value = _conditional_rows(view, params.k, len(given), drop_empty=True)
     return EntropyValue(float(value[0, 0]), params)
 
@@ -263,7 +254,7 @@ def _tsallis_entropy_terms(p: np.ndarray, q) -> np.ndarray:
 
 def tsallis_entropy(p: Distribution, q: float) -> float:
     """Standard one-parameter entropy -sum p^q ln_q(p), q != 1."""
-    q = _finite_real("q", q)
+    q = _real("q", q, "a finite real number", math.isfinite)
     if q == 1:
         raise ParamError("q = 1 is the Shannon limit; use shannon_entropy")
     return float(-_rowsum(_positive_cells(p), _tsallis_entropy_terms, q)[0, 0])

@@ -20,12 +20,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Real
 
 import numpy as np
 
 from .deformed_log import DeformParams
-from .distributions import Distribution, _as_float_array, _col, _rowsum, _typed
+from .distributions import Distribution, _as_float_array, _col, _real, _rowsum, _typed
 from .divergence import _positive_terms
 from .errors import DimensionError, DomainError, ParamError, ValidationError
 
@@ -167,14 +166,13 @@ def fd_hessian(
     _typed(DeformParams, params=params)
     if pv.ndim != 1:
         raise DimensionError(f"fd_hessian needs a vector, got {pv.ndim} axes")
-    if isinstance(step, bool) or not (isinstance(step, Real) and 0 < step < math.inf):
-        raise DomainError(f"step must be a real number > 0, got {step!r}")
+    h = _real("step", step, "a real number > 0", lambda x: 0 < x < math.inf, DomainError)
     smallest = _MIN_STEP_PER_P * float(pv.max())
-    if step < smallest:
+    if h < smallest:
         raise DomainError(
             f"step {step!r} is below float resolution at p: the smallest accepted is {smallest!r}"
         )
-    return _fd_hessian_rows(pv[np.newaxis], np.array([[pv.size]]), params.k, float(step))[0]
+    return _fd_hessian_rows(pv[np.newaxis], np.array([[pv.size]]), params.k, h)[0]
 
 
 def _quadratic_rows(p: np.ndarray, dp: np.ndarray, params) -> np.ndarray:

@@ -15,9 +15,11 @@ laws of Section 3 are one-line `_entropy_law` entries.
 Entropies and divergences come from the batched `_*_rows` evaluators of
 `entrokit.entropy` and `entrokit.divergence`, and finite-difference
 Hessians from `entrokit.geometry._fd_hessian_rows`, which the public
-functions call on a batch of one. So do the operators: outer products
-(`product`), channel pushes (`apply_channel`) and mixtures (`mix`) come
-from `_outer_rows`, `_push_rows` and `_mix_rows` of
+functions call on a batch of one. So do the operators: marginals
+(`Distribution.marginal`), simplex draws (`sample_distribution` and
+`sample_channel`), outer products (`product`), channel pushes
+(`apply_channel`) and mixtures (`mix`) come from `_marginal_rows`,
+`_simplex_rows`, `_outer_rows`, `_push_rows` and `_mix_rows` of
 `entrokit.distributions`, and metric diagonals (`fisher_metric`) and
 quadratic forms (`quadratic_form`) from `_metric_rows` and
 `_quadratic_rows` of `entrokit.geometry`. This module defines no sum and
@@ -50,7 +52,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .deformed_log import DeformParams, legacy_Ln, legacy_u, ln_kr
-from .distributions import _check_rows, _mix_rows, _outer_rows, _push_rows, _rowsum
+from .distributions import (_check_rows, _marginal_rows, _mix_rows, _outer_rows, _push_rows,
+                            _rowsum, _simplex_rows)
 from .divergence import _divergence_literal_rows, _divergence_rows, _kl_rows, _log_sum_rows
 from .entropy import (
     AXIS_LETTERS,
@@ -59,7 +62,6 @@ from .entropy import (
     _entropy_rows,
     _letter_axes,
     _shannon_rows,
-    _spec_view,
 )
 from .geometry import (
     CONVENTIONS,
@@ -207,10 +209,9 @@ def _mask(sizes: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 def _simplex(e: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """Each trial's exponentials inside its sizes, normalized: a uniform
     point of its simplex (flat Dirichlet), zero-padded and validated."""
-    p = np.where(_mask(sizes, e.shape[1:]), e, 0.0).reshape(len(e), -1)
-    p /= _rowsum(p)
+    p = _simplex_rows(np.where(_mask(sizes, e.shape[1:]), e, 0.0))
     _check_rows(p)
-    return p.reshape(e.shape)
+    return p
 
 
 def _vector(draw: _Draw, n=None) -> tuple[np.ndarray, np.ndarray]:
@@ -359,10 +360,11 @@ def _law_side(side: str):
     def term(text: str):
         sign, text = (-1.0, text[1:]) if text[0] == "-" else (1.0, text)
         of, _, given = text.partition("|")
-        axes = _letter_axes(of, given, len(AXIS_LETTERS))
+        of, given = _letter_axes(of, given, len(AXIS_LETTERS))
+        axes = given + of  # the given variables lead
         if given:
-            return lambda j, k: sign * _conditional_rows(_spec_view(j, *axes), k, len(given))
-        return lambda j, k: sign * _entropy_rows(_spec_view(j, *axes), k)
+            return lambda j, k: sign * _conditional_rows(_marginal_rows(j, axes), k, len(given))
+        return lambda j, k: sign * _entropy_rows(_marginal_rows(j, axes), k)
 
     terms = [term(t) for t in side.replace(" - ", " + -").split(" + ")]
     return lambda j, k: functools.reduce(operator.add, [t(j, k) for t in terms])
@@ -501,7 +503,7 @@ def _check_indiscernibles(draw, trial):
     noise = np.where(live, draw.normal(VECTOR), 0.0)
     noise = np.where(live, noise - _rowsum(noise) / n, 0.0)
     perturbed = np.where(live, (p + scale * noise).clip(min=1e-12), 0.0)
-    q = perturbed / _rowsum(perturbed)
+    q = _simplex_rows(perturbed)
     _check_rows(q)
     d = _divergence_rows(p, q, params.k)
     maxdiff = np.max(np.abs(p - q), axis=1, keepdims=True)

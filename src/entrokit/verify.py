@@ -19,14 +19,13 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-import operator
 import threading
 from dataclasses import asdict, dataclass
-from numbers import Real
 from typing import NamedTuple
 
 import numpy as np
 
+from .distributions import _integer, _real, _seed, _typed
 from .errors import ConfigError
 from .properties import (
     _KINDS,
@@ -67,19 +66,18 @@ class SweepConfig:
     tol: float | None = None
     properties: tuple[str, ...] | None = None
 
+    _type_error = ConfigError  # what distributions._typed raises for another type
+
     def __post_init__(self):
-        object.__setattr__(self, "seed", _integer("seed", self.seed))
-        object.__setattr__(self, "trials", _integer("trials", self.trials))
+        object.__setattr__(self, "seed", _seed(self.seed, ConfigError))
+        object.__setattr__(self, "trials", _integer("trials", self.trials, ConfigError))
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
         if self.trials > TRIAL_LIMIT:
             raise ConfigError(f"trials must be <= 2**63, got {self.trials}")
-        if not (0 <= self.seed < 2**64):
-            raise ConfigError("seed must be a 64-bit unsigned integer")
-        tol = self.tol
-        usable = isinstance(tol, Real) and not isinstance(tol, bool) and 0 < tol < np.inf
-        if tol is not None and not usable:
-            raise ConfigError(f"tol must be a real number > 0, got {tol!r}")
+        if self.tol is not None:
+            tol = _real("tol", self.tol, "a real number > 0", lambda x: 0 < x < np.inf, ConfigError)
+            object.__setattr__(self, "tol", tol)
         if self.properties is not None:
             names = self.properties
             if isinstance(names, str) or not np.iterable(names):
@@ -92,13 +90,6 @@ class SweepConfig:
             if "" in names:
                 raise ConfigError(f"property names must be non-empty: {names!r}")
             object.__setattr__(self, "properties", names)
-
-
-def _integer(field: str, value) -> int:
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ConfigError(f"{field} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -294,10 +285,11 @@ def _chunks(spec: PropertySpec, config: SweepConfig):
 def run_single(config: SweepConfig, name: str, trial: int) -> CheckResult:
     """Run one (property, trial) pair: the sweep's batch evaluation on a
     batch of one, fully determined by the config seed."""
+    _typed(SweepConfig, config=config)
     spec = _REGISTRY.get(name) if isinstance(name, str) else None
     if spec is None:
         raise ConfigError(f"unknown property {name!r}")
-    trial = _integer("trial", trial)
+    trial = _integer("trial", trial, ConfigError)
     if trial < 0:
         raise ConfigError(f"trial must be >= 0, got {trial}")
     if trial >= TRIAL_LIMIT:
@@ -324,6 +316,7 @@ def _aggregate(spec: PropertySpec, chunks) -> PropertyReport:
 
 def run_suite(config: SweepConfig) -> VerificationReport:
     """Run every selected property over `trials` seeded instances."""
+    _typed(SweepConfig, config=config)
     wanted = _REGISTRY.keys() if config.properties is None else set(config.properties)
     unknown = [n for n in config.properties or () if n not in _REGISTRY]
     if unknown:

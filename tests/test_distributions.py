@@ -1,14 +1,21 @@
 """Tests for the probability data model, samplers, and JSON/CSV round trips."""
 
+import inspect
+import itertools
 import json
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from entrokit import (
     Channel,
+    ConfigError,
     DimensionError,
+    DomainError,
     Distribution,
+    EntrokitError,
     ParamError,
     ValidationError,
     apply_channel,
@@ -216,6 +223,12 @@ class TestMix:
         for lam in (1.5, float("nan"), "0.5", True):
             with pytest.raises(ParamError):
                 mix(q, q, lam)
+
+    def test_a_fraction_lambda_mixes_as_its_float(self):
+        p, q = sample_distribution(5, seed=1), sample_distribution(5, seed=2)
+        out = mix(p, q, Fraction(1, 3))
+        assert out.p.dtype == np.float64
+        assert out.p.tobytes() == mix(p, q, 1 / 3).p.tobytes()
 
 
 class TestOperatorBits:
@@ -621,3 +634,175 @@ _LONG_Z[-1], _LONG_Z[-2] = 0.0, 2.0**-16  # a zero in the last run
 def test_every_constructor_knows_its_positivity(build, positive):
     d = build()
     assert d._positive is positive is bool(np.all(d.p > 0))
+
+
+# Joints of rank 1-3 whose marginals are pinned for every axis order,
+# among them the benchmark's 1024 x 1024 and 128^3 and a 2 x 512 x 512
+MARGINAL_SHAPES = [(7,), (40000,), (5, 9), (1024, 1024), (3, 4, 5), (128, 128, 128), (2, 512, 512)]
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("shape", MARGINAL_SHAPES, ids=str)
+def test_marginal_is_np_sum_over_the_other_axes(shape, order):
+    a = np.random.default_rng(len(shape)).exponential(size=shape)
+    j = Distribution(np.asarray(a / a.sum(), order=order))  # held in C order
+    for r in range(1, len(shape) + 1):
+        for axes in itertools.permutations(range(len(shape)), r):
+            kept = sorted(axes)
+            rest = tuple(x for x in range(len(shape)) if x not in kept)
+            ref = np.sum(j.p, axis=rest).transpose([kept.index(x) for x in axes])
+            m = j.marginal(*axes)
+            assert m.p.flags.c_contiguous and not m.p.flags.writeable
+            assert m.shape == ref.shape and m.p.tobytes() == ref.tobytes(), axes
+
+
+def _normalized(e: np.ndarray) -> np.ndarray:
+    return e / np.sum(e)
+
+
+@pytest.mark.parametrize("seeds, shape", [
+    (range(200), 1), (range(200), 5), (range(200), (3, 4)), (range(200), (2, 3, 4)),
+    (range(6), 40000), (range(6), (200, 300)),
+], ids=str)
+def test_sample_distribution_is_normalized_exponentials(seeds, shape):
+    for seed in seeds:
+        ref = _normalized(np.random.default_rng(seed).exponential(size=shape))
+        assert sample_distribution(shape, seed).p.tobytes() == np.atleast_1d(ref).tobytes()
+
+
+@pytest.mark.parametrize("seeds, m, n", [
+    (range(200), 1, 1), (range(200), 3, 4), (range(200), 16, 5), (range(6), 40000, 2),
+], ids=str)
+def test_sample_channel_is_normalized_exponential_columns(seeds, m, n):
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        ref = np.column_stack([_normalized(rng.exponential(size=m)) for _ in range(n)])
+        w = sample_channel(m, n, seed).w
+        assert w.flags.c_contiguous and w.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: ek.SweepConfig(seed=True), ConfigError, "seed must be an integer, got True"),
+    (lambda: ek.SweepConfig(trials=True), ConfigError, "trials must be an integer, got True"),
+    (lambda: ek.run_single(ek.SweepConfig(), "chain_rule", True), ConfigError,
+     "trial must be an integer, got True"),
+    (lambda: sample_distribution(True, 0), ParamError,
+     r"support sizes must be integers, got \(True,\)"),
+    (lambda: sample_channel(2, True, 0), ParamError,
+     r"support sizes must be integers, got \(2, True\)"),
+    (lambda: sample_distribution(3, True), ParamError, "seed must be an integer, got True"),
+    (lambda: sample_distribution((2, 3), 0).marginal(True), ParamError,
+     r"axes must be integers, got \(True,\)"),
+], ids=["config seed", "config trials", "run_single trial", "vector size", "channel size",
+        "sampler seed", "marginal axis"])
+def test_a_bool_is_not_an_integer(call, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        call()
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: Channel(np.ones(3)), ValidationError, "channel must be a 2-d matrix"),
+    (lambda: make_channel(np.ones(3)), ValidationError, "channel weights must be a 2-d matrix"),
+    (lambda: make_channel([[0.0, 1.0], [0.0, 1.0]], normalize=True), ValidationError,
+     "cannot normalize a channel with an all-zero column"),
+    (lambda: sample_distribution(3, 2**64), ParamError, "seed must be a 64-bit unsigned integer"),
+    (lambda: ek.divergence_literal(_HALF, _HALF, _PARAMS, form="xy"), ParamError,
+     "form must be \"pq\" or \"qp\", got 'xy'"),
+    (lambda: ek.mutual_divergence(_HALF, _PARAMS), DimensionError,
+     "mutual divergence needs a 2-axis joint, got 1 axes"),
+    (lambda: ek.mutual_entropy(sample_distribution((2, 2, 2), 0), _PARAMS), DimensionError,
+     "mutual entropy needs a 2-axis joint, got 3 axes"),
+    (lambda: eio.read("# rows=a cols=2\n0.5,0.5\n", ("m",), "csv", False), ValidationError,
+     "malformed CSV header: '# rows=a cols=2'"),
+    (lambda: eio.read("# rows=1 cols=2\n", ("m",), "csv", False), ValidationError,
+     "no data rows in CSV input"),
+    (lambda: ek.ln_kr([], _PARAMS), DomainError, "x must be non-empty"),
+], ids=["Channel rank", "make_channel rank", "zero column", "seed range", "literal form",
+        "mutual_divergence rank", "mutual_entropy rank", "CSV header", "CSV rows", "empty x"])
+def test_raise_sites_keep_their_class_and_message(call, error, message):
+    with pytest.raises(error) as caught:
+        call()
+    assert type(caught.value) is error and str(caught.value) == message
+
+
+def _valid_calls() -> dict:
+    """One valid call of every callable of entrokit.__all__: its arguments
+    by parameter name, in the order of its signature."""
+    p, q, j = _HALF, sample_distribution(2, 1), sample_distribution((2, 3), 2)
+    params, cfg = _PARAMS, ek.SweepConfig(trials=1, properties=("chain_rule",))
+    check = ek.CheckResult("chain_rule", 0, True, 1.0, 1.0, 0.0, "seed=0")
+    calls = {
+        "joint_entropy": dict(p=p, params=params),
+        "conditional_entropy3": dict(j=j, params=params, spec="Y_given_X"),
+        "DeformParams": dict(k=0.25, r=0.5, relaxed=False),
+        "ln_kr": dict(x=0.5, params=params),
+        "ln_q": dict(x=0.5, q=2.0),
+        "legacy_Ln": dict(x=0.5, params=params, warn_outside_region=False),
+        "legacy_u": dict(x=0.5, params=params),
+        "Distribution": dict(p=[0.5, 0.5]),
+        "Channel": dict(w=np.eye(2)),
+        "make_distribution": dict(weights=[1.0, 3.0], normalize=True),
+        "make_joint2": dict(matrix=[[1.0, 3.0]], normalize=True),
+        "make_joint3": dict(tensor=[[[1.0, 3.0]]], normalize=True),
+        "make_channel": dict(matrix=[[1.0, 3.0]], normalize=True),
+        "product": dict(p=p, q=q),
+        "apply_channel": dict(w=_EYE, p=p),
+        "mix": dict(p1=p, p2=q, lam=0.5),
+        "sample_distribution": dict(shape=3, seed=0),
+        "sample_channel": dict(m=2, n=3, seed=0),
+        "EntropyValue": dict(value=0.5, params=params),
+        "entropy": dict(p=p, params=params),
+        "entropy_literal": dict(p=p, params=params),
+        "conditional_entropy": dict(j=j, params=params, spec="Y_given_X"),
+        "mutual_entropy": dict(j=j, params=params),
+        "shannon_entropy": dict(p=p),
+        "tsallis_entropy": dict(p=p, q=2.0),
+        "DivergenceValue": dict(value=0.5, params=params, support_flag="full"),
+        "divergence": dict(p=p, q=q, params=params),
+        "divergence_literal": dict(p=p, q=q, params=params, form="pq"),
+        "log_sum_gap": dict(a=[1.0, 2.0], b=[2.0, 1.0], params=params),
+        "kl_divergence": dict(p=p, q=q),
+        "tsallis_divergence": dict(p=p, q=q, q_param=2.0),
+        "mutual_divergence": dict(j=j, params=params),
+        "MetricDiagonal": dict(g=np.ones(2), params=params, convention="derived"),
+        "PotentialCoefficients": dict(A=1.0, c1=0.0, c2=0.0),
+        "metric_coefficient": dict(params=params, convention="derived"),
+        "fisher_metric": dict(p=p, params=params, convention="derived"),
+        "fd_hessian": dict(p=p, params=params, step=1e-4),
+        "quadratic_form": dict(p=p, dp=[1e-3, -1e-3], params=params),
+        "hessian_potential": dict(u=0.5, coeffs=ek.PotentialCoefficients(1.0)),
+        "SweepConfig": dict(seed=0, trials=1, tol=None, properties=("chain_rule",)),
+        "CheckResult": dict(property="chain_rule", trial_index=0, passed=True, lhs=1.0,
+                            rhs=1.0, slack=0.0, instance_digest="seed=0"),
+        "PropertyReport": dict(name="chain_rule", anchor="Theorem 3.6", kind="identity",
+                               passes=1, fails=0, worst_slack=0.0, failures=(check,)),
+        "VerificationReport": dict(config=cfg, properties=()),
+        "list_properties": dict(),
+        "run_single": dict(config=cfg, name="chain_rule", trial=0),
+        "run_suite": dict(config=cfg),
+    }
+    # an error class takes its message
+    calls.update({name: dict(message="m") for name in ek.errors.__all__})
+    return calls
+
+
+# Values of a wrong type or outside every domain; a Distribution of the wrong
+# rank is added per parameter
+WRONG = [None, "abc", [0.5, 0.5], True, 1 + 2j, math.nan, np.array(0.5)]
+
+
+@pytest.mark.filterwarnings("ignore::entrokit.LegacyRegionWarning")
+@pytest.mark.parametrize("name", [n for n in ek.__all__ if callable(getattr(ek, n))])
+def test_only_entrokit_errors_escape_the_public_boundary(name):
+    fn, valid = getattr(ek, name), _valid_calls()[name]
+    if name not in ek.errors.__all__:
+        assert list(inspect.signature(fn).parameters) == list(valid)
+    fn(*valid.values())
+    for param, good in valid.items():
+        rank = 2 if isinstance(good, Distribution) and good.ndim == 1 else 1
+        for bad in [*WRONG, sample_distribution((2,) * rank, 0)]:
+            args = [bad if key == param else value for key, value in valid.items()]
+            try:
+                fn(*args)
+            except EntrokitError:
+                pass

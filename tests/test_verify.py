@@ -4,9 +4,11 @@ determinism, order independence, and failure reporting."""
 import inspect
 import itertools
 import json
+import operator
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -31,7 +33,7 @@ from entrokit import (
     shannon_entropy,
 )
 from entrokit.deformed_log import _deformed
-from entrokit.distributions import _rowsum
+from entrokit.distributions import _marginal_rows, _rowsum
 from entrokit.divergence import _divergence_literal_rows, _divergence_rows, _kl_rows
 from entrokit.entropy import (
     _conditional_rows,
@@ -39,7 +41,6 @@ from entrokit.entropy import (
     _entropy_rows,
     _shannon_rows,
     _spec_axes,
-    _spec_view,
 )
 from entrokit.properties import _KINDS, JOINT3, K_RANGE, R_RANGE, SIZE_RANGE, _law_side
 from entrokit.verify import (
@@ -305,6 +306,13 @@ class TestEngine:
         assert type(cfg.seed) is int and type(cfg.trials) is int
         assert json.loads(run_suite(cfg).to_json())["config"]["seed"] == 3
 
+    @pytest.mark.parametrize("tol, value",
+                             [(Fraction(1, 10**9), 1e-9), (1, 1.0), (np.float32(0.5), 0.5)])
+    def test_a_real_tolerance_is_reported_as_its_float(self, tol, value):
+        cfg = SweepConfig(trials=1, tol=tol, properties=("chain_rule",))
+        assert type(cfg.tol) is float and cfg.tol == value
+        assert json.dumps(json.loads(run_suite(cfg).to_json())["config"]["tol"]) == repr(value)
+
     def test_forced_failures_are_recorded(self):
         # an impossibly tight tolerance turns benign rounding into failures
         cfg = SweepConfig(seed=11, trials=30, tol=1e-30, properties=("product_rule_1",))
@@ -423,8 +431,8 @@ class TestEngine:
                         itertools.permutations(rest, n) for n in range(1, len(rest) + 1)
                     ):
                         spec = "".join(of) + "_given_" + "".join(given)
-                        axes = _spec_axes(spec, len(shape))
-                        rows = _conditional_rows(_spec_view(j, *axes), k, len(axes[1]))
+                        o, g = _spec_axes(spec, len(shape))
+                        rows = _conditional_rows(_marginal_rows(j, g + o), k, len(g))
                         same(rows, lambda d: conditional_entropy(d, params, spec).value, j)
 
 
@@ -540,6 +548,9 @@ def _take_along_axis_outcome(kind, lhs, rhs, slack=None):
 # Each public operator's batched form: the operator calls it on a batch of
 # one, and the sweep on its padded batches.
 SHARED_FORMS = {
+    "Distribution.marginal": "_marginal_rows",
+    "sample_distribution": "_simplex_rows",
+    "sample_channel": "_simplex_rows",
     "product": "_outer_rows",
     "apply_channel": "_push_rows",
     "mix": "_mix_rows",
@@ -548,14 +559,14 @@ SHARED_FORMS = {
 }
 
 # Public entry points that no sweep property reaches, neither themselves nor
-# through a batched _*_rows form that they call. The constructors and
-# samplers are here because the sweep draws its own instances, and
+# through a batched _*_rows form that they call. The constructors are here
+# because the sweep builds its padded instances as arrays, not as checked
+# Distributions (it draws them through the samplers' _simplex_rows), and
 # list_properties and run_single because they are the sweep's other entry
 # points. ROADMAP items 9 and 10 bring the rest into the sweep.
 NEVER_REACHED = {
     "make_distribution", "make_joint2", "make_joint3", "make_channel",
-    "sample_distribution", "sample_channel", "list_properties", "run_single",
-    "Distribution.marginal", "ln_q", "mutual_entropy", "mutual_divergence",
+    "list_properties", "run_single", "ln_q", "mutual_entropy", "mutual_divergence",
     "tsallis_entropy", "tsallis_divergence",
 }
 
@@ -581,7 +592,7 @@ def sweep_codes():
 class TestSweepReach:
     def test_the_sweep_calls_each_operators_batched_form(self, sweep_codes):
         for public, form in SHARED_FORMS.items():
-            fn = getattr(entrokit, public)
+            fn = operator.attrgetter(public)(entrokit)
             assert form in fn.__code__.co_names  # the operator calls its form
             assert getattr(sys.modules[fn.__module__], form).__code__ in sweep_codes
 
