@@ -1,15 +1,17 @@
 """Seeded property-sweep engine.
 
 A sweep evaluates each selected property of the registry (`properties`)
-once for all its trials, in chunks of at most TRIAL_CHUNK trials, and
-aggregates the per-trial slacks into a report.
+once for all its trials, in chunks of at most TRIAL_CHUNK trials: the
+property's maker makes each chunk's instance, its law states the relation,
+and `_outcome` picks each trial's worst element. The per-trial slacks are
+aggregated into a report.
 
 Randomness is counter-addressed (Philox; Salmon et al., "Parallel random
 numbers: as easy as 1, 2, 3", SC'11). Each property reads one Philox
 stream keyed by (master seed, property name), and trial t owns the block
 of the property's `width` uniforms at counter t * width / 4. So a trial is
 replayed from (seed, property, trial) alone: `run_single` regenerates its
-block and runs the same batched check on a batch of one, and reports do
+block and runs the same maker and law on a batch of one, and reports do
 not depend on chunking or order. Trials run from 0 to 2^63 - 1, and each
 thread re-keys one generator of its own for every batch.
 """
@@ -153,15 +155,14 @@ class VerificationReport:
 
 
 class Outcome(NamedTuple):
-    """Per-trial lhs, rhs and slack columns, and the instance digest fields."""
+    """Per-trial lhs, rhs and slack columns."""
 
     lhs: np.ndarray
     rhs: np.ndarray
     slack: np.ndarray
-    fields: dict
 
 
-def _outcome(kind: str, lhs, rhs, fields: dict, slack=None) -> Outcome:
+def _outcome(kind: str, lhs, rhs, slack=None) -> Outcome:
     """Each trial's worst element of its lhs row against its rhs row, as
     (T,) columns: by the check's own slack where it gives one, else by the
     kind's slack rule. Each side is a (T, m) row, a (T, 1) column or a
@@ -177,7 +178,7 @@ def _outcome(kind: str, lhs, rhs, fields: dict, slack=None) -> Outcome:
             return np.full(len(rows), a)
         return a[rows, worst] if a.shape[1] > 1 else a[:, 0]
 
-    return Outcome(pick(lv), pick(rhs), pick(s), fields)
+    return Outcome(pick(lv), pick(rhs), pick(s))
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +252,8 @@ class _Chunk(NamedTuple):
     name: str
     seed: int
     start: int
-    out: Outcome  # (T,) lhs, rhs and slack, and the digest fields
+    out: Outcome  # (T,) lhs, rhs and slack
+    fields: dict  # the instance digest's fields
     passed: np.ndarray  # (T,) bool
 
     def result(self, i: int) -> CheckResult:
@@ -262,7 +264,7 @@ class _Chunk(NamedTuple):
             lhs=float(self.out.lhs[i]),
             rhs=float(self.out.rhs[i]),
             slack=float(self.out.slack[i]),
-            instance_digest=f"seed={self.seed};{_digest(self.out.fields, i)}",
+            instance_digest=f"seed={self.seed};{_digest(self.fields, i)}",
         )
 
 
@@ -270,10 +272,11 @@ def _evaluate(spec: PropertySpec, config: SweepConfig, start: int, count: int) -
     """Trials start .. start + count - 1 of one property, as one batch."""
     u = _uniforms(_key(config.seed, spec.name), spec.width, start, count)
     trial = np.arange(count, dtype=np.int64)[:, None] + start  # int64 below TRIAL_LIMIT
-    out = _outcome(spec.kind, *spec.fn(_Draw(u), trial))
+    instance = spec.maker(_Draw(u), trial)
+    out = _outcome(spec.kind, *spec.law(instance))
     # a config tolerance overrides the property's
     passed = _KINDS[spec.kind].shortfall(out.slack) <= (config.tol or spec.tol)
-    return _Chunk(spec.name, config.seed, start, out, passed)
+    return _Chunk(spec.name, config.seed, start, out, instance.fields(spec.fields), passed)
 
 
 def _chunks(spec: PropertySpec, config: SweepConfig):

@@ -1,6 +1,7 @@
 """Tests for the property-sweep engine itself: registry coverage,
 determinism, order independence, and failure reporting."""
 
+import hashlib
 import inspect
 import itertools
 import json
@@ -42,13 +43,16 @@ from entrokit.entropy import (
     _shannon_rows,
     _spec_axes,
 )
-from entrokit.properties import _KINDS, JOINT3, K_RANGE, R_RANGE, SIZE_RANGE, _law_side
+from entrokit.cli import main
+from entrokit.properties import (_KINDS, JOINT3, K_RANGE, R_RANGE, SIZE_RANGE, _Draw, _Instance,
+                                 _law_side, _Params)
 from entrokit.verify import (
     _REGISTRY,
     IDENTITY_TOL,
     INEQUALITY_TOL,
     TRIAL_CHUNK,
     _chunks,
+    _digest,
     _key,
     _outcome,
     _uniforms,
@@ -158,6 +162,110 @@ class TestRegistry:
         assert expected <= names
 
 
+# The registry in run order: name, anchor, kind, tolerance and width. A width
+# is the uniforms a trial owns, so a changed width re-draws every trial of its
+# property; the whole-suite report pins, which would also catch it, skip on
+# another libm.
+REGISTRY = [
+    ("product_rule_1", "Lemma 2.4", "identity", 1e-12, 260),
+    ("product_rule_2", "Lemma 2.5", "identity", 1e-12, 260),
+    ("inversion", "Corollary 2.6", "identity", 1e-12, 260),
+    ("quotient", "Corollary (quotient rule)", "identity", 1e-12, 260),
+    ("power_rule", "Lemma (power rule)", "identity", 1e-12, 132),
+    ("convexity_weighted_neg", "Lemma 2.7", "inequality", 1e-09, 4),
+    ("convexity_logsum_weight", "Lemma 2.8", "inequality", 1e-09, 4),
+    ("legacy_shape", "Theorem 2.1", "inequality", 1e-09, 4),
+    ("legacy_product_rule", "Eq. (10)", "identity", 1e-12, 260),
+    ("log_sum_inequality", "Theorem 2.9", "inequality", 1e-09, 36),
+    ("chain_rule", "Theorem 3.6", "identity", 1e-12, 260),
+    ("conditional_reduces_entropy", "Lemma 3.5", "inequality", 1e-09, 260),
+    ("joint_monotonicity", "Theorem 3.6 (consequence)", "inequality", 1e-09, 260),
+    ("independence_rule", "Lemma 3.4", "identity", 1e-12, 36),
+    ("entropy_pseudo_additivity", "Eq. (29)", "identity", 1e-12, 36),
+    ("subadditivity", "Theorem 3.9", "inequality", 1e-09, 260),
+    ("conditional_comparison", "Lemma 3.10", "inequality", 1e-09, 520),
+    ("strong_subadditivity", "Theorem 3.11", "inequality", 1e-09, 520),
+    ("corollary_3_7", "Corollary 3.7", "identity", 1e-12, 520),
+    ("corollary_3_8", "Corollary 3.8", "identity", 1e-12, 520),
+    ("conditional_joint_monotonicity", "Corollary 3.8 (consequence)", "inequality", 1e-09, 520),
+    ("mutual_entropy_consistency", "Theorem 3.6 (mutual form)", "identity", 1e-12, 260),
+    ("entropy_r_independence", "observed r-cancellation", "identity", 1e-12, 20),
+    ("shannon_limit", "Shannon limit", "inequality", 1e-09, 20),
+    ("divergence_nonnegativity", "Lemma 4.2", "inequality", 1e-09, 36),
+    ("identity_of_indiscernibles", "Lemma 4.2 (equality case)", "inequality", 1e-09, 52),
+    ("permutation_symmetry", "Lemma 4.3", "identity", 1e-12, 52),
+    ("zero_extension", "Lemma 4.4", "identity", 1e-12, 36),
+    ("divergence_pseudo_additivity", "Theorem 4.5", "identity", 1e-12, 68),
+    ("joint_convexity", "Theorem 4.6", "inequality", 1e-09, 68),
+    ("information_monotonicity", "Theorem 4.7", "inequality", 1e-09, 340),
+    ("divergence_r_independence", "observed r-cancellation", "identity", 1e-12, 36),
+    ("definitional_equivalence", "Definition 4.1", "identity", 1e-12, 36),
+    ("kl_limit", "KL limit", "inequality", 1e-09, 36),
+    ("hessian_separability", "induced metric (off-diagonal vanishing)", "identity", 1e-08, 20),
+    ("metric_oracle_agreement", "induced metric (diagonal oracle)", "identity", 1e-05, 20),
+    ("metric_hessian_structure", "Theorem 5.1", "identity", 1e-12, 20),
+    ("potential_curvature", "Theorem 5.1", "identity", 1e-06, 8),
+    ("metric_positive_definite", "induced metric (positive definiteness)", "inequality", 1e-09,
+     20),
+    ("taylor_expansion", "induced metric (quadratic expansion)", "inequality", 1e-09, 52),
+]
+# SHA-256 of what `entrokit verify --list` prints
+LIST_SHA256 = "eb1c43ecda054bbea57154c292761d470f4c1547af65bad8c91f0a31eb43fc3f"
+
+
+def _plain(value):
+    """An array rebuilt from its Python values, sharing nothing with it;
+    any other value as it is."""
+    if isinstance(value, np.ndarray):
+        return np.array(value.tolist(), dtype=value.dtype)
+    return value
+
+
+def _rebuilt(instance: _Instance) -> _Instance:
+    """The instance made again from plain arrays: no _Draw, no Philox."""
+    shown = {n: _plain(v) for n, v in instance.shown.items()}
+    params = instance.params and _Params(_plain(instance.params.k), _plain(instance.params.r))
+    rest = {n: _plain(v) for n, v in vars(instance).items()
+            if n not in ("shown", "params", *shown)}
+    return _Instance(shown, params, **rest)
+
+
+class TestLawsApartFromInstances:
+    def test_the_registry_is_pinned(self, capsys):
+        specs = [(s.name, s.anchor, s.kind, s.tol, s.width) for s in _REGISTRY.values()]
+        assert specs == REGISTRY
+        assert main(["verify", "--list"]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == LIST_SHA256
+
+    def test_a_law_takes_its_instance_alone(self):
+        for spec in _REGISTRY.values():
+            assert list(inspect.signature(spec.law).parameters) == ["i"], spec.name
+
+    @pytest.mark.parametrize("name", list(_REGISTRY))
+    def test_a_law_on_its_instance_rebuilt_from_plain_arrays(self, name):
+        # the trial's instance, made again from plain arrays, gives the law
+        # run_single's lhs, rhs and slack bit for bit, and the digest its fields
+        spec, cfg = _REGISTRY[name], SweepConfig(seed=3, trials=3)
+        for t in range(3):
+            u = _uniforms(_key(cfg.seed, name), spec.width, t, 1)
+            instance = _rebuilt(spec.maker(_Draw(u), np.array([[t]])))
+            got = _outcome(spec.kind, *spec.law(instance))
+            want = run_single(cfg, name, t)
+            assert [float(a[0]).hex() for a in got] == [want.lhs.hex(), want.rhs.hex(),
+                                                        want.slack.hex()], t
+            digest = _digest(instance.fields(spec.fields), 0)
+            assert want.instance_digest == f"seed={cfg.seed};{digest}", t
+
+    def test_a_law_on_an_instance_of_the_library(self):
+        # an instance built by hand from the public samplers, unpadded
+        params = DeformParams(0.3, 0.8)
+        p, q = sample_distribution(7, 1), sample_distribution(7, 2)
+        pair = _Instance({"n": 7}, _Params(np.array([[0.3]]), np.array([[0.8]])),
+                         p=p.p[np.newaxis], q=q.p[np.newaxis])
+        lhs, rhs = _REGISTRY["divergence_nonnegativity"].law(pair)
+        assert lhs[0, 0].hex() == divergence(p, q, params).value.hex() and rhs == 0.0
+
+
 class TestEngine:
     def test_single_trial_chain_rule(self):
         report = run_suite(SweepConfig(seed=1, trials=1, properties=("chain_rule",)))
@@ -222,7 +330,7 @@ class TestEngine:
 
         def field(name, key):
             return np.concatenate(
-                [np.reshape(c.out.fields[key], (len(c.passed), -1))
+                [np.reshape(c.fields[key], (len(c.passed), -1))
                  for c in _chunks(_REGISTRY[name], cfg)]
             )
 
@@ -525,7 +633,7 @@ class TestEngine:
             for lhs, rhs in cases:
                 slacks = [None, rng.standard_normal(np.broadcast(lhs, rhs).shape)]
                 for slack in slacks:
-                    got = _outcome(kind, lhs, rhs, {}, slack)[:3]
+                    got = _outcome(kind, lhs, rhs, slack)
                     want = _take_along_axis_outcome(kind, lhs, rhs, slack)
                     assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
