@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import _LEAF, _as_float_array, _real, _tiles, _typed
+from .distributions import _LEAF, _as_float_array, _flag, _real, _tiles, _typed
 from .errors import DomainError, LegacyRegionWarning, ParamError
 
 __all__ = [
@@ -57,7 +57,8 @@ class DeformParams:
     Strict mode (default) enforces 0 < k <= 1/2 and r > 0. Relaxed mode
     is an explicit opt-in that drops both bounds, so legacy comparisons
     and out-of-domain reductions (e.g. k = r = (1-q)/2 with q > 1) can run.
-    Both modes require finite real numbers (not booleans) and |k| >= K_MIN.
+    Both modes require finite real numbers (not booleans) and |k| >= K_MIN;
+    relaxed itself must be a bool.
     """
 
     k: float
@@ -67,6 +68,7 @@ class DeformParams:
     _type_error = ParamError  # what distributions._typed raises for another type
 
     def __post_init__(self):
+        object.__setattr__(self, "relaxed", _flag("relaxed", self.relaxed))
         k, r = self.k, self.r
         try:
             if any(isinstance(v, _NOT_REAL) or np.ndim(v) for v in (k, r)):
@@ -183,8 +185,9 @@ def legacy_Ln(x, params: DeformParams, warn_outside_region: bool = True):
     legacy region trigger a LegacyRegionWarning but are not rejected.
     """
     _typed(DeformParams, params=params)
+    warn = _flag("warn_outside_region", warn_outside_region)
     out = _deformed(x, params.r - params.k, 2.0 * params.k)
-    if warn_outside_region and not params.in_legacy_region:
+    if warn and not params.in_legacy_region:
         warnings.warn(
             f"(k={params.k}, r={params.r}) is outside the legacy validity region",
             LegacyRegionWarning,

@@ -134,6 +134,14 @@ def _integer(name: str, value, error=ParamError) -> int:
         raise error(f"{name} must be an integer, got {value!r}") from None
 
 
+def _flag(name: str, value, error=ParamError) -> bool:
+    """A bool or a numpy bool as a bool; else error, "<name> must be True or
+    False, got <value>". No other value stands for one, not 0, 1 or "no"."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise error(f"{name} must be True or False, got {value!r}")
+    return bool(value)
+
+
 def _integers(name: str, values, error=ParamError) -> tuple[int, ...]:
     """Integers, none a bool, as a tuple of ints; else error, "<name> must be
     integers, got <values>"."""
@@ -437,6 +445,7 @@ def _built(cls, a: np.ndarray):
 
 
 def _make(data, normalize: bool, ndim: int, what: str) -> Distribution:
+    normalize = _flag("normalize", normalize, ValidationError)
     a = _as_float_array(data, what)
     if a.ndim != ndim:
         raise ValidationError(f"{what}s must be a {ndim}-d array, got {a.ndim}-d")
@@ -472,6 +481,7 @@ def make_joint3(tensor, normalize: bool = False) -> Distribution:
 
 def make_channel(matrix, normalize: bool = False) -> Channel:
     """Build a Channel; with normalize=True each column is rescaled to sum 1."""
+    normalize = _flag("normalize", normalize, ValidationError)
     a = _as_float_array(matrix, "transition weight")
     if a.ndim != 2:
         raise ValidationError("channel weights must be a 2-d matrix")

@@ -17,6 +17,7 @@ import json
 from .distributions import (
     Channel,
     Distribution,
+    _flag,
     make_channel,
     make_distribution,
     make_joint2,
@@ -37,6 +38,7 @@ FIELDS = {
 
 def read(text: str, fields: tuple[str, ...], fmt: str, normalize: bool) -> Distribution | Channel:
     """The object under the first of `fields` in JSON `text`, or in CSV `fields[0]`'s layout."""
+    normalize = _flag("normalize", normalize, ValidationError)
     if not fields:
         raise ValidationError(f"no field to read; fields come from {', '.join(FIELDS)}")
     for f in fields:

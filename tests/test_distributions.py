@@ -806,3 +806,32 @@ def test_only_entrokit_errors_escape_the_public_boundary(name):
                 fn(*args)
             except EntrokitError:
                 pass
+
+
+# Every boolean flag of the public API, set to a value
+FLAGS = {
+    "DeformParams relaxed": lambda v: ek.DeformParams(0.3, 0.8, relaxed=v),
+    "make_distribution normalize": lambda v: ek.make_distribution([0.25, 0.75], normalize=v),
+    "make_joint2 normalize": lambda v: ek.make_joint2([[0.25, 0.75]], normalize=v),
+    "make_joint3 normalize": lambda v: ek.make_joint3([[[0.25, 0.75]]], normalize=v),
+    "make_channel normalize": lambda v: ek.make_channel([[1.0], [0.0]], normalize=v),
+    "io.read normalize": lambda v: eio.read('{"p": [0.25, 0.75]}', ("p",), "json", v),
+    "legacy_Ln warn_outside_region": lambda v: ek.legacy_Ln(
+        2.0, ek.DeformParams(0.3, 0.1), warn_outside_region=v),
+}
+
+
+@pytest.mark.parametrize("value, is_flag", [
+    ("false", False), ("no", False), (0, False), (1, False), (None, False),
+    (True, True), (False, True), (np.True_, True),
+])
+def test_a_flag_is_a_bool(value, is_flag):
+    # a string, an integer or None stands for no flag: before, "false" made
+    # DeformParams relaxed and "no" normalized
+    for call in FLAGS.values():
+        if is_flag:
+            call(value)
+        else:
+            with pytest.raises(EntrokitError, match="must be True or False"):
+                call(value)
+    assert ek.DeformParams(0.3, 0.8, relaxed=np.False_).relaxed is False
