@@ -228,10 +228,36 @@ def _divergence_terms(p: np.ndarray, q: np.ndarray, k) -> np.ndarray:
     return terms
 
 
+def _overflow_terms(p: np.ndarray, q: np.ndarray, k) -> np.ndarray:
+    """_divergence_terms, with each term whose (q/p)^{2k} overflows formed
+    as (p - e^{(1-2k) ln p + 2k ln q}) / 2k instead, whose exponent is at
+    most 0 for 0 < k <= 1/2 (such a term needs q/p > 2^1024 at k = 1/2)."""
+    with np.errstate(over="ignore"):
+        terms = _divergence_terms(p, q, k)
+    over = ~np.isfinite(terms)
+    p, q, k = p[over], q[over], np.broadcast_to(k, terms.shape)[over]
+    terms[over] = (p - np.exp((1.0 - 2.0 * k) * np.log(p) + 2.0 * k * np.log(q))) / (2.0 * k)
+    return terms
+
+
+def _divergence_sums(cells: tuple, k) -> np.ndarray:
+    """(T, 1) divergence sums of the batch cells = (p, q), taken as
+    _sum_terms takes them; q may be a run maker where T is 1. Only a row
+    whose sum comes out non-finite is summed again, by _overflow_terms."""
+    k = _col(k, 2)
+    with np.errstate(over="ignore"):
+        d = _sum_terms(_divergence_terms, cells, k)
+    bad = ~np.isfinite(d[:, 0])
+    if bad.any():
+        cells = cells if bad.all() else tuple(c[bad] for c in cells)
+        d[bad] = _sum_terms(_overflow_terms, cells, np.broadcast_to(k, (len(d), 1))[bad])
+    return d
+
+
 def _divergence_rows(p: np.ndarray, q: np.ndarray, k) -> np.ndarray:
     """(T, 1) divergences D(p || q) of a batch (axis 0) of pairs of any rank
     with q > 0 where p > 0, for a scalar k or one k per row."""
-    return _sum_terms(_divergence_terms, (p, q), _col(k, 2))
+    return _divergence_sums((p, q), k)
 
 
 def divergence(
@@ -387,6 +413,6 @@ def mutual_divergence(j: Distribution, params: DeformParams) -> DivergenceValue:
         return divergence(j, product(mx, my), params)
     sums = {}
     q = functools.partial(_outer_run, px, py, sums)
-    value = float(_sum_terms(_divergence_terms, (j.p[np.newaxis], q), _col(params.k, 2))[0, 0])
+    value = float(_divergence_sums((j.p[np.newaxis], q), params.k)[0, 0])
     _check_sums(_pairwise((sums[start] for start, _ in _leaves(j.n)), j.n))
     return DivergenceValue(value, params, "full" if j._positive else "extended")

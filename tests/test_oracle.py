@@ -9,7 +9,8 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from entrokit import DeformParams, ln_kr
+from entrokit import DeformParams, divergence, ln_kr, make_distribution, mutual_divergence
+from entrokit import make_joint2
 from entrokit.divergence import _positive_terms
 from entrokit.entropy import _entropy_terms
 
@@ -73,3 +74,21 @@ def test_divergence_term_near_coincidence():
             for t, pi, qi, ki in zip(terms, p, q, k)
         )
     assert worst <= 3.0
+
+
+@pytest.mark.parametrize("k", [0.5, 0.49, 0.4999])
+def test_divergence_where_q_over_p_overflows_its_power(k):
+    # (q/p)^{2k} of the cell p = 1e-320, q = 1/2 overflows at k near 1/2: the
+    # sum was -inf, with an overflow warning (an error under this suite)
+    p, q = make_distribution([1e-320, 1.0 - 1e-320]), make_distribution([0.5, 0.5])
+    got = divergence(p, q, DeformParams(k, 1.0)).value
+    j = make_joint2([[1e-320, 0.5 - 1e-320], [0.5, 0.0]])  # its product of marginals is q x q
+    mutual = mutual_divergence(j, DeformParams(k, 1.0)).value
+    if k == 0.5:  # the sum of p - q: 0, less than 1e-320 from the exact sum of these floats
+        assert got == 0.0 and mutual == 0.0
+        return
+    with mp.workdps(50):
+        exact = sum(_exact_divergence_term(a, b, k) for a, b in zip(p.p, q.p))
+        assert _ulps(got, exact) <= 3.0
+        exact = sum(_exact_divergence_term(a, 0.25, k) for a in j.p.ravel() if a > 0)
+        assert _ulps(mutual, exact) <= 3.0
