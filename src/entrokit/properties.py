@@ -422,10 +422,12 @@ def _channel_pairs(draw, trial):
     m = np.where(first, n, 1 + (draw.take() * (n + 2)).astype(np.int64))  # outputs
     outputs = np.arange(VECTOR + 2)[:, None]
     e = np.where(outputs < m[:, :, None], draw.exponential(VECTOR + 2, VECTOR), 0.0)
-    random = e / e.sum(axis=1, keepdims=True)
+    # a random channel: each input's column of outputs a simplex draw, as
+    # sample_channel draws one
+    random = _simplex_rows(e.swapaxes(1, 2).reshape(-1, VECTOR + 2)).reshape(len(e), VECTOR, -1)
     # a deterministic channel sends each input to one random output
     function = outputs == (draw.take(VECTOR) * m).astype(np.int64)[:, None, :]
-    w = np.where(even[:, :, None], random, function)
+    w = np.where(even[:, :, None], random.swapaxes(1, 2), function)
     w = np.where(first[:, :, None], outputs == np.arange(VECTOR), w)
     channel = np.where(first, "identity", np.where(even, "random", "deterministic"))
     return _Instance({"n": n, "channel": channel, "m": m}, params, p=p, q=q, w=w)

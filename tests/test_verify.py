@@ -740,13 +740,15 @@ class TestTrialRange:
             assert "channel=random" in digest, trial
 
 
-# Properties that sum entropies over rows of more than 2^4 cells with numpy's
-# pairwise tree, which runs of 2^4 cells regroup.
+# Properties that sum rows of more than 2^4 cells with numpy's pairwise tree,
+# which runs of 2^4 cells regroup: entropies of joints, and the simplex draws
+# of the random channels' columns of 18 outputs.
 _REGROUPED_AT_LEAF_16 = {
     "chain_rule", "conditional_reduces_entropy", "joint_monotonicity",
     "entropy_pseudo_additivity", "subadditivity", "conditional_comparison",
     "strong_subadditivity", "corollary_3_7", "corollary_3_8",
     "conditional_joint_monotonicity", "mutual_entropy_consistency",
+    "information_monotonicity",
 }
 
 
