@@ -164,7 +164,7 @@ class Outcome(NamedTuple):
 
 def _outcome(kind: str, lhs, rhs, slack=None) -> Outcome:
     """Each trial's worst element of its lhs row against its rhs row, as
-    (T,) columns: by the check's own slack where it gives one, else by the
+    (T,) columns: by the law's own slack where it gives one, else by the
     kind's slack rule. Each side is a (T, m) row, a (T, 1) column or a
     scalar, which stand for their broadcast to the slack's shape."""
     rule = _KINDS[kind]
