@@ -176,7 +176,8 @@ def divergence_cmd(params, load, p_source, q_source):
     result = divergence(load(p_source, ("p",)), load(q_source, ("p",)), params)
     if params.k == 0.5:
         click.echo(
-            "warning: at k = 1/2 the divergence vanishes identically on common support",
+            "warning: at k = 1/2 the divergence is sum(p - q), 0 within the sum tolerance"
+            " for every pair",
             err=True,
         )
     return {"value": result.value}

@@ -27,6 +27,9 @@ the product's support.
 Each sum is written once, as a batched `_*_rows` evaluator; the public
 functions call it on a batch of one (whole arrays: fsum is exact), and the
 property sweep on zero-padded batches, so it checks the sums users get.
+Every divergence-type sum (divergence, its literal forms, KL and Tsallis)
+gets its terms from _pair_terms, which states the rule for a cell with
+p = 0 once; each kernel evaluates only the cells with p > 0.
 
 p > 0 with q = 0 is rejected loudly rather than returned as infinity,
 because downstream arithmetic (pseudo-additivity, convexity sweeps) would
@@ -74,8 +77,8 @@ __all__ = [
 class DivergenceValue:
     """Divergence value with its parameters and support classification.
 
-    support_flag is "full" when both inputs are strictly positive and
-    "extended" when matched zero coordinates were skipped.
+    support_flag is "full" when every cell of P is positive and "extended"
+    when some are 0 (each then adds its limit, see _pair_terms).
     """
 
     value: float
@@ -103,9 +106,10 @@ def _positive_terms(p: np.ndarray, q: np.ndarray, k: float) -> np.ndarray:
     return _closed_form(np.log(q) - np.log(p), p, k)
 
 
-def _check_pair(p: Distribution, q: Distribution) -> bool:
-    """Require equal shapes and support(P) within support(Q); returns
-    whether every p > 0."""
+def _check_pair(p: Distribution, q: Distribution, b) -> bool:
+    """Require equal shapes, support(P) within support(Q) and, for a term
+    exponent b > 1 (_pair_terms), no cell with p = 0 < q, where the sum
+    diverges; returns whether every p > 0."""
     _typed(Distribution, p=p, q=q)
     if p.shape != q.shape:
         raise DimensionError(f"shape mismatch: {p.shape} vs {q.shape}")
@@ -113,6 +117,8 @@ def _check_pair(p: Distribution, q: Distribution) -> bool:
         bad = (p.p > 0) & (q.p == 0)
         if np.any(bad):
             raise _continuity_error(p.p, int(np.argmax(bad)))
+    if b > 1 and not p._positive and np.any((p.p == 0) & (q.p > 0)):
+        raise DomainError("divergence diverges for zero p-entries when k > 1/2 (Tsallis q < 0)")
     return p._positive
 
 
@@ -218,66 +224,62 @@ def _fsum_rows(a: np.ndarray) -> np.ndarray:
     return _sum_terms(np.copy, (a,))  # slicing overwrites its terms
 
 
-def _divergence_terms(p: np.ndarray, q: np.ndarray, k) -> np.ndarray:
-    """(p - p^{1-2k} q^{2k}) / (2k) per cell; a cell with p = 0 gives 0, or
-    -q at k = 1/2, where p^{1-2k} q^{2k} is q."""
+def _pair_terms(p: np.ndarray, q: np.ndarray, b, kernel, *args) -> np.ndarray:
+    """The terms of a divergence-type sum: kernel(p, q, *args), which
+    evaluates cells with p > 0, and the one rule for a cell with p = 0. Such
+    a term is (p - p^{1-b} q^b) / b for the exponent b (2k for divergence
+    and its literal forms, 1 - q for Tsallis, 0 for KL, a scalar or a (T, 1)
+    column): 0 for b < 1, -q at b = 1, divergent beyond (_check_pair). The
+    kernel gets it as a unit cell, p = q = 1, whose ratio is 1 and term 0."""
     pv, qv = _unit_at_zero(p, q)
-    terms = _positive_terms(pv, qv, k)
-    if pv is not p and (k == 0.5).any():  # p may have cells = 0 < q
-        terms = np.where((p == 0) & (k == 0.5), -q, terms)
+    terms = kernel(pv, qv, *args)
+    if pv is not p and np.any(b == 1):  # p may have cells = 0 < q
+        terms = np.where((p == 0) & (b == 1), -q, terms)
     return terms
 
 
 def _overflow_terms(p: np.ndarray, q: np.ndarray, k) -> np.ndarray:
-    """_divergence_terms, with each term whose (q/p)^{2k} overflows formed
+    """_positive_terms, with each term whose (q/p)^{2k} overflows formed
     as (p - e^{(1-2k) ln p + 2k ln q}) / 2k instead, whose exponent is at
-    most 0 for 0 < k <= 1/2 (such a term needs q/p > 2^1024 at k = 1/2)."""
+    most 0 for 0 < k <= 1/2 (such a term needs q/p > 2^1024 at k = 1/2);
+    every finite term is _positive_terms' own."""
     with np.errstate(over="ignore"):
-        terms = _divergence_terms(p, q, k)
+        terms = _positive_terms(p, q, k)
     over = ~np.isfinite(terms)
     p, q, k = p[over], q[over], np.broadcast_to(k, terms.shape)[over]
     terms[over] = (p - np.exp((1.0 - 2.0 * k) * np.log(p) + 2.0 * k * np.log(q))) / (2.0 * k)
     return terms
 
 
-def _divergence_sums(cells: tuple, k) -> np.ndarray:
-    """(T, 1) divergence sums of the batch cells = (p, q), taken as
-    _sum_terms takes them; q may be a run maker where T is 1. Only a row
-    whose sum comes out non-finite is summed again, by _overflow_terms."""
+def _divergence_rows(p: np.ndarray, q, k) -> np.ndarray:
+    """(T, 1) divergences D(p || q) of a batch (axis 0) of pairs of any rank
+    with q > 0 where p > 0, for a scalar k or one k per row, taken as
+    _sum_terms takes them: q may be a run maker for a batch of one. A batch
+    with a non-finite sum is summed again whole by _overflow_terms, which
+    leaves every finite term as it is."""
     k = _col(k, 2)
     with np.errstate(over="ignore"):
-        d = _sum_terms(_divergence_terms, cells, k)
-    bad = ~np.isfinite(d[:, 0])
-    if bad.any():
-        cells = cells if bad.all() else tuple(c[bad] for c in cells)
-        d[bad] = _sum_terms(_overflow_terms, cells, np.broadcast_to(k, (len(d), 1))[bad])
+        d = _sum_terms(_pair_terms, (p, q), 2.0 * k, _positive_terms, k)
+    if not np.isfinite(d).all():
+        d = _sum_terms(_pair_terms, (p, q), 2.0 * k, _overflow_terms, k)
     return d
-
-
-def _divergence_rows(p: np.ndarray, q: np.ndarray, k) -> np.ndarray:
-    """(T, 1) divergences D(p || q) of a batch (axis 0) of pairs of any rank
-    with q > 0 where p > 0, for a scalar k or one k per row."""
-    return _divergence_sums((p, q), k)
 
 
 def divergence(
     p: Distribution, q: Distribution, params: DeformParams
 ) -> DivergenceValue:
-    """Relative entropy of P from Q; requires support(P) within support(Q)."""
-    full = _check_pair(p, q)
+    """Relative entropy of P from Q; requires support(P) within support(Q).
+    A cell with p = 0 < q adds 0 for k < 1/2 and -q at k = 1/2, where the
+    closed form's p^{1-2k} factor is 1; beyond it the sum diverges, a
+    DomainError."""
     _typed(DeformParams, params=params)
-    # p = 0 < q: the closed form's p^{1-2k} factor kills the term for
-    # k < 1/2, leaves -q at the k = 1/2 boundary and diverges beyond it
-    if params.k > 0.5 and not full and np.any((p.p == 0) & (q.p > 0)):
-        raise DomainError("divergence diverges for zero p-entries when k > 1/2")
+    full = _check_pair(p, q, 2.0 * params.k)
     value = float(_divergence_rows(p.p[np.newaxis], q.p[np.newaxis], params.k)[0, 0])
     return DivergenceValue(value, params, "full" if full else "extended")
 
 
 def _literal_terms(p: np.ndarray, q: np.ndarray, params, form: str) -> np.ndarray:
-    """The terms of divergence_literal's `form`; a cell with p = 0 gives 0,
-    its limit for k < 1/2."""
-    p, q = _unit_at_zero(p, q)  # such a cell gets ratio 1, where ln_kr is 0
+    """The terms of divergence_literal's `form` at cells with p > 0."""
     k, r = params.k, params.r
     if form == "pq":
         ratio = p / q
@@ -289,7 +291,7 @@ def _literal_terms(p: np.ndarray, q: np.ndarray, params, form: str) -> np.ndarra
 def _divergence_literal_rows(p: np.ndarray, q: np.ndarray, params, form: str) -> np.ndarray:
     """(T, 1) divergence_literal sums of `form` over a batch of pairs; params
     are scalars or (T, 1) columns."""
-    return _sum_terms(_literal_terms, (p, q), params, form)
+    return _sum_terms(_pair_terms, (p, q), 2.0 * params.k, _literal_terms, params, form)
 
 
 def divergence_literal(
@@ -298,13 +300,14 @@ def divergence_literal(
     """The defining sum evaluated as written, for cross-checking.
 
     form "pq" is sum p (p/q)^{r-k} ln_{k,r}(p/q); form "qp" is the
-    equivalent -sum p (q/p)^{r+k} ln_{k,r}(q/p). Zero-probability terms
-    are skipped (their limit vanishes for k < 1/2).
+    equivalent -sum p (q/p)^{r+k} ln_{k,r}(q/p). A cell with p = 0 < q
+    adds the term's limit, as in divergence: 0 for k < 1/2 and -q at
+    k = 1/2; beyond it the sum diverges, a DomainError.
     """
     if form not in ("pq", "qp"):
         raise ParamError(f'form must be "pq" or "qp", got {form!r}')
-    _check_pair(p, q)
     _typed(DeformParams, params=params)
+    _check_pair(p, q, 2.0 * params.k)
     return float(_divergence_literal_rows(p.p[np.newaxis], q.p[np.newaxis], params, form)[0, 0])
 
 
@@ -344,38 +347,41 @@ def log_sum_gap(a, b, params: DeformParams) -> tuple[float, float]:
 
 
 def _kl_terms(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """p ln(p/q) per cell; a cell with p = 0 gives 0."""
-    pv, qv = _unit_at_zero(p, q)
-    return p * (np.log(pv) - np.log(qv))
+    """p ln(p/q) per cell with p > 0."""
+    return p * (np.log(p) - np.log(q))
 
 
 def _kl_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """(T, 1) KL divergences sum p ln(p/q) in nats of a batch of pairs."""
-    return _sum_terms(_kl_terms, (p, q))
+    return _sum_terms(_pair_terms, (p, q), 0.0, _kl_terms)
 
 
 def kl_divergence(p: Distribution, q: Distribution) -> float:
     """Kullback-Leibler divergence sum p ln(p/q) in nats."""
-    _check_pair(p, q)
+    _check_pair(p, q, 0.0)
     return float(_kl_rows(p.p[np.newaxis], q.p[np.newaxis])[0, 0])
 
 
 def _tsallis_terms(p: np.ndarray, q: np.ndarray, q_param: float) -> np.ndarray:
-    """-p ln_q(q/p) per cell; a cell with p = 0 gives -0.0, as one with
-    p = q does."""
-    p, q = _unit_at_zero(p, q)
+    """-p ln_q(q/p) per cell with p > 0; -0.0 where p = q."""
     t = ln_q(q / p, q_param)
     t *= p
     return np.negative(t, out=t)  # -(p t) is (-p) t bit for bit
 
 
 def tsallis_divergence(p: Distribution, q: Distribution, q_param: float) -> float:
-    """Standard one-parameter relative entropy -sum p ln_q(q_x/p_x)."""
+    """Standard one-parameter relative entropy -sum p ln_q(q_x/p_x).
+
+    A cell with p = 0 < q adds the term's limit, as divergence's do at
+    2k = 1 - q: 0 for q > 0 and -q_x at q = 0; for q < 0 the sum diverges,
+    a DomainError.
+    """
     q_param = _real("q", q_param, "a finite real number", math.isfinite)
     if q_param == 1:
         raise ParamError("q = 1 is the KL limit; use kl_divergence")
-    _check_pair(p, q)
-    return float(_sum_terms(_tsallis_terms, (p.p[np.newaxis], q.p[np.newaxis]), q_param)[0, 0])
+    _check_pair(p, q, 1.0 - q_param)
+    cells = (p.p[np.newaxis], q.p[np.newaxis])
+    return float(_sum_terms(_pair_terms, cells, 1.0 - q_param, _tsallis_terms, q_param)[0, 0])
 
 
 def _outer_run(px: np.ndarray, py: np.ndarray, sums: dict, start: int, stop: int) -> np.ndarray:
@@ -413,6 +419,6 @@ def mutual_divergence(j: Distribution, params: DeformParams) -> DivergenceValue:
         return divergence(j, product(mx, my), params)
     sums = {}
     q = functools.partial(_outer_run, px, py, sums)
-    value = float(_divergence_sums((j.p[np.newaxis], q), params.k)[0, 0])
+    value = float(_divergence_rows(j.p[np.newaxis], q, params.k)[0, 0])
     _check_sums(_pairwise((sums[start] for start, _ in _leaves(j.n)), j.n))
     return DivergenceValue(value, params, "full" if j._positive else "extended")

@@ -248,6 +248,15 @@ class TestReduceCommand:
         assert code == 0
         assert json.loads(out)["abs_diff"] <= 1e-12
 
+    def test_tsallis_divergence_over_a_zero_p_cell(self, capsys):
+        # p = 0 < q adds -q to both sides at k = 1/2
+        code, out, _ = run(
+            capsys, "reduce", "--k", "0.5", "--r", "0.5", "--input", '{"p":[0.5,0.5,0.0]}',
+            "--q", '{"p":[0.25,0.25,0.5]}', "--target", "tsallis",
+        )
+        assert code == 0
+        assert json.loads(out)["abs_diff"] <= 1e-15
+
     def test_tsallis_requires_equal_parameters(self, capsys):
         code, out, err = run(
             capsys, "reduce", "--k", "0.25", "--r", "0.5", "--input", HALF,

@@ -151,6 +151,25 @@ class TestDivergenceValues:
         with pytest.raises(DomainError):
             divergence(p, q, DeformParams(0.75, 1.0, relaxed=True))
 
+    @pytest.mark.parametrize("r", [0.5, 1.0])
+    def test_every_divergence_sum_shares_the_zero_p_rule(self, r):
+        # a cell with p = 0 < q adds -q at k = 1/2 to the literal forms and to
+        # the Tsallis reference at q = 1 - 2k = 0, as it does to divergence
+        p = make_distribution([0.5, 0.5, 0.0])
+        q = make_distribution([0.25, 0.25, 0.5])
+        want = divergence(p, q, DeformParams(0.5, r)).value
+        for got in (divergence_literal(p, q, DeformParams(0.5, r), "pq"),
+                    divergence_literal(p, q, DeformParams(0.5, r), "qp"),
+                    tsallis_divergence(p, q, 0.0)):
+            assert abs(got - want) <= 1e-15
+        # beyond k = 1/2 (q < 0) each of them diverges there
+        relaxed = DeformParams(0.7, r, relaxed=True)
+        for form in ("pq", "qp"):
+            with pytest.raises(DomainError):
+                divergence_literal(p, q, relaxed, form)
+        with pytest.raises(DomainError):
+            tsallis_divergence(p, q, -0.4)
+
     def test_nonnegativity(self):
         rng = np.random.default_rng(4)
         for _ in range(200):
@@ -322,19 +341,22 @@ def test_bulk_runs_take_at_most_three_slices(bulk_inputs, k, r, monkeypatch):
 
 def _whole_row_terms(kind, p, q, params):
     """The terms of each divergence sum over one whole row, as the sums were
-    evaluated before they were evaluated run by run."""
+    evaluated before they were evaluated run by run: a cell with p = 0 adds
+    0, or -q where the term's exponent (2k, and 1 - q = 2k for Tsallis) is 1."""
     k, r = params.k, params.r
     live = p > 0
     pv, qv = np.where(live, p, 1.0), np.where(live, q, 1.0)
-    if kind == "divergence":
-        return np.where(~live & (k == 0.5), -q, _positive_terms(pv, qv, k))
     if kind == "kl":
         return p * (np.log(pv) - np.log(qv))
-    if kind == "pq":
-        return pv * np.power(pv / qv, r - k) * ln_kr(pv / qv, params)
-    if kind == "qp":
-        return -pv * np.power(qv / pv, r + k) * ln_kr(qv / pv, params)
-    return -p[live] * ln_q(q[live] / p[live], 1.0 - 2.0 * k)
+    if kind == "divergence":
+        terms = _positive_terms(pv, qv, k)
+    elif kind == "pq":
+        terms = pv * np.power(pv / qv, r - k) * ln_kr(pv / qv, params)
+    elif kind == "qp":
+        terms = -pv * np.power(qv / pv, r + k) * ln_kr(qv / pv, params)
+    else:
+        terms = -pv * ln_q(qv / pv, 1.0 - 2.0 * k)
+    return np.where(~live & (k == 0.5), -q, terms)
 
 
 def _divergence_sums(p, q, params) -> dict:

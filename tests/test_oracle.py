@@ -9,9 +9,9 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from entrokit import DeformParams, divergence, ln_kr, make_distribution, mutual_divergence
-from entrokit import make_joint2
-from entrokit.divergence import _positive_terms
+from entrokit import DeformParams, DomainError, divergence, divergence_literal, ln_kr
+from entrokit import make_distribution, make_joint2, mutual_divergence, tsallis_divergence
+from entrokit.divergence import _divergence_rows, _positive_terms
 from entrokit.entropy import _entropy_terms
 
 DRAWS = 3000
@@ -92,3 +92,46 @@ def test_divergence_where_q_over_p_overflows_its_power(k):
         assert _ulps(got, exact) <= 3.0
         exact = sum(_exact_divergence_term(a, 0.25, k) for a in j.p.ravel() if a > 0)
         assert _ulps(mutual, exact) <= 3.0
+
+
+def test_a_batch_with_an_overflowing_row_is_summed_again_whole():
+    # a batch with a non-finite sum is summed again whole: the ordinary row
+    # keeps the bits it has in a batch of one, the overflowing row is exact
+    p = np.array([[1e-320, 1.0 - 1e-320], [0.3, 0.7]])
+    q = np.array([[0.5, 0.5], [0.6, 0.4]])
+    k = 0.49
+    got = _divergence_rows(p, q, k)[:, 0]
+    assert got[1].hex() == _divergence_rows(p[1:], q[1:], k)[0, 0].hex()
+    with mp.workdps(50):
+        exact = sum(_exact_divergence_term(a, b, k) for a, b in zip(p[0], q[0]))
+        assert _ulps(got[0], exact) <= 3.0
+
+
+def _overflow_defect(raises):
+    return pytest.mark.xfail(
+        strict=True,
+        raises=raises,
+        reason="known defect: q/p overflows to inf before ln_kr or ln_q sees it, so "
+        'form "pq" is nan and form "qp" and the Tsallis reference raise DomainError, '
+        "each after an overflow RuntimeWarning (an error under this suite); ROADMAP "
+        "item 1's kernel rewrite mends them",
+    )
+
+
+@pytest.mark.parametrize("k", [0.5, 0.49])
+@pytest.mark.parametrize("form", [
+    pytest.param("pq", marks=_overflow_defect((RuntimeWarning, AssertionError))),
+    pytest.param("qp", marks=_overflow_defect((RuntimeWarning, DomainError))),
+    pytest.param("tsallis", marks=_overflow_defect((RuntimeWarning, DomainError))),
+])
+def test_literal_and_tsallis_where_q_over_p_overflows(form, k):
+    # the inputs divergence takes since it forms overflowing terms from
+    # logarithms: the defining sum and the Tsallis reference at q = 1 - 2k
+    p, q = make_distribution([1e-320, 1.0 - 1e-320]), make_distribution([0.5, 0.5])
+    if form == "tsallis":
+        got = tsallis_divergence(p, q, 1.0 - 2.0 * k)
+    else:
+        got = divergence_literal(p, q, DeformParams(k, 1.0), form)
+    with mp.workdps(50):
+        exact = float(sum(_exact_divergence_term(a, b, k) for a, b in zip(p.p, q.p)))
+    assert abs(got - exact) <= 1e-12 * abs(exact) + 1e-15
