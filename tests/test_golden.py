@@ -19,7 +19,10 @@ recorded while divergence sums cut each row in steps of 2^16 cells and
 tsallis_entropy summed its terms whole; the whole sweep's reports were
 recorded again with the conditional entropies, and again when
 metric_hessian_structure came to check the metric against the divergence
-term's second derivative. `python tests/test_golden.py`
+term's second derivative. The k = 1/2 sums of divergence_literal (both
+forms) and tsallis_divergence over the joints with zero cells were
+recorded again when they came to take divergence's rule for a cell with
+p = 0 < q (it adds -q) instead of skipping it. `python tests/test_golden.py`
 rewrites the file and prints each key whose value it changes.
 They are compared only where numpy's elementary functions give the bits
 they gave where recorded.
