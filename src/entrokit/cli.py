@@ -176,8 +176,7 @@ def divergence_cmd(params, load, p_source, q_source):
     result = divergence(load(p_source, ("p",)), load(q_source, ("p",)), params)
     if params.k == 0.5:
         click.echo(
-            "warning: at k = 1/2 the divergence is sum(p - q), 0 within the sum tolerance"
-            " for every pair",
+            "warning: at k = 1/2 the divergence is sum(p - q), 0 up to the sums' 1e-9 tolerance",
             err=True,
         )
     return {"value": result.value}

@@ -227,10 +227,11 @@ def _fsum_rows(a: np.ndarray) -> np.ndarray:
 def _pair_terms(p: np.ndarray, q: np.ndarray, b, kernel, *args) -> np.ndarray:
     """The terms of a divergence-type sum: kernel(p, q, *args), which
     evaluates cells with p > 0, and the one rule for a cell with p = 0. Such
-    a term is (p - p^{1-b} q^b) / b for the exponent b (2k for divergence
-    and its literal forms, 1 - q for Tsallis, 0 for KL, a scalar or a (T, 1)
-    column): 0 for b < 1, -q at b = 1, divergent beyond (_check_pair). The
-    kernel gets it as a unit cell, p = q = 1, whose ratio is 1 and term 0."""
+    a term is (p - p^{1-b} q^b) / b, or its b -> 0 limit p ln(p/q), for the
+    exponent b (2k for divergence and its literal forms, 1 - q for Tsallis,
+    0 for KL; a scalar or a (T, 1) column): 0 for b < 1, -q at b = 1,
+    divergent beyond (_check_pair). The kernel gets such a cell as a unit
+    cell, p = q = 1, whose ratio is 1 and term 0."""
     pv, qv = _unit_at_zero(p, q)
     terms = kernel(pv, qv, *args)
     if pv is not p and np.any(b == 1):  # p may have cells = 0 < q
