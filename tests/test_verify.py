@@ -552,7 +552,7 @@ class TestEngine:
         cfg = SweepConfig(seed=0, trials=200, properties=("hessian_separability",))
         assert run_suite(cfg).all_passed
         module = sys.modules["entrokit.divergence"]  # entrokit.divergence is the function
-        terms = module._pair_terms  # the driver of every divergence sum's terms
+        terms = module._pair_terms  # every divergence sum takes its terms from it
         monkeypatch.setattr(module, "_pair_terms", lambda p, q, *rest: terms(
             p / p.sum(axis=1, keepdims=True), q, *rest))
         (prop,) = run_suite(cfg).properties
