@@ -141,22 +141,14 @@ _EXACT_MIN = 1024
 _HUGE = 2.0**1000
 
 
-def _live(p: np.ndarray):
-    """The mask p > 0 of a batch, or None for a run of wide rows in which
-    every p > 0, where the mask would select every cell. A narrow batch (the
-    sweep's, bound by per-call overhead) gets the mask without the test."""
-    if p.size >= _EXACT_MIN * len(p) and p.min() > 0:
-        return None
-    return p > 0
-
-
 def _unit_at_zero(p: np.ndarray, *arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     """p and arrays of its shape with 1.0 wherever p = 0, laid out as they
-    are: there a term's ratio is 1 and its logarithm 0. Where every p > 0
-    (_live), the arrays themselves."""
-    live = _live(p)
-    if live is None:
+    are: there a term's ratio is 1 and its logarithm 0. A batch of wide rows
+    in which every p > 0 gets the arrays themselves; a narrow batch (the
+    sweep's, bound by per-call overhead) gets the copies without the test."""
+    if p.size >= _EXACT_MIN * len(p) and p.min() > 0:
         return (p, *arrays)
+    live = p > 0
     return tuple(np.where(live, a, 1.0) for a in (p, *arrays))
 
 

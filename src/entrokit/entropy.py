@@ -3,10 +3,9 @@
 The entropy of a distribution P is -sum_x p^{r+k+1} ln_{k,r}(p), with
 zero-probability terms contributing 0. Each term collapses algebraically
 to p (1 - p^{2k}) / (2k), which is the canonical evaluator here: it is
-exact at p = 0, non-negative on [0, 1], and makes the r-cancellation
-explicit. The literal as-written evaluator is kept alongside as a
-cross-check. A joint is a Distribution of rank > 1, so its entropy is
-the entropy of its cells.
+non-negative on [0, 1] and makes the r-cancellation explicit. The literal
+as-written evaluator is kept alongside as a cross-check. A joint is a
+Distribution of rank > 1, so its entropy is the entropy of its cells.
 
 Conditional entropies weight per-slice entropies by the conditioning
 probability raised to 2k + 1; this is the weighting that makes the chain
@@ -14,11 +13,17 @@ rule S(X,Y) = S(X) + S(Y|X) hold identically.
 
 Each sum is written once, as a batched `_*_rows` evaluator; the public
 functions call it on a batch of one, and the property sweep on
-zero-padded batches, so it checks the sums users get. The public
-functions hand it only positive cells (a Distribution knows whether all
-of its cells are, so a positive one is not compressed), and
-conditional_entropy only rows of positive mass: a zero adds 0 but would
-regroup numpy's pairwise sum.
+zero-padded batches, so it checks the sums users get. Every entropy-type
+sum (entropy, its literal form, Shannon, Tsallis and the conditional
+entropies) gets its terms from _cell_terms, which states the rule for a
+cell with p = 0 once: it adds 0. Each kernel evaluates only cells with
+p > 0; a cell with p = 0 reaches it as p = 1, where every term of the
+family is 0, and a conditioning row of mass 0 is weighted as one of mass
+1, whose cells are all such cells. The public functions hand an
+evaluator only positive cells (a Distribution knows whether all of its
+cells are, so a positive one is not compressed), and conditional_entropy
+only rows of positive mass: a zero adds 0 but would regroup numpy's
+pairwise sum.
 
 A row longer than _LEAF cells is evaluated and summed in one pass, one run
 of at most _LEAF cells at a time (distributions._rowsum): numpy's np.sum
@@ -83,17 +88,23 @@ class EntropyValue:
         return self.value
 
 
+def _cell_terms(p: np.ndarray, kernel, *args) -> np.ndarray:
+    """The terms of an entropy-type sum: kernel(p, *args), which evaluates
+    cells with p > 0, and the one rule for a cell with p = 0: it adds 0.
+    The kernel gets such a cell as p = 1, where every entropy term is 0."""
+    return kernel(*_unit_at_zero(p), *args)
+
+
 def _entropy_terms(p, k) -> np.ndarray:
-    """p (1 - p^{2k}) / (2k) elementwise, exactly 0 at p = 0; k may broadcast
-    against p. Evaluated in place in the logarithm's buffer."""
-    (p,) = _unit_at_zero(p)  # p = 0 becomes 1, whose term is 0 as well
+    """p (1 - p^{2k}) / (2k) per cell > 0, exactly 0 at p = 1; k may
+    broadcast against p. Evaluated in place in the logarithm's buffer."""
     return _closed_form(np.log(p), p, k)
 
 
 def _entropy_rows(p: np.ndarray, k) -> np.ndarray:
     """(T, 1) entropies of a batch (axis 0) of arrays of any rank, for a
     scalar k or one k per row. Zero cells add 0."""
-    return _rowsum(p, _entropy_terms, _col(k, 2))
+    return _rowsum(p, _cell_terms, _entropy_terms, _col(k, 2))
 
 
 def _positive_cells(p: Distribution) -> np.ndarray:
@@ -116,15 +127,14 @@ joint_entropy = entropy
 
 
 def _literal_terms(p: np.ndarray, params) -> np.ndarray:
-    """p^{r+k+1} ln_{k,r}(p) per cell, as written; a cell with p = 0 gives 0."""
-    (pv,) = _unit_at_zero(p)  # ln_{k,r}(1) = 0
-    return np.power(pv, params.r + params.k + 1.0) * ln_kr(pv, params)
+    """p^{r+k+1} ln_{k,r}(p) per cell > 0, as written; 0 at p = 1."""
+    return np.power(p, params.r + params.k + 1.0) * ln_kr(p, params)
 
 
 def _entropy_literal_rows(p: np.ndarray, params) -> np.ndarray:
     """(T, 1) defining sums -sum p^{r+k+1} ln_{k,r}(p) of a batch, term by
     term as written; params are scalars or (T, 1) columns. Zero cells add 0."""
-    return -_rowsum(p, _literal_terms, params)
+    return -_rowsum(p, _cell_terms, _literal_terms, params)
 
 
 def entropy_literal(p: Distribution, params: DeformParams) -> float:
@@ -134,9 +144,11 @@ def entropy_literal(p: Distribution, params: DeformParams) -> float:
     return float(_entropy_literal_rows(_positive_cells(p), params)[0, 0])
 
 
-def _quotient_terms(p: np.ndarray, w, k) -> np.ndarray:
-    """The entropy terms of p / w, one row of a conditional distribution."""
-    return _entropy_terms(p / w, k)
+def _quotient_terms(p: np.ndarray, mass, k) -> np.ndarray:
+    """The entropy terms of p / mass, one row of a conditional distribution.
+    The row weights take the cells' rule: a row of mass 0 is divided by 1,
+    which leaves its cells at 0."""
+    return _cell_terms(p / _unit_at_zero(mass)[0], _entropy_terms, k)
 
 
 def _conditional_rows(t: np.ndarray, k, given: int = 1, drop_empty: bool = False) -> np.ndarray:
@@ -154,20 +166,18 @@ def _conditional_rows(t: np.ndarray, k, given: int = 1, drop_empty: bool = False
     shape = t.shape[1 : 1 + given]
     T, G, O = len(t), math.prod(shape), math.prod(t.shape[1 + given :])
     cells, step = _cells(t), max(1, _LEAF // O)
-    mass, w, inner = np.empty((3, T, G))  # inner: S(O | g)
+    mass, inner = np.empty((2, T, G))  # inner: S(O | g)
     for start in range(0, G, step):
         b = slice(start, min(start + step, G))
         if O > _LEAF:
             row = t[(slice(None), *np.unravel_index(start, shape))]
             mass[:, b] = _rowsum(row)
-            w[:, b] = np.where(mass[:, b] > 0, mass[:, b], 1.0)
-            inner[:, b] = _rowsum(row, _quotient_terms, w[:, b], _col(k, 2))
+            inner[:, b] = _rowsum(row, _quotient_terms, mass[:, b], _col(k, 2))
             continue
         block = cells(start * O, b.stop * O).reshape(T, -1, O)
         block.sum(axis=2, out=mass[:, b])
-        w[:, b] = np.where(mass[:, b] > 0, mass[:, b], 1.0)
-        _entropy_terms(block / w[:, b, np.newaxis], _col(k, 3)).sum(axis=2, out=inner[:, b])
-    rows = np.power(w, 2.0 * _col(k, 2) + 1.0) * inner
+        _quotient_terms(block, mass[:, b, np.newaxis], _col(k, 3)).sum(axis=2, out=inner[:, b])
+    rows = np.power(*_unit_at_zero(mass), 2.0 * _col(k, 2) + 1.0) * inner
     if drop_empty:
         rows = rows[:, mass[0] > 0]
     return rows.sum(axis=1, keepdims=True)
@@ -230,14 +240,13 @@ def mutual_entropy(j: Distribution, params: DeformParams) -> float:
 
 
 def _shannon_terms(p: np.ndarray) -> np.ndarray:
-    """p ln p per cell; a cell with p = 0 gives 0."""
-    (pv,) = _unit_at_zero(p)
-    return p * np.log(pv)
+    """p ln p per cell > 0; 0 at p = 1."""
+    return p * np.log(p)
 
 
 def _shannon_rows(p: np.ndarray) -> np.ndarray:
     """(T, 1) Shannon entropies -sum p ln p in nats of a batch; zero cells add 0."""
-    return -_rowsum(p, _shannon_terms)
+    return -_rowsum(p, _cell_terms, _shannon_terms)
 
 
 def shannon_entropy(p: Distribution) -> float:
@@ -245,11 +254,12 @@ def shannon_entropy(p: Distribution) -> float:
     return float(_shannon_rows(_positive_cells(p))[0, 0])
 
 
-def _tsallis_entropy_terms(p: np.ndarray, q) -> np.ndarray:
-    """p^q ln_q(p) per cell > 0, as p^q (p^{1-q} - 1) / (1 - q) through the
-    logarithms' evaluator, not through the entropy's closed form, so it
-    still checks that closed form independently."""
-    return _deformed(p, q, 1.0 - q)
+def _tsallis_entropy_rows(p: np.ndarray, q) -> np.ndarray:
+    """(T, 1) Tsallis entropies -sum p^q ln_q(p) of a batch, for a scalar q
+    or one q per row; zero cells add 0. Each term p^q (p^{1-q} - 1) / (1 - q)
+    goes through the logarithms' evaluator, not through the entropy's closed
+    form, so it still checks that closed form independently."""
+    return -_rowsum(p, _cell_terms, _deformed, q, 1.0 - q)
 
 
 def tsallis_entropy(p: Distribution, q: float) -> float:
@@ -257,4 +267,4 @@ def tsallis_entropy(p: Distribution, q: float) -> float:
     q = _real("q", q, "a finite real number", math.isfinite)
     if q == 1:
         raise ParamError("q = 1 is the Shannon limit; use shannon_entropy")
-    return float(-_rowsum(_positive_cells(p), _tsallis_entropy_terms, q)[0, 0])
+    return float(_tsallis_entropy_rows(_positive_cells(p), q)[0, 0])

@@ -37,27 +37,29 @@ FIELDS = {
 
 
 def read(text: str, fields: tuple[str, ...], fmt: str, normalize: bool) -> Distribution | Channel:
-    """The object under the first of `fields` in JSON `text`, or in CSV `fields[0]`'s layout."""
+    """The object under the first of `fields` in JSON `text`, or in CSV
+    `fields[0]`'s layout; fmt is "json" or "csv"."""
     normalize = _flag("normalize", normalize, ValidationError)
     if not fields:
         raise ValidationError(f"no field to read; fields come from {', '.join(FIELDS)}")
     for f in fields:
         if f not in FIELDS:
             raise ValidationError(f"unknown field {f!r}; fields come from {', '.join(FIELDS)}")
-    parse = _json_field if fmt == "json" else _csv_field
+    parse = _json_field if _format(fmt) == "json" else _csv_field
     field, data = parse(text, fields)
     return FIELDS[field][2](data, normalize=normalize)
 
 
 def write(obj: Distribution | Channel, fmt: str) -> str:
-    """`obj` as JSON or CSV text, under the field of its type and rank."""
+    """`obj` as JSON or CSV text (fmt "json" or "csv"), under the field of
+    its type and rank."""
     if isinstance(obj, Channel):
         field, a = "w", obj.w
     elif obj.ndim <= 3:
         field, a = "pmt"[obj.ndim - 1], obj.p
     else:
         raise ValidationError(f"no field holds a distribution of rank {obj.ndim}")
-    if fmt == "json":
+    if _format(fmt) == "json":
         return json.dumps({field: a.tolist()})
     if a.ndim == 1:
         return _row(a) + "\n"
@@ -66,6 +68,13 @@ def write(obj: Distribution | Channel, fmt: str) -> str:
     lines = [f"# rows={a.shape[0]} cols={a.shape[1]}"]
     lines.extend(_row(r) for r in a)
     return "\n".join(lines) + "\n"
+
+
+def _format(fmt) -> str:
+    """fmt, if it is "json" or "csv"; else a ValidationError."""
+    if not (isinstance(fmt, str) and fmt in ("json", "csv")):
+        raise ValidationError(f"format must be 'json' or 'csv', got {fmt!r}")
+    return fmt
 
 
 def _row(values) -> str:

@@ -62,7 +62,8 @@ import numpy as np
 from .deformed_log import DeformParams, legacy_Ln, legacy_u, ln_kr
 from .distributions import (_check_rows, _marginal_rows, _mix_rows, _outer_rows, _push_rows,
                             _rowsum, _simplex_rows)
-from .divergence import _divergence_literal_rows, _divergence_rows, _kl_rows, _log_sum_rows
+from .divergence import (_divergence_literal_rows, _divergence_rows, _kl_rows, _log_sum_rows,
+                         _unit_at_zero)
 from .entropy import (
     AXIS_LETTERS,
     _conditional_rows,
@@ -727,10 +728,6 @@ def _kl_limit(i):
 # geometry properties
 
 
-def _padded(p: np.ndarray) -> np.ndarray:
-    return np.where(p > 0, p, 1.0)  # the padding adds 0, or agrees exactly
-
-
 @_law("hessian_separability", "induced metric (off-diagonal vanishing)", "identity",
       _interior_points(_FD_CAP), tol=1e-8, step=1e-4)
 def _hessian_separability(i):
@@ -739,7 +736,7 @@ def _hessian_separability(i):
     # the library's own sum: a kernel that couples cells fails here. The
     # off-diagonals are row-major: the n x n block's keep their order, (0, 1)
     # leads, and the zeros beyond the block never rank above it as worst.
-    pv, h = _padded(i.p), 1e-4
+    (pv,), h = _unit_at_zero(i.p), 1e-4  # the padding adds 0
     iu, ju = np.triu_indices(_FD_CAP, 1)
     at, pair = np.nonzero(ju < i.n)  # each trial's live pairs, in row-major order
     a, b = iu[pair], ju[pair]
@@ -758,7 +755,7 @@ def _hessian_separability(i):
 @_law("metric_oracle_agreement", "induced metric (diagonal oracle)", "identity",
       _interior_points(_FD_CAP), tol=1e-5)
 def _metric_oracle_agreement(i):
-    pv = _padded(i.p)
+    (pv,) = _unit_at_zero(i.p)
     hess = _fd_hessian_rows(pv, i.n, i.params.k, 1e-4)
     g = _metric_rows(pv, i.params)
     live = np.arange(_FD_CAP) < i.n
@@ -771,7 +768,7 @@ def _metric_hessian_structure(i):
     # The library's diagonal A / p against the second derivative of the
     # divergence term (a - a^{1-2k} p^{2k}) / 2k at a = p, written with
     # powers as (1-2k) p^{-2k-1} p^{2k}; the paper's form adds 4r / p.
-    k, pv = i.params.k, _padded(i.p)
+    k, (pv,) = i.params.k, _unit_at_zero(i.p)
     lhs = np.hstack([_metric_rows(pv, i.params, c) for c in CONVENTIONS])
     derived = (1.0 - 2.0 * k) * pv ** (-2.0 * k - 1.0) * pv ** (2.0 * k)
     second = {"derived": derived, "paper": derived + 4.0 * i.params.r / pv}
@@ -794,7 +791,7 @@ def _potential_curvature(i):
 @_law("metric_positive_definite", "induced metric (positive definiteness)", "inequality",
       _interior_points(uniform_at_0=True))
 def _metric_positive_definite(i):
-    return np.where(i.p > 0, _metric_rows(_padded(i.p), i.params), np.inf), 0.0
+    return np.where(i.p > 0, _metric_rows(*_unit_at_zero(i.p), i.params), np.inf), 0.0
 
 
 @_law("taylor_expansion", "induced metric (quadratic expansion)", "inequality",
@@ -808,7 +805,7 @@ def _taylor_expansion(i):
     k, p, v = i.params.k, i.p, i.v
     a = p + v * (1e-2 / np.sqrt(_rowsum(v * v)))
     dp = a - p
-    pv, av = _padded(p), np.where(p > 0, a, 1.0)  # the padding adds 0
+    pv, av = _unit_at_zero(p, a)  # the padding adds 0
     c = 1.0 - 4.0 * k * k
     rest = (
         _divergence_rows(a, p, k) - _rowsum(dp) - 0.5 * _quadratic_rows(pv, dp, i.params)

@@ -25,8 +25,9 @@ from entrokit import (
     ln_kr,
     ln_q,
 )
-from entrokit.deformed_log import K_MIN
+from entrokit.deformed_log import K_MIN, _deformed
 from entrokit.distributions import _LEAF
+from entrokit.entropy import _cell_terms
 from entrokit.properties import _Params
 
 positive_x = st.floats(min_value=0.05, max_value=20.0)
@@ -255,6 +256,11 @@ def _former_legacy_Ln(x, k, r):
     return np.expm1(2.0 * k * lx) * np.exp((r - k) * lx) / (2.0 * k)
 
 
+def _tsallis_entropy_terms(p, q):
+    """The terms that _tsallis_entropy_rows sums, as it gets them."""
+    return _cell_terms(p, _deformed, q, 1.0 - q)
+
+
 def _former_tsallis_terms(p, q):
     """tsallis_entropy's terms p^q ln_q(p) as they were written before they
     went through ln_kr's evaluator."""
@@ -292,8 +298,6 @@ class TestOneEvaluator:
     @pytest.mark.parametrize("x_shape", [(5, 40), (5, 30001)])
     def test_columns_of_k_r_and_q(self, x_shape):
         # one parameter per row, as the sweep passes them
-        from entrokit.entropy import _tsallis_entropy_terms
-
         rng = np.random.default_rng(23)
         x = np.exp(rng.uniform(-5.0, 5.0, x_shape))
         cols = _Params(k=rng.uniform(0.05, 0.45, (5, 1)), r=rng.uniform(0.1, 2.0, (5, 1)))
@@ -303,8 +307,6 @@ class TestOneEvaluator:
         assert (_bits(_tsallis_entropy_terms(p, q)) == _bits(_former_tsallis_terms(p, q))).all()
 
     def test_tsallis_entropy_terms(self):
-        from entrokit.entropy import _tsallis_entropy_terms
-
         rng = np.random.default_rng(24)
         p = rng.dirichlet(np.full(300, 0.3))[np.newaxis]
         p = p[p > 0][np.newaxis]

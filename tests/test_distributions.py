@@ -427,6 +427,15 @@ class TestSerialization:
         with pytest.raises(ValidationError):
             eio.read('{"q": [1.0]}', ("p",), "json", False)
 
+    @pytest.mark.parametrize("fmt", ["JSON", "xml", None])
+    def test_unknown_format_rejected(self, fmt):
+        # any format but the two is an error; before, it was taken as CSV
+        message = "^format must be 'json' or 'csv', got "
+        with pytest.raises(ValidationError, match=message):
+            eio.write(make_distribution([0.25, 0.75]), fmt)
+        with pytest.raises(ValidationError, match=message):
+            eio.read('{"p": [0.25, 0.75]}', ("p",), fmt, False)
+
     def test_malformed_csv(self):
         with pytest.raises(ValidationError):
             eio.read("0.5,abc\n", ("p",), "csv", False)

@@ -42,7 +42,14 @@ from entrokit import (
 from entrokit import distributions
 from entrokit.deformed_log import K_MIN
 from entrokit.distributions import _LEAF, _tiles
-from entrokit.entropy import _spec_axes
+from entrokit.entropy import (
+    _conditional_rows,
+    _entropy_literal_rows,
+    _entropy_rows,
+    _shannon_rows,
+    _spec_axes,
+    _tsallis_entropy_rows,
+)
 
 PARAMS = DeformParams(0.3, 0.8)
 
@@ -512,6 +519,72 @@ class TestReferenceEntropies:
         for q in (1.0, float("nan"), "2", False):
             with pytest.raises(ParamError):
                 tsallis_entropy(d, q)
+
+
+def _scattered(a, rng, extra):
+    """a with `extra` cells of 0 added along each axis at random places: zero
+    cells between its cells and after the last one, and rows and slices of
+    0 in a joint."""
+    at = [np.sort(rng.choice(n + extra - 1, n, replace=False)) for n in a.shape]
+    out = np.zeros(tuple(n + extra for n in a.shape))
+    out[np.ix_(*at)] = a
+    return out
+
+
+def _one_cell_rows(shape, rng):
+    """A joint whose every row (the last axis) holds its mass in one cell."""
+    a = np.zeros(shape)
+    rows = a.reshape(-1, shape[-1])
+    rows[np.arange(len(rows)), rng.integers(shape[-1], size=len(rows))] = rng.uniform(1, 2, len(rows))
+    return a / a.sum()
+
+
+# Every entropy-type sum: its batched evaluator, and its public function
+ROW_SUMS = {
+    "entropy": (lambda p: _entropy_rows(p, PARAMS.k), lambda d: entropy(d, PARAMS).value),
+    "entropy_literal": (lambda p: _entropy_literal_rows(p, PARAMS),
+                        lambda d: entropy_literal(d, PARAMS)),
+    "shannon_entropy": (_shannon_rows, shannon_entropy),
+    **{f"tsallis_entropy q={q}": (lambda p, q=q: _tsallis_entropy_rows(p, q),
+                                  lambda d, q=q: tsallis_entropy(d, q)) for q in (0.5, 1.5, 3.0)},
+}
+
+
+class TestZeroCellRule:
+    """A cell with p = 0 adds 0 to every entropy-type sum (_cell_terms): the
+    batched evaluators, run on rows with zero cells between and after the
+    live ones, give the public value of the live cells alone, within the
+    n * eps * S bound of a regrouped pairwise sum of terms >= 0."""
+
+    @pytest.mark.parametrize("name", ROW_SUMS)
+    def test_row_sums(self, name):
+        rows, public = ROW_SUMS[name]
+        rng, eps = np.random.default_rng(35), np.finfo(float).eps
+        for n in (1, 2, 9, 300, 20000):  # 20000 live cells pad to a row of runs
+            ds = [sample_distribution(n, rng) for _ in range(3)]
+            cells = (*(d.p for d in ds), _one_cell_rows((n,), rng))
+            batch = np.stack([_scattered(a, rng, n + 5) for a in cells])
+            got = rows(batch)[:, 0]
+            for value, d in zip(got, ds):
+                want = float(public(d))
+                assert abs(value - want) <= batch.shape[1] * eps * want, (n, value, want)
+            assert got[-1] == 0.0  # all the mass on one cell
+
+    @pytest.mark.parametrize("shape, spec", [
+        ((5, 7), "Y_given_X"),
+        ((4, 3, 6), "Z_given_XY"),
+        ((2, 33000), "Y_given_X"),  # a padded row longer than _LEAF is summed run by run
+    ])
+    def test_conditional_rows(self, shape, spec):
+        rng, eps = np.random.default_rng(36), np.finfo(float).eps
+        js = [sample_distribution(shape, rng) for _ in range(3)]
+        joints = (*(j.p for j in js), _one_cell_rows(shape, rng))
+        batch = np.stack([_scattered(a, rng, 3) for a in joints])
+        got = _conditional_rows(batch, PARAMS.k, len(shape) - 1)[:, 0]
+        for value, j in zip(got, js):
+            want = conditional_entropy(j, PARAMS, spec).value
+            assert abs(value - want) <= batch[0].size * eps * want, (value, want)
+        assert got[-1] == 0.0
 
 
 def _reversed_strided(a):

@@ -558,6 +558,30 @@ class TestEngine:
         (prop,) = run_suite(cfg).properties
         assert prop.fails == 200 and abs(prop.worst_slack) > 1e-3
 
+    def test_entropy_laws_catch_a_zero_cell_that_adds_a_term(self, monkeypatch):
+        # every entropy-type sum takes its terms from _cell_terms: one that
+        # hands the kernel a zero cell as p = 1/2, not p = 1, makes each
+        # padding cell add a term; the laws below catch it at 50 trials.
+        # r_independence and shannon_limit are blind to it: both sides of
+        # each gain the same terms, up to the limit's own tolerance
+        module = sys.modules["entrokit.entropy"]  # entrokit.entropy is the function
+        terms = module._cell_terms
+        monkeypatch.setattr(module, "_cell_terms", lambda p, kernel, *args: terms(
+            np.where(p > 0, p, 0.5), kernel, *args))
+        report = run_suite(SweepConfig(seed=0, trials=50))
+        assert {p.name: p.fails for p in report.properties if p.fails} == {
+            "chain_rule": 50,
+            "conditional_reduces_entropy": 48,
+            "independence_rule": 48,
+            "entropy_pseudo_additivity": 50,
+            "subadditivity": 50,
+            "conditional_comparison": 49,
+            "strong_subadditivity": 50,
+            "corollary_3_7": 50,
+            "corollary_3_8": 50,
+            "mutual_entropy_consistency": 50,
+        }
+
     def test_metric_hessian_structure_catches_a_wrong_coefficient(self, monkeypatch):
         # a metric coefficient 1e-9 off, patched wherever a module binds it,
         # moves the library's diagonal but not the divergence's second
