@@ -535,7 +535,8 @@ def _one_cell_rows(shape, rng):
     """A joint whose every row (the last axis) holds its mass in one cell."""
     a = np.zeros(shape)
     rows = a.reshape(-1, shape[-1])
-    rows[np.arange(len(rows)), rng.integers(shape[-1], size=len(rows))] = rng.uniform(1, 2, len(rows))
+    cell = rng.integers(shape[-1], size=len(rows))
+    rows[np.arange(len(rows)), cell] = rng.uniform(1.0, 2.0, len(rows))
     return a / a.sum()
 
 

@@ -561,9 +561,11 @@ class TestEngine:
     def test_entropy_laws_catch_a_zero_cell_that_adds_a_term(self, monkeypatch):
         # every entropy-type sum takes its terms from _cell_terms: one that
         # hands the kernel a zero cell as p = 1/2, not p = 1, makes each
-        # padding cell add a term; the laws below catch it at 50 trials.
-        # r_independence and shannon_limit are blind to it: both sides of
-        # each gain the same terms, up to the limit's own tolerance
+        # padding cell add a term; the laws below catch it at 50 trials. The
+        # other four that reach _cell_terms are blind to it: both sides of
+        # entropy_r_independence and shannon_limit gain the same terms, up to
+        # the limit's tolerance, and the larger side of joint_monotonicity and
+        # conditional_joint_monotonicity has the more padding cells
         module = sys.modules["entrokit.entropy"]  # entrokit.entropy is the function
         terms = module._cell_terms
         monkeypatch.setattr(module, "_cell_terms", lambda p, kernel, *args: terms(
