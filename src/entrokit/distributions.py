@@ -4,9 +4,13 @@ mixtures, and seeded random generation.
 A Distribution is one validated probability array: a vector on the
 simplex is the 1-axis case, and a joint of variables X, Y, Z, ... is the
 array indexed (x, y, z, ...). All values are immutable after construction
-(backing arrays are marked read-only) and re-validate their invariants on
-construction. Sums are checked to an absolute tolerance of 1e-9 so data
-can round-trip through decimal text formats.
+(backing arrays are marked read-only). Data are checked once, where they
+enter: the constructors, make_*, io.read and the samplers' arguments.
+Sums are checked to an absolute tolerance of 1e-9 so data can round-trip
+through decimal text formats. What the library derives from checked data
+(product, marginal, mix, apply_channel, sample_distribution) is built by
+_derived without a second check, which could only reject rounding: the
+sum error of a product is the sum of its factors'.
 
 A caller's C-ordered array is copied and checked in one pass, one block
 of at most _LEAF cells at a time: each block is copied, and its minimum
@@ -18,7 +22,8 @@ tree), so no check moves; beyond its copy a Distribution allocates a few
 small objects. Any other layout is copied once into C order, then checked.
 So every Distribution and Channel holds a C-contiguous array, and each sum
 over one runs in one order, whatever the caller's layout. A Distribution
-remembers whether every cell is > 0, so the kernels do not scan it again.
+remembers whether every cell is > 0, which spares divergence's continuity
+scan, entropy's removal of zero cells and the metric's full-support test.
 
 The rules for scalar arguments are written here once for every module:
 _real for real numbers, _integer and _integers for integers and _seed for
@@ -308,12 +313,6 @@ def _marginal_rows(j: np.ndarray, axes) -> np.ndarray:
     return t.transpose([0] + [kept.index(a) + 1 for a in axes])
 
 
-def _check_sums(totals: np.ndarray) -> None:
-    bad = np.abs(totals - 1.0) > SUM_TOL
-    if np.any(bad):
-        raise ValidationError(f"probabilities sum to {float(totals[bad][0])!r}, expected 1")
-
-
 def _check_rows(p: np.ndarray):
     """A Distribution's checks on each row (axis 0) of a batch of probability
     arrays; returns the batch's smallest entry. Its minimum and row sums
@@ -325,7 +324,8 @@ def _check_rows(p: np.ndarray):
     totals = _rowsum(p)[:, 0]  # strided rows are summed run by run, not copied
     if not np.abs(totals - 1.0).max() <= SUM_TOL:
         _check_nonneg(p, "probability")  # raises for +inf, whose row sums to inf
-        _check_sums(totals)
+        total = totals[np.abs(totals - 1.0) > SUM_TOL][0]
+        raise ValidationError(f"probabilities sum to {float(total)!r}, expected 1")
     return lo
 
 
@@ -395,7 +395,7 @@ class Distribution:
         axes = _integers("axes", axes)
         if not axes or len(set(axes)) != len(axes) or min(axes) < 0 or max(axes) >= self.ndim:
             raise ParamError(f"axes must be distinct and in [0, {self.ndim}), got {axes}")
-        return _built(Distribution, _c_copy(_marginal_rows(self.p[np.newaxis], axes)[0]))
+        return _derived(_c_copy(_marginal_rows(self.p[np.newaxis], axes)[0]))
 
     # Kept only because the frozen benchmark (perfbench/bulk.py) calls it;
     # ROADMAP item 4's benchmark change deletes it.
@@ -434,14 +434,22 @@ class Channel:
         return self.w.shape
 
 
-def _built(cls, a: np.ndarray):
+def _built(cls, a: np.ndarray, *lo):
     """A Distribution or Channel (cls) of a C-ordered float array of rank
-    >= 1 that the library has just built and no caller holds: checked and
-    frozen in place, not copied."""
+    >= 1 that the library has just built and no caller holds: frozen in
+    place, not copied, and checked unless a Distribution's smallest entry
+    lo is given (_seal)."""
     a.setflags(write=False)
     obj = object.__new__(cls)
-    obj._seal(a)
+    obj._seal(a, *lo)
     return obj
+
+
+def _derived(a: np.ndarray) -> Distribution:
+    """A Distribution of an array that the library has just derived from
+    checked data, made as _built makes it but not checked again: its
+    smallest entry sets the positivity flag."""
+    return _built(Distribution, a, a.min())
 
 
 def _make(data, normalize: bool, ndim: int, what: str) -> Distribution:
@@ -519,7 +527,7 @@ def product(p: Distribution, q: Distribution) -> Distribution:
     axes are those of p followed by those of q. This is _outer_rows on a
     batch of one."""
     _typed(Distribution, p=p, q=q)
-    return _built(Distribution, _outer_rows(p.p[np.newaxis], q.p[np.newaxis])[0])
+    return _derived(_outer_rows(p.p[np.newaxis], q.p[np.newaxis])[0])
 
 
 def _push_rows(w: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -537,7 +545,7 @@ def apply_channel(w: Channel, p: Distribution) -> Distribution:
     m, n = w.shape
     if p.shape != (n,):
         raise DimensionError(f"channel expects {n} inputs, distribution has shape {p.shape}")
-    return _built(Distribution, _push_rows(w.w[np.newaxis], p.p[np.newaxis])[0])
+    return _derived(_push_rows(w.w[np.newaxis], p.p[np.newaxis])[0])
 
 
 def _mix_rows(a: np.ndarray, b: np.ndarray, lam) -> np.ndarray:
@@ -552,7 +560,7 @@ def mix(p1: Distribution, p2: Distribution, lam: float) -> Distribution:
     if p1.shape != p2.shape:
         raise DimensionError(f"shape mismatch: {p1.shape} vs {p2.shape}")
     lam = _real("lambda", lam, "a real number in [0, 1]", lambda x: 0.0 <= x <= 1.0)
-    return _built(Distribution, _mix_rows(p1.p, p2.p, lam))
+    return _derived(_mix_rows(p1.p, p2.p, lam))
 
 
 def _rng(seed) -> np.random.Generator:
@@ -572,7 +580,7 @@ def sample_distribution(shape, seed) -> Distribution:
     vector, a tuple for a joint), deterministic for a fixed seed: one
     _simplex_rows draw on a batch of one."""
     dims = _sizes(shape if np.iterable(shape) else (shape,))
-    return _built(Distribution, _simplex_rows(_rng(seed).exponential(size=(1, *dims)))[0])
+    return _derived(_simplex_rows(_rng(seed).exponential(size=(1, *dims)))[0])
 
 
 def sample_channel(m: int, n: int, seed) -> Channel:

@@ -19,10 +19,9 @@ large as it is built: a sum allocates a few runs' worth (under 3 MiB)
 beyond its inputs at any width; the result is still math.fsum's bit for
 bit. mutual_divergence does not build the product of the marginals
 either: its runs are made as the sum reads them, so it allocates under
-2 MiB on a 1024 x 1024 joint. It builds the product only where product()
-or divergence() could raise more than a sum check: where products of
-marginals underflow, or for k > 1/2 over a zero cell of the joint inside
-the product's support.
+2 MiB on a 1024 x 1024 joint. It builds the product only to name the
+cell of its one error, at k < 0, where a product of marginals underflows
+under p > 0.
 
 Each sum is written once, as a batched `_*_rows` evaluator; the public
 functions call it on a batch of one (whole arrays: fsum is exact), and the
@@ -49,10 +48,7 @@ from .distributions import (
     _LEAF,
     Distribution,
     _as_float_array,
-    _check_sums,
     _col,
-    _leaves,
-    _pairwise,
     _real,
     _runs,
     _span,
@@ -106,6 +102,10 @@ def _positive_terms(p: np.ndarray, q: np.ndarray, k: float) -> np.ndarray:
     return _closed_form(np.log(q) - np.log(p), p, k)
 
 
+# the DomainError of a cell with p = 0 < q where the term exponent b > 1
+_DIVERGES = "divergence diverges for zero p-entries when k > 1/2 (Tsallis q < 0)"
+
+
 def _check_pair(p: Distribution, q: Distribution, b) -> bool:
     """Require equal shapes, support(P) within support(Q) and, for a term
     exponent b > 1 (_pair_terms), no cell with p = 0 < q, where the sum
@@ -118,7 +118,7 @@ def _check_pair(p: Distribution, q: Distribution, b) -> bool:
         if np.any(bad):
             raise _continuity_error(p.p, int(np.argmax(bad)))
     if b > 1 and not p._positive and np.any((p.p == 0) & (q.p > 0)):
-        raise DomainError("divergence diverges for zero p-entries when k > 1/2 (Tsallis q < 0)")
+        raise DomainError(_DIVERGES)
     return p._positive
 
 
@@ -245,16 +245,18 @@ def _overflow_terms(p: np.ndarray, q: np.ndarray, k) -> np.ndarray:
 
 
 def _divergence_rows(p: np.ndarray, q, k) -> np.ndarray:
-    """(T, 1) divergences D(p || q) of a batch (axis 0) of pairs of any rank
-    with q > 0 where p > 0, for a scalar k or one k per row, taken as
-    _sum_terms takes them: q may be a run maker for a batch of one. A batch
-    with a non-finite sum is summed again whole by _overflow_terms, which
-    leaves every finite term as it is."""
+    """(T, 1) divergences D(p || q) of a batch (axis 0) of pairs of any rank,
+    for a scalar k or one k per row, taken as _sum_terms takes them: q may
+    be a run maker for a batch of one. A cell with p > 0 = q takes the
+    term's q -> 0 limit, p / 2k, infinite for k < 0. A batch with a
+    non-finite sum is summed again whole by _overflow_terms, which leaves
+    every finite term as it is."""
     k = _col(k, 2)
-    with np.errstate(over="ignore"):
-        d = _sum_terms(_pair_terms, (p, q), 2.0 * k, _positive_terms, k)
-    if not np.isfinite(d).all():
-        d = _sum_terms(_pair_terms, (p, q), 2.0 * k, _overflow_terms, k)
+    with np.errstate(divide="ignore"):  # log(0) is -inf: the q -> 0 limit
+        with np.errstate(over="ignore"):
+            d = _sum_terms(_pair_terms, (p, q), 2.0 * k, _positive_terms, k)
+        if not np.isfinite(d).all():
+            d = _sum_terms(_pair_terms, (p, q), 2.0 * k, _overflow_terms, k)
     return d
 
 
@@ -377,26 +379,27 @@ def tsallis_divergence(p: Distribution, q: Distribution, q_param: float) -> floa
     return float(_sum_terms(_pair_terms, cells, 1.0 - q_param, _tsallis_terms, q_param)[0, 0])
 
 
-def _outer_run(px: np.ndarray, py: np.ndarray, sums: dict, start: int, stop: int) -> np.ndarray:
+def _outer_run(px: np.ndarray, py: np.ndarray, start: int, stop: int) -> np.ndarray:
     """Cells start .. stop - 1 of the C-ordered outer product of the vectors
-    px and py, as a (1, stop - start) array: the products product() makes.
-    Their np.sum, as product() checks the run, goes to sums[start]."""
+    px and py, as a (1, stop - start) array: the products product() makes."""
     out = np.empty((1, stop - start))
     for s, e, index in _span((len(px), len(py)), start, stop):
         x, y = px[index[0]], py[index[1] if len(index) > 1 else slice(None)]
         np.multiply.outer(x, y, out=out[0, s - start : e - start].reshape(np.shape(x) + y.shape))
-    sums[start] = out.sum(axis=1)
     return out
 
 
 def mutual_divergence(j: Distribution, params: DeformParams) -> DivergenceValue:
-    """Divergence of a 2-axis joint from the product of its marginals:
-    values and errors are those of divergence(j, product(...)).
+    """Divergence of a 2-axis joint from the product of its marginals.
 
-    The product is not built where it is positive on the joint's support
-    and, for k > 1/2, nowhere else: each run of its cells is made and summed
-    with the joint's (distributions._runs), and its sum is checked as
-    product() checks it. Elsewhere the product is built, for its errors.
+    Each run of the product's cells is made as the sum reads it
+    (distributions._runs), so the product is never built whole. Its values
+    are those of divergence(j, product(...)) wherever that returns one. A
+    product cell that underflows to 0 under p > 0 takes the term's q -> 0
+    limit, p / 2k, as the exact product is positive there; for k < 0 that
+    limit is infinite and the cell's AbsoluteContinuityError is raised. For
+    k > 1/2, a cell with p = 0 inside the product's support makes the sum
+    diverge, a DomainError.
     """
     _typed(Distribution, j=j)
     _typed(DeformParams, params=params)
@@ -404,14 +407,11 @@ def mutual_divergence(j: Distribution, params: DeformParams) -> DivergenceValue:
         raise DimensionError(f"mutual divergence needs a 2-axis joint, got {j.ndim} axes")
     mx, my = j.marginal(0), j.marginal(1)
     px, py = mx.p, my.p
-    # rounding is monotone: a product of the smallest positive marginals
-    # above 0 keeps every such product above 0, and px_x = 0 empties row x
-    if px[px > 0].min() * py[py > 0].min() == 0 or (
-        params.k > 0.5 and np.count_nonzero(j.p) < np.count_nonzero(px) * np.count_nonzero(py)
-    ):
-        return divergence(j, product(mx, my), params)
-    sums = {}
-    q = functools.partial(_outer_run, px, py, sums)
+    # the product's support is every (x, y) with px_x > 0 and py_y > 0
+    if params.k > 0.5 and np.count_nonzero(j.p) < np.count_nonzero(px) * np.count_nonzero(py):
+        raise DomainError(_DIVERGES)
+    q = functools.partial(_outer_run, px, py)
     value = float(_divergence_rows(j.p[np.newaxis], q, params.k)[0, 0])
-    _check_sums(_pairwise((sums[start] for start, _ in _leaves(j.n)), j.n))
+    if value == math.inf:  # only for k < 0: a product cell underflows under p > 0
+        _check_pair(j, product(mx, my), 2.0 * params.k)
     return DivergenceValue(value, params, "full" if j._positive else "extended")

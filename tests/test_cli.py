@@ -166,6 +166,16 @@ class TestJointAndConditional:
         assert code == 0
         assert json.loads(out)["value"] == pytest.approx(0.5857864376269049, rel=1e-12)
 
+    def test_mutual_via_divergence_of_a_joint_the_tolerance_accepts(self, capsys):
+        # off by 0.9e-9, so its product of marginals by 1.8e-9: a value, not exit 2
+        m = (np.array([[0.1, 0.2], [0.3, 0.4]]) * (1 + 0.9e-9)).tolist()
+        code, out, _ = run(
+            capsys, "mutual", "--k", "0.3", "--r", "1",
+            "--input", json.dumps({"m": m}), "--via", "divergence",
+        )
+        assert code == 0
+        assert json.loads(out)["value"] == 0.0016238770697772943
+
 
 class TestDivergenceCommand:
     def test_identical_inputs(self, capsys):

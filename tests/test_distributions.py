@@ -172,6 +172,38 @@ class TestMarginalsAndProduct:
         np.testing.assert_allclose(j.marginal(0, 1).p, p.p, atol=1e-15)
 
 
+class TestDerivedDataAreNotCheckedAgain:
+    """What the library derives from accepted data is built without a
+    second sum check, which could only reject the rounding of accepted
+    input: a product's sum error is the sum of its factors'."""
+
+    def test_product_of_the_marginals(self):
+        # [[0.1, 0.2], [0.3, 0.4]] off by 0.9e-9, whose product is off by 1.8e-9
+        j = make_joint2(np.array([[0.1, 0.2], [0.3, 0.4]]) * (1 + 0.9e-9))
+        mx, my = j.marginal(0), j.marginal(1)
+        pq = product(mx, my)
+        assert pq.p.sum() == 1.0000000018000001
+        assert pq.p.tobytes() == np.multiply.outer(mx.p, my.p).tobytes()
+
+    def test_apply_channel(self):
+        w = make_channel(np.array([[0.25, 0.5], [0.75, 0.5]]) * (1 + 0.9e-9))
+        p = make_distribution(np.array([0.4, 0.6]) * (1 + 0.9e-9))
+        out = apply_channel(w, p)
+        assert out.p.sum() == 1.0000000018000001
+        assert out.p.tobytes() == (w.w @ p.p).tobytes()
+
+    def test_mix(self):
+        # both sum to 1.0000000009999999; their mix rounds to 1 + 1e-9 and more
+        p = make_distribution([0.3713333413324878, 0.2551352386378681, 0.040333716488614016,
+                               0.2730053453278732, 0.060192359213156896])
+        q = make_distribution([0.15810771659916703, 0.3730624614234255, 0.2175428666023165,
+                               0.2243259372056491, 0.026961019169441873])
+        lam = 0.7320061956565608
+        out = mix(p, q, lam)
+        assert out.p.sum() == 1.000000001
+        assert out.p.tobytes() == ((1.0 - lam) * p.p + lam * q.p).tobytes()
+
+
 class TestChannels:
     def test_identity_channel(self):
         p = make_distribution([0.3, 0.7])

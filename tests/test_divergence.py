@@ -4,6 +4,7 @@ import math
 import sys
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -670,15 +671,60 @@ def _mutual_result(j, params):
         return type(err).__name__, str(err)
 
 
+@pytest.fixture
+def built(monkeypatch):
+    """The arguments of each product() that mutual_divergence builds."""
+    calls = []
+    module = sys.modules["entrokit.divergence"]  # the package's divergence is the function
+    real = module.product
+    monkeypatch.setattr(module, "product", lambda *a: calls.append(a) or real(*a))
+    return calls
+
+
 def _underflowing(shape, cell):
     """A joint whose cell p > 0 has a row and a column of that one cell, so
-    the product of the marginals underflows to 0 there."""
+    the product of the marginals underflows to 0 there. Beyond 5 x 7 its
+    other cells repeat a random 5 x 7 pattern, so that _exact_mutual
+    evaluates few distinct cells."""
     rng = np.random.default_rng(20)
-    m = rng.exponential(size=shape)
+    base = rng.exponential(size=(min(shape[0], 5), min(shape[1], 7)))
+    m = np.pad(base, [(0, n - b) for n, b in zip(shape, base.shape)], mode="wrap")
     r, c = cell
     m[r, :], m[:, c] = 0.0, 0.0
     m[r, c] = 1e-200
     return m / m.sum()
+
+
+def _exact_mutual(j):
+    """A function k -> the 50-digit mutual divergence of the joint j, for k
+    <= 1/2, from its marginals as the library rounds them, and the sum of
+    its terms' magnitudes: a cell with p > 0 adds (p - p^{1-2k} q^{2k}) / 2k
+    and one with p = 0 < q adds -q at k = 1/2, with q the exact product of
+    the marginals. Cells of equal (p, px, py) are evaluated once, times
+    their count."""
+    px, py = j.marginal(0).p, j.marginal(1).p
+    values, index = zip(*(
+        np.unique(a, return_inverse=True)
+        for a in np.broadcast_arrays(j.p, px[:, np.newaxis], py[np.newaxis])
+    ))
+    dims = [len(v) for v in values]
+    keys, counts = np.unique(np.ravel_multi_index(index, dims), return_counts=True)
+    cells = [v[i].tolist() for v, i in zip(values, np.unravel_index(keys, dims))]
+
+    def exact(k):
+        with mp.workdps(50):
+            k2 = 2 * mp.mpf(k)
+            total = size = mp.mpf(0)
+            for p, x, y, n in zip(*cells, counts.tolist()):
+                p, q = mp.mpf(p), mp.mpf(x) * mp.mpf(y)
+                if p:
+                    t = -p * mp.expm1(k2 * (mp.log(q) - mp.log(p))) / k2
+                else:
+                    t = -q if k2 == 1 else 0
+                total, size = total + n * t, size + n * abs(t)
+            return total, size
+
+    return exact
 
 
 MUTUAL_PARAMS = [
@@ -691,12 +737,12 @@ MUTUAL_PARAMS = [
 
 class TestMutualDivergenceStreamed:
     """mutual_divergence makes the product of the marginals one run at a
-    time; its values, support flags and errors are those of the divergence
-    from the product built whole."""
+    time; its values and support flags are those of the divergence from the
+    product built whole wherever that gives one."""
 
     @pytest.mark.parametrize("shape", [(4, 5), (40, 30), (600, 700), (1024, 1024)])
     @pytest.mark.parametrize("zeros", [False, True])
-    def test_values_and_flags(self, shape, zeros):
+    def test_values_and_flags(self, shape, zeros, built):
         rng = np.random.default_rng(21)
         m = rng.exponential(size=shape)
         if zeros:
@@ -705,14 +751,19 @@ class TestMutualDivergenceStreamed:
             j = make_joint2(layout(m / m.sum()))
             for params in MUTUAL_PARAMS:
                 assert _mutual_result(j, params) == _built_product_result(j, params)
+        assert not built
 
     @pytest.mark.parametrize("shape", [(4, 4), (600, 700)])
     @pytest.mark.parametrize("where", ["first", "last"])
     @pytest.mark.parametrize("also", ["", "zero p", "sum off"])
-    def test_errors(self, shape, where, also):
-        # a product that underflows under p > 0, alone, with a cell where
-        # p = 0 < q (an error for k > 1/2), or with a product whose sum is
-        # off by more than 1e-9 (a ValidationError, which comes first)
+    def test_products_that_underflow_under_p(self, shape, where, also, built):
+        # a product that underflows under p > 0, alone, with one more cell
+        # where p = 0 < q, or with a joint whose sum is off by 0.7e-9, so its
+        # product's by 1.4e-9: the exact product is positive there, so the
+        # cell adds its q -> 0 limit p / 2k. Only k < 0, where that limit is
+        # infinite, raises divergence(j, product)'s error, and only it builds
+        # the product. At k = 0.7 the zero cells of row and column r, c (and
+        # m[0, 1]) lie inside the product's support: a DomainError.
         cell = (2, 2) if where == "first" else (shape[0] - 2, shape[1] - 3)
         m = _underflowing(shape, cell)
         if also == "zero p":
@@ -721,10 +772,35 @@ class TestMutualDivergenceStreamed:
         if also == "sum off":
             m *= 1 + 0.7e-9
         j = make_joint2(m)
-        for params in MUTUAL_PARAMS:
+        exact = _exact_mutual(j)
+        for params in [DeformParams(1e-4, 1.0), DeformParams(0.3, 1.0), *MUTUAL_PARAMS]:
+            before = len(built)
             got = _mutual_result(j, params)
-            assert got == _built_product_result(j, params)
-            assert got[0] == ("ValidationError" if also == "sum off" else "AbsoluteContinuityError")
+            assert len(built) - before == (params.k < 0)
+            if params.k < 0:
+                assert got == _built_product_result(j, params)
+                assert got[0] == "AbsoluteContinuityError"
+            elif params.k > 0.5:
+                assert got == ("DomainError", DIVERGES)
+            else:  # measured within 3 EPS * size
+                value, size = exact(params.k)
+                assert got[1] == "extended"
+                assert abs(float.fromhex(got[0]) - value) <= 8 * EPS * size
+
+
+    def test_a_zero_cell_whose_product_underflows(self, built):
+        # the exact product is 1e-400 > 0 at (1, 1), where p = 0, so the sum
+        # diverges for k > 1/2; the built product, rounded to 0 there, gives 0
+        m = np.array([[1.0, 1e-200], [1e-200, 0.0]])
+        j = make_joint2(m / m.sum())
+        params = DeformParams(0.7, 0.3, relaxed=True)
+        assert _mutual_result(j, params) == ("DomainError", DIVERGES)
+        assert _built_product_result(j, params) == ((0.0).hex(), "extended")
+        assert not built
+
+
+DIVERGES = "divergence diverges for zero p-entries when k > 1/2 (Tsallis q < 0)"
+EPS = np.finfo(float).eps
 
 
 def _exponential_joint(shape, seed=23):
@@ -732,19 +808,10 @@ def _exponential_joint(shape, seed=23):
 
 
 class TestMutualDivergenceOfPositiveProducts:
-    """Where the product of the marginals is positive on the joint's support
-    and, for k > 1/2, zero off it, mutual_divergence streams the product
-    and checks only its sum; elsewhere it builds the product. Either way
-    its values, flags and errors are those of the product built whole."""
-
-    @pytest.fixture
-    def built(self, monkeypatch):
-        """The arguments of each product() that mutual_divergence builds."""
-        calls = []
-        module = sys.modules["entrokit.divergence"]  # the package's divergence is the function
-        real = module.product
-        monkeypatch.setattr(module, "product", lambda *a: calls.append(a) or real(*a))
-        return calls
+    """The product of the marginals is derived from a checked joint and is
+    not checked again: mutual_divergence streams it at every sum and every
+    k, and builds it for none of these joints. Its values, flags and errors
+    are those of the product built whole."""
 
     def _assert_parity(self, m):
         """(params, result) of each layout and params, asserting parity."""
@@ -760,23 +827,26 @@ class TestMutualDivergenceOfPositiveProducts:
         "delta", [-9.9e-10, -6e-10, -5e-10, -4.9e-10, 4.9e-10, 5e-10, 6e-10, 9.9e-10]
     )
     def test_sums_at_the_tolerance(self, shape, delta, built):
-        # the product sums to about 1 + 2 delta, off by 1e-9 at |delta| =
-        # 5e-10, where rounding decides; the joint itself is off by up to
-        # 9.9e-10 (at 1 +- 1e-9 it is rejected before any product)
+        # the joint is off by up to 9.9e-10 (at 1 +- 1e-9 it is rejected),
+        # and the product by about 2 delta, up to 2e-9: a value at every delta
         m = _exponential_joint(shape)
         for _, got in self._assert_parity(m / m.sum() * (1 + delta)):
-            if abs(delta) != 5e-10:
-                assert (got[0] == "ValidationError") is (abs(delta) > 5e-10)
+            assert got[1] == "full"
         assert not built
+
+    def test_a_joint_the_tolerance_accepts(self):
+        # [[0.1, 0.2], [0.3, 0.4]] off by 0.9e-9, whose product is off by 1.8e-9
+        j = make_joint2(np.array([[0.1, 0.2], [0.3, 0.4]]) * (1 + 0.9e-9))
+        assert mutual_divergence(j, DeformParams(0.3, 1.0)).value == 0.0016238770697772943
 
     @pytest.mark.parametrize("shape", [(4, 5), (600, 700)])
     def test_a_zero_cell_inside_the_support(self, shape, built):
-        # p = 0 < q: a DomainError for k > 1/2 only, which the built product raises
+        # p = 0 < q: a DomainError for k > 1/2 only, as the built product raises it
         m = _exponential_joint(shape)
         m[2, 3] = 0.0
         for params, got in self._assert_parity(m / m.sum()):
             assert (got[0] == "DomainError") is (params.k > 0.5)
-        assert len(built) == 2  # once per layout, at k = 0.7
+        assert not built
 
     @pytest.mark.parametrize("shape", [(4, 5), (600, 700)])
     def test_a_zero_row_only(self, shape, built):
@@ -790,10 +860,11 @@ class TestMutualDivergenceOfPositiveProducts:
     @pytest.mark.parametrize("shape", [(4, 5), (600, 700)])
     def test_marginals_that_underflow_where_p_is_zero(self, shape, built):
         # row 1 and column 2 carry 1e-200 each, in other cells, so their
-        # product underflows at (1, 2), where p = 0: the product is built
+        # product underflows at (1, 2), where p = 0; other cells of row 1
+        # have p = 0 < q, a DomainError for k > 1/2
         m = _exponential_joint(shape)
         m[1], m[:, 2] = 0.0, 0.0
         m[1, 0], m[0, 2] = 1e-200, 1e-200
         for params, got in self._assert_parity(m / m.sum()):
             assert (got[0] == "DomainError") if params.k > 0.5 else (got[1] == "extended")
-        assert built
+        assert not built
