@@ -460,9 +460,12 @@ def _make(data, normalize: bool, ndim: int, what: str) -> Distribution:
     if normalize:
         _check_nonneg(a, what)
         a = _c_copy(a)  # summed in C order, whatever the caller's layout
-        total = a.sum()
+        with np.errstate(over="ignore"):
+            total = a.sum()
         if total <= 0:
             raise ValidationError(f"cannot normalize all-zero {what}s")
+        if total == math.inf:
+            raise ValidationError(f"cannot normalize {what}s whose sum overflows")
         a /= total
         return _built(Distribution, a)
     return Distribution(a)
@@ -496,9 +499,12 @@ def make_channel(matrix, normalize: bool = False) -> Channel:
     _check_nonneg(a, "transition weight")
     if normalize:
         a = _c_copy(a)  # summed in C order, whatever the caller's layout
-        colsums = a.sum(axis=0)
+        with np.errstate(over="ignore"):
+            colsums = a.sum(axis=0)
         if np.any(colsums <= 0):
             raise ValidationError("cannot normalize a channel with an all-zero column")
+        if np.any(colsums == math.inf):
+            raise ValidationError("cannot normalize a channel with a column whose sum overflows")
         a /= colsums
         return _built(Channel, a)
     return Channel(a)
@@ -568,10 +574,13 @@ def _rng(seed) -> np.random.Generator:
 
 
 def _sizes(dims) -> tuple[int, ...]:
-    """Support sizes as ints >= 1, else ParamError."""
+    """Support sizes as ints >= 1 whose float64 array numpy can index, else
+    ParamError."""
     sizes = _integers("support sizes", dims)
     if min(sizes, default=0) < 1:
         raise ParamError(f"support sizes must be >= 1, got {sizes!r}")
+    if math.prod(sizes) * 8 > np.iinfo(np.intp).max:
+        raise ParamError(f"support sizes {sizes!r} make an array too large to address")
     return sizes
 
 

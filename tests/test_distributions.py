@@ -388,6 +388,17 @@ class TestSampling:
         with pytest.raises(ParamError):
             sample_channel(2.5, 3, 0)
 
+    @pytest.mark.parametrize("call", [
+        lambda: sample_distribution(10**400, 0),
+        lambda: sample_distribution((2, 10**400), 0),
+        lambda: sample_distribution(2**62, 0),
+        lambda: sample_channel(10**400, 2, 0),
+    ], ids=["10^400", "2 x 10^400", "2^62", "channel 10^400"])
+    def test_sizes_beyond_an_array_rejected(self, call):
+        # more bytes than an array index reaches; numpy's own error was a ValueError
+        with pytest.raises(ParamError, match="make an array too large to address$"):
+            call()
+
     @pytest.mark.parametrize("seed", [1.7, 2.0, "3", None])
     def test_non_integral_seed_rejected(self, seed):
         with pytest.raises(ParamError):
@@ -442,6 +453,9 @@ class TestSerialization:
         again = eio.read(text, (field,), fmt, False)
         assert type(again) is type(obj)
         np.testing.assert_array_equal(data, again.w if field == "w" else again.p)
+        if fmt == "csv":  # blank lines, empty or not, are skipped
+            spaced = eio.read("\n" + text.replace("\n", "\n \n"), (field,), fmt, False)
+            np.testing.assert_array_equal(data, spaced.w if field == "w" else spaced.p)
 
     def test_no_layout_rejected(self):
         with pytest.raises(ValidationError, match="no CSV layout"):
@@ -746,6 +760,10 @@ def test_a_bool_is_not_an_integer(call, error, message):
     (lambda: make_channel(np.ones(3)), ValidationError, "channel weights must be a 2-d matrix"),
     (lambda: make_channel([[0.0, 1.0], [0.0, 1.0]], normalize=True), ValidationError,
      "cannot normalize a channel with an all-zero column"),
+    (lambda: make_distribution([1e308, 1e308], normalize=True), ValidationError,
+     "cannot normalize weights whose sum overflows"),
+    (lambda: make_channel([[1e308, 0.5], [1e308, 0.5]], normalize=True), ValidationError,
+     "cannot normalize a channel with a column whose sum overflows"),
     (lambda: sample_distribution(3, 2**64), ParamError, "seed must be a 64-bit unsigned integer"),
     (lambda: ek.divergence_literal(_HALF, _HALF, _PARAMS, form="xy"), ParamError,
      "form must be \"pq\" or \"qp\", got 'xy'"),
@@ -758,7 +776,8 @@ def test_a_bool_is_not_an_integer(call, error, message):
     (lambda: eio.read("# rows=1 cols=2\n", ("m",), "csv", False), ValidationError,
      "no data rows in CSV input"),
     (lambda: ek.ln_kr([], _PARAMS), DomainError, "x must be non-empty"),
-], ids=["Channel rank", "make_channel rank", "zero column", "seed range", "literal form",
+], ids=["Channel rank", "make_channel rank", "zero column", "sum overflow", "column overflow",
+        "seed range", "literal form",
         "mutual_divergence rank", "mutual_entropy rank", "CSV header", "CSV rows", "empty x"])
 def test_raise_sites_keep_their_class_and_message(call, error, message):
     with pytest.raises(error) as caught:
@@ -829,7 +848,7 @@ def _valid_calls() -> dict:
 
 # Values of a wrong type or outside every domain; a Distribution of the wrong
 # rank is added per parameter
-WRONG = [None, "abc", [0.5, 0.5], True, 1 + 2j, math.nan, np.array(0.5)]
+WRONG = [None, "abc", [0.5, 0.5], True, 1 + 2j, math.nan, np.array(0.5), 10**400]
 
 
 @pytest.mark.filterwarnings("ignore::entrokit.LegacyRegionWarning")

@@ -265,6 +265,8 @@ class TestLawsApartFromInstances:
                          p=p.p[np.newaxis], q=q.p[np.newaxis])
         lhs, rhs = _REGISTRY["divergence_nonnegativity"].law(pair)
         assert lhs[0, 0].hex() == divergence(p, q, params).value.hex() and rhs == 0.0
+        with pytest.raises(AttributeError, match="^an instance is frozen: cannot set p$"):
+            pair.p = q.p[np.newaxis]  # a law cannot change what it reads
 
 
 class TestEngine:
