@@ -394,12 +394,12 @@ def mutual_divergence(j: Distribution, params: DeformParams) -> DivergenceValue:
 
     Each run of the product's cells is made as the sum reads it
     (distributions._runs), so the product is never built whole. Its values
-    are those of divergence(j, product(...)) wherever that returns one. A
-    product cell that underflows to 0 under p > 0 takes the term's q -> 0
-    limit, p / 2k, as the exact product is positive there; for k < 0 that
-    limit is infinite and the cell's AbsoluteContinuityError is raised. For
-    k > 1/2, a cell with p = 0 inside the product's support makes the sum
-    diverge, a DomainError.
+    and errors are divergence(j, product(...))'s, save where a product cell
+    underflows to 0, as the exact product is positive there. Under p > 0
+    such a cell takes the term's q -> 0 limit, p / 2k, infinite for k < 0,
+    where the cell's AbsoluteContinuityError is raised. For k > 1/2, a cell
+    with p = 0 inside the product's support, such a cell included, makes
+    the sum diverge, a DomainError.
     """
     _typed(Distribution, j=j)
     _typed(DeformParams, params=params)
