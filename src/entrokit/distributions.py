@@ -5,12 +5,18 @@ A Distribution is one validated probability array: a vector on the
 simplex is the 1-axis case, and a joint of variables X, Y, Z, ... is the
 array indexed (x, y, z, ...). All values are immutable after construction
 (backing arrays are marked read-only). Data are checked once, where they
-enter: the constructors, make_*, io.read and the samplers' arguments.
-Sums are checked to an absolute tolerance of 1e-9 so data can round-trip
-through decimal text formats. What the library derives from checked data
-(product, marginal, mix, apply_channel, sample_distribution) is built by
-_derived without a second check, which could only reject rounding: the
-sum error of a product is the sum of its factors'.
+enter: the constructors, make_*, make_channel, io.read and the samplers'
+arguments. One check, _check_rows, serves both kinds of array: it takes
+a batch of arrays as rows, a Distribution being a batch of one and a
+Channel's columns the rows of w.T. Entries must be finite and >= 0, and
+sums 1 within an absolute 1e-9, so data can round-trip through decimal
+text formats; a sum that overflows is inf, which fails, not a warning.
+One normalizer, _normalized, serves make_*(normalize=True) and
+make_channel. What the library builds from checked data (product,
+marginal, mix, apply_channel, a normalized copy and both samplers'
+draws) is built by _derived without a second check, which could only
+reject rounding: the sum error of a product is the sum of its factors',
+and a normalized cell is rounded once.
 
 A caller's C-ordered array is copied and checked in one pass, one block
 of at most _LEAF cells at a time: each block is copied, and its minimum
@@ -313,20 +319,33 @@ def _marginal_rows(j: np.ndarray, axes) -> np.ndarray:
     return t.transpose([0] + [kept.index(a) + 1 for a in axes])
 
 
-def _check_rows(p: np.ndarray):
-    """A Distribution's checks on each row (axis 0) of a batch of probability
-    arrays; returns the batch's smallest entry. Its minimum and row sums
-    decide: entries >= 0 whose rows sum to 1 are finite, so the fuller
-    _check_nonneg runs only to name the fault of a batch that fails."""
+def _check_rows(p: np.ndarray, what: str = "probability",
+                off: str = "probabilities sum to {total!r}, expected 1"):
+    """The one check of probability data: each row (axis 0) of the batch p
+    must be non-empty, finite and >= 0 and sum to 1 within SUM_TOL, else
+    ValidationError, which names the entries `what` and the row whose sum
+    is furthest off by the template off; returns the batch's smallest
+    entry. Its minimum and row sums decide: entries >= 0 whose rows sum to
+    1 are finite, so the fuller _check_nonneg runs only to name the fault
+    of a batch that fails. np.sum adds each row as it lies in memory, in
+    a view of a C-contiguous batch or of w.T, and a sum that overflows is
+    inf, which fails, not a warning."""
     lo = p.min() if p.size else math.nan  # nan makes it nan
     if not lo >= 0:
-        _check_nonneg(p, "probability")  # raises: empty, nan, -inf or < 0
-    totals = _rowsum(p)[:, 0]  # strided rows are summed run by run, not copied
-    if not np.abs(totals - 1.0).max() <= SUM_TOL:
-        _check_nonneg(p, "probability")  # raises for +inf, whose row sums to inf
-        total = totals[np.abs(totals - 1.0) > SUM_TOL][0]
-        raise ValidationError(f"probabilities sum to {float(total)!r}, expected 1")
+        _check_nonneg(p, what)  # raises: empty, nan, -inf or < 0
+    with np.errstate(over="ignore"):
+        totals = p.reshape(len(p), -1).sum(axis=1)
+    error = np.abs(totals - 1.0)
+    if not error.max() <= SUM_TOL:
+        _check_nonneg(p, what)  # raises for +inf, whose row sums to inf
+        row = int(np.argmax(error))
+        raise ValidationError(off.format(row=row, total=float(totals[row])))
     return lo
+
+
+def _check_columns(w: np.ndarray, what: str):
+    """_check_rows of the columns of a channel's 2-d array w, the rows of w.T."""
+    return _check_rows(w.T, what, "channel column {row} sums to {total!r}, expected 1")
 
 
 def _copy_checked(a: np.ndarray) -> tuple[np.ndarray, object]:
@@ -346,7 +365,8 @@ def _copy_checked(a: np.ndarray) -> tuple[np.ndarray, object]:
         lo = min(lo, least)
         return run.sum()
 
-    total = _pairwise((run_sum(*run) for run in _leaves(p.size)), p.size)
+    with np.errstate(over="ignore"):  # an overflowing sum is inf, which fails
+        total = _pairwise((run_sum(*run) for run in _leaves(p.size)), p.size)
     if bad or not abs(total - 1.0) <= SUM_TOL:  # +inf makes the total inf
         _check_rows(p[np.newaxis])  # raises the check's own message
     p.setflags(write=False)
@@ -416,17 +436,13 @@ class Channel:
     def __post_init__(self):
         self._seal(_freeze(self.w, "transition probability"))
 
-    def _seal(self, w: np.ndarray) -> None:
-        """Check the read-only array w and make it this channel's."""
-        if w.ndim != 2:
-            raise ValidationError("channel must be a 2-d matrix")
-        _check_nonneg(w, "transition probability")
-        colsums = w.sum(axis=0)
-        if np.any(np.abs(colsums - 1.0) > SUM_TOL):
-            bad = int(np.argmax(np.abs(colsums - 1.0)))
-            raise ValidationError(
-                f"channel column {bad} sums to {float(colsums[bad])!r}, expected 1"
-            )
+    def _seal(self, w: np.ndarray, lo=None) -> None:
+        """Check the read-only array w, unless its checked smallest entry lo
+        is given, and make it this channel's."""
+        if lo is None:
+            if w.ndim != 2:
+                raise ValidationError("channel must be a 2-d matrix")
+            _check_columns(w, "transition probability")
         object.__setattr__(self, "w", w)
 
     @property
@@ -434,22 +450,34 @@ class Channel:
         return self.w.shape
 
 
-def _built(cls, a: np.ndarray, *lo):
+def _derived(a: np.ndarray, cls=Distribution, lo=None):
     """A Distribution or Channel (cls) of a C-ordered float array of rank
-    >= 1 that the library has just built and no caller holds: frozen in
-    place, not copied, and checked unless a Distribution's smallest entry
-    lo is given (_seal)."""
+    >= 1 that the library has just built from checked data and no caller
+    holds: frozen in place, not copied, and not checked again, which could
+    only reject rounding. lo, its smallest entry, taken unless given, sets
+    a Distribution's positivity flag (_seal)."""
     a.setflags(write=False)
     obj = object.__new__(cls)
-    obj._seal(a, *lo)
+    obj._seal(a, a.min() if lo is None else lo)
     return obj
 
 
-def _derived(a: np.ndarray) -> Distribution:
-    """A Distribution of an array that the library has just derived from
-    checked data, made as _built makes it but not checked again: its
-    smallest entry sets the positivity flag."""
-    return _built(Distribution, a, a.min())
+def _normalized(a: np.ndarray, axis, what: str, zero: str, over: str) -> np.ndarray:
+    """A C-ordered copy of the weights a, named `what`, divided by their
+    sum (axis None) or by each column's (axis 0). a must be non-empty,
+    finite and >= 0, and no sum 0 ("cannot normalize <zero>") or overflowing
+    ("cannot normalize <over>"). Each cell is rounded once, so the sums of
+    the copy are 1 within a few ulps: it is built without a second check."""
+    _check_nonneg(a, what)
+    a = _c_copy(a)  # summed in C order, whatever the caller's layout
+    with np.errstate(over="ignore"):
+        sums = a.sum(axis=axis)
+    if np.any(sums <= 0):
+        raise ValidationError(f"cannot normalize {zero}")
+    if np.any(sums == math.inf):
+        raise ValidationError(f"cannot normalize {over}")
+    a /= sums
+    return a
 
 
 def _make(data, normalize: bool, ndim: int, what: str) -> Distribution:
@@ -458,16 +486,8 @@ def _make(data, normalize: bool, ndim: int, what: str) -> Distribution:
     if a.ndim != ndim:
         raise ValidationError(f"{what}s must be a {ndim}-d array, got {a.ndim}-d")
     if normalize:
-        _check_nonneg(a, what)
-        a = _c_copy(a)  # summed in C order, whatever the caller's layout
-        with np.errstate(over="ignore"):
-            total = a.sum()
-        if total <= 0:
-            raise ValidationError(f"cannot normalize all-zero {what}s")
-        if total == math.inf:
-            raise ValidationError(f"cannot normalize {what}s whose sum overflows")
-        a /= total
-        return _built(Distribution, a)
+        return _derived(_normalized(a, None, what, f"all-zero {what}s",
+                                    f"{what}s whose sum overflows"))
     return Distribution(a)
 
 
@@ -496,18 +516,11 @@ def make_channel(matrix, normalize: bool = False) -> Channel:
     a = _as_float_array(matrix, "transition weight")
     if a.ndim != 2:
         raise ValidationError("channel weights must be a 2-d matrix")
-    _check_nonneg(a, "transition weight")
     if normalize:
-        a = _c_copy(a)  # summed in C order, whatever the caller's layout
-        with np.errstate(over="ignore"):
-            colsums = a.sum(axis=0)
-        if np.any(colsums <= 0):
-            raise ValidationError("cannot normalize a channel with an all-zero column")
-        if np.any(colsums == math.inf):
-            raise ValidationError("cannot normalize a channel with a column whose sum overflows")
-        a /= colsums
-        return _built(Channel, a)
-    return Channel(a)
+        return _derived(_normalized(a, 0, "transition weight", "a channel with an all-zero column",
+                                    "a channel with a column whose sum overflows"), Channel)
+    w = _c_copy(a)
+    return _derived(w, Channel, _check_columns(w, "transition weight"))
 
 
 def _typed(cls, **values) -> None:
@@ -596,4 +609,4 @@ def sample_channel(m: int, n: int, seed) -> Channel:
     """Random column-stochastic matrix, one simplex point per column: the
     n columns are one (n, m) _simplex_rows draw, transposed."""
     m, n = _sizes((m, n))
-    return _built(Channel, _c_copy(_simplex_rows(_rng(seed).exponential(size=(n, m))).T))
+    return _derived(_c_copy(_simplex_rows(_rng(seed).exponential(size=(n, m))).T), Channel)
