@@ -12,7 +12,15 @@ u_{k,r}, and the one-parameter q-logarithm used for reduction checks.
 All three logarithms are x^a (x^b - 1) / b: ln_{k,r} with a = -(r + k),
 b = 2k; Ln_{k,r} with a = r - k, b = 2k; ln_q with a = 0, b = 1 - q. One
 evaluator, _deformed, computes it as e^{a ln x} expm1(b ln x) / b, so it
-stays accurate near x = 1 and for k as small as 1e-4. It accepts scalars
+stays accurate near x = 1 and for k as small as 1e-4. Where that product
+is not finite, as 0 * inf where e^{a ln x} underflows while expm1(b ln x)
+overflows (ln_kr(1e300) at k = 3, r = 2, or the Tsallis term of p = 1/4
+at q = 600), the cell is formed again as (x^{a+b} - x^a) / b with the
+larger power factored out (_reformed), which is finite wherever the value
+is. The fast form runs with numpy's overflow and invalid flags raised, so
+only a box that meets such a cell is evaluated again (_finite_or), and a
+true overflow still warns and gives +-inf. Entropy and divergence re-form
+their closed forms' cells the same way. It accepts scalars
 or numpy arrays, and checks, takes the log of and evaluates its input one
 box of distributions._tiles at a time, at most _LEAF cells, in place in
 its output, so beyond the output ln_kr, ln_q and legacy_Ln each allocate
@@ -133,15 +141,52 @@ def _maybe_scalar(out: np.ndarray, like) -> float | np.ndarray:
     return out
 
 
+def _finite_or(fast, slow, *args) -> np.ndarray:
+    """fast(*args), a new array or one written in place, with each cell at
+    which it is not finite formed again by slow from that cell's args. fast
+    runs with numpy's overflow and invalid flags raised, and only if one
+    rises runs again with them ignored: then slow runs on the non-finite
+    cells alone, under the caller's errstate, so a true overflow still
+    warns and gives +-inf. args are arrays or scalars that broadcast to
+    fast's result."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return fast(*args)
+    except FloatingPointError:
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = fast(*args)
+    bad = ~np.isfinite(out)
+    out[bad] = slow(*(np.broadcast_to(a, out.shape)[bad] for a in args))
+    return out
+
+
+def _reformed(x, a, b):
+    """x^a (x^b - 1) / b as (x^{a+b} - x^a) / b, the larger power factored
+    out: e^m (1 - e^{-|b ln x|}) / b, signed as b ln x, with m the larger of
+    (a + b) ln x and a ln x. It is finite wherever the value is, where
+    e^{a ln x} expm1(b ln x) is 0 * inf or overflows in its factor."""
+    lx = np.log(x)
+    bl = b * lx
+    m = np.where(bl > 0, (a + b) * lx, a * lx)
+    return np.copysign(np.exp(m), bl) * -np.expm1(-np.abs(bl)) / b
+
+
 def _ln_kr_into(out: np.ndarray, x: np.ndarray, a, b) -> None:
     """x^a (x^b - 1) / b of x into out, as e^{a ln x} expm1(b ln x) / b: in
-    place in out and in ln x, unless a and b broadcast x to a larger shape."""
-    lx = np.asarray(_log(x))
-    np.multiply(a, lx, out=out)
-    np.exp(out, out=out)
-    lx = np.multiply(b, lx, out=lx if lx.shape == out.shape else None)
-    out *= np.expm1(lx, out=lx)
-    out /= b
+    place in out and in ln x, unless a and b broadcast x to a larger shape.
+    A cell where that is not finite, as where e^{a ln x} underflows to 0
+    while expm1(b ln x) overflows, is formed again by _reformed
+    (_finite_or)."""
+
+    def fast(x, a, b):
+        lx = np.asarray(_log(x))
+        np.multiply(a, lx, out=out)
+        np.exp(out, out=out)
+        lx = np.multiply(b, lx, out=lx if lx.shape == out.shape else None)
+        np.multiply(out, np.expm1(lx, out=lx), out=out)
+        return np.divide(out, b, out=out)
+
+    _finite_or(fast, _reformed, x, a, b)
 
 
 def _deformed(x, a, b):

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .deformed_log import DeformParams, ln_kr, ln_q
+from .deformed_log import DeformParams, _finite_or, ln_kr, ln_q
 from .distributions import (
     _LEAF,
     Distribution,
@@ -232,32 +232,24 @@ def _pair_terms(p: np.ndarray, q: np.ndarray, b, kernel, *args) -> np.ndarray:
 
 
 def _overflow_terms(p: np.ndarray, q: np.ndarray, k) -> np.ndarray:
-    """_positive_terms, with each term whose (q/p)^{2k} overflows formed
-    as (p - e^{(1-2k) ln p + 2k ln q}) / 2k instead, whose exponent is at
-    most 0 for 0 < k <= 1/2 (such a term needs q/p > 2^1024 at k = 1/2);
-    every finite term is _positive_terms' own."""
-    with np.errstate(over="ignore"):
-        terms = _positive_terms(p, q, k)
-    over = ~np.isfinite(terms)
-    p, q, k = p[over], q[over], np.broadcast_to(k, terms.shape)[over]
-    terms[over] = (p - np.exp((1.0 - 2.0 * k) * np.log(p) + 2.0 * k * np.log(q))) / (2.0 * k)
-    return terms
+    """_positive_terms, with each term that is not finite, as where
+    (q/p)^{2k} overflows, formed again as (p - e^{(1-2k) ln p + 2k ln q}) / 2k,
+    whose exponent is at most 0 for 0 < k <= 1/2 (such a term needs
+    q/p > 2^1024 at k = 1/2); every finite term is _positive_terms' own
+    (_finite_or)."""
+    return _finite_or(_positive_terms, lambda p, q, k: (
+        p - np.exp((1.0 - 2.0 * k) * np.log(p) + 2.0 * k * np.log(q))) / (2.0 * k), p, q, k)
 
 
 def _divergence_rows(p: np.ndarray, q, k) -> np.ndarray:
     """(T, 1) divergences D(p || q) of a batch (axis 0) of pairs of any rank,
     for a scalar k or one k per row, taken as _sum_terms takes them: q may
     be a run maker for a batch of one. A cell with p > 0 = q takes the
-    term's q -> 0 limit, p / 2k, infinite for k < 0. A batch with a
-    non-finite sum is summed again whole by _overflow_terms, which leaves
-    every finite term as it is."""
+    term's q -> 0 limit, p / 2k, infinite for k < 0. Each batch is summed
+    once, its terms formed by _overflow_terms."""
     k = _col(k, 2)
     with np.errstate(divide="ignore"):  # log(0) is -inf: the q -> 0 limit
-        with np.errstate(over="ignore"):
-            d = _sum_terms(_pair_terms, (p, q), 2.0 * k, _positive_terms, k)
-        if not np.isfinite(d).all():
-            d = _sum_terms(_pair_terms, (p, q), 2.0 * k, _overflow_terms, k)
-    return d
+        return _sum_terms(_pair_terms, (p, q), 2.0 * k, _overflow_terms, k)
 
 
 def divergence(

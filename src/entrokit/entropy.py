@@ -3,9 +3,13 @@
 The entropy of a distribution P is -sum_x p^{r+k+1} ln_{k,r}(p), with
 zero-probability terms contributing 0. Each term collapses algebraically
 to p (1 - p^{2k}) / (2k), which is the canonical evaluator here: it is
-non-negative on [0, 1] and makes the r-cancellation explicit. The literal
-as-written evaluator is kept alongside as a cross-check. A joint is a
-Distribution of rank > 1, so its entropy is the entropy of its cells.
+non-negative on [0, 1] and makes the r-cancellation explicit. At relaxed
+k < 0, p^{2k} overflows for a tiny p though p^{1+2k} is finite (p = 1e-320
+at k = -0.49); such a term is formed again as (p - e^{(1+2k) ln p}) / 2k,
+the twin of divergence's re-form of a term whose (q/p)^{2k} overflows
+(deformed_log._finite_or). The literal as-written evaluator is kept
+alongside as a cross-check. A joint is a Distribution of rank > 1, so its
+entropy is the entropy of its cells.
 
 Conditional entropies weight per-slice entropies by the conditioning
 probability raised to 2k + 1; this is the weighting that makes the chain
@@ -57,7 +61,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .deformed_log import DeformParams, _deformed, ln_kr
+from .deformed_log import DeformParams, _deformed, _finite_or, ln_kr
 from .distributions import (_LEAF, Distribution, _cells, _col, _marginal_rows, _real, _rowsum,
                             _typed)
 from .divergence import _closed_form, _unit_at_zero
@@ -97,8 +101,11 @@ def _cell_terms(p: np.ndarray, kernel, *args) -> np.ndarray:
 
 def _entropy_terms(p, k) -> np.ndarray:
     """p (1 - p^{2k}) / (2k) per cell > 0, exactly 0 at p = 1; k may
-    broadcast against p. Evaluated in place in the logarithm's buffer."""
-    return _closed_form(np.log(p), p, k)
+    broadcast against p. Evaluated in place in the logarithm's buffer; a
+    term whose p^{2k} overflows, at relaxed k < 0, is formed again as
+    (p - e^{(1+2k) ln p}) / 2k, finite where p^{1+2k} is (_finite_or)."""
+    return _finite_or(lambda p, k: _closed_form(np.log(p), p, k),
+                      lambda p, k: (p - np.exp((1.0 + 2.0 * k) * np.log(p))) / (2.0 * k), p, k)
 
 
 def _entropy_rows(p: np.ndarray, k) -> np.ndarray:

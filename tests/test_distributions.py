@@ -29,6 +29,7 @@ from entrokit import (
     sample_distribution,
 )
 import entrokit as ek
+import entrokit.distributions as distributions
 from entrokit import io as eio
 from entrokit.distributions import _LEAF, _check_rows, _leaves, _rowsum, _runs
 
@@ -202,6 +203,33 @@ class TestDerivedDataAreNotCheckedAgain:
         out = mix(p, q, lam)
         assert out.p.sum() == 1.000000001
         assert out.p.tobytes() == ((1.0 - lam) * p.p + lam * q.p).tobytes()
+
+    @pytest.mark.parametrize("build, expected", [
+        (lambda: make_distribution([3.0, 1.0, 0.0], normalize=True),
+         lambda: np.array([0.75, 0.25, 0.0])),
+        (lambda: make_joint2(np.asfortranarray(_WEIGHTS), normalize=True),
+         lambda: _WEIGHTS / _WEIGHTS.sum()),
+        (lambda: make_joint3(np.full((2, 2, 2), 3.0), normalize=True),
+         lambda: np.full((2, 2, 2), 0.125)),
+        (lambda: make_channel(np.asfortranarray(_WEIGHTS), normalize=True),
+         lambda: _WEIGHTS / _WEIGHTS.sum(axis=0)),
+        (lambda: sample_channel(3, 4, 5), lambda: np.column_stack(
+            [w / w.sum() for w in np.random.default_rng(5).exponential(size=(4, 3))])),
+    ], ids=["make_distribution", "make_joint2", "make_joint3", "make_channel", "sample_channel"])
+    def test_normalized_and_sampled_arrays(self, build, expected, monkeypatch):
+        # their sums are 1 within a few ulps: no check looks at what they build
+        seen = []
+        for name in ("_check_rows", "_check_nonneg"):
+            check = getattr(distributions, name)
+            monkeypatch.setattr(distributions, name,
+                                lambda a, *rest, check=check: seen.append(a) or check(a, *rest))
+        built = build()
+        a = built.w if isinstance(built, Channel) else built.p
+        assert not any(np.shares_memory(s, a) for s in seen)
+        assert a.flags.c_contiguous and a.tobytes() == expected().tobytes()
+
+
+_WEIGHTS = np.array([[3.0, 1.0, 0.5], [1.0, 0.0, 2.5]])
 
 
 class TestChannels:
@@ -633,14 +661,19 @@ class TestCopyAndCheck:
     ])
     def test_no_scan_for_the_largest_cell_moves_a_message(self, cells, message):
         # cells >= 0 that sum to 1 are finite: +inf makes its sum inf, and
-        # finite cells whose sum overflows keep the sum's message
+        # finite cells whose sum overflows keep the sum's message, with no
+        # overflow warning (an error under this suite)
         batch = np.full((3, 3), 1 / 3)
         batch[1] = cells
         builds = [(make_distribution, cells), (make_joint2, [cells, cells]), (_check_rows, batch)]
         for build, data in builds:
-            with np.errstate(over="ignore"), pytest.raises(ValidationError) as err:
+            with pytest.raises(ValidationError) as err:
                 build(data)
             assert str(err.value) == message, build
+        if message.startswith("probabilities sum to"):  # a channel's column, checked as a row
+            with pytest.raises(ValidationError) as err:
+                make_channel([[1e308], [1e308]])
+            assert str(err.value) == "channel column 0 sums to inf, expected 1"
 
     @pytest.mark.parametrize("data", [[], np.zeros((0, 3)), np.zeros((2, 0))])
     def test_empty_raises_its_message(self, data):

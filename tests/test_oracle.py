@@ -5,12 +5,15 @@ over k log-uniform in [1e-4, 1/2] and probabilities log-uniform in
 [1e-300, 1], the range the accuracy claims cover.
 """
 
+import math
+
 import mpmath as mp
 import numpy as np
 import pytest
 
-from entrokit import DeformParams, DomainError, divergence, divergence_literal, ln_kr
+from entrokit import DeformParams, DomainError, divergence, divergence_literal, entropy, ln_kr
 from entrokit import make_distribution, make_joint2, mutual_divergence, tsallis_divergence
+from entrokit import tsallis_entropy
 from entrokit.divergence import _divergence_rows, _positive_terms
 from entrokit.entropy import _entropy_terms
 
@@ -56,6 +59,41 @@ def test_ln_kr_error_scales_with_exponent():
             kk, rr, lx = mp.mpf(float(ki)), mp.mpf(float(ri)), mp.log(float(xi))
             exact = mp.expm1(2 * kk * lx) * mp.exp(-(rr + kk) * lx) / (2 * kk)
             assert _ulps(got, exact) <= 3.0 * (1.0 + (ri + ki) * abs(np.log(xi)))
+
+
+# Below, a power underflows or overflows inside a closed form whose value is
+# finite; the bound scales as above, with the largest exponent formed.
+
+
+def test_ln_kr_where_its_power_underflows_and_its_factor_overflows():
+    # e^{a ln x} underflows to 0 while expm1(b ln x) overflows: 0 * inf was
+    # nan, with overflow and invalid warnings (errors under this suite)
+    x, a, b = 1e300, -5.0, 6.0  # k = 3, r = 2
+    got = ln_kr(x, DeformParams(3.0, 2.0, relaxed=True))
+    with mp.workdps(50):
+        lx = mp.log(x)
+        exact = (mp.exp((a + b) * lx) - mp.exp(a * lx)) / b
+        assert _ulps(got, exact) <= 3.0 * (1.0 + abs(a + b) * math.log(x))
+
+
+def test_tsallis_entropy_where_a_power_underflows_and_its_factor_overflows():
+    # at p = 1/4, p^600 underflows to 0 while expm1(-599 ln p) overflows
+    q, cells = 600.0, (0.25, 0.75)
+    got = tsallis_entropy(make_distribution(cells), q)
+    with mp.workdps(50):
+        exact = sum((mp.mpf(p) - mp.mpf(p) ** q) / (q - 1) for p in cells)
+        assert _ulps(got, exact) <= 3.0 * (1.0 + max(q * abs(math.log(p)) for p in cells))
+
+
+def test_entropy_where_p_to_the_2k_overflows():
+    # at relaxed k = -0.49, expm1(2k ln p) overflows for p = 1e-320 though
+    # p^{1+2k} is finite: the sum was inf, with an overflow warning
+    k, p = -0.49, 1e-320
+    got = entropy(make_distribution([p, 1.0 - p]), DeformParams(k, 1.0, relaxed=True)).value
+    with mp.workdps(50):
+        kk = mp.mpf(k)
+        exact = sum(-mp.mpf(c) * mp.expm1(2 * kk * mp.log(c)) / (2 * kk) for c in (p, 1.0 - p))
+        assert _ulps(got, exact) <= 3.0 * (1.0 + abs((1.0 + 2.0 * k) * math.log(p)))
 
 
 @pytest.mark.xfail(
