@@ -9,23 +9,38 @@ The module also provides the legacy form Ln_{k,r}(x) = x^r (x^k - x^{-k}) / (2k)
 (note the sign flip on r relative to the current form), its pairing function
 u_{k,r}, and the one-parameter q-logarithm used for reduction checks.
 
-All three logarithms are x^a (x^b - 1) / b: ln_{k,r} with a = -(r + k),
-b = 2k; Ln_{k,r} with a = r - k, b = 2k; ln_q with a = 0, b = 1 - q. One
-evaluator, _deformed, computes it as e^{a ln x} expm1(b ln x) / b, so it
-stays accurate near x = 1 and for k as small as 1e-4. Where that product
-is not finite, as 0 * inf where e^{a ln x} underflows while expm1(b ln x)
-overflows (ln_kr(1e300) at k = 3, r = 2, or the Tsallis term of p = 1/4
-at q = 600), the cell is formed again as (x^{a+b} - x^a) / b with the
-larger power factored out (_reformed), which is finite wherever the value
-is. The fast form runs with numpy's overflow and invalid flags raised, so
-only a box that meets such a cell is evaluated again (_finite_or), and a
-true overflow still warns and gives +-inf. Entropy and divergence re-form
-their closed forms' cells the same way. It accepts scalars
-or numpy arrays, and checks, takes the log of and evaluates its input one
-box of distributions._tiles at a time, at most _LEAF cells, in place in
-its output, so beyond the output ln_kr, ln_q and legacy_Ln each allocate
-one box's logarithm (256 KiB) at any size; an input of at most _LEAF
-cells is one box, its whole array.
+Every term of the family is w e^{a t} expm1(b t) / b, for a weight w, a
+logarithm t and exponents a and b, and one evaluator, _family, forms them
+all from logarithms. The three logarithms are x^a (x^b - 1) / b, with
+w = 1 and t = ln x: ln_{k,r} with a = -(r + k), b = 2k; Ln_{k,r} with
+a = r - k, b = 2k; ln_q with a = 0, b = 1 - q (and the Tsallis entropy's
+p^q ln_q(p) with a = q, b = 1 - q). The entropy and divergence terms are
+minus the weighted case w = p, a = 0, b = 2k, at t = ln p and at
+t = ln q - ln p; the Tsallis divergence's is the divergence's at
+b = 1 - q, so no term forms q/p. Where a is 0 no factor e^{a t} is formed,
+and where w is 1 no weight, so each keeps the bits of its own closed form;
+expm1 keeps them accurate near x = 1, q = p, and for k as small as 1e-4.
+
+The evaluator's one guard is _finite_or: it runs with numpy's overflow and
+invalid flags raised, so only a box in which one rises is evaluated again,
+and its one re-form builds each cell where the closed form is not finite
+from the logarithms, with the larger power factored out. Such
+cells are 0 * inf where e^{a t} underflows while expm1(b t) overflows
+(ln_kr(1e300) at k = 3, r = 2, or the Tsallis term of p = 1/4 at q = 600)
+and the terms whose (q/p)^b or p^{2k} overflows though the term is finite
+(p = 1e-320 and q = 1/2 at k = 0.49; the entropy of p = 1e-320 at relaxed
+k = -0.49). The re-formed value is finite wherever the value and its
+larger power are, and a true overflow still warns and gives +-inf. The literal forms,
+entropy_literal and divergence_literal, are evaluated as written, and
+only a cell where that is not finite takes the evaluator's value: where
+p/q, q/p or their power overflows, or the product of a power and a
+logarithm is 0 * inf.
+
+ln_kr, ln_q and legacy_Ln accept scalars or numpy arrays, and check, take
+the log of and evaluate their input one box of distributions._tiles at a
+time, at most _LEAF cells, in place in the output, so beyond the output
+each allocates one box's logarithm (256 KiB) at any size; an input of at
+most _LEAF cells is one box, its whole array.
 """
 
 from __future__ import annotations
@@ -121,18 +136,14 @@ def _x_array(x) -> np.ndarray:
 
 
 def _log(xv: np.ndarray) -> np.ndarray:
-    """ln x of an array x whose entries must be finite and > 0. Those are
-    the x whose ln x is finite, so ln x is checked, while in cache, not x."""
+    """ln x, an array of x's shape, of an array x whose entries must be
+    finite and > 0. Those are the x whose ln x is finite, so ln x is
+    checked, while in cache, not x."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        lx = np.log(xv)
+        lx = np.asarray(np.log(xv))  # np.log of a 0-d array is a scalar
     if not (-math.inf < lx.min() and lx.max() < math.inf):  # nan fails too
         raise DomainError("x must be finite and > 0")
     return lx
-
-
-def _log_x(x) -> np.ndarray:
-    """ln x of a number or array x whose entries are finite and > 0."""
-    return _log(_x_array(x))
 
 
 def _maybe_scalar(out: np.ndarray, like) -> float | np.ndarray:
@@ -160,48 +171,66 @@ def _finite_or(fast, slow, *args) -> np.ndarray:
     return out
 
 
-def _reformed(x, a, b):
-    """x^a (x^b - 1) / b as (x^{a+b} - x^a) / b, the larger power factored
-    out: e^m (1 - e^{-|b ln x|}) / b, signed as b ln x, with m the larger of
-    (a + b) ln x and a ln x. It is finite wherever the value is, where
-    e^{a ln x} expm1(b ln x) is 0 * inf or overflows in its factor."""
-    lx = np.log(x)
-    bl = b * lx
-    m = np.where(bl > 0, (a + b) * lx, a * lx)
-    return np.copysign(np.exp(m), bl) * -np.expm1(-np.abs(bl)) / b
+def _family(x, a, b, *y, weighted=False, out=None, log=np.log):
+    """The one evaluator of the family's terms, formed from logarithms: w
+    e^{a t} expm1(b t) / b. Unweighted (w = 1), t = ln x: the logarithms'
+    x^a (x^b - 1) / b, written to out. Weighted, where a is 0: the term
+    -x expm1(b t) / b = x (1 - e^{b t}) / b of the entropy (t = ln x) or of
+    the divergence of x from y (t = ln y - ln x), formed in place in t, so
+    it is exactly 0 wherever t is. a and b are scalars or broadcast against
+    x; log takes the logarithms (_log where x is checked). Where a is the
+    scalar 0 no factor e^{a t} is formed, and an unweighted term is
+    multiplied by no weight.
+
+    A cell where that is not finite, where e^{a t} or expm1(b t) overflows,
+    or e^{a t} underflows to 0 while expm1(b t) overflows, is formed again
+    from the logarithms (_finite_or), as (e^{E(a+b)} - e^{E(a)}) / b with the
+    larger power factored out: e^m (1 - e^{-|b t|}) / b, signed as b t, with
+    m the larger exponent, finite wherever the value and e^m are. E(c) is c
+    ln x for the logarithms, (1 + c) ln x for the entropy and (1 - c) ln x +
+    c ln y for the divergence: a convex combination of the logarithms, which
+    carries no rounding error of t, the way ln x + c t would."""
+
+    def fast(x, a, b, *y):
+        t = log(x)
+        if y:
+            np.subtract(log(*y), t, out=t)
+        r = t if weighted else out
+        if weighted or np.ndim(a) == 0 and a == 0:
+            np.expm1(np.multiply(b, t, out=r), out=r)
+        else:  # e^{a t} in r, then b t in t's buffer where it fits
+            np.exp(np.multiply(a, t, out=r), out=r)
+            t = np.multiply(b, t, out=t if t.shape == r.shape else None)
+            np.multiply(r, np.expm1(t, out=t), out=r)
+        if weighted:
+            r *= x
+            return np.divide(r, -b, out=r)
+        return np.divide(r, b, out=r)
+
+    def slow(x, a, b, *y):
+        lx, ly = np.log(x), np.log(*y) if y else None
+        bt = b * (ly - lx if y else lx)
+        c = np.where(bt > 0, a + b, a)
+        e = (1.0 - c) * lx + c * ly if y else (1.0 + c if weighted else c) * lx
+        return np.copysign(np.exp(e), bt) * -np.expm1(-np.abs(bt)) / (-b if weighted else b)
+
+    return _finite_or(fast, slow, x, a, b, *y)
 
 
-def _ln_kr_into(out: np.ndarray, x: np.ndarray, a, b) -> None:
-    """x^a (x^b - 1) / b of x into out, as e^{a ln x} expm1(b ln x) / b: in
-    place in out and in ln x, unless a and b broadcast x to a larger shape.
-    A cell where that is not finite, as where e^{a ln x} underflows to 0
-    while expm1(b ln x) overflows, is formed again by _reformed
-    (_finite_or)."""
-
-    def fast(x, a, b):
-        lx = np.asarray(_log(x))
-        np.multiply(a, lx, out=out)
-        np.exp(out, out=out)
-        lx = np.multiply(b, lx, out=lx if lx.shape == out.shape else None)
-        np.multiply(out, np.expm1(lx, out=lx), out=out)
-        return np.divide(out, b, out=out)
-
-    _finite_or(fast, _reformed, x, a, b)
-
-
-def _deformed(x, a, b):
-    """x^a (x^b - 1) / b for x > 0, the one evaluator of every logarithm of
-    the family; a and b are scalars or broadcast against x."""
+def _deformed(x, a, b, log=_log):
+    """x^a (x^b - 1) / b for x > 0, every logarithm of the family, by the
+    family's evaluator one box at a time in place in a new array; a and b
+    are scalars or broadcast against x. log is _log where x is checked."""
     xv = _x_array(x)
     shape = np.broadcast(xv, a, b).shape
     out = np.empty_like(xv, shape=shape)  # laid out as x is, where x has its shape
     if out.size <= _LEAF:  # one box, the whole arrays
-        _ln_kr_into(out, xv, a, b)
+        _family(xv, a, b, out=out, log=log)
         return _maybe_scalar(out, x)
     # a scalar broadcasts as it is, and so does a box's part of an array
     for _, _, index in _tiles(shape, _LEAF):
         box = [v if np.ndim(v) == 0 else np.broadcast_to(v, shape)[index] for v in (xv, a, b)]
-        _ln_kr_into(out[index], *box)
+        _family(*box, out=out[index], log=log)
     return _maybe_scalar(out, x)
 
 
@@ -247,7 +276,7 @@ def legacy_u(x, params: DeformParams):
     Satisfies Ln(xy) = u(x) Ln(y) + Ln(x) u(y) together with legacy_Ln.
     """
     _typed(DeformParams, params=params)
-    lx = _log_x(x)
+    lx = _log(_x_array(x))
     k, r = params.k, params.r
     out = 0.5 * (np.exp((r + k) * lx) + np.exp((r - k) * lx))
     return _maybe_scalar(out, x)

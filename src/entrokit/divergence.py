@@ -29,6 +29,10 @@ property sweep on zero-padded batches, so it checks the sums users get.
 Every divergence-type sum (divergence, its literal forms, KL and Tsallis)
 gets its terms from _pair_terms, which states the rule for a cell with
 p = 0 once; each kernel evaluates only the cells with p > 0.
+The divergence and Tsallis terms are the family's evaluator at
+t = ln q - ln p (deformed_log._family), so neither forms q/p; the literal
+forms form it as written, and a cell where that is not finite takes the
+evaluator's value.
 
 p > 0 with q = 0 is rejected loudly rather than returned as infinity,
 because downstream arithmetic (pseudo-additivity, convexity sweeps) would
@@ -43,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .deformed_log import DeformParams, _finite_or, ln_kr, ln_q
+from .deformed_log import DeformParams, _deformed, _family, _finite_or
 from .distributions import (
     _LEAF,
     Distribution,
@@ -85,21 +89,12 @@ class DivergenceValue:
         return self.value
 
 
-def _closed_form(t: np.ndarray, p, k) -> np.ndarray:
-    """p (1 - e^{2k t}) / (2k), in place in t, via expm1: the divergence term
-    at t = ln(q/p) and the entropy term at t = ln p. It is exactly 0
-    wherever t is 0."""
-    t *= 2.0 * k
-    np.expm1(t, out=t)
-    t *= p
-    t /= -2.0 * k
-    return t
-
-
-def _positive_terms(p: np.ndarray, q: np.ndarray, k: float) -> np.ndarray:
-    # p (1 - (q/p)^{2k}) / (2k) == (p - p^{1-2k} q^{2k}) / (2k): exactly 0
-    # wherever p == q bitwise; in place in one buffer
-    return _closed_form(np.log(q) - np.log(p), p, k)
+def _positive_terms(p: np.ndarray, q: np.ndarray, b) -> np.ndarray:
+    """p (1 - (q/p)^b) / b = (p - p^{1-b} q^b) / b per cell with p > 0: the
+    family's evaluator with weight p at t = ln q - ln p, which never forms
+    q/p. Exactly 0 wherever p == q bitwise; b is 2k for the divergence and
+    1 - q for Tsallis, a scalar or broadcast against p."""
+    return _family(p, 0.0, b, q, weighted=True)
 
 
 # the DomainError of a cell with p = 0 < q where the term exponent b > 1
@@ -231,25 +226,15 @@ def _pair_terms(p: np.ndarray, q: np.ndarray, b, kernel, *args) -> np.ndarray:
     return terms
 
 
-def _overflow_terms(p: np.ndarray, q: np.ndarray, k) -> np.ndarray:
-    """_positive_terms, with each term that is not finite, as where
-    (q/p)^{2k} overflows, formed again as (p - e^{(1-2k) ln p + 2k ln q}) / 2k,
-    whose exponent is at most 0 for 0 < k <= 1/2 (such a term needs
-    q/p > 2^1024 at k = 1/2); every finite term is _positive_terms' own
-    (_finite_or)."""
-    return _finite_or(_positive_terms, lambda p, q, k: (
-        p - np.exp((1.0 - 2.0 * k) * np.log(p) + 2.0 * k * np.log(q))) / (2.0 * k), p, q, k)
-
-
 def _divergence_rows(p: np.ndarray, q, k) -> np.ndarray:
     """(T, 1) divergences D(p || q) of a batch (axis 0) of pairs of any rank,
     for a scalar k or one k per row, taken as _sum_terms takes them: q may
     be a run maker for a batch of one. A cell with p > 0 = q takes the
     term's q -> 0 limit, p / 2k, infinite for k < 0. Each batch is summed
-    once, its terms formed by _overflow_terms."""
-    k = _col(k, 2)
+    once, its terms formed by _positive_terms."""
+    b = 2.0 * _col(k, 2)
     with np.errstate(divide="ignore"):  # log(0) is -inf: the q -> 0 limit
-        return _sum_terms(_pair_terms, (p, q), 2.0 * k, _overflow_terms, k)
+        return _sum_terms(_pair_terms, (p, q), b, _positive_terms, b)
 
 
 def divergence(
@@ -266,13 +251,17 @@ def divergence(
 
 
 def _literal_terms(p: np.ndarray, q: np.ndarray, params, form: str) -> np.ndarray:
-    """The terms of divergence_literal's `form` at cells with p > 0."""
-    k, r = params.k, params.r
-    if form == "pq":
-        ratio = p / q
-        return p * np.power(ratio, r - k) * ln_kr(ratio, params)
-    ratio = q / p
-    return -p * np.power(ratio, r + k) * ln_kr(ratio, params)
+    """The terms of divergence_literal's `form` at cells with p > 0, as
+    written. A cell where that is not finite, where the ratio or its power
+    overflows or their product is 0 * inf, takes the evaluator's value, the
+    divergence term (_finite_or)."""
+
+    def as_written(p, q, r, k):  # p (p/q)^{r-k} ln(p/q), or -p (q/p)^{r+k} ln(q/p)
+        ratio, w, s = (p / q, p, r - k) if form == "pq" else (q / p, -p, r + k)
+        return w * np.power(ratio, s) * _deformed(ratio, -(r + k), 2.0 * k, np.log)
+
+    return _finite_or(as_written, lambda p, q, r, k: _positive_terms(p, q, 2.0 * k),
+                      p, q, params.r, params.k)
 
 
 def _divergence_literal_rows(p: np.ndarray, q: np.ndarray, params, form: str) -> np.ndarray:
@@ -313,7 +302,7 @@ def _weights(a, b) -> tuple[np.ndarray, np.ndarray]:
 def _log_sum_rows(a: np.ndarray, b: np.ndarray, k) -> tuple[np.ndarray, np.ndarray]:
     """(T, 1) columns of both sides of the log-sum inequality over a batch of
     weight pairs: the termwise sum, and the term of the totals."""
-    rhs = _positive_terms(_fsum_rows(a), _fsum_rows(b), _col(k, 2))
+    rhs = _positive_terms(_fsum_rows(a), _fsum_rows(b), 2.0 * _col(k, 2))
     return _divergence_rows(a, b, k), rhs
 
 
@@ -349,13 +338,6 @@ def kl_divergence(p: Distribution, q: Distribution) -> float:
     return float(_kl_rows(p.p[np.newaxis], q.p[np.newaxis])[0, 0])
 
 
-def _tsallis_terms(p: np.ndarray, q: np.ndarray, q_param: float) -> np.ndarray:
-    """-p ln_q(q/p) per cell with p > 0; -0.0 where p = q."""
-    t = ln_q(q / p, q_param)
-    t *= p
-    return np.negative(t, out=t)  # -(p t) is (-p) t bit for bit
-
-
 def tsallis_divergence(p: Distribution, q: Distribution, q_param: float) -> float:
     """Standard one-parameter relative entropy -sum p ln_q(q_x/p_x).
 
@@ -366,9 +348,10 @@ def tsallis_divergence(p: Distribution, q: Distribution, q_param: float) -> floa
     q_param = _real("q", q_param, "a finite real number", math.isfinite)
     if q_param == 1:
         raise ParamError("q = 1 is the KL limit; use kl_divergence")
-    _check_pair(p, q, 1.0 - q_param)
-    cells = (p.p[np.newaxis], q.p[np.newaxis])
-    return float(_sum_terms(_pair_terms, cells, 1.0 - q_param, _tsallis_terms, q_param)[0, 0])
+    b = 1.0 - q_param
+    _check_pair(p, q, b)
+    cells = (p.p[np.newaxis], q.p[np.newaxis])  # each term is divergence's at 2k = b
+    return float(_sum_terms(_pair_terms, cells, b, _positive_terms, b)[0, 0])
 
 
 def _outer_run(px: np.ndarray, py: np.ndarray, start: int, stop: int) -> np.ndarray:

@@ -5,11 +5,13 @@ zero-probability terms contributing 0. Each term collapses algebraically
 to p (1 - p^{2k}) / (2k), which is the canonical evaluator here: it is
 non-negative on [0, 1] and makes the r-cancellation explicit. At relaxed
 k < 0, p^{2k} overflows for a tiny p though p^{1+2k} is finite (p = 1e-320
-at k = -0.49); such a term is formed again as (p - e^{(1+2k) ln p}) / 2k,
-the twin of divergence's re-form of a term whose (q/p)^{2k} overflows
-(deformed_log._finite_or). The literal as-written evaluator is kept
-alongside as a cross-check. A joint is a Distribution of rank > 1, so its
-entropy is the entropy of its cells.
+at k = -0.49); such a term is formed again from ln p by the family's one
+evaluator, which forms the divergence terms too (deformed_log._family).
+The literal as-written evaluator is kept alongside as a cross-check on
+every cell where it is finite; a cell where it is not, 0 * inf where
+p^{r+k+1} underflows under an infinite ln_{k,r}(p), takes the evaluator's
+value. A joint is a Distribution of rank > 1, so its entropy is the
+entropy of its cells.
 
 Conditional entropies weight per-slice entropies by the conditioning
 probability raised to 2k + 1; this is the weighting that makes the chain
@@ -61,10 +63,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .deformed_log import DeformParams, _deformed, _finite_or, ln_kr
+from .deformed_log import DeformParams, _deformed, _family, _finite_or
 from .distributions import (_LEAF, Distribution, _cells, _col, _marginal_rows, _real, _rowsum,
                             _typed)
-from .divergence import _closed_form, _unit_at_zero
+from .divergence import _unit_at_zero
 from .errors import DimensionError, ParamError
 
 __all__ = [
@@ -101,11 +103,10 @@ def _cell_terms(p: np.ndarray, kernel, *args) -> np.ndarray:
 
 def _entropy_terms(p, k) -> np.ndarray:
     """p (1 - p^{2k}) / (2k) per cell > 0, exactly 0 at p = 1; k may
-    broadcast against p. Evaluated in place in the logarithm's buffer; a
-    term whose p^{2k} overflows, at relaxed k < 0, is formed again as
-    (p - e^{(1+2k) ln p}) / 2k, finite where p^{1+2k} is (_finite_or)."""
-    return _finite_or(lambda p, k: _closed_form(np.log(p), p, k),
-                      lambda p, k: (p - np.exp((1.0 + 2.0 * k) * np.log(p))) / (2.0 * k), p, k)
+    broadcast against p. The family's evaluator with weight p at t = ln p,
+    in place in the logarithm's buffer; a term whose p^{2k} overflows, at
+    relaxed k < 0, is formed again from ln p (deformed_log._family)."""
+    return _family(p, 0.0, 2.0 * k, weighted=True)
 
 
 def _entropy_rows(p: np.ndarray, k) -> np.ndarray:
@@ -134,8 +135,12 @@ joint_entropy = entropy
 
 
 def _literal_terms(p: np.ndarray, params) -> np.ndarray:
-    """p^{r+k+1} ln_{k,r}(p) per cell > 0, as written; 0 at p = 1."""
-    return np.power(p, params.r + params.k + 1.0) * ln_kr(p, params)
+    """p^{r+k+1} ln_{k,r}(p) per cell > 0, as written; 0 at p = 1. A cell
+    where that is not finite, where p^{r+k+1} underflows to 0 while
+    ln_{k,r}(p) overflows (relaxed k < 0), takes the evaluator's value, the
+    entropy term's negative (_finite_or)."""
+    return _finite_or(lambda p, r, k: np.power(p, r + k + 1.0) * _deformed(p, -(r + k), 2.0 * k),
+                      lambda p, r, k: -_entropy_terms(p, k), p, params.r, params.k)
 
 
 def _entropy_literal_rows(p: np.ndarray, params) -> np.ndarray:
@@ -264,8 +269,9 @@ def shannon_entropy(p: Distribution) -> float:
 def _tsallis_entropy_rows(p: np.ndarray, q) -> np.ndarray:
     """(T, 1) Tsallis entropies -sum p^q ln_q(p) of a batch, for a scalar q
     or one q per row; zero cells add 0. Each term p^q (p^{1-q} - 1) / (1 - q)
-    goes through the logarithms' evaluator, not through the entropy's closed
-    form, so it still checks that closed form independently."""
+    is the family's evaluator at a = q, b = 1 - q, t = ln p, which forms the
+    entropy's closed form too: a fault of that evaluator moves both, so
+    their agreement is no independent check of it."""
     return -_rowsum(p, _cell_terms, _deformed, q, 1.0 - q)
 
 

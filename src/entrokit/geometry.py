@@ -133,9 +133,9 @@ def _fd_hessian_rows(p: np.ndarray, n: np.ndarray, k, h) -> np.ndarray:
     live = np.arange(width) < n
     if np.any(live & ((p - h <= 0) | (p + h >= 1))):
         raise DomainError("step pushes some coordinate outside (0, 1)")
-    k = _col(k, 2)
+    b = 2.0 * _col(k, 2)
     # adding +0.0 turns a -0.0 term into its row's exact sum, +0.0
-    up, dn = (np.where(live, _positive_terms(p + s, p, k), 0.0) + 0.0 for s in (h, -h))
+    up, dn = (np.where(live, _positive_terms(p + s, p, b), 0.0) + 0.0 for s in (h, -h))
     hess = np.zeros((t, width, width))
     diag = np.arange(width)
     hess[:, diag, diag] = (up + dn) / (h * h)  # the base point's sum, +0.0, drops out

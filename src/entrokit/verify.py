@@ -254,6 +254,7 @@ class _Chunk(NamedTuple):
     start: int
     out: Outcome  # (T,) lhs, rhs and slack
     fields: dict  # the instance digest's fields
+    shortfall: np.ndarray  # (T,) the kind's shortfall of each slack
     passed: np.ndarray  # (T,) bool
 
     def result(self, i: int) -> CheckResult:
@@ -274,9 +275,11 @@ def _evaluate(spec: PropertySpec, config: SweepConfig, start: int, count: int) -
     trial = np.arange(count, dtype=np.int64)[:, None] + start  # int64 below TRIAL_LIMIT
     instance = spec.maker(_Draw(u), trial)
     out = _outcome(spec.kind, *spec.law(instance))
+    shortfall = _KINDS[spec.kind].shortfall(out.slack)
     # a config tolerance overrides the property's
-    passed = _KINDS[spec.kind].shortfall(out.slack) <= (config.tol or spec.tol)
-    return _Chunk(spec.name, config.seed, start, out, instance.fields(spec.fields), passed)
+    passed = shortfall <= (config.tol or spec.tol)
+    return _Chunk(spec.name, config.seed, start, out, instance.fields(spec.fields), shortfall,
+                  passed)
 
 
 def _chunks(spec: PropertySpec, config: SweepConfig):
@@ -301,18 +304,22 @@ def run_single(config: SweepConfig, name: str, trial: int) -> CheckResult:
 
 
 def _aggregate(spec: PropertySpec, chunks) -> PropertyReport:
+    """The report of one property's chunks. Its worst slack is the slack of
+    the first largest shortfall, a NaN first, as np.argmax picks it over all
+    the trials: each chunk's argmax, then the first chunk whose is largest."""
     chunks = list(chunks)
-    slack = np.concatenate([c.out.slack for c in chunks])
     passes = sum(int(np.count_nonzero(c.passed)) for c in chunks)
     failed = ((c, i) for c in chunks for i in np.flatnonzero(~c.passed))
     failures = [c.result(i) for c, i in itertools.islice(failed, MAX_RECORDED_FAILURES)]
+    tops = [int(np.argmax(c.shortfall)) for c in chunks]
+    worst = int(np.argmax([c.shortfall[i] for c, i in zip(chunks, tops)]))
     return PropertyReport(
         name=spec.name,
         anchor=spec.anchor,
         kind=spec.kind,
         passes=passes,
-        fails=len(slack) - passes,
-        worst_slack=float(slack[np.argmax(_KINDS[spec.kind].shortfall(slack))]),
+        fails=sum(len(c.passed) for c in chunks) - passes,
+        worst_slack=float(chunks[worst].out.slack[tops[worst]]),
         failures=tuple(failures),
     )
 

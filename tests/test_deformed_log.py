@@ -5,6 +5,7 @@ the defining formulas (mpmath); identities are also exercised with
 hypothesis over randomized arguments.
 """
 
+import importlib
 import math
 import warnings
 from fractions import Fraction
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import entrokit
 from entrokit import (
     DeformParams,
     DomainError,
@@ -25,7 +27,7 @@ from entrokit import (
     ln_kr,
     ln_q,
 )
-from entrokit.deformed_log import K_MIN, _deformed
+from entrokit.deformed_log import K_MIN, _deformed, _family
 from entrokit.distributions import _LEAF
 from entrokit.entropy import _cell_terms
 from entrokit.properties import _Params
@@ -275,7 +277,48 @@ def _former_tsallis_terms(p, q):
 class TestOneEvaluator:
     """ln_q, legacy_Ln and the Tsallis entropy terms are ln_kr's evaluator,
     x^a (x^b - 1) / b, with their own a and b; each keeps the bits of the
-    formula it had of its own."""
+    formula it had of its own. That evaluator forms every term of the
+    family."""
+
+    def test_every_term_of_the_family_is_formed_by_it(self, monkeypatch):
+        # a mutant evaluator, at b (1 + 1e-12), moves every value of the
+        # family, the literal forms through ln_{k,r}, and neither the Shannon
+        # entropy nor the KL divergence
+        p, q = entrokit.make_distribution([0.1, 0.2, 0.3, 0.4]), entrokit.make_distribution([0.25] * 4)
+        j, params = entrokit.make_joint2([[0.1, 0.2], [0.3, 0.4]]), DeformParams(0.3, 0.7)
+        family = {
+            "entropy": lambda: entrokit.entropy(p, params).value,
+            "conditional_entropy": lambda: entrokit.conditional_entropy(j, params).value,
+            "divergence": lambda: entrokit.divergence(p, q, params).value,
+            "mutual_divergence": lambda: entrokit.mutual_divergence(j, params).value,
+            "fd_hessian": lambda: entrokit.fd_hessian(p, params),
+            "ln_kr": lambda: ln_kr(p.p, params),
+            "legacy_Ln": lambda: legacy_Ln(p.p, params, warn_outside_region=False),
+            "ln_q": lambda: ln_q(p.p, 0.4),
+            "tsallis_entropy": lambda: entrokit.tsallis_entropy(p, 0.4),
+            "tsallis_divergence": lambda: entrokit.tsallis_divergence(p, q, 0.4),
+            "entropy_literal": lambda: entrokit.entropy_literal(p, params),
+            "divergence_literal pq": lambda: entrokit.divergence_literal(p, q, params, "pq"),
+            "divergence_literal qp": lambda: entrokit.divergence_literal(p, q, params, "qp"),
+        }
+        others = {
+            "shannon_entropy": lambda: entrokit.shannon_entropy(p),
+            "kl_divergence": lambda: entrokit.kl_divergence(p, q),
+        }
+
+        def values():
+            return {name: _bits(np.asarray(f())).tolist() for name, f in {**family, **others}.items()}
+
+        def mutant(x, a, b, *y, **options):
+            return _family(x, a, b * (1.0 + 1e-12), *y, **options)
+
+        before = values()
+        for name in ("deformed_log", "entropy", "divergence", "geometry"):
+            module = importlib.import_module(f"entrokit.{name}")
+            if hasattr(module, "_family"):
+                monkeypatch.setattr(module, "_family", mutant)
+        after = values()
+        assert [name for name in before if before[name] != after[name]] == list(family)
 
     # one box, several boxes, and a 0-d x
     @pytest.mark.parametrize("shape", [(7,), (3 * _LEAF + 5,), ()])

@@ -350,13 +350,13 @@ def _whole_row_terms(kind, p, q, params):
     if kind == "kl":
         return p * (np.log(pv) - np.log(qv))
     if kind == "divergence":
-        terms = _positive_terms(pv, qv, k)
+        terms = _positive_terms(pv, qv, 2.0 * k)
     elif kind == "pq":
         terms = pv * np.power(pv / qv, r - k) * ln_kr(pv / qv, params)
     elif kind == "qp":
         terms = -pv * np.power(qv / pv, r + k) * ln_kr(qv / pv, params)
-    else:
-        terms = -pv * ln_q(qv / pv, 1.0 - 2.0 * k)
+    else:  # the divergence term at the exponent 1 - q of q = 1 - 2k
+        terms = _positive_terms(pv, qv, 1.0 - (1.0 - 2.0 * k))
     return np.where(~live & (k == 0.5), -q, terms)
 
 

@@ -11,7 +11,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from entrokit import DeformParams, DomainError, divergence, divergence_literal, entropy, ln_kr
+from entrokit import DeformParams, divergence, divergence_literal, entropy, entropy_literal, ln_kr
 from entrokit import make_distribution, make_joint2, mutual_divergence, tsallis_divergence
 from entrokit import tsallis_entropy
 from entrokit.divergence import _divergence_rows, _positive_terms
@@ -96,6 +96,29 @@ def test_entropy_where_p_to_the_2k_overflows():
         assert _ulps(got, exact) <= 3.0 * (1.0 + abs((1.0 + 2.0 * k) * math.log(p)))
 
 
+def test_entropy_literal_where_its_power_underflows_under_an_infinite_logarithm():
+    # at relaxed k = -0.49, p^{r+k+1} underflows to 0 for p = 1e-320 while
+    # ln_{k,r}(p) overflows: the cell was 0 * inf, so the sum was nan
+    k, p = -0.49, 1e-320
+    got = entropy_literal(make_distribution([p, 1.0 - p]), DeformParams(k, 1.0, relaxed=True))
+    with mp.workdps(50):
+        kk = mp.mpf(k)
+        exact = sum(-mp.mpf(c) * mp.expm1(2 * kk * mp.log(c)) / (2 * kk) for c in (p, 1.0 - p))
+        assert _ulps(got, exact) <= 3.0 * (1.0 + abs((1.0 + 2.0 * k) * math.log(p)))
+
+
+def test_tsallis_divergence_where_the_power_of_q_over_p_overflows():
+    # at q = -1, (q/p)^2 overflows for p = 1e-300 though p ln_q(q/p) is
+    # q^2 / (2p): the sum was -inf, with an overflow warning
+    p = make_distribution([1e-300, 0.25, 0.75 - 1e-300])
+    q = make_distribution([0.3, 0.3, 0.4])
+    got = tsallis_divergence(p, q, -1.0)
+    with mp.workdps(50):
+        exact = sum(_exact_divergence_term(a, b, 1.0) for a, b in zip(p.p, q.p))
+        largest = max(abs(2.0 * math.log(b) - math.log(a)) for a, b in zip(p.p, q.p))
+        assert _ulps(got, exact) <= 3.0 * (1.0 + largest)
+
+
 @pytest.mark.xfail(
     strict=True,
     reason="known defect: at q = p(1 + 1e-12) log(q) - log(p) cancels, and the "
@@ -105,7 +128,7 @@ def test_entropy_where_p_to_the_2k_overflows():
 def test_divergence_term_near_coincidence():
     _, k, p = _draws(3)
     q = p * (1.0 + 1e-12)
-    terms = _positive_terms(p, q, k)
+    terms = _positive_terms(p, q, 2.0 * k)
     with mp.workdps(50):
         worst = max(
             _ulps(t, _exact_divergence_term(pi, qi, ki))
@@ -145,23 +168,8 @@ def test_a_batch_with_an_overflowing_row_is_summed_again_whole():
         assert _ulps(got[0], exact) <= 3.0
 
 
-def _overflow_defect(raises):
-    return pytest.mark.xfail(
-        strict=True,
-        raises=raises,
-        reason="known defect: q/p overflows to inf before ln_kr or ln_q sees it, so "
-        'form "pq" is nan and form "qp" and the Tsallis reference raise DomainError, '
-        "each after an overflow RuntimeWarning (an error under this suite); ROADMAP "
-        "item 1's kernel rewrite mends them",
-    )
-
-
 @pytest.mark.parametrize("k", [0.5, 0.49])
-@pytest.mark.parametrize("form", [
-    pytest.param("pq", marks=_overflow_defect((RuntimeWarning, AssertionError))),
-    pytest.param("qp", marks=_overflow_defect((RuntimeWarning, DomainError))),
-    pytest.param("tsallis", marks=_overflow_defect((RuntimeWarning, DomainError))),
-])
+@pytest.mark.parametrize("form", ["pq", "qp", "tsallis"])
 def test_literal_and_tsallis_where_q_over_p_overflows(form, k):
     # the inputs divergence takes since it forms overflowing terms from
     # logarithms: the defining sum and the Tsallis reference at q = 1 - 2k

@@ -51,6 +51,9 @@ from entrokit.verify import (
     IDENTITY_TOL,
     INEQUALITY_TOL,
     TRIAL_CHUNK,
+    Outcome,
+    _aggregate,
+    _Chunk,
     _chunks,
     _digest,
     _key,
@@ -305,6 +308,29 @@ class TestEngine:
         assert shuffled == rows
         assert in_order.passes == sum(r.passed for r in rows.values())
         assert in_order.worst_slack == min(r.slack for r in rows.values())
+
+    @pytest.mark.parametrize("kind", ["identity", "inequality"])
+    @pytest.mark.parametrize("slacks", [
+        [[0.1, -0.3], [0.3, -0.3, 0.2], [-0.1]],  # ties within and across chunks
+        [[0.1], [0.2, float("nan")], [float("nan"), 5.0]],  # the first NaN
+        [[-0.0, 0.0], [0.0, -0.0]],
+    ])
+    def test_worst_slack_is_the_first_largest_shortfall_of_all_trials(self, kind, slacks):
+        # each chunk keeps its shortfalls: the report takes the slack of the
+        # first largest of them over every trial, a NaN first, as np.argmax
+        # of the concatenated shortfalls picks it
+        spec, rule = _REGISTRY["chain_rule" if kind == "identity" else "subadditivity"], _KINDS[kind]
+        chunks = [
+            _Chunk(spec.name, 0, 0, Outcome(np.zeros(len(s)), np.zeros(len(s)), np.array(s)), {},
+                   rule.shortfall(np.array(s)), rule.shortfall(np.array(s)) <= 0.15)
+            for s in slacks
+        ]
+        every = np.concatenate([np.array(s) for s in slacks])
+        report = _aggregate(spec, chunks)
+        want = every[np.argmax(rule.shortfall(every))]
+        assert report.worst_slack.hex() == float(want).hex()
+        assert (report.passes, report.fails) == (sum(rule.shortfall(every) <= 0.15),
+                                                 sum(~(rule.shortfall(every) <= 0.15)))
 
     def test_concurrent_trials_match_sequential(self):
         # trials are pure functions of (seed, property, trial), so running
