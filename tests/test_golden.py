@@ -22,7 +22,9 @@ metric_hessian_structure came to check the metric against the divergence
 term's second derivative. The k = 1/2 sums of divergence_literal (both
 forms) and tsallis_divergence over the joints with zero cells were
 recorded again when they came to take divergence's rule for a cell with
-p = 0 < q (it adds -q) instead of skipping it. `python tests/test_golden.py`
+p = 0 < q (it adds -q) instead of skipping it. The tsallis_divergence sums
+were recorded again when its terms came to be the divergence terms at
+2k = 1 - q, from ln q - ln p instead of ln(q/p). `python tests/test_golden.py`
 rewrites the file and prints each key whose value it changes.
 They are compared only where numpy's elementary functions give the bits
 they gave where recorded.
