@@ -33,7 +33,7 @@ from entrokit import (
     tsallis_divergence,
 )
 from entrokit import distributions
-from entrokit.deformed_log import ln_kr, ln_q
+from entrokit.deformed_log import ln_kr
 from entrokit.distributions import _LEAF, _leaves
 from entrokit.divergence import _EXACT_MIN, _fsum_rows, _positive_terms
 
